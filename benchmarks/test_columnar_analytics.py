@@ -6,8 +6,9 @@ memory-mapped columns.  This bench builds a synthetic corpus above the
 paper's scale (~1.05M comments), runs the growth / concentration /
 flag-table group down both paths, asserts the results are identical,
 and requires the columnar group to be at least 5x faster than the
-dict-path oracle *with its shared memoised indexes already warm* — the
-honest baseline, not the per-call regrouping one.
+dict-path oracle from ``tests/oracles/`` *with the store's shared
+memoised indexes already warm* — the honest baseline, not the per-call
+regrouping one.
 """
 
 import datetime
@@ -31,6 +32,8 @@ from repro.crawler.records import (
 )
 from repro.stats.hypothesis_tests import rank_correlation
 from repro.store import CorpusStore, columns_of
+
+from tests.oracles import analyses as oracles
 
 N_USERS = 120_000
 N_URLS = 60_000
@@ -120,20 +123,6 @@ def _build_store(tmp_path) -> CorpusStore:
     return store.seal()
 
 
-def _oracle_of(store: CorpusStore) -> CorpusStore:
-    """A ``--no-columns`` twin sharing the same record objects.
-
-    The dict path only reads the record dicts and the memoised indexes,
-    so the oracle can adopt the already-built dicts instead of paying
-    the append-log cost a second time.
-    """
-    oracle = CorpusStore(columns=False)
-    oracle.users.update(store.users)
-    oracle.urls.update(store.urls)
-    oracle.comments.update(store.comments)
-    return oracle.seal()
-
-
 # ---------------------------------------------------------------------------
 # The dict-path growth baseline: the pre-columnar scalar parse loop.
 # ---------------------------------------------------------------------------
@@ -166,10 +155,8 @@ def _best_of(fn, rounds: int = ROUNDS) -> float:
 
 def test_columnar_group_5x_and_identical(tmp_path):
     store = _build_store(tmp_path)
-    oracle = _oracle_of(store)
     accounts = _accounts()
     assert columns_of(store) is not None
-    assert columns_of(oracle) is None
 
     # -- Parity first (also warms views and memoised indexes). ----------
     growth_col = analyze_gab_growth(accounts)
@@ -180,12 +167,12 @@ def test_columnar_group_5x_and_identical(tmp_path):
     assert growth_col.spearman_rho == growth_dict.spearman_rho
 
     conc_col = comment_concentration(store)
-    conc_dict = comment_concentration(oracle)
+    conc_dict = oracles.comment_concentration(store)
     assert np.array_equal(conc_col.counts, conc_dict.counts)
     assert conc_col.gini_like_top_shares == conc_dict.gini_like_top_shares
 
     table_col = user_table(store)
-    table_dict = user_table(oracle)
+    table_dict = oracles.user_table(store)
     assert table_col.n_active == table_dict.n_active
     assert list(table_col.flag_counts.items()) == list(
         table_dict.flag_counts.items()
@@ -197,8 +184,8 @@ def test_columnar_group_5x_and_identical(tmp_path):
     # -- Timing: the whole group down each path, best of ROUNDS. --------
     def group_dict():
         _growth_scalar(accounts)
-        comment_concentration(oracle)
-        user_table(oracle)
+        oracles.comment_concentration(store)
+        oracles.user_table(store)
 
     def group_columnar():
         analyze_gab_growth(accounts)

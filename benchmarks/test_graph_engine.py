@@ -5,7 +5,8 @@ this bench builds a seeded power-law digraph at a million nodes (about
 3M edges, roughly 20x the paper's 45,524-user graph) and times the
 three hot reductions — degrees + isolated count, mutual-edge
 detection, weak connected components — on both engines, asserting the
-answers identical and the CSR engine >= 10x faster on each.
+answers identical and the CSR engine >= 10x faster on each.  The
+networkx baselines come from :mod:`tests.oracles.graph`.
 
 ``GRAPH_BENCH_NODES`` scales the universe down for CI smoke runs (the
 parity asserts still run; the speedup floor only applies at full size,
@@ -21,7 +22,14 @@ import pytest
 from benchmarks._report import record, row
 from repro.graph.csr import CSRGraph
 
-nx = pytest.importorskip("networkx")
+pytest.importorskip("networkx")
+
+from tests.oracles.graph import (
+    degrees_and_isolated,
+    mutual_pair_count,
+    to_networkx,
+    weak_component_sizes,
+)
 
 FULL_NODES = 1_000_000
 N_NODES = int(os.environ.get("GRAPH_BENCH_NODES", FULL_NODES))
@@ -82,46 +90,21 @@ def test_graph_engine(benchmark):
     sizes, t_csr_cc = timed(graph.component_sizes, repeats=3)
     benchmark.pedantic(csr_degrees, rounds=1, iterations=1)
 
-    def build_nx():
-        g = nx.DiGraph()
-        g.add_nodes_from(node_ids.tolist())
-        g.add_edges_from(zip(
-            node_ids[src].tolist(), node_ids[dst].tolist()
-        ))
-        return g
-
-    oracle, t_nx_build = timed(build_nx)
+    oracle, t_nx_build = timed(lambda: to_networkx(graph))
     assert graph.n_nodes == oracle.number_of_nodes()
     assert graph.n_edges == oracle.number_of_edges()
 
-    def nx_degrees():
-        in_deg = dict(oracle.in_degree())
-        out_deg = dict(oracle.out_degree())
-        iso = sum(
-            1 for n in oracle if in_deg[n] == 0 and out_deg[n] == 0
-        )
-        return in_deg, out_deg, iso
-
-    (nx_in, nx_out, nx_iso), t_nx_deg = timed(nx_degrees)
+    (nx_in, nx_out, nx_iso), t_nx_deg = timed(
+        lambda: degrees_and_isolated(oracle)
+    )
     assert isolated == nx_iso
     assert in_arr.tolist() == [nx_in[n] for n in graph.nodes]
     assert out_arr.tolist() == [nx_out[n] for n in graph.nodes]
 
-    def nx_mutual():
-        return sum(
-            1 for u, v in oracle.edges if u < v and oracle.has_edge(v, u)
-        )
-
-    nx_n_mutual, t_nx_mut = timed(nx_mutual)
+    nx_n_mutual, t_nx_mut = timed(lambda: mutual_pair_count(oracle))
     assert n_mutual == nx_n_mutual
 
-    def nx_components():
-        return sorted(
-            (len(c) for c in nx.weakly_connected_components(oracle)),
-            reverse=True,
-        )
-
-    nx_sizes, t_nx_cc = timed(nx_components)
+    nx_sizes, t_nx_cc = timed(lambda: weak_component_sizes(oracle))
     assert sizes == nx_sizes
 
     speedups = {

@@ -12,11 +12,17 @@ regrouping the comment dict from scratch.
 import json
 import time
 
+import pytest
+
+import repro.core.pipeline as pipeline_mod
 from benchmarks._report import RESULTS_DIR, record, row
 from repro.core.pipeline import ReproductionPipeline
 from repro.crawler.checkpoint import result_to_payload
-from repro.crawler.records import CrawlResult, CrawledComment, CrawledUser
+from repro.crawler.records import CrawledComment, CrawledUser
 from repro.platform.config import WorldConfig
+from repro.store import CorpusStore
+
+from tests.oracles.analyses import PIPELINE_ORACLES
 
 SIZES = (2_000, 8_000, 32_000)
 SEGMENT_RECORDS = 1_024
@@ -60,12 +66,10 @@ def test_checkpoint_tick_flat_in_corpus_size(tmp_path):
     """v2 tick cost grows with the corpus; v3 stays tail-bounded."""
     v2_ms, v2_bytes, v3_ms, v3_bytes = {}, {}, {}, {}
     for size in SIZES:
-        legacy = _fill(CrawlResult(), size)
+        legacy = _fill(CorpusStore(), size)
         v2_ms[size], v2_bytes[size] = _tick_cost(
             lambda legacy=legacy: json.dumps(result_to_payload(legacy))
         )
-        from repro.store import CorpusStore
-
         store = _fill(
             CorpusStore(
                 store_dir=tmp_path / f"store-{size}",
@@ -104,9 +108,21 @@ def test_checkpoint_tick_flat_in_corpus_size(tmp_path):
     assert v3_bytes[SIZES[-1]] < v2_bytes[SIZES[-1]] / 50
 
 
+def _unsealed_twin(store: CorpusStore) -> CorpusStore:
+    """An unsealed store sharing ``store``'s records: its indexes
+    regroup the corpus on every call, as the legacy dict form did."""
+    twin = CorpusStore()
+    twin.users.update(store.users)
+    twin.urls.update(store.urls)
+    twin.comments.update(store.comments)
+    return twin
+
+
 def test_analyze_stage_shares_sealed_indexes():
     """The sealed store's indexes are built once for all ~10 §4 call
-    sites; the legacy dict form regroups the corpus at every one."""
+    sites; the legacy dict form regroups the corpus at every one.  The
+    legacy run reads an unsealed twin through the record-dict analyses
+    from ``tests/oracles/`` (the columnar ones need a sealed store)."""
     pipeline = ReproductionPipeline(WorldConfig(scale=0.004, seed=42))
     artifacts = pipeline.stage_crawl()
     pipeline.stage_score(artifacts)
@@ -122,7 +138,11 @@ def test_analyze_stage_shares_sealed_indexes():
             best = min(best, time.perf_counter() - t0)
         return best
 
-    legacy_seconds = analyze_with(sealed.to_result())
+    legacy = _unsealed_twin(sealed)
+    with pytest.MonkeyPatch.context() as patch:
+        for name, oracle in PIPELINE_ORACLES.items():
+            patch.setattr(pipeline_mod, name, oracle)
+        legacy_seconds = analyze_with(legacy)
     sealed_seconds = analyze_with(sealed)
     artifacts.corpus = sealed
 
@@ -136,7 +156,7 @@ def test_analyze_stage_shares_sealed_indexes():
             corpus.active_users()
         return time.perf_counter() - t0
 
-    legacy_sweep = min(index_sweep(sealed.to_result()) for _ in range(3))
+    legacy_sweep = min(index_sweep(legacy) for _ in range(3))
     sealed_sweep = min(index_sweep(sealed) for _ in range(3))
 
     lines = [

@@ -129,7 +129,7 @@ def _annotation_names(annotation: ast.expr | None) -> list[str]:
         return []
     node: ast.expr = annotation
     if isinstance(node, ast.Constant) and isinstance(node.value, str):
-        # String annotation: "CorpusStore | CrawlResult", "set[str]".
+        # String annotation: "CorpusStore | None", "set[str]".
         text = node.value
         return [
             part.split("[", 1)[0].strip().rsplit(".", 1)[-1]

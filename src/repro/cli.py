@@ -61,12 +61,6 @@ def _add_crawl_engine_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--segment-records", type=int, default=4096, metavar="N",
         help="records per sealed corpus segment (default 4096)")
-    parser.add_argument(
-        "--no-columns", action="store_true",
-        help="disable the columnar analytics layer: skip projecting "
-             "sealed segments into typed column arrays and run the §4 "
-             "analyses over the record dicts instead (the oracle path; "
-             "every report number is identical either way)")
 
 
 def _add_resume_flags(parser: argparse.ArgumentParser) -> None:
@@ -111,7 +105,10 @@ def _build_runtime(args: argparse.Namespace, pipeline: ReproductionPipeline,
             raise SystemExit(
                 f"--resume: no checkpoint state at {state_path}"
             )
-        resume_payload = load_state(state_path)
+        try:
+            resume_payload = load_state(state_path)
+        except ValueError as exc:
+            raise SystemExit(f"--resume: {exc}") from exc
     if args.die_after is not None:
         pipeline.origins.transport.kill_after(args.die_after)
     return checkpointer, resume_payload
@@ -145,11 +142,6 @@ def build_parser() -> argparse.ArgumentParser:
                           "across runs of the same world; extras excluded)")
     run.add_argument("--with-faults", action="store_true",
                      help="inject transport faults (exercises retries)")
-    run.add_argument("--nx-oracle", action="store_true",
-                     help="route the §4.5 social analyses through the "
-                          "networkx oracle instead of the CSR graph engine "
-                          "(requires the 'nx' extra; the report is "
-                          "bit-identical either way — CI diffs the two)")
     _add_crawl_engine_flags(run)
     _add_resume_flags(run)
 
@@ -269,8 +261,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         parse_workers=args.parse_workers,
         store_dir=str(args.store_dir) if args.store_dir is not None else None,
         segment_records=args.segment_records,
-        columns=not args.no_columns,
-        nx_oracle=args.nx_oracle,
     )
     print(f"world: {pipeline.world.summary()}", file=sys.stderr)
     default_state = Path(
@@ -327,7 +317,6 @@ def _cmd_crawl_sharded(args: argparse.Namespace) -> int:
         parse_workers=args.parse_workers,
         store_dir=str(args.store_dir) if args.store_dir is not None else None,
         segment_records=args.segment_records,
-        columns=not args.no_columns,
         checkpoint_every=args.checkpoint_every,
         checkpoint_seconds=args.checkpoint_seconds,
         die_after=args.die_after,
@@ -367,7 +356,6 @@ def _cmd_crawl(args: argparse.Namespace) -> int:
         parse_workers=args.parse_workers,
         store_dir=str(args.store_dir) if args.store_dir is not None else None,
         segment_records=args.segment_records,
-        columns=not args.no_columns,
     )
     default_state = Path(str(args.out) + ".state.json")
     checkpointer, resume_payload = _build_runtime(args, pipeline, default_state)
@@ -380,6 +368,10 @@ def _cmd_crawl(args: argparse.Namespace) -> int:
         print(f"crawl killed after {killed.requests_served} requests; "
               f"resume with --resume --state {state_path}", file=sys.stderr)
         return EXIT_KILLED
+    except ValueError as exc:
+        if resume_payload is None:
+            raise
+        raise SystemExit(f"--resume: {exc}") from exc
     corpus = artifacts.corpus
     dump_result(corpus, args.out)
     if checkpointer is not None:

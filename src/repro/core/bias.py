@@ -16,9 +16,9 @@ import numpy as np
 
 from repro.core.scoring import ScoreStore
 from repro.core.urls import second_level_domain
-from repro.store import Corpus, columns_of
 from repro.platform.urlgen import ALLSIDES_BIAS
 from repro.stats.hypothesis_tests import KSResult, pairwise_ks
+from repro.store import CorpusStore, columns_of
 
 __all__ = ["BIAS_CATEGORIES", "BiasAnalysis", "analyze_bias", "bias_of_url"]
 
@@ -63,18 +63,14 @@ class BiasAnalysis:
 
 
 def analyze_bias(
-    result: Corpus,
+    result: CorpusStore,
     store: ScoreStore | None = None,
     bias_table: Mapping[str, str] | None = None,
     max_per_bias: int = 10_000,
 ) -> BiasAnalysis:
     """Group comment scores by the bias of the commented URL."""
     store = store or ScoreStore()
-    view = columns_of(result)
-    if view is not None:
-        analysis = _bias_samples_columnar(view, store, bias_table, max_per_bias)
-    else:
-        analysis = _bias_samples_dicts(result, store, bias_table, max_per_bias)
+    analysis = _bias_samples(columns_of(result), store, bias_table, max_per_bias)
     analysis.ks_toxicity = pairwise_ks(
         {b: v for b, v in analysis.toxicity.items() if v.size >= 5}
     )
@@ -84,37 +80,7 @@ def analyze_bias(
     return analysis
 
 
-def _bias_samples_dicts(
-    result: Corpus,
-    store: ScoreStore,
-    bias_table: Mapping[str, str] | None,
-    max_per_bias: int,
-) -> BiasAnalysis:
-    url_bias = {
-        record.commenturl_id: bias_of_url(record.url, bias_table)
-        for record in result.urls.values()
-    }
-
-    tox: dict[str, list[float]] = {b: [] for b in BIAS_CATEGORIES}
-    atk: dict[str, list[float]] = {b: [] for b in BIAS_CATEGORIES}
-    counts: dict[str, int] = {b: 0 for b in BIAS_CATEGORIES}
-    for comment in result.comments.values():
-        bias = url_bias.get(comment.commenturl_id, "not-ranked")
-        counts[bias] += 1
-        if len(tox[bias]) >= max_per_bias:
-            continue
-        scores = store.score(comment.text)
-        tox[bias].append(scores["SEVERE_TOXICITY"])
-        atk[bias].append(scores["ATTACK_ON_AUTHOR"])
-
-    return BiasAnalysis(
-        toxicity={b: np.asarray(v) for b, v in tox.items()},
-        attack={b: np.asarray(v) for b, v in atk.items()},
-        comment_counts=counts,
-    )
-
-
-def _bias_samples_columnar(
+def _bias_samples(
     view,
     store: ScoreStore,
     bias_table: Mapping[str, str] | None,

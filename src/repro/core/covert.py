@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from urllib.parse import urlsplit
 
-from repro.store import Corpus
+from repro.store import CorpusStore
 
 __all__ = ["CovertAnchor", "CovertChannelAnalysis", "find_covert_channels"]
 
@@ -76,7 +76,7 @@ class CovertChannelAnalysis:
 
 
 def find_covert_channels(
-    result: Corpus,
+    result: CorpusStore,
     resolvable_hosts: set[str] | None = None,
 ) -> CovertChannelAnalysis:
     """Scan a crawled corpus for covert-channel candidate anchors.

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.scoring import ScoreStore
-from repro.store import Corpus
+from repro.store import CorpusStore
 
 __all__ = ["DefenseOutcome", "simulate_preemptive_defense"]
 
@@ -61,7 +61,7 @@ class DefenseOutcome:
 
 
 def simulate_preemptive_defense(
-    result: Corpus,
+    result: CorpusStore,
     target_urls: list[str] | None = None,
     flood_factor: float = 1.0,
     store: ScoreStore | None = None,

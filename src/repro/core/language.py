@@ -9,8 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.store import Corpus
 from repro.nlp.langid import LanguageIdentifier, default_language_identifier
+from repro.store import CorpusStore
 
 __all__ = ["LanguageAnalysis", "analyze_languages"]
 
@@ -30,7 +30,7 @@ class LanguageAnalysis:
 
 
 def analyze_languages(
-    result: Corpus,
+    result: CorpusStore,
     identifier: LanguageIdentifier | None = None,
 ) -> LanguageAnalysis:
     """Classify every comment's language."""

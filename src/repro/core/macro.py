@@ -12,9 +12,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.crawler.records import CrawledGabAccount
-from repro.store import Corpus, columns_of
 from repro.stats.distributions import ECDF, top_share
 from repro.stats.hypothesis_tests import rank_correlation
+from repro.store import CorpusStore, columns_of
 
 __all__ = [
     "CommentConcentration",
@@ -122,18 +122,10 @@ class CommentConcentration:
         return ECDF(self.counts)
 
 
-def comment_concentration(result: Corpus) -> CommentConcentration:
+def comment_concentration(result: CorpusStore) -> CommentConcentration:
     """Compute Fig. 3's distribution over the crawled corpus."""
-    view = columns_of(result)
-    if view is not None:
-        per_author = view.comments_per_author()
-        counts = np.sort(per_author[per_author > 0])[::-1].astype(float)
-    else:
-        by_author = result.comments_by_author()
-        counts = np.asarray(
-            sorted((len(v) for v in by_author.values()), reverse=True),
-            dtype=float,
-        )
+    per_author = columns_of(result).comments_per_author()
+    counts = np.sort(per_author[per_author > 0])[::-1].astype(float)
     if counts.size == 0:
         raise ValueError("corpus has no comments")
     shares = {
@@ -171,33 +163,12 @@ class UserTableStats:
         )
 
 
-def user_table(result: Corpus) -> UserTableStats:
-    """Tabulate hidden-metadata flags/filters over active users.
-
-    Only users whose commentAuthor blob was mined (i.e. that have posted)
-    contribute — matching the paper's n = active users.
-    """
-    view = columns_of(result)
-    if view is not None:
-        return _user_table_columnar(view)
-    active = [u for u in result.active_users() if u.permissions]
-    stats = UserTableStats(n_active=len(active))
-    for user in active:
-        for name, value in user.permissions.items():
-            if value:
-                stats.flag_counts[name] = stats.flag_counts.get(name, 0) + 1
-        for name, value in user.view_filters.items():
-            if value:
-                stats.filter_counts[name] = stats.filter_counts.get(name, 0) + 1
-    return stats
-
-
 def _mask_counts(masks: np.ndarray, names: list[str]) -> dict[str, int]:
-    """Per-bit truthy counts, keyed in dict-path insertion order.
+    """Per-bit truthy counts, keyed in first-truthy-user order.
 
-    The dict path inserts a name the first time a selected user carries
-    the flag truthily, iterating each user's (fixed-order) items — so
-    ordering by (first truthy row, bit ordinal) reproduces it exactly.
+    A name is keyed the first time a selected user carries the flag
+    truthily, iterating each user's (fixed-order) items — so ordering by
+    (first truthy row, bit ordinal) reproduces that order exactly.
     """
     entries = []
     for bit, name in enumerate(names):
@@ -209,7 +180,13 @@ def _mask_counts(masks: np.ndarray, names: list[str]) -> dict[str, int]:
     return {names[bit]: count for _, bit, count in entries}
 
 
-def _user_table_columnar(view) -> UserTableStats:
+def user_table(result: CorpusStore) -> UserTableStats:
+    """Tabulate hidden-metadata flags/filters over active users.
+
+    Only users whose commentAuthor blob was mined (i.e. that have posted)
+    contribute — matching the paper's n = active users.
+    """
+    view = columns_of(result)
     users = view.users
     selected = view.active_author_mask()[users.author] & (
         users.has_perms != 0
@@ -251,7 +228,7 @@ class MacroHeadlines:
 
 
 def compute_headlines(
-    result: Corpus,
+    result: CorpusStore,
     launch_epoch: float,
     first_month_days: int = 35,
 ) -> MacroHeadlines:

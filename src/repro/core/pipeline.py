@@ -75,13 +75,14 @@ from repro.crawler.youtube_crawl import (
     YouTubeCrawlResult,
     is_youtube_url,
 )
+from repro.graph.csr import CSRGraph
 from repro.net.client import HttpClient
 from repro.net.pool import FetchPool
 from repro.perspective.models import PerspectiveModels
 from repro.platform.apps import Origins, build_origins
 from repro.platform.config import WorldConfig
 from repro.platform.world import World, build_world
-from repro.store import Corpus, CorpusStore
+from repro.store import CorpusStore
 
 __all__ = [
     "CrawlArtifacts",
@@ -105,10 +106,6 @@ PIPELINE_STAGES = (
 )
 
 _PIPELINE_CHECKPOINT_VERSION = 3
-#: pipeline envelope versions ``stage_crawl`` resumes from (a v2
-#: envelope embeds ``result_to_payload`` corpora; the store's restore
-#: path recognises the legacy shape).
-_COMPAT_PIPELINE_VERSIONS = (2, 3)
 
 
 def _stage_done(stage: str, name: str) -> bool:
@@ -125,12 +122,12 @@ class CrawlArtifacts:
     """
 
     gab_enumeration: GabEnumerationResult
-    corpus: Corpus
+    corpus: CorpusStore
     shadow_crawler: ShadowCrawler
     validation: ValidationReport
     youtube_crawl: YouTubeCrawlResult
     reddit_match: RedditMatchResult
-    graph: object                      # induced Dissenter follow CSRGraph
+    graph: CSRGraph                    # induced Dissenter follow graph
     active_ids: list[int]
     gab_ids: dict[str, int]            # username -> Gab ID
     baseline_texts: dict[str, list[str]]
@@ -150,7 +147,7 @@ class ReproductionReport:
 
     # Crawl artefacts.
     gab_enumeration: GabEnumerationResult
-    corpus: Corpus
+    corpus: CorpusStore
     validation: ValidationReport
     youtube_crawl: YouTubeCrawlResult
     reddit_match: RedditMatchResult
@@ -205,16 +202,6 @@ class ReproductionPipeline:
             either way — only checkpoint-tick cost and peak checkpoint
             size change.
         segment_records: records per sealed corpus segment.
-        columns: project sealed segments into typed column arrays and
-            run the §4 analyses vectorized over them.  ``False`` forces
-            the record-dict analysis path (the oracle the columnar path
-            is tested against); every report number is identical either
-            way.
-        nx_oracle: route the §4.5 social analyses through
-            ``graph.to_networkx()`` instead of the CSR engine (the
-            oracle path; requires the ``nx`` extra).  Every report
-            number is identical either way — the CI graph-parity step
-            diffs the two JSON reports.
     """
 
     def __init__(
@@ -227,8 +214,6 @@ class ReproductionPipeline:
         parse_workers: int = 0,
         store_dir: str | None = None,
         segment_records: int = 4096,
-        columns: bool = True,
-        nx_oracle: bool = False,
     ):
         self.world = world or build_world(config)
         self.origins: Origins = build_origins(
@@ -241,16 +226,12 @@ class ReproductionPipeline:
         self.parse_workers = int(parse_workers)
         self.store_dir = store_dir
         self.segment_records = int(segment_records)
-        self.columns = bool(columns)
-        self.nx_oracle = bool(nx_oracle)
         self._pools: dict[str, FetchPool] = {}
 
     def _new_store(self) -> CorpusStore:
         """A fresh corpus store configured from the pipeline's flags."""
         return CorpusStore(
-            store_dir=self.store_dir,
-            segment_records=self.segment_records,
-            columns=self.columns,
+            store_dir=self.store_dir, segment_records=self.segment_records
         )
 
     def _pool_for(self, stage: str) -> FetchPool:
@@ -314,7 +295,7 @@ class ReproductionPipeline:
         return shadow
 
     def validate(
-        self, corpus: Corpus, shadow: ShadowCrawler
+        self, corpus: CorpusStore, shadow: ShadowCrawler
     ) -> ValidationReport:
         config = self.world.config
         validator = CrawlValidator(
@@ -324,12 +305,12 @@ class ReproductionPipeline:
         report = validator.check_consistency(corpus)
         return validator.verify_shadow_sample(corpus, shadow, report=report)
 
-    def crawl_youtube(self, corpus: Corpus) -> YouTubeCrawlResult:
+    def crawl_youtube(self, corpus: CorpusStore) -> YouTubeCrawlResult:
         crawler = YouTubeCrawler(self.client)
         urls = [u.url for u in corpus.urls.values() if is_youtube_url(u.url)]
         return crawler.crawl(urls, pool=self._pool_for("youtube"))
 
-    def crawl_social(self, corpus: Corpus, gab_enum: GabEnumerationResult):
+    def crawl_social(self, corpus: CorpusStore, gab_enum: GabEnumerationResult):
         gab_ids = {
             account.username: account.gab_id
             for account in gab_enum.accounts
@@ -343,7 +324,7 @@ class ReproductionPipeline:
         raw = crawler.crawl(active_ids, pool=self._pool_for("social"))
         return induce_dissenter_graph(raw, active_ids), active_ids, gab_ids
 
-    def match_reddit(self, corpus: Corpus) -> RedditMatchResult:
+    def match_reddit(self, corpus: CorpusStore) -> RedditMatchResult:
         matcher = RedditMatcher(self.client)
         return matcher.match(sorted(corpus.users))
 
@@ -362,7 +343,7 @@ class ReproductionPipeline:
             checkpointer: write a composite pipeline checkpoint
                 periodically — it records which §3 stage is active, the
                 artifacts of completed stages, and the active crawler's
-                own v2 checkpoint (frontier, cursor, partial result,
+                own v3 checkpoint (frontier, cursor, partial corpus,
                 cookies).  Writes are atomic.
             resume: a previously written pipeline checkpoint payload;
                 completed stages are restored from their artifacts
@@ -376,10 +357,11 @@ class ReproductionPipeline:
         if resume is not None:
             if not isinstance(resume, dict) or resume.get("kind") != "pipeline":
                 raise ValueError("not a pipeline checkpoint payload")
-            if resume.get("version") not in _COMPAT_PIPELINE_VERSIONS:
+            if resume.get("version") != _PIPELINE_CHECKPOINT_VERSION:
                 raise ValueError(
                     f"unsupported pipeline checkpoint version "
-                    f"{resume.get('version')!r}"
+                    f"{resume.get('version')!r} "
+                    f"(only v{_PIPELINE_CHECKPOINT_VERSION} is read)"
                 )
             stage = resume["stage"]
             if stage not in PIPELINE_STAGES:
@@ -549,9 +531,6 @@ class ReproductionPipeline:
         comment_counts, median_toxicity = per_user_activity_toxicity(
             corpus, artifacts.gab_ids, self.store
         )
-        graph = artifacts.graph
-        if self.nx_oracle:
-            graph = graph.to_networkx()
         report = ReproductionReport(
             gab_enumeration=artifacts.gab_enumeration,
             corpus=corpus,
@@ -580,21 +559,16 @@ class ReproductionPipeline:
                 else None
             ),
             relative=relative_toxicity(
-                artifacts.corpus_texts(),
-                artifacts.baseline_texts,
-                self.store,
-                corpus=corpus,
+                corpus, artifacts.baseline_texts, self.store
             ),
             bias=analyze_bias(corpus, self.store),
-            social=analyze_social_network(graph, median_toxicity),
+            social=analyze_social_network(artifacts.graph, median_toxicity),
             hateful_core=extract_hateful_core(
-                graph, comment_counts, median_toxicity
+                artifacts.graph, comment_counts, median_toxicity
             ),
         )
         report.extras["active_gab_ids"] = artifacts.active_ids
-        column_stats = getattr(corpus, "column_stats", None)
-        if column_stats is not None:
-            report.extras["columns"] = column_stats()
+        report.extras["columns"] = corpus.column_stats()
         return report
 
     # ------------------------------------------------------------------

@@ -19,9 +19,9 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from repro.core.scoring import ScoreStore
-from repro.store import Corpus, columns_of
 from repro.crawler.reddit_crawl import RedditMatchResult
 from repro.stats.distributions import ECDF
+from repro.store import CorpusStore, columns_of
 
 __all__ = [
     "BaselineOverview",
@@ -86,7 +86,7 @@ class CommentRatioAnalysis:
 
 
 def comment_ratios(
-    result: Corpus, reddit: RedditMatchResult
+    result: CorpusStore, reddit: RedditMatchResult
 ) -> CommentRatioAnalysis:
     """Per-user Dissenter/(Dissenter+Reddit) comment ratios.
 
@@ -144,33 +144,25 @@ class RelativeToxicity:
 
 
 def relative_toxicity(
-    dissenter_texts: Sequence[str],
+    corpus: CorpusStore,
     baseline_texts: Mapping[str, Sequence[str]],
     store: ScoreStore | None = None,
     max_sample: int = 20_000,
-    corpus: Corpus | None = None,
 ) -> RelativeToxicity:
     """Score all corpora on the Fig. 7 attributes.
 
     Args:
-        dissenter_texts: the crawled Dissenter comments.
+        corpus: the sealed Dissenter corpus; its column view's memoised
+            score rows serve the dissenter sample.
         baseline_texts: {"reddit"|"nytimes"|"dailymail": texts}.
         store: shared score store (ideally pre-populated by the
             pipeline's scoring pass).
         max_sample: per-dataset cap (deterministic prefix).
-        corpus: the Dissenter corpus the texts came from; when it has a
-            column view its memoised score rows serve the dissenter
-            sample (the same cached dicts the dict path would score).
     """
     store = store or ScoreStore()
-    view = columns_of(corpus) if corpus is not None else None
-    rows_by_corpus: dict[str, list] = {}
-    if view is not None:
-        rows_by_corpus["dissenter"] = view.score_rows(store)[:max_sample]
-    else:
-        rows_by_corpus["dissenter"] = store.score_many(
-            list(dissenter_texts)[:max_sample]
-        )
+    rows_by_corpus: dict[str, list] = {
+        "dissenter": columns_of(corpus).score_rows(store)[:max_sample]
+    }
     for name, texts in baseline_texts.items():
         rows_by_corpus[name] = store.score_many(list(texts)[:max_sample])
 

@@ -7,8 +7,8 @@ compact numeric summaries.  Used by the CLI and the examples.
 :func:`report_to_payload` flattens every §4 analysis into a JSON-ready
 dict.  It deliberately excludes ``report.extras`` (wall times and cache
 counters differ run to run) so two payloads from the same world are
-byte-comparable — the CI columnar-parity step diffs a columnar run
-against a ``--no-columns`` run this way.
+byte-comparable — the oracle parity test diffs a production run against
+a run over the reference implementations in ``tests/oracles/`` this way.
 """
 
 from __future__ import annotations
@@ -215,9 +215,8 @@ def report_to_payload(report: ReproductionReport) -> dict:
     """Flatten every §4 analysis into a JSON-serializable dict.
 
     ``report.extras`` is excluded on purpose: stage timings and cache
-    counters legitimately differ between otherwise identical runs (and
-    between the columnar and dict analysis paths), while everything
-    serialized here must not.
+    counters legitimately differ between otherwise identical runs, while
+    everything serialized here must not.
     """
     validation = report.validation
     growth = report.growth

@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.scoring import ScoreStore
-from repro.store import Corpus
 from repro.stats.distributions import ECDF
+from repro.store import CorpusStore
 
 __all__ = ["ShadowToxicity", "analyze_shadow_toxicity"]
 
@@ -44,7 +44,7 @@ class ShadowToxicity:
 
 
 def analyze_shadow_toxicity(
-    result: Corpus,
+    result: CorpusStore,
     store: ScoreStore | None = None,
     max_all_sample: int = 20_000,
 ) -> ShadowToxicity:

@@ -5,15 +5,12 @@ Operates on the induced Dissenter follow graph — a
 social_crawl.induce_dissenter_graph` — plus per-user activity and
 toxicity measured from the crawl.
 
-Every analysis here is implemented twice behind a type dispatch: the
-vectorized CSR reductions (degrees, isolated fraction, deterministic
-top-K, sorted-pair mutual-edge intersection, iterative connected
-components) and the historical networkx implementation, kept as the
-oracle.  Passing ``graph.to_networkx()`` instead of the CSR graph must
-serialize a byte-identical report — the CI graph-parity step and
-``tests/graph/`` enforce exactly that, mirroring the columnar layer's
-``--no-columns`` oracle contract.  networkx itself is an optional
-``[nx]`` extra and only imported on the oracle path.
+Every analysis here runs on the CSR engine's vectorized reductions
+(degrees, isolated fraction, deterministic top-K, sorted-pair
+mutual-edge intersection, iterative connected components).  The
+historical networkx implementations they replaced live in
+``tests/oracles/``; the parity tests there require byte-identical
+results, up to the full report payload.
 
 The hateful core follows the paper's §4.5.1 criterion exactly: the
 subgraph induced on pairs (a, b) such that a and b are mutual followers,
@@ -32,7 +29,7 @@ import numpy as np
 from repro.core.scoring import ScoreStore
 from repro.graph.csr import CSRGraph
 from repro.stats.powerlaw import PowerLawFit, fit_discrete_powerlaw
-from repro.store import Corpus
+from repro.store import CorpusStore
 
 __all__ = [
     "HatefulCore",
@@ -44,7 +41,7 @@ __all__ = [
 
 
 def per_user_activity_toxicity(
-    result: Corpus,
+    result: CorpusStore,
     gab_ids: Mapping[str, int],
     store: ScoreStore | None = None,
     max_comments_per_user: int = 200,
@@ -132,16 +129,6 @@ def _toxicity_buckets(
     }
 
 
-def _top_k(degrees: Mapping[int, int], top_k: int) -> list[tuple[int, int]]:
-    """Top-``top_k`` (gab_id, degree) sorted by (-degree, gab_id).
-
-    The secondary ascending-ID key makes the ordering total: equal
-    degrees previously kept dict insertion order, which made the report
-    lines a function of node order rather than of the graph.
-    """
-    return sorted(degrees.items(), key=lambda x: (-x[1], x[0]))[:top_k]
-
-
 def analyze_social_network(
     graph: CSRGraph,
     user_toxicity: Mapping[int, float] | None = None,
@@ -150,28 +137,13 @@ def analyze_social_network(
     """Compute Fig. 9's degree and toxicity relationships.
 
     Args:
-        graph: induced Dissenter follow graph (nodes = Gab IDs); a
-            ``networkx.DiGraph`` routes through the oracle path and
-            serializes identically.
+        graph: induced Dissenter follow graph (nodes = Gab IDs).
         user_toxicity: per-user median comment toxicity (for Figs. 9b/9c).
         top_k: how many top-degree users to report.
     """
-    if isinstance(graph, CSRGraph):
-        nodes = graph.nodes
-        in_arr = graph.in_degrees().astype(int, copy=False)
-        out_arr = graph.out_degrees().astype(int, copy=False)
-        isolated = graph.isolated_count()
-        top_in = graph.top_k_by_degree(in_arr, top_k)
-        top_out = graph.top_k_by_degree(out_arr, top_k)
-    else:
-        in_deg = dict(graph.in_degree())
-        out_deg = dict(graph.out_degree())
-        nodes = list(graph.nodes)
-        in_arr = np.asarray([in_deg[n] for n in nodes], dtype=int)
-        out_arr = np.asarray([out_deg[n] for n in nodes], dtype=int)
-        isolated = int(((in_arr == 0) & (out_arr == 0)).sum())
-        top_in = _top_k(in_deg, top_k)
-        top_out = _top_k(out_deg, top_k)
+    nodes = graph.nodes
+    in_arr = graph.in_degrees().astype(int, copy=False)
+    out_arr = graph.out_degrees().astype(int, copy=False)
 
     def fit_or_none(values: np.ndarray) -> PowerLawFit | None:
         try:
@@ -181,18 +153,17 @@ def analyze_social_network(
 
     analysis = SocialNetworkAnalysis(
         n_users=len(nodes),
-        isolated_users=isolated,
+        isolated_users=graph.isolated_count(),
         in_degrees=in_arr,
         out_degrees=out_arr,
-        top_in=top_in,
-        top_out=top_out,
+        top_in=graph.top_k_by_degree(in_arr, top_k),
+        top_out=graph.top_k_by_degree(out_arr, top_k),
         in_degree_fit=fit_or_none(in_arr),
         out_degree_fit=fit_or_none(out_arr),
     )
     if user_toxicity is not None:
-        # Bucket grouping walks the degree maps in canonical node order
-        # on both paths, so the float reductions see identical operand
-        # order and the payloads stay byte-comparable.
+        # Bucket grouping walks the degree maps in canonical node order,
+        # so the float reductions see a fixed operand order.
         in_by_id = dict(zip(nodes, in_arr.tolist()))
         out_by_id = dict(zip(nodes, out_arr.tolist()))
         analysis.toxicity_by_in_degree = _toxicity_buckets(
@@ -216,7 +187,7 @@ class HatefulCore:
 
     members: tuple[int, ...]                 # sorted Gab IDs
     component_sizes: list[int]               # descending
-    subgraph: object                         # mutual-edge CSRGraph (or nx oracle graph)
+    subgraph: CSRGraph                       # mutual-edge graph
     qualifying_users: int                    # met activity+toxicity criteria
 
     def __contains__(self, gab_id: int) -> bool:
@@ -269,53 +240,23 @@ def extract_hateful_core(
     >= ``min_toxicity``; the core is the set of qualifying users joined
     by *mutual* follow edges to another qualifying user.
 
-    On a :class:`CSRGraph` the mutual edges come from one sorted-key
-    intersection over the CSR rows and the components from the engine's
-    iterative union-find; a networkx graph routes through the historical
-    edge loop.  Both serialize identically through the report payload.
+    The mutual edges come from one sorted-key intersection over the CSR
+    rows and the components from the engine's iterative union-find.
     """
-    if isinstance(graph, CSRGraph):
-        qualifying = _qualifying_mask(
-            graph, comment_counts, median_toxicity, min_comments, min_toxicity
-        )
-        src, dst = graph.mutual_pairs()
-        keep = qualifying[src] & qualifying[dst] & (src != dst)
-        src, dst = src[keep], dst[keep]
-        # The mutual subgraph keeps both directions (it is undirected in
-        # the paper; symmetric CSR rows model that exactly).
-        mutual = graph.subgraph_from_index_edges(
-            np.concatenate([src, dst]), np.concatenate([dst, src])
-        )
-        members = tuple(mutual.nodes)
-        components = mutual.component_sizes()
-        return HatefulCore(
-            members=members,
-            component_sizes=components,
-            subgraph=mutual,
-            qualifying_users=int(qualifying.sum()),
-        )
-
-    import networkx as nx
-
-    qualifying_ids = {
-        node
-        for node in graph.nodes
-        if comment_counts.get(node, 0) >= min_comments
-        and median_toxicity.get(node, 0.0) >= min_toxicity
-    }
-    mutual_nx = nx.Graph()
-    for a, b in graph.edges:
-        if a == b:
-            continue
-        if a in qualifying_ids and b in qualifying_ids and graph.has_edge(b, a):
-            mutual_nx.add_edge(a, b)
-    members = tuple(sorted(mutual_nx.nodes))
-    components = sorted(
-        (len(c) for c in nx.connected_components(mutual_nx)), reverse=True
+    qualifying = _qualifying_mask(
+        graph, comment_counts, median_toxicity, min_comments, min_toxicity
+    )
+    src, dst = graph.mutual_pairs()
+    keep = qualifying[src] & qualifying[dst] & (src != dst)
+    src, dst = src[keep], dst[keep]
+    # The mutual subgraph keeps both directions (it is undirected in
+    # the paper; symmetric CSR rows model that exactly).
+    mutual = graph.subgraph_from_index_edges(
+        np.concatenate([src, dst]), np.concatenate([dst, src])
     )
     return HatefulCore(
-        members=members,
-        component_sizes=components,
-        subgraph=mutual_nx,
-        qualifying_users=len(qualifying_ids),
+        members=tuple(mutual.nodes),
+        component_sizes=mutual.component_sizes(),
+        subgraph=mutual,
+        qualifying_users=int(qualifying.sum()),
     )

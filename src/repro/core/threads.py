@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.store import Corpus
+from repro.store import CorpusStore
 
 __all__ = ["ThreadStructure", "analyze_threads"]
 
@@ -38,7 +38,7 @@ class ThreadStructure:
         return self.reply_count / self.total_comments if self.total_comments else 0.0
 
 
-def analyze_threads(result: Corpus) -> ThreadStructure:
+def analyze_threads(result: CorpusStore) -> ThreadStructure:
     """Measure thread structure over the crawled corpus.
 
     Depth is computed iteratively with memoisation (threads can nest

@@ -13,7 +13,7 @@ from urllib.parse import urlsplit
 
 import numpy as np
 
-from repro.store import Corpus, columns_of
+from repro.store import CorpusStore, columns_of
 
 __all__ = ["UrlTableStats", "analyze_urls", "second_level_domain", "tld_of"]
 
@@ -82,67 +82,12 @@ class UrlTableStats:
         )
 
 
-def analyze_urls(result: Corpus) -> UrlTableStats:
-    """Run the §4.2.1 census over the crawled URL set."""
-    view = columns_of(result)
-    if view is not None:
-        return _analyze_urls_columnar(view)
-    urls = [u.url for u in result.urls.values()]
-    stats = UrlTableStats(total_urls=len(urls))
-
-    https_set: set[str] = set()
-    for url in urls:
-        scheme = url.split(":", 1)[0].lower() if ":" in url else "unknown"
-        stats.scheme_counts[scheme] = stats.scheme_counts.get(scheme, 0) + 1
-        if scheme == "https":
-            https_set.add(url[len("https://"):])
-        tld = tld_of(url)
-        if tld is not None:
-            stats.tld_counts[tld] = stats.tld_counts.get(tld, 0) + 1
-        domain = second_level_domain(url)
-        if domain is not None:
-            stats.domain_counts[domain] = stats.domain_counts.get(domain, 0) + 1
-        query = urlsplit(url).query if "://" in url else ""
-        if query.count("&") >= 1:
-            stats.multi_param_urls += 1
-
-    # Protocol-only duplicates: http:// URL whose https:// twin exists.
-    all_urls = set(urls)
-    for url in urls:
-        if url.startswith("http://") and url[len("http://"):] in https_set:
-            stats.protocol_duplicates += 1
-        if (
-            url.endswith("/")
-            and url[:-1] in all_urls
-        ):
-            stats.trailing_slash_duplicates += 1
-
-    # Per-URL comment volume, by domain.
-    volumes: dict[str, list[int]] = {}
-    by_url = result.comments_by_url()
-    top: list[tuple[int, str]] = []
-    for record in result.urls.values():
-        count = len(by_url.get(record.commenturl_id, []))
-        top.append((count, record.url))
-        domain = second_level_domain(record.url)
-        if domain is not None:
-            volumes.setdefault(domain, []).append(count)
-    top.sort(reverse=True)
-    stats.top_volume_urls = top[:20]
-    stats.median_volume_by_domain = {
-        domain: float(np.median(counts))
-        for domain, counts in volumes.items()
-        if counts
-    }
-    return stats
-
-
 def _ordered_counts(values: np.ndarray, n_names: int) -> list[tuple[int, int]]:
     """Occurrence counts per ordinal as (ordinal, count) pairs.
 
     Pairs come in first-appearance order over ``values`` (negative
-    ordinals meaning "no value" are skipped), which is exactly the
-    insertion order the dict path produces.
+    ordinals meaning "no value" are skipped), so the count dicts keep
+    the corpus's first-appearance order.
     """
     valid = values[values >= 0]
     if valid.size == 0:
@@ -155,8 +100,9 @@ def _ordered_counts(values: np.ndarray, n_names: int) -> list[tuple[int, int]]:
     return [(int(ordinal), int(counts[ordinal])) for ordinal in order]
 
 
-def _analyze_urls_columnar(view) -> UrlTableStats:
-    """Vectorized §4.2.1 census (bit-identical to the dict path)."""
+def analyze_urls(result: CorpusStore) -> UrlTableStats:
+    """Run the §4.2.1 census over the crawled URL set."""
+    view = columns_of(result)
     urls = view.urls
     tables = view.tables
     stats = UrlTableStats(total_urls=urls.n)

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.scoring import ScoreStore
-from repro.store import Corpus, columns_of
+from repro.store import CorpusStore, columns_of
 
 __all__ = ["VoteToxicity", "analyze_votes"]
 
@@ -42,48 +42,21 @@ class VoteToxicity:
 
 
 def analyze_votes(
-    result: Corpus,
+    result: CorpusStore,
     store: ScoreStore | None = None,
     max_comments_per_url: int = 50,
 ) -> VoteToxicity:
     """Pair every URL's net vote score with its comment toxicity."""
     store = store or ScoreStore()
-    view = columns_of(result)
-    if view is not None:
-        nets, means, medians = _url_toxicity_columnar(
-            view, store, max_comments_per_url
-        )
-    else:
-        nets, means, medians = _url_toxicity_dicts(
-            result, store, max_comments_per_url
-        )
+    nets, means, medians = _url_toxicity(
+        columns_of(result), store, max_comments_per_url
+    )
     return _bucketize(
         np.asarray(nets), np.asarray(means), np.asarray(medians)
     )
 
 
-def _url_toxicity_dicts(
-    result: Corpus, store: ScoreStore, max_comments_per_url: int
-) -> tuple[list[int], list[float], list[float]]:
-    by_url = result.comments_by_url()
-    nets: list[int] = []
-    means: list[float] = []
-    medians: list[float] = []
-    for record in result.urls.values():
-        comments = by_url.get(record.commenturl_id, [])
-        if not comments:
-            continue
-        scores = store.attribute_values(
-            [c.text for c in comments[:max_comments_per_url]],
-            "SEVERE_TOXICITY",
-        )
-        nets.append(record.net_votes)
-        means.append(float(scores.mean()))
-        medians.append(float(np.median(scores)))
-    return nets, means, medians
-
-
-def _url_toxicity_columnar(
+def _url_toxicity(
     view, store: ScoreStore, max_comments_per_url: int
 ) -> tuple[list[int], list[float], list[float]]:
     scores = view.attribute_scores(store, "SEVERE_TOXICITY")

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.store import Corpus
 from repro.crawler.youtube_crawl import YouTubeCrawlResult, is_youtube_url
+from repro.store import CorpusStore
 
 __all__ = ["YouTubeAnalysis", "analyze_youtube"]
 
@@ -50,7 +50,7 @@ class YouTubeAnalysis:
 
 
 def analyze_youtube(
-    crawl: YouTubeCrawlResult, result: Corpus | None = None
+    crawl: YouTubeCrawlResult, result: CorpusStore | None = None
 ) -> YouTubeAnalysis:
     """Aggregate the render-crawl output.
 

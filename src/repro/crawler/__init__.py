@@ -27,7 +27,6 @@ from repro.crawler.dissenter_crawl import DissenterCrawler
 from repro.crawler.frontier import CrawlFrontier
 from repro.crawler.gab_enum import GabEnumerator
 from repro.crawler.records import (
-    CrawlResult,
     CrawledComment,
     CrawledGabAccount,
     CrawledUrl,
@@ -41,7 +40,6 @@ from repro.crawler.youtube_crawl import YouTubeCrawler
 
 __all__ = [
     "CrawlFrontier",
-    "CrawlResult",
     "CrawlValidator",
     "CrawledComment",
     "CrawledGabAccount",

@@ -1,25 +1,25 @@
 """Crawl checkpointing.
 
 The paper's crawl ran for weeks against a live service; resumability was
-survival.  Three formats live here:
+survival.  Two formats live here:
 
-* **v1** — a finished :class:`CrawlResult` serialised to a single JSON
-  document (:func:`dumps_result` / :func:`loads_result`).  This is the
-  corpus interchange format.
-* **v2** (read-only) — a :class:`CrawlCheckpoint` whose partial corpus
-  was embedded as a full ``result_to_payload`` document, re-serialised
-  wholesale on every tick.  Still loaded transparently.
-* **v3** (written) — the same :class:`CrawlCheckpoint` envelope, but the
-  partial corpus travels as a :meth:`~repro.store.CorpusStore.snapshot`
-  payload: sealed-segment references (name + count + sha256, the bytes
-  on disk under ``--store-dir``) plus only the unsealed tail — so a
-  checkpoint tick costs O(progress since the last tick), not O(corpus).
+* **v1** — a finished corpus serialised to a single JSON document
+  (:func:`dumps_result` / :func:`loads_result`).  This is the corpus
+  interchange format; loading one fills an unsealed
+  :class:`~repro.store.CorpusStore`.
+* **v3** — a :class:`CrawlCheckpoint` whose partial corpus travels as a
+  :meth:`~repro.store.CorpusStore.snapshot` payload: sealed-segment
+  references (name + count + sha256, the bytes on disk under
+  ``--store-dir``) plus only the unsealed tail — so a checkpoint tick
+  costs O(progress since the last tick), not O(corpus).  It is the only
+  runtime format read: a v2 document (whose corpus was a full
+  ``result_to_payload`` body) is rejected with a ``ValueError`` naming
+  its version.
 
 The ``store`` payload stays an opaque dict at this layer;
-:meth:`repro.store.CorpusStore.restore_payload` dispatches on its shape
-(v3 snapshot vs legacy v2 result document), which keeps this module free
-of a ``repro.store`` import.  The resumable runtime in
-:mod:`repro.crawler.runtime` drives the cadence.
+:meth:`repro.store.CorpusStore.restore_payload` reads it, which keeps
+this module free of a module-level ``repro.store`` import.  The
+resumable runtime in :mod:`repro.crawler.runtime` drives the cadence.
 """
 
 from __future__ import annotations
@@ -28,13 +28,12 @@ import json
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from repro.crawler.records import (
-    CrawlResult,
-    CrawledComment,
-    CrawledUrl,
-    CrawledUser,
-)
+from repro.crawler.records import CrawledComment, CrawledUrl, CrawledUser
+
+if TYPE_CHECKING:   # the store's segment writer imports this module
+    from repro.store.corpus import CorpusStore
 
 __all__ = [
     "CrawlCheckpoint",
@@ -56,9 +55,6 @@ __all__ = [
 
 _FORMAT_VERSION = 1
 _RUNTIME_FORMAT_VERSION = 3
-#: runtime checkpoint versions ``from_payload`` accepts (v2 documents
-#: written before the segmented store still resume).
-_COMPAT_RUNTIME_VERSIONS = (2, 3)
 
 #: Checkpoint format v4: the *sharded* crawl's parent envelope.  It is a
 #: coordinator-level document — per-worker state still travels as the
@@ -69,8 +65,8 @@ _COMPAT_RUNTIME_VERSIONS = (2, 3)
 SHARD_ENVELOPE_VERSION = 4
 
 
-def result_to_payload(result: CrawlResult) -> dict:
-    """Serialise a crawl result to a JSON-ready dict (no version field)."""
+def result_to_payload(result: CorpusStore) -> dict:
+    """Serialise a corpus to a JSON-ready dict (no version field)."""
     return {
         "users": [
             {
@@ -111,8 +107,12 @@ def result_to_payload(result: CrawlResult) -> dict:
     }
 
 
-def result_from_payload(payload: dict) -> CrawlResult:
-    """Rebuild a crawl result from :func:`result_to_payload` output.
+def result_from_payload(payload: dict) -> CorpusStore:
+    """Rebuild a corpus from :func:`result_to_payload` output.
+
+    Records are replayed through the ``add_*`` write path into a fresh,
+    unsealed :class:`~repro.store.CorpusStore`; seal it before running
+    the §4 analyses.
 
     Raises:
         ValueError: the payload is not a dict or is missing/mistyping
@@ -122,7 +122,9 @@ def result_from_payload(payload: dict) -> CrawlResult:
         raise ValueError(
             f"checkpoint payload must be an object, got {type(payload).__name__}"
         )
-    result = CrawlResult()
+    from repro.store.corpus import CorpusStore
+
+    result = CorpusStore()
     try:
         for entry in payload["users"]:
             user = CrawledUser(
@@ -135,7 +137,7 @@ def result_from_payload(payload: dict) -> CrawlResult:
                 permissions=dict(entry.get("permissions", {})),
                 view_filters=dict(entry.get("view_filters", {})),
             )
-            result.users[user.username] = user
+            result.add_user(user)
         for entry in payload["urls"]:
             url = CrawledUrl(
                 commenturl_id=entry["commenturl_id"],
@@ -145,7 +147,7 @@ def result_from_payload(payload: dict) -> CrawlResult:
                 upvotes=int(entry.get("upvotes", 0)),
                 downvotes=int(entry.get("downvotes", 0)),
             )
-            result.urls[url.commenturl_id] = url
+            result.add_url(url)
         for entry in payload["comments"]:
             comment = CrawledComment(
                 comment_id=entry["comment_id"],
@@ -156,20 +158,20 @@ def result_from_payload(payload: dict) -> CrawlResult:
                 created_at_epoch=int(entry.get("created_at_epoch", 0)),
                 shadow_label=entry.get("shadow_label"),
             )
-            result.comments[comment.comment_id] = comment
+            result.add_comment(comment)
     except (KeyError, TypeError, AttributeError) as exc:
         raise ValueError(f"malformed checkpoint document: {exc!r}") from exc
     return result
 
 
-def dumps_result(result: CrawlResult) -> str:
-    """Serialise a crawl result to a JSON string."""
+def dumps_result(result: CorpusStore) -> str:
+    """Serialise a corpus to a JSON string."""
     payload = {"version": _FORMAT_VERSION, **result_to_payload(result)}
     return json.dumps(payload)
 
 
-def loads_result(serialized: str) -> CrawlResult:
-    """Load a crawl result from a JSON string.
+def loads_result(serialized: str) -> CorpusStore:
+    """Load a corpus (an unsealed store) from a JSON string.
 
     Raises:
         ValueError: unknown format version or malformed document (missing
@@ -191,13 +193,13 @@ def loads_result(serialized: str) -> CrawlResult:
     return result_from_payload(payload)
 
 
-def dump_result(result: CrawlResult, path: str | Path) -> None:
+def dump_result(result: CorpusStore, path: str | Path) -> None:
     """Write a checkpoint file (atomically)."""
     atomic_write_text(path, dumps_result(result))
 
 
-def load_result(path: str | Path) -> CrawlResult:
-    """Read a checkpoint file."""
+def load_result(path: str | Path) -> CorpusStore:
+    """Read a checkpoint file into an unsealed store."""
     return loads_result(Path(path).read_text(encoding="utf-8"))
 
 
@@ -227,7 +229,7 @@ def atomic_write_json(path: str | Path, payload: dict) -> None:
 
 
 # ----------------------------------------------------------------------
-# Checkpoint format v3 (v2 read-compatible): in-progress crawler state.
+# Checkpoint format v3: in-progress crawler state.
 # ----------------------------------------------------------------------
 
 
@@ -241,12 +243,10 @@ class CrawlCheckpoint:
         stage: the crawler-specific stage that was active.
         cursor: crawler-specific progress (indices, partial collections)
             — everything in it must be JSON-serialisable.
-        store: the partial corpus, when the crawler builds one: either a
-            :meth:`repro.store.CorpusStore.snapshot` payload (v3) or a
-            legacy :func:`result_to_payload` document lifted from a v2
-            file.  Kept as an opaque dict here;
-            :meth:`repro.store.CorpusStore.restore_payload` dispatches
-            on its shape.
+        store: the partial corpus, when the crawler builds one, as a
+            :meth:`repro.store.CorpusStore.snapshot` payload.  Kept as
+            an opaque dict here;
+            :meth:`repro.store.CorpusStore.restore_payload` reads it.
         frontier: a :meth:`CrawlFrontier.to_state` snapshot, when the
             active stage drains a frontier.
         stats: serialised per-stage progress counters.
@@ -276,14 +276,11 @@ class CrawlCheckpoint:
 
     @classmethod
     def from_payload(cls, payload: dict) -> "CrawlCheckpoint":
-        """Parse a v3 (or legacy v2) payload.
-
-        A v2 document's embedded ``result`` corpus is carried over as
-        the ``store`` payload verbatim — the store's restore path
-        recognises the legacy shape.
+        """Parse a v3 payload.
 
         Raises:
-            ValueError: wrong version or malformed document.
+            ValueError: wrong version (a v2 document included) or
+                malformed document.
         """
         if not isinstance(payload, dict):
             raise ValueError(
@@ -291,13 +288,12 @@ class CrawlCheckpoint:
                 f"got {type(payload).__name__}"
             )
         version = payload.get("version")
-        if version not in _COMPAT_RUNTIME_VERSIONS:
+        if version != _RUNTIME_FORMAT_VERSION:
             raise ValueError(
-                f"unsupported runtime checkpoint version {version!r}"
+                f"unsupported runtime checkpoint version {version!r} "
+                f"(only v{_RUNTIME_FORMAT_VERSION} is read)"
             )
-        raw_store = (
-            payload.get("result") if version == 2 else payload.get("store")
-        )
+        raw_store = payload.get("store")
         if raw_store is not None and not isinstance(raw_store, dict):
             raise ValueError(
                 f"malformed runtime checkpoint: corpus payload must be "
@@ -381,7 +377,7 @@ def dump_checkpoint(checkpoint: CrawlCheckpoint, path: str | Path) -> None:
 
 
 def load_checkpoint(path: str | Path) -> CrawlCheckpoint:
-    """Read a runtime checkpoint file (v3, or a legacy v2 document).
+    """Read a runtime (v3) checkpoint file.
 
     Raises:
         ValueError: malformed or wrong-version file.

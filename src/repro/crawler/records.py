@@ -1,19 +1,18 @@
 """Crawled-data records.
 
 Everything in here was parsed out of HTTP responses; nothing comes from
-the generator's ground truth.  The analyses in :mod:`repro.core` operate
-on these records, exactly as the paper's analyses operated on its crawl
-corpus — and the test suite closes the loop by comparing them against the
-world's ground truth.
+the generator's ground truth.  The crawl assembles these records into a
+:class:`repro.store.CorpusStore` — the one corpus type — and the §4
+analyses in :mod:`repro.core` read them from there, exactly as the
+paper's analyses operated on its crawl corpus.  The test suite closes the
+loop by comparing them against the world's ground truth.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator
 
 __all__ = [
-    "CrawlResult",
     "CrawledComment",
     "CrawledGabAccount",
     "CrawledUrl",
@@ -114,82 +113,3 @@ class CrawledYouTubeItem:
     @property
     def is_active(self) -> bool:
         return self.status == "OK"
-
-
-@dataclass
-class CrawlResult:
-    """The assembled Dissenter corpus (legacy in-memory form).
-
-    The crawl stack now fills a :class:`repro.store.CorpusStore`
-    (append-only segments, memoised post-seal indexes, checkpoint v3);
-    this class remains the plain-dict form with the same duck-typed
-    access surface, used by unit tests and the v1 interchange format.
-    """
-
-    users: dict[str, CrawledUser] = field(default_factory=dict)        # by username
-    urls: dict[str, CrawledUrl] = field(default_factory=dict)          # by commenturl_id
-    comments: dict[str, CrawledComment] = field(default_factory=dict)  # by comment_id
-
-    # -- write surface (mirrors CorpusStore; upserts keep first position)
-
-    def add_user(self, user: CrawledUser) -> None:
-        self.users[user.username] = user
-
-    def add_url(self, url: CrawledUrl) -> None:
-        self.urls[url.commenturl_id] = url
-
-    def add_comment(self, comment: CrawledComment) -> None:
-        self.comments[comment.comment_id] = comment
-
-    def touch_user(self, user: CrawledUser) -> None:
-        """Record an in-place mutation (a no-op for the dict form)."""
-        self.users[user.username] = user
-
-    # -- streaming read views (mirrors CorpusStore) --------------------
-
-    def iter_users(self) -> "Iterator[CrawledUser]":
-        return iter(self.users.values())
-
-    def iter_urls(self) -> "Iterator[CrawledUrl]":
-        return iter(self.urls.values())
-
-    def iter_comments(self) -> "Iterator[CrawledComment]":
-        return iter(self.comments.values())
-
-    def texts(self) -> "Iterator[str]":
-        """Every crawled comment text, streamed in corpus order."""
-        return (c.text for c in self.comments.values())
-
-    # -- secondary indexes (rebuilt per call; the store memoises) ------
-
-    def users_by_author_id(self) -> dict[str, CrawledUser]:
-        return {u.author_id: u for u in self.users.values()}
-
-    def comments_by_url(self) -> dict[str, list[CrawledComment]]:
-        grouped: dict[str, list[CrawledComment]] = {}
-        for comment in self.comments.values():
-            grouped.setdefault(comment.commenturl_id, []).append(comment)
-        return grouped
-
-    def comments_by_author(self) -> dict[str, list[CrawledComment]]:
-        grouped: dict[str, list[CrawledComment]] = {}
-        for comment in self.comments.values():
-            grouped.setdefault(comment.author_id, []).append(comment)
-        return grouped
-
-    def active_author_ids(self) -> set[str]:
-        """Author ids with at least one crawled comment (membership only)."""
-        return {c.author_id for c in self.comments.values()}
-
-    def active_users(self) -> list[CrawledUser]:
-        """Users with at least one crawled comment."""
-        authors = self.active_author_ids()
-        return [u for u in self.users.values() if u.author_id in authors]
-
-    def summary(self) -> dict[str, int]:
-        return {
-            "users": len(self.users),
-            "urls": len(self.urls),
-            "comments": len(self.comments),
-            "active_users": len(self.active_users()),
-        }

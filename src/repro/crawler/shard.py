@@ -163,9 +163,6 @@ class ShardEngine:
             spill their shard segments under their scratch directories).
         segment_records: records per sealed segment (final and shard
             stores alike).
-        columns: project the final store's columnar arrays (worker
-            stores never project — columns are derived data and the
-            merge replay projects them once, in final order).
         checkpoint_every: worker checkpoint cadence in pages (0 = only
             the phase-boundary envelope on kill).
         checkpoint_seconds: additional simulated-seconds cadence.
@@ -185,7 +182,6 @@ class ShardEngine:
         parse_workers: int = 0,
         store_dir: str | Path | None = None,
         segment_records: int = 4096,
-        columns: bool = True,
         checkpoint_every: int = 0,
         checkpoint_seconds: float = 0.0,
         die_after: int | None = None,
@@ -209,9 +205,7 @@ class ShardEngine:
         self.checkpoint_seconds = float(checkpoint_seconds)
         self.die_after = die_after
         self.store = CorpusStore(
-            store_dir=store_dir,
-            segment_records=segment_records,
-            columns=columns,
+            store_dir=store_dir, segment_records=segment_records
         )
         self.stats = CrawlStats()
         self.client_stats = ClientStats()

@@ -9,9 +9,7 @@ guarantees complete lists.
 The induced *Dissenter* graph (edges between Dissenter users only) is
 produced afterwards by :func:`induce_dissenter_graph` — the raw lists
 contain plenty of non-Dissenter Gab accounts that must be filtered.  The
-graph is a :class:`~repro.graph.csr.CSRGraph` (numpy CSR adjacency);
-callers that need networkx go through its ``to_networkx()`` escape
-hatch.
+graph is a :class:`~repro.graph.csr.CSRGraph` (numpy CSR adjacency).
 """
 
 from __future__ import annotations
@@ -20,8 +18,8 @@ from dataclasses import dataclass, field
 from typing import Iterable
 
 from repro.crawler.checkpoint import CrawlCheckpoint, coerce_checkpoint
-from repro.graph.csr import CSRGraph, csr_from_follow_records
 from repro.crawler.runtime import Checkpointer
+from repro.graph.csr import CSRGraph, csr_from_follow_records
 from repro.net.client import HttpClient
 from repro.net.cookies import CookieJar
 from repro.net.pool import FetchPool
@@ -198,6 +196,5 @@ def induce_dissenter_graph(
     The CSR node order is sorted Gab IDs — the same canonical order the
     historical networkx build enforced on insertion — so degree arrays
     and tie-broken top-K report lines are unchanged by the engine swap.
-    ``graph.to_networkx()`` reconstructs the old representation.
     """
     return csr_from_follow_records(crawl, dissenter_gab_ids)

@@ -24,7 +24,7 @@ from repro.crawler.shadow import ShadowCrawler
 from repro.stats.sampling import reservoir_sample
 
 if TYPE_CHECKING:   # runtime import would cycle through the crawler package
-    from repro.store.corpus import Corpus
+    from repro.store.corpus import CorpusStore
 
 __all__ = ["CrawlValidator", "ValidationReport"]
 
@@ -67,7 +67,7 @@ class CrawlValidator:
         self._window = (window_start, window_end)
         self._tolerance = timestamp_tolerance
 
-    def check_consistency(self, result: Corpus) -> ValidationReport:
+    def check_consistency(self, result: CorpusStore) -> ValidationReport:
         """Run the internal-consistency checks."""
         report = ValidationReport()
         lo, hi = self._window
@@ -105,7 +105,7 @@ class CrawlValidator:
 
     def verify_shadow_sample(
         self,
-        result: Corpus,
+        result: CorpusStore,
         shadow_crawler: ShadowCrawler,
         sample_size: int = 100,
         seed: int = 0,

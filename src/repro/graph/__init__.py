@@ -7,7 +7,6 @@ diffusion` the independent-cascade simulation built on top of it.
 
 from repro.graph.csr import (
     CSRGraph,
-    csr_from_columns,
     csr_from_edge_list,
     csr_from_follow_records,
 )
@@ -22,7 +21,6 @@ __all__ = [
     "CSRGraph",
     "DiffusionReport",
     "DiffusionRun",
-    "csr_from_columns",
     "csr_from_edge_list",
     "csr_from_follow_records",
     "run_diffusion",

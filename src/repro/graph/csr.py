@@ -20,25 +20,23 @@ Layout invariants (the determinism contract):
   reaches the arrays, so two processes with different PYTHONHASHSEED
   values build byte-identical graphs.
 
-:meth:`CSRGraph.to_networkx` is the escape hatch back to networkx (an
-optional ``[nx]`` extra since this engine replaced the hot paths); the
-oracle tests use it to prove every vectorized reduction bit-identical
-to its networkx ancestor.
+The networkx implementations this engine replaced live in
+``tests/oracles/`` with a ``to_networkx`` converter; the oracle tests use
+them to prove every vectorized reduction bit-identical to its networkx
+ancestor.  The package itself never imports networkx.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Iterable, Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 import numpy as np
 
 if TYPE_CHECKING:   # import cycle: social_crawl builds CSRGraph instances
     from repro.crawler.social_crawl import SocialCrawlResult
-    from repro.store import Corpus
 
 __all__ = [
     "CSRGraph",
-    "csr_from_columns",
     "csr_from_edge_list",
     "csr_from_follow_records",
 ]
@@ -335,20 +333,6 @@ class CSRGraph:
             np.searchsorted(used, dst),
         )
 
-    def to_networkx(self) -> Any:
-        """The equivalent ``networkx.DiGraph`` (requires the ``nx`` extra).
-
-        Nodes are inserted in canonical sorted order, edges in canonical
-        row order, so every insertion-order-dependent networkx behavior
-        matches a graph built the historical way.
-        """
-        import networkx as nx
-
-        graph = nx.DiGraph()
-        graph.add_nodes_from(self.nodes)
-        graph.add_edges_from(self.edges)
-        return graph
-
 
 def csr_from_edge_list(
     node_ids: Iterable[int], edges: Iterable[tuple[int, int]]
@@ -416,64 +400,3 @@ def csr_from_follow_records(
     return CSRGraph.from_index_edges(
         ids, src_clipped[member], dst_clipped[member]
     )
-
-
-def csr_from_columns(
-    corpus: "Corpus",
-    gab_ids: Mapping[str, int],
-    max_authors_per_url: int = 16,
-) -> CSRGraph:
-    """A co-comment interaction graph from a sealed store's columns.
-
-    When no §3.4 follow crawl is available, the corpus itself implies an
-    interaction graph: within each URL's thread, every later commenter
-    gets an edge to each earlier distinct commenter (capped at the first
-    ``max_authors_per_url`` distinct authors per thread to bound the
-    clique blowup).  Nodes are the Gab IDs of every user in ``gab_ids``
-    present in the corpus.
-
-    Dispatches on :func:`~repro.store.columns.columns_of`: the columnar
-    path walks the memoised URL group index; legacy corpora fall back to
-    the record dicts.  Both produce the same edge set.
-    """
-    from repro.store.columns import columns_of
-
-    author_to_gab: dict[str, int] = {}
-    for user in corpus.users.values():
-        gab_id = gab_ids.get(user.username)
-        if gab_id is not None:
-            author_to_gab[user.author_id] = gab_id
-    ids = np.unique(
-        np.asarray(sorted(author_to_gab.values()), dtype=np.int64)
-    )
-
-    def thread_author_lists() -> Iterator[Sequence[str]]:
-        view = columns_of(corpus)
-        if view is not None:
-            order, offsets = view.url_comment_order()
-            authors = view.comments.author
-            tables = view.tables
-            for ordinal in range(len(offsets) - 1):
-                rows = order[offsets[ordinal]:offsets[ordinal + 1]]
-                yield [tables.authors.values[a] for a in authors[rows]]
-        else:
-            by_url = corpus.comments_by_url()
-            for cid in corpus.urls:
-                yield [c.author_id for c in by_url.get(cid, [])]
-
-    edges: list[tuple[int, int]] = []
-    for author_ids in thread_author_lists():
-        thread: list[int] = []
-        seen: dict[int, None] = {}
-        for author_id in author_ids:
-            gab_id = author_to_gab.get(author_id)
-            if gab_id is None or gab_id in seen:
-                continue
-            seen[gab_id] = None
-            thread.append(gab_id)
-            if len(thread) >= max_authors_per_url:
-                break
-        for later in range(1, len(thread)):
-            for earlier in range(later):
-                edges.append((thread[later], thread[earlier]))
-    return csr_from_edge_list(ids, edges)

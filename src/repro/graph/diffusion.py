@@ -24,7 +24,7 @@ to_payload`` emits only lists and scalars, never set order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 import numpy as np
 

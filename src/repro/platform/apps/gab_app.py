@@ -18,7 +18,6 @@ Implements the two Gab interfaces the paper used:
 from __future__ import annotations
 
 import datetime
-import json
 
 from repro.net.clock import Clock
 from repro.net.http import Request, Response

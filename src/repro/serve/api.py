@@ -23,12 +23,11 @@ Three properties matter:
   ``wait_time`` guarantee) and serialized with ``repr`` so it round-
   trips through the header exactly.
 
-Toxicity summaries dispatch through :func:`~repro.store.columns.
-columns_of`: on a sealed columnar store the scores column is sliced via
-the memoised URL/author group indexes; legacy or ``--no-columns``
-corpora fall back to the record-dict path.  Both paths produce the same
-float64 sequence in the same order, so the JSON bodies are byte-
-identical — the same oracle contract the §4 analyses follow.
+Toxicity summaries read the sealed store's column view: the scores
+column is sliced via the memoised URL/author group indexes.  The
+record-dict summaries they replaced live in ``tests/oracles/``, where a
+parity test requires byte-identical JSON bodies — the same oracle
+contract the §4 analyses follow.
 """
 
 from __future__ import annotations
@@ -44,7 +43,7 @@ from repro.net.http import Request, Response
 from repro.net.ratelimit import KeyedRateLimiter
 from repro.net.router import App
 from repro.serve.cache import RenderCache
-from repro.store import Corpus
+from repro.store import CorpusStore
 from repro.store.columns import columns_of
 
 __all__ = ["ServeApp", "corpus_manifest_hash"]
@@ -54,30 +53,16 @@ __all__ = ["ServeApp", "corpus_manifest_hash"]
 DEFAULT_ATTRIBUTE = "SEVERE_TOXICITY"
 
 
-def corpus_manifest_hash(corpus: Corpus) -> str:
+def corpus_manifest_hash(corpus: CorpusStore) -> str:
     """A stable identity hash for a corpus's contents.
 
-    Segmented stores hash their snapshot payload — sealed segment
-    references (name, count, sha256, columns hash) plus the unsealed
-    tail — with the host-specific spill directory excluded, so the same
-    corpus hashes identically wherever its segments live.  Legacy
-    ``CrawlResult`` corpora hash a cheap structural fingerprint.
+    The store's snapshot payload is hashed — sealed segment references
+    (name, count, sha256, columns hash) plus the unsealed tail — with the
+    host-specific spill directory excluded, so the same corpus hashes
+    identically wherever its segments live.
     """
-    snapshot = getattr(corpus, "snapshot", None)
-    if snapshot is not None:
-        payload = dict(snapshot())
-        payload.pop("dir", None)   # host path, not corpus identity
-    else:
-        payload = {
-            "kind": "legacy",
-            "users": len(corpus.users),
-            "urls": len(corpus.urls),
-            "comments": len(corpus.comments),
-            "first_comment": next(iter(corpus.comments), ""),
-            "last_comment": (
-                next(reversed(corpus.comments)) if corpus.comments else ""
-            ),
-        }
+    payload = corpus.snapshot()
+    payload.pop("dir", None)   # host path, not corpus identity
     data = json.dumps(payload, sort_keys=True).encode("utf-8")
     return hashlib.sha256(data).hexdigest()
 
@@ -86,7 +71,7 @@ def _score_summary(scores: np.ndarray) -> dict:
     """Count/mean/median/p90/max of one score column slice.
 
     Quantiles use the ECDF convention (sorted array indexed at
-    ``ceil(q * n) - 1``) so the columnar and dict paths agree exactly.
+    ``ceil(q * n) - 1``).
     """
     n = int(scores.size)
     if n == 0:
@@ -110,7 +95,8 @@ class ServeApp(App):
     """Read-only Dissenter API over a sealed corpus.
 
     Args:
-        corpus: the sealed corpus to serve (never mutated).
+        corpus: the sealed, columns-enabled corpus to serve (never
+            mutated).
         clock: the serving stack's virtual clock (shared with the
             transport; render costs advance it).
         score_store: shared score store for the toxicity summary
@@ -145,7 +131,7 @@ class ServeApp(App):
 
     def __init__(
         self,
-        corpus: Corpus,
+        corpus: CorpusStore,
         clock: Clock,
         score_store=None,
         core_members: tuple[str, ...] | list[str] = (),
@@ -156,8 +142,13 @@ class ServeApp(App):
         max_clients: int = KeyedRateLimiter.DEFAULT_MAX_KEYS,
     ) -> None:
         super().__init__(self.HOST, deterministic_render=False)
-        if not getattr(corpus, "sealed", True):
+        if not corpus.sealed:
             raise ValueError("ServeApp requires a sealed corpus")
+        if not corpus.columns:
+            raise ValueError(
+                "ServeApp requires a columns-enabled corpus "
+                "(got a columns=False store)"
+            )
         self._corpus = corpus
         self._clock = clock
         self._scores = score_store
@@ -273,7 +264,6 @@ class ServeApp(App):
                 "urls": len(corpus.urls),
                 "comments": len(corpus.comments),
             },
-            "columns": columns_of(corpus) is not None,
             "scores": self._scores is not None,
             "core_size": len(self._core),
             "cache": self._cache.stats(),
@@ -378,19 +368,13 @@ class ServeApp(App):
         attribute = request.query.get("attribute", DEFAULT_ATTRIBUTE)
         view = columns_of(self._corpus)
         try:
-            if view is not None:
-                ordinal = view.tables.url_ids.lookup(cid)
-                if ordinal is None:
-                    scores = np.asarray([], dtype=float)
-                else:
-                    order, offsets = view.url_comment_order()
-                    rows = order[offsets[ordinal]:offsets[ordinal + 1]]
-                    scores = view.attribute_scores(self._scores, attribute)[rows]
+            ordinal = view.tables.url_ids.lookup(cid)
+            if ordinal is None:
+                scores = np.asarray([], dtype=float)
             else:
-                comments = self._corpus.comments_by_url().get(cid, [])
-                scores = self._scores.attribute_values(
-                    [c.text for c in comments], attribute
-                )
+                order, offsets = view.url_comment_order()
+                rows = order[offsets[ordinal]:offsets[ordinal + 1]]
+                scores = view.attribute_scores(self._scores, attribute)[rows]
         except KeyError:
             return Response.json_response(
                 {"error": f"unknown attribute {attribute!r}"}, 400
@@ -412,21 +396,13 @@ class ServeApp(App):
         attribute = request.query.get("attribute", DEFAULT_ATTRIBUTE)
         view = columns_of(self._corpus)
         try:
-            if view is not None:
-                ordinal = view.tables.authors.lookup(user.author_id)
-                if ordinal is None:
-                    scores = np.asarray([], dtype=float)
-                else:
-                    order, offsets = view.author_comment_order()
-                    rows = order[offsets[ordinal]:offsets[ordinal + 1]]
-                    scores = view.attribute_scores(self._scores, attribute)[rows]
+            ordinal = view.tables.authors.lookup(user.author_id)
+            if ordinal is None:
+                scores = np.asarray([], dtype=float)
             else:
-                comments = self._corpus.comments_by_author().get(
-                    user.author_id, []
-                )
-                scores = self._scores.attribute_values(
-                    [c.text for c in comments], attribute
-                )
+                order, offsets = view.author_comment_order()
+                rows = order[offsets[ordinal]:offsets[ordinal + 1]]
+                scores = view.attribute_scores(self._scores, attribute)[rows]
         except KeyError:
             return Response.json_response(
                 {"error": f"unknown attribute {attribute!r}"}, 400

@@ -27,7 +27,6 @@ from repro.core.socialnet import (
     per_user_activity_toxicity,
 )
 from repro.graph import run_diffusion
-from repro.graph.csr import CSRGraph
 from repro.net.clock import VirtualClock
 from repro.net.transport import LoopbackTransport
 from repro.platform.config import WorldConfig
@@ -78,7 +77,6 @@ def build_serve_stack(
     scale: float = 0.002,
     seed: int = 42,
     store_dir: str | None = None,
-    columns: bool = True,
     latency: float = 0.05,
     cache_entries: int = 4096,
     rate: float = 5.0,
@@ -93,17 +91,13 @@ def build_serve_stack(
         store_dir: spill directory for sealed segments (refs-only
             snapshots make the manifest hash cheap); None keeps
             segments inline.
-        columns: project columns at seal time so summary endpoints use
-            the vectorized path.
         latency: serve-side wire latency (seconds, virtual).
         cache_entries: render-cache capacity.
         rate: per-client sustained requests/second budget.
         capacity: per-client burst allowance.
     """
     pipeline = ReproductionPipeline(
-        WorldConfig(scale=scale, seed=seed),
-        store_dir=store_dir,
-        columns=columns,
+        WorldConfig(scale=scale, seed=seed), store_dir=store_dir
     )
     artifacts = pipeline.stage_crawl()
     score_store = pipeline.stage_score(artifacts)
@@ -112,15 +106,11 @@ def build_serve_stack(
     )
     core = extract_hateful_core(artifacts.graph, counts, toxicity)
     members = _usernames_for(core, artifacts)
-    graph = artifacts.graph
-    diffusion = None
-    if isinstance(graph, CSRGraph):
-        diffusion = run_diffusion(
-            graph, toxicity, core_members=core.members, seed=DIFFUSION_SEED
-        ).to_payload()
+    diffusion = run_diffusion(
+        artifacts.graph, toxicity, core_members=core.members,
+        seed=DIFFUSION_SEED,
+    ).to_payload()
     corpus = artifacts.corpus
-    if not isinstance(corpus, CorpusStore):
-        raise TypeError("pipeline produced a legacy corpus; expected CorpusStore")
     clock = VirtualClock()
     transport = LoopbackTransport(clock=clock, latency=latency)
     app = ServeApp(

@@ -5,11 +5,8 @@ Public surface:
 * :class:`CorpusStore` — the crawl/score/analyze corpus interface
   (append log, size-bounded segments, optional spill-to-disk, memoised
   post-seal indexes, streaming views, checkpoint-v3 snapshots).
-* ``Corpus`` — the type every §4 analysis accepts: a ``CorpusStore`` or
-  a legacy in-memory :class:`~repro.crawler.records.CrawlResult` (the
-  two expose the same duck-typed access surface).
 * the columnar projection (:class:`ColumnView`, :func:`columns_of`,
-  :data:`PROJECTION_SPEC`) that vectorized §4 analyses dispatch on.
+  :data:`PROJECTION_SPEC`) that the vectorized §4 analyses read.
 * the canonical JSONL codecs and segment/manifest helpers.
 """
 
@@ -34,7 +31,6 @@ from repro.store.columns import (
 )
 from repro.store.corpus import (
     STORE_FORMAT_VERSION,
-    Corpus,
     CorpusStore,
     SealedCorpusError,
     iter_snapshot_lines,
@@ -55,7 +51,6 @@ from repro.store.segments import (
 __all__ = [
     "ColumnProjector",
     "ColumnView",
-    "Corpus",
     "CorpusStore",
     "MANIFEST_NAME",
     "PROJECTION_SPEC",

@@ -27,10 +27,12 @@ hash-verified segment JSONL — lookup-only interning reproduces the
 original ordinals — and healed back to disk when the recomputed bytes
 match the manifest.
 
-The dict path remains the oracle: analyses dispatch through
-:func:`columns_of`, which returns ``None`` for legacy corpora, unsealed
-stores, or ``--no-columns`` runs, and every columnar analysis is
-asserted bit-identical against the dict implementation in tests.
+The columnar reductions are the only production path for the §4
+analyses.  They reach the view through :func:`columns_of`, which raises
+a ``ValueError`` naming the cause on an unsealed store or a
+``columns=False`` store.  The record-dict implementations they replaced
+live in ``tests/oracles/``, where the parity tests assert every columnar
+analysis bit-identical against them.
 """
 
 from __future__ import annotations
@@ -261,8 +263,8 @@ class ColumnProjector:
 
     def _derive_url_meta(self, url: str) -> tuple[int, int, int, int]:
         # Function-level import: repro.core.urls imports the store
-        # package for the Corpus union, so a module-level import here
-        # would cycle during package init.
+        # package, so a module-level import here would cycle during
+        # package init.
         from urllib.parse import urlsplit
 
         from repro.core.urls import second_level_domain, tld_of
@@ -770,15 +772,11 @@ class ColumnView:
         return arr
 
 
-def columns_of(corpus: object) -> ColumnView | None:
-    """The corpus's column view, or None when the dict path must serve.
+def columns_of(corpus: "CorpusStore") -> ColumnView:
+    """The sealed store's column view (what every §4 analysis reads).
 
-    Returns None for legacy ``CrawlResult`` corpora, stores built with
-    ``columns=False`` (the ``--no-columns`` oracle path), and stores
-    that have not sealed yet.
+    Raises:
+        ValueError: the store is not sealed yet, or was built with
+            ``columns=False``.
     """
-    getter = getattr(corpus, "column_view", None)
-    if getter is None:
-        return None
-    view = getter()
-    return view if isinstance(view, ColumnView) else None
+    return corpus.column_view()

@@ -1,10 +1,9 @@
 """The segmented corpus store.
 
-:class:`CorpusStore` replaces the in-memory :class:`~repro.crawler.
-records.CrawlResult` monolith as the interface between the crawl, score,
-and analyze stages.  It keeps the exact same access surface (``users`` /
-``urls`` / ``comments`` dicts in first-insertion order, the same
-secondary-index methods) while adding:
+:class:`CorpusStore` is the one corpus type: the interface between the
+crawl, score and analyze stages.  It exposes ``users`` / ``urls`` /
+``comments`` dicts in first-insertion order and the secondary-index
+methods, and adds:
 
 * an **append-only record log**: every ``add_*``/``touch_user`` call
   appends one canonical JSONL line (:mod:`repro.store.codecs`); replaying
@@ -18,25 +17,24 @@ secondary-index methods) while adding:
   (name, count, sha256) reference travels in checkpoints — checkpoint
   cost becomes proportional to progress since the last tick.  Without a
   directory, sealed lines ride inline in the checkpoint payload (same
-  format, same determinism, v2-era cost).
+  format, same determinism).
 * **memoised secondary indexes** (``comments_by_url`` / ``by_author`` /
   the active-author set), built once after :meth:`seal` and shared by
-  every §4 analysis; before sealing they are computed fresh per call, as
-  ``CrawlResult`` always did.
+  every §4 analysis; before sealing they are computed fresh per call.
 * **streaming read views** (:meth:`iter_comments`, :meth:`texts`) so
   scoring no longer materializes every comment text into a list.
-* a **columnar projection** (:mod:`repro.store.columns`): unless built
-  with ``columns=False``, every sealed segment also spills typed numpy
-  column arrays (``<name>.columns.npz``, sha256-manifested) and the
-  sealed store exposes a :meth:`column_view` that the vectorized §4
-  analyses consume.  The dict path stays authoritative — column files
-  are derived data, re-projected from the verified JSONL when missing
-  or corrupt.
+* a **columnar projection** (:mod:`repro.store.columns`): every sealed
+  segment also spills typed numpy column arrays
+  (``<name>.columns.npz``, sha256-manifested) and the sealed store
+  exposes the :meth:`column_view` that the vectorized §4 analyses
+  consume.  Column files are derived data, re-projected from the
+  verified JSONL when missing or corrupt.  Only the sharded crawl's
+  per-shard worker stores are built with ``columns=False``: the merge
+  replay projects the final store once.
 
 The store deliberately does *not* import :mod:`repro.crawler.checkpoint`
-payload helpers at class level — checkpoint v3 stores the snapshot as a
-plain dict, and :meth:`restore_payload` dispatches on shape, so legacy
-v2 "result" payloads load transparently.
+payload helpers: checkpoint v3 carries the snapshot as a plain dict, and
+:meth:`restore_payload` reads only that v3 shape.
 """
 
 from __future__ import annotations
@@ -45,12 +43,7 @@ from dataclasses import replace
 from pathlib import Path
 from typing import Iterator
 
-from repro.crawler.records import (
-    CrawlResult,
-    CrawledComment,
-    CrawledUrl,
-    CrawledUser,
-)
+from repro.crawler.records import CrawledComment, CrawledUrl, CrawledUser
 from repro.store.codecs import (
     decode_line,
     encode_comment,
@@ -74,7 +67,6 @@ from repro.store.segments import (
 )
 
 __all__ = [
-    "Corpus",
     "CorpusStore",
     "SealedCorpusError",
     "STORE_FORMAT_VERSION",
@@ -99,9 +91,9 @@ class CorpusStore:
         store_dir: spill directory for sealed segments; ``None`` keeps
             sealed segments inline (in memory and in checkpoints).
         segment_records: records per sealed segment (>= 1).
-        columns: project sealed segments into columnar ``.npz`` arrays
-            (``False`` is the ``--no-columns`` oracle mode: analyses
-            fall back to the dict path, bit-identically).
+        columns: project sealed segments into columnar ``.npz`` arrays.
+            ``False`` is for the sharded crawl's per-shard worker
+            stores only; such a store has no :meth:`column_view`.
     """
 
     def __init__(
@@ -379,14 +371,11 @@ class CorpusStore:
         }
 
     def restore_payload(self, payload: dict) -> None:
-        """Load a corpus payload into this (empty, unsealed) store.
-
-        Accepts either a v3 :meth:`snapshot` payload or a legacy
-        ``result_to_payload`` document (checkpoint v1/v2) — the caller
-        never needs to know which format a checkpoint carried.
+        """Load a v3 :meth:`snapshot` payload into this (empty, unsealed) store.
 
         Raises:
-            ValueError: malformed payload, unknown version, or a sealed
+            ValueError: malformed payload, unknown version, a bare
+                ``result_to_payload`` corpus document, or a sealed
                 segment that fails its count/hash verification.
         """
         if self._sealed:
@@ -396,8 +385,10 @@ class CorpusStore:
                 f"store payload must be an object, got {type(payload).__name__}"
             )
         if "sealed" not in payload and "users" in payload:
-            self._restore_result_payload(payload)
-            return
+            raise ValueError(
+                "store payload is a bare result_to_payload corpus document "
+                "(the checkpoint v2 shape), not a v3 store snapshot"
+            )
         if payload.get("version") != STORE_FORMAT_VERSION:
             raise ValueError(
                 f"unsupported store payload version {payload.get('version')!r}"
@@ -464,19 +455,6 @@ class CorpusStore:
             line = str(raw)
             self._apply_line(line)
             self._append(line)
-
-    def _restore_result_payload(self, payload: dict) -> None:
-        """Replay a legacy ``result_to_payload`` document into the log."""
-        from repro.crawler.checkpoint import result_from_payload
-
-        legacy = result_from_payload(payload)
-        self._reset()
-        for user in legacy.users.values():
-            self.add_user(user)
-        for url in legacy.urls.values():
-            self.add_url(url)
-        for comment in legacy.comments.values():
-            self.add_comment(comment)
 
     def _reset(self) -> None:
         self.users.clear()
@@ -555,14 +533,23 @@ class CorpusStore:
             self._memo_chunks = chunks
         return chunks
 
-    def column_view(self) -> ColumnView | None:
-        """The columnar analysis surface (sealed, columns-enabled stores).
+    def column_view(self) -> ColumnView:
+        """The columnar analysis surface of a sealed store.
 
-        None before :meth:`seal` and for ``columns=False`` stores — the
-        analyses then keep using the dict-path oracle.
+        Raises:
+            ValueError: the store is not sealed yet, or was built with
+                ``columns=False``.
         """
-        if self._projector is None or not self._sealed:
-            return None
+        if self._projector is None:
+            raise ValueError(
+                "corpus store was built with columns=False and has no "
+                "column view"
+            )
+        if not self._sealed:
+            raise ValueError(
+                "corpus store is not sealed; seal() it before the §4 "
+                "analyses read its column view"
+            )
         if self._memo_view is None:
             self._memo_view = ColumnView(self)
         else:
@@ -576,18 +563,6 @@ class CorpusStore:
             "segments": len(self._refs),
             **self.column_counters,
         }
-
-    # ------------------------------------------------------------------
-    # Interop.
-    # ------------------------------------------------------------------
-
-    def to_result(self) -> CrawlResult:
-        """A plain :class:`CrawlResult` sharing this store's records."""
-        return CrawlResult(
-            users=dict(self.users),
-            urls=dict(self.urls),
-            comments=dict(self.comments),
-        )
 
 
 def iter_snapshot_lines(payload: dict) -> Iterator[str]:
@@ -634,8 +609,3 @@ def iter_snapshot_lines(payload: dict) -> Iterator[str]:
     for raw in payload.get("tail") or []:
         yield str(raw)
 
-
-#: What the analyses consume: the store, or the legacy in-memory result
-#: (same duck-typed access surface).  Defined here, not in the package
-#: ``__init__``, so crawler-side modules can import it mid-package-init.
-Corpus = CorpusStore | CrawlResult

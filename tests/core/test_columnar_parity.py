@@ -2,13 +2,11 @@
 
 Every vectorized analysis must be *bit-identical* to the record-dict
 implementation it replaced: same values, same dict insertion orders,
-same float bits.  The oracle is obtained by running the same analysis
-over ``store.to_result()`` — a plain :class:`CrawlResult` has no column
-view, so :func:`repro.store.columns_of` dispatches it down the original
-code path.
+same float bits.  The oracles live in :mod:`tests.oracles.analyses` and
+run over the same sealed store, reading its record dicts instead of its
+column view.  The full-report comparison lives in
+``tests/core/test_oracle_report.py``.
 """
-
-import json
 
 import numpy as np
 import pytest
@@ -22,18 +20,19 @@ from repro.core.macro import (
 )
 from repro.core.pipeline import ReproductionPipeline
 from repro.core.relative import relative_toxicity
-from repro.core.report import report_to_payload
 from repro.core.urls import analyze_urls
 from repro.core.votes import analyze_votes
 from repro.platform.config import WorldConfig
 from repro.store import columns_of
+
+from tests.oracles import analyses as oracles
 
 CONFIG = dict(scale=0.0015, seed=11)
 
 
 @pytest.fixture(scope="module")
 def staged(tmp_path_factory):
-    """One spilled-store pipeline run, plus its dict-path oracle corpus."""
+    """One spilled-store pipeline run, sealed and scored."""
     store_dir = tmp_path_factory.mktemp("colstore")
     pipeline = ReproductionPipeline(
         WorldConfig(**CONFIG), store_dir=str(store_dir), segment_records=128
@@ -41,25 +40,23 @@ def staged(tmp_path_factory):
     artifacts = pipeline.stage_crawl()
     pipeline.stage_score(artifacts)
     corpus = artifacts.corpus
-    oracle = corpus.to_result()
     assert columns_of(corpus) is not None
-    assert columns_of(oracle) is None
-    return pipeline, artifacts, corpus, oracle
+    return pipeline, artifacts, corpus
 
 
 class TestAnalysisParity:
     def test_concentration(self, staged):
-        _, _, corpus, oracle = staged
+        _, _, corpus = staged
         columnar = comment_concentration(corpus)
-        dicts = comment_concentration(oracle)
+        dicts = oracles.comment_concentration(corpus)
         assert np.array_equal(columnar.counts, dicts.counts)
         assert columnar.counts.dtype == dicts.counts.dtype
         assert columnar.gini_like_top_shares == dicts.gini_like_top_shares
 
     def test_user_table(self, staged):
-        _, _, corpus, oracle = staged
+        _, _, corpus = staged
         columnar = user_table(corpus)
-        dicts = user_table(oracle)
+        dicts = oracles.user_table(corpus)
         assert columnar.n_active == dicts.n_active
         # Same counts AND the same dict insertion order.
         assert list(columnar.flag_counts.items()) == list(
@@ -70,9 +67,9 @@ class TestAnalysisParity:
         )
 
     def test_urls(self, staged):
-        _, _, corpus, oracle = staged
+        _, _, corpus = staged
         columnar = analyze_urls(corpus)
-        dicts = analyze_urls(oracle)
+        dicts = oracles.analyze_urls(corpus)
         assert columnar.total_urls == dicts.total_urls
         assert list(columnar.tld_counts.items()) == list(
             dicts.tld_counts.items()
@@ -95,9 +92,9 @@ class TestAnalysisParity:
         )
 
     def test_votes(self, staged):
-        pipeline, _, corpus, oracle = staged
+        pipeline, _, corpus = staged
         columnar = analyze_votes(corpus, pipeline.store)
-        dicts = analyze_votes(oracle, pipeline.store)
+        dicts = oracles.analyze_votes(corpus, pipeline.store)
         assert np.array_equal(columnar.net_scores, dicts.net_scores)
         assert np.array_equal(columnar.mean_toxicity, dicts.mean_toxicity)
         assert np.array_equal(
@@ -112,9 +109,9 @@ class TestAnalysisParity:
         assert columnar.in_band_fraction == dicts.in_band_fraction
 
     def test_bias(self, staged):
-        pipeline, _, corpus, oracle = staged
+        pipeline, _, corpus = staged
         columnar = analyze_bias(corpus, pipeline.store)
-        dicts = analyze_bias(oracle, pipeline.store)
+        dicts = oracles.analyze_bias(corpus, pipeline.store)
         assert list(columnar.comment_counts.items()) == list(
             dicts.comment_counts.items()
         )
@@ -127,17 +124,12 @@ class TestAnalysisParity:
         assert columnar.ks_attack == dicts.ks_attack
 
     def test_relative(self, staged):
-        pipeline, artifacts, corpus, _ = staged
+        pipeline, artifacts, corpus = staged
         columnar = relative_toxicity(
-            artifacts.corpus_texts(),
-            artifacts.baseline_texts,
-            pipeline.store,
-            corpus=corpus,
+            corpus, artifacts.baseline_texts, pipeline.store
         )
-        dicts = relative_toxicity(
-            list(corpus.texts()),
-            artifacts.baseline_texts,
-            pipeline.store,
+        dicts = oracles.relative_toxicity(
+            corpus, artifacts.baseline_texts, pipeline.store
         )
         for attribute, by_dataset in columnar.scores.items():
             assert list(by_dataset) == list(dicts.scores[attribute])
@@ -147,7 +139,7 @@ class TestAnalysisParity:
                 )
 
     def test_growth_vectorized_matches_scalar_parse(self, staged):
-        pipeline, artifacts, _, _ = staged
+        pipeline, artifacts, _ = staged
         accounts = artifacts.gab_enumeration.accounts
         series = analyze_gab_growth(accounts)
         times = np.asarray([_parse_iso(a.created_at_iso) for a in accounts])
@@ -160,24 +152,3 @@ class TestAnalysisParity:
             (ids[order] < frontier * 0.5).sum()
         )
 
-
-class TestFullReportParity:
-    def test_columns_off_payload_is_byte_identical(self, tmp_path):
-        """Two full runs of the same world — columnar and --no-columns —
-        must serialize to the same JSON bytes."""
-        on = ReproductionPipeline(
-            WorldConfig(**CONFIG),
-            store_dir=str(tmp_path / "on"),
-            segment_records=128,
-        ).run()
-        off = ReproductionPipeline(
-            WorldConfig(**CONFIG),
-            store_dir=str(tmp_path / "off"),
-            segment_records=128,
-            columns=False,
-        ).run()
-        assert on.extras["columns"]["enabled"]
-        assert not off.extras["columns"]["enabled"]
-        assert json.dumps(report_to_payload(on), indent=1) == json.dumps(
-            report_to_payload(off), indent=1
-        )

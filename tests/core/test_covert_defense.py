@@ -6,11 +6,12 @@ import pytest
 from repro.core.covert import find_covert_channels
 from repro.core.defense import simulate_preemptive_defense
 from repro.core.scoring import ScoreStore
-from repro.crawler.records import CrawlResult, CrawledComment, CrawledUrl
+from repro.crawler.records import CrawledComment, CrawledUrl
+from repro.store import CorpusStore
 
 
-def _corpus() -> CrawlResult:
-    result = CrawlResult()
+def _corpus() -> CorpusStore:
+    result = CorpusStore()
     specs = [
         # (url, [(author, parent_index_or_None, text)])
         ("file:///C:/Users/doc.pdf", [
@@ -34,19 +35,19 @@ def _corpus() -> CrawlResult:
     counter = 0
     for index, (url, comments) in enumerate(specs):
         cid = f"{index:024x}"
-        result.urls[cid] = CrawledUrl(
+        result.add_url(CrawledUrl(
             commenturl_id=cid, url=url, title="", description="",
             upvotes=0, downvotes=0,
-        )
+        ))
         ids = []
         for author, parent, text in comments:
             comment_id = f"{counter:024x}"
             counter += 1
-            result.comments[comment_id] = CrawledComment(
+            result.add_comment(CrawledComment(
                 comment_id=comment_id, author_id=author, commenturl_id=cid,
                 text=text,
                 parent_comment_id=ids[parent] if parent is not None else None,
-            )
+            ))
             ids.append(comment_id)
     return result
 
@@ -140,7 +141,7 @@ class TestPreemptiveDefense:
         with pytest.raises(ValueError):
             simulate_preemptive_defense(_corpus(), flood_factor=-1)
         with pytest.raises(ValueError):
-            simulate_preemptive_defense(CrawlResult())
+            simulate_preemptive_defense(CorpusStore())
 
     def test_cost_metric(self):
         outcome = simulate_preemptive_defense(_corpus(), flood_factor=1.0)

@@ -1,17 +1,16 @@
 """Tests for the social network analysis, hateful core, and Fig. 6/Table 3."""
 
-import networkx as nx
 import pytest
 
 from repro.core.socialnet import analyze_social_network, extract_hateful_core
+from repro.graph.csr import csr_from_edge_list
 
 
 class TestSocialNetworkAnalysis:
     def _triangle_graph(self):
-        graph = nx.DiGraph()
-        graph.add_nodes_from([1, 2, 3, 4])
-        graph.add_edges_from([(1, 2), (2, 1), (2, 3), (3, 2), (1, 3)])
-        return graph
+        return csr_from_edge_list(
+            [1, 2, 3, 4], [(1, 2), (2, 1), (2, 3), (3, 2), (1, 3)]
+        )
 
     def test_degrees_and_isolated(self):
         analysis = analyze_social_network(self._triangle_graph())
@@ -49,8 +48,9 @@ class TestHatefulCore:
         return {n: 200 for n in nodes}, {n: 0.5 for n in nodes}
 
     def test_mutual_pairs_form_core(self):
-        graph = nx.DiGraph()
-        graph.add_edges_from([(1, 2), (2, 1), (3, 4), (4, 3), (5, 6)])
+        graph = csr_from_edge_list(
+            [1, 2, 3, 4, 5, 6], [(1, 2), (2, 1), (3, 4), (4, 3), (5, 6)]
+        )
         counts, tox = self._qualify_all([1, 2, 3, 4, 5, 6])
         core = extract_hateful_core(graph, counts, tox)
         # 5->6 is not mutual, so 5 and 6 are excluded.  ``members`` is a
@@ -60,24 +60,21 @@ class TestHatefulCore:
         assert core.component_sizes == [2, 2]
 
     def test_activity_criterion_enforced(self):
-        graph = nx.DiGraph()
-        graph.add_edges_from([(1, 2), (2, 1)])
+        graph = csr_from_edge_list([1, 2], [(1, 2), (2, 1)])
         counts = {1: 200, 2: 50}   # node 2 under the 100-comment bar
         tox = {1: 0.5, 2: 0.5}
         core = extract_hateful_core(graph, counts, tox)
         assert core.size == 0
 
     def test_toxicity_criterion_enforced(self):
-        graph = nx.DiGraph()
-        graph.add_edges_from([(1, 2), (2, 1)])
+        graph = csr_from_edge_list([1, 2], [(1, 2), (2, 1)])
         counts = {1: 200, 2: 200}
         tox = {1: 0.5, 2: 0.1}
         core = extract_hateful_core(graph, counts, tox)
         assert core.size == 0
 
     def test_qualifying_counter(self):
-        graph = nx.DiGraph()
-        graph.add_nodes_from([1, 2, 3])
+        graph = csr_from_edge_list([1, 2, 3], [])
         counts, tox = self._qualify_all([1, 2, 3])
         core = extract_hateful_core(graph, counts, tox)
         assert core.qualifying_users == 3

@@ -2,24 +2,25 @@
 
 
 from repro.core.threads import analyze_threads
-from repro.crawler.records import CrawlResult, CrawledComment, CrawledUrl
+from repro.crawler.records import CrawledComment, CrawledUrl
+from repro.store import CorpusStore
 
 
-def _chain_corpus(depth: int) -> CrawlResult:
+def _chain_corpus(depth: int) -> CorpusStore:
     """One URL with a reply chain of the given depth."""
-    result = CrawlResult()
+    result = CorpusStore()
     cid = "f" * 24
-    result.urls[cid] = CrawledUrl(
+    result.add_url(CrawledUrl(
         commenturl_id=cid, url="https://e.com/x", title="", description="",
         upvotes=0, downvotes=0,
-    )
+    ))
     parent = None
     for i in range(depth + 1):
         comment_id = f"{i:024x}"
-        result.comments[comment_id] = CrawledComment(
+        result.add_comment(CrawledComment(
             comment_id=comment_id, author_id="a" * 24, commenturl_id=cid,
             text="x" * (i + 1), parent_comment_id=parent,
-        )
+        ))
         parent = comment_id
     return result
 
@@ -53,7 +54,7 @@ class TestAnalyzeThreads:
         assert structure.max_depth == 1
 
     def test_empty_corpus(self):
-        structure = analyze_threads(CrawlResult())
+        structure = analyze_threads(CorpusStore())
         assert structure.total_comments == 0
         assert structure.reply_fraction == 0.0
 

@@ -3,7 +3,8 @@
 import pytest
 
 from repro.core.urls import analyze_urls, second_level_domain, tld_of
-from repro.crawler.records import CrawlResult, CrawledComment, CrawledUrl
+from repro.crawler.records import CrawledComment, CrawledUrl
+from repro.store import CorpusStore
 
 
 class TestTldOf:
@@ -36,21 +37,21 @@ class TestSecondLevelDomain:
         assert second_level_domain("file:///C:/x") is None
 
 
-def _result_with_urls(urls_and_counts) -> CrawlResult:
-    result = CrawlResult()
+def _result_with_urls(urls_and_counts) -> CorpusStore:
+    result = CorpusStore()
     for index, (url, n_comments) in enumerate(urls_and_counts):
         cid = f"{index:024x}"
-        result.urls[cid] = CrawledUrl(
+        result.add_url(CrawledUrl(
             commenturl_id=cid, url=url, title="", description="",
             upvotes=0, downvotes=0,
-        )
+        ))
         for j in range(n_comments):
             comment_id = f"{index:012x}{j:012x}"
-            result.comments[comment_id] = CrawledComment(
+            result.add_comment(CrawledComment(
                 comment_id=comment_id, author_id="b" * 24,
                 commenturl_id=cid, text="x",
-            )
-    return result
+            ))
+    return result.seal()
 
 
 class TestAnalyzeUrls:

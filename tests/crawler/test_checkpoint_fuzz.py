@@ -4,19 +4,19 @@ from hypothesis import given, settings, strategies as st
 
 from repro.crawler.checkpoint import dumps_result, loads_result
 from repro.crawler.records import (
-    CrawlResult,
     CrawledComment,
     CrawledUrl,
     CrawledUser,
 )
+from repro.store import CorpusStore
 
 _hex24 = st.integers(0, 2**96 - 1).map(lambda n: f"{n:024x}")
 _text = st.text(max_size=120)
 
 
 @st.composite
-def crawl_results(draw) -> CrawlResult:
-    result = CrawlResult()
+def crawl_results(draw) -> CorpusStore:
+    result = CorpusStore()
     n_users = draw(st.integers(0, 4))
     author_ids = []
     for i in range(n_users):
@@ -32,24 +32,24 @@ def crawl_results(draw) -> CrawlResult:
             permissions={"canPost": draw(st.booleans())},
             view_filters={"nsfw": draw(st.booleans())},
         )
-        result.users[user.username] = user
+        result.add_user(user)
     n_urls = draw(st.integers(0, 3))
     url_ids = []
     for _ in range(n_urls):
         url_id = draw(_hex24)
         url_ids.append(url_id)
-        result.urls[url_id] = CrawledUrl(
+        result.add_url(CrawledUrl(
             commenturl_id=url_id,
             url=draw(_text),
             title=draw(_text),
             description=draw(_text),
             upvotes=draw(st.integers(0, 1000)),
             downvotes=draw(st.integers(0, 1000)),
-        )
+        ))
     if author_ids and url_ids:
         for _ in range(draw(st.integers(0, 5))):
             comment_id = draw(_hex24)
-            result.comments[comment_id] = CrawledComment(
+            result.add_comment(CrawledComment(
                 comment_id=comment_id,
                 author_id=draw(st.sampled_from(author_ids)),
                 commenturl_id=draw(st.sampled_from(url_ids)),
@@ -59,7 +59,7 @@ def crawl_results(draw) -> CrawlResult:
                 shadow_label=draw(
                     st.sampled_from([None, "nsfw", "offensive"])
                 ),
-            )
+            ))
     return result
 
 

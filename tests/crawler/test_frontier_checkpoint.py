@@ -6,11 +6,11 @@ from hypothesis import given, strategies as st
 from repro.crawler.checkpoint import dumps_result, loads_result
 from repro.crawler.frontier import CrawlFrontier
 from repro.crawler.records import (
-    CrawlResult,
     CrawledComment,
     CrawledUrl,
     CrawledUser,
 )
+from repro.store import CorpusStore
 
 
 class TestFrontier:
@@ -97,8 +97,8 @@ class TestFrontier:
         assert sorted(drained) == sorted(set(items))
 
 
-def _sample_result() -> CrawlResult:
-    result = CrawlResult()
+def _sample_result() -> CorpusStore:
+    result = CorpusStore()
     user = CrawledUser(
         username="wolf1", author_id="5c780b19" + "0" * 16,
         display_name="Wolf", bio="free speech & censorship",
@@ -107,19 +107,19 @@ def _sample_result() -> CrawlResult:
         permissions={"canPost": True, "isBanned": False},
         view_filters={"nsfw": False},
     )
-    result.users[user.username] = user
+    result.add_user(user)
     url = CrawledUrl(
         commenturl_id="a" * 24, url="https://example.com/x?y=1&z=2",
         title="T", description="D", upvotes=3, downvotes=5,
     )
-    result.urls[url.commenturl_id] = url
+    result.add_url(url)
     comment = CrawledComment(
         comment_id="5c780b20" + "1" * 16, author_id=user.author_id,
         commenturl_id=url.commenturl_id, text="hello <&> world",
         parent_comment_id=None, created_at_epoch=1551371040,
         shadow_label="nsfw",
     )
-    result.comments[comment.comment_id] = comment
+    result.add_comment(comment)
     return result
 
 

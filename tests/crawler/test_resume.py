@@ -5,9 +5,9 @@ cannot survive its process dying would never have finished.  These tests
 arm the transport's die-after-K injector at randomized request boundaries
 (under a nonzero fault plan, so retries and checkpoints interleave), kill
 the pipeline mid-flight — possibly several times in a row — and require
-that resuming from the last checkpoint produces a :class:`CrawlResult`
-identical to an uninterrupted run while issuing strictly fewer HTTP
-requests than starting over would.
+that resuming from the last checkpoint produces a corpus identical to
+an uninterrupted run while issuing strictly fewer HTTP requests than
+starting over would.
 """
 
 import random
@@ -18,13 +18,13 @@ from repro.core.pipeline import ReproductionPipeline
 from repro.crawler.checkpoint import result_to_payload
 from repro.crawler.dissenter_crawl import DissenterCrawler
 from repro.crawler.frontier import CrawlFrontier
-from repro.crawler.records import CrawlResult
 from repro.crawler.runtime import Checkpointer, load_state
 from repro.net.cookies import CookieJar
 from repro.net.errors import CrawlKilled
 from repro.net.http import Response
 from repro.platform.config import WorldConfig
 from repro.platform.world import build_world
+from repro.store import CorpusStore
 
 
 def _faulty_config() -> WorldConfig:
@@ -251,7 +251,7 @@ class TestFailedPagesAreRecorded:
         client = _StubClient(status=429)
         crawler = DissenterCrawler(client)
         frontier: CrawlFrontier[str] = CrawlFrontier(["url-1"], max_retries=2)
-        result = CrawlResult()
+        result = CorpusStore()
         for commenturl_id in frontier.drain():
             crawler._fetch_comment_page(result, frontier, commenturl_id)
         # 1 initial attempt + 2 retries, then the budget is spent.
@@ -263,7 +263,7 @@ class TestFailedPagesAreRecorded:
         client = _StubClient(status=404)
         crawler = DissenterCrawler(client)
         frontier: CrawlFrontier[str] = CrawlFrontier(["url-2"])
-        result = CrawlResult()
+        result = CorpusStore()
         for commenturl_id in frontier.drain():
             crawler._fetch_comment_page(result, frontier, commenturl_id)
         assert client.calls == 1
@@ -285,3 +285,54 @@ class TestFailedPagesAreRecorded:
         assert recovered == 1
         assert victim in corpus.urls
         assert crawler.stats.comment_pages_failed == []
+
+
+#: A pipeline state file as the pre-store (v2) format wrote it: the
+#: corpus artifact and the active crawler's partial corpus are both bare
+#: ``result_to_payload`` documents.
+_V2_STATE = {
+    "version": 2,
+    "kind": "pipeline",
+    "stage": "shadow",
+    "artifacts": {
+        "gab_enum": {},
+        "detected": [],
+        "corpus": {"users": [], "urls": [], "comments": []},
+    },
+    "active": {
+        "version": 2,
+        "crawler": "shadow",
+        "stage": "uncover",
+        "cursor": {},
+        "result": {"users": [], "urls": [], "comments": []},
+        "frontier": None,
+        "stats": None,
+        "cookies": None,
+    },
+}
+
+
+class TestV2StateIsRejected:
+    def test_v2_pipeline_envelope_raises_value_error(self, shared_world):
+        config, world = shared_world
+        pipeline = ReproductionPipeline(config, world=world)
+        with pytest.raises(ValueError, match="pipeline checkpoint version 2"):
+            pipeline.stage_crawl(resume=_V2_STATE)
+        assert pipeline.origins.transport.requests_attempted == 0
+
+    def test_crawl_resume_over_v2_state_exits_with_message(self, tmp_path):
+        import json
+
+        from repro.cli import main
+
+        out = tmp_path / "corpus.json"
+        state = tmp_path / "corpus.json.state.json"
+        state.write_text(json.dumps(_V2_STATE), encoding="utf-8")
+        with pytest.raises(SystemExit) as exited:
+            main(["crawl", "--scale", "0.001", "--seed", "3",
+                  "--out", str(out), "--resume"])
+        assert "--resume: unsupported pipeline checkpoint version 2" in str(
+            exited.value.code
+        )
+        assert not out.exists()
+        assert state.exists()

@@ -2,10 +2,10 @@
 
 Covers the :class:`Checkpointer` cadence (page and simulated-seconds
 triggers), atomic-write behaviour, the v3 payload round trip, v2
-back-compat (documents written before the segmented store still parse and
-replay), the error contract (malformed documents always raise
-``ValueError``), and the frontier / cookie-jar state snapshots the
-crawlers serialise.
+rejection (documents written before the segmented store raise a
+``ValueError`` naming their version), the error contract (malformed
+documents always raise ``ValueError``), and the frontier / cookie-jar
+state snapshots the crawlers serialise.
 """
 
 import json
@@ -23,7 +23,7 @@ from repro.crawler.checkpoint import (
     result_to_payload,
 )
 from repro.crawler.frontier import CrawlFrontier
-from repro.crawler.records import CrawlResult, CrawledComment, CrawledUrl
+from repro.crawler.records import CrawledComment, CrawledUrl
 from repro.crawler.runtime import Checkpointer, load_state
 from repro.net.clock import VirtualClock
 from repro.net.cookies import CookieJar
@@ -160,17 +160,18 @@ class TestV3Roundtrip:
         assert restored.to_payload() == checkpoint.to_payload()
 
     def test_v2_document_still_parses_and_replays(self):
-        """A pre-store (v2) file's embedded ``result`` document resumes."""
-        result = CrawlResult()
-        result.urls["u1"] = CrawledUrl(
+        """A pre-store (v2) file no longer resumes: it is rejected with a
+        ``ValueError`` naming its version, never mis-read."""
+        result = CorpusStore()
+        result.add_url(CrawledUrl(
             commenturl_id="u1", url="https://example.com", title="t",
             description="d", upvotes=1, downvotes=0,
-        )
-        result.comments["c1"] = CrawledComment(
+        ))
+        result.add_comment(CrawledComment(
             comment_id="c1", author_id="a1", commenturl_id="u1",
             text="hello", parent_comment_id=None, created_at_epoch=123,
             shadow_label="nsfw",
-        )
+        ))
         v2_payload = {
             "version": 2,
             "crawler": "dissenter",
@@ -181,13 +182,8 @@ class TestV3Roundtrip:
             "stats": None,
             "cookies": None,
         }
-        restored = CrawlCheckpoint.from_payload(v2_payload)
-        assert restored.store == result_to_payload(result)
-        replayed = CorpusStore()
-        replayed.restore_payload(restored.store)
-        assert list(replayed.urls) == ["u1"]
-        assert list(replayed.comments) == ["c1"]
-        assert replayed.comments["c1"].shadow_label == "nsfw"
+        with pytest.raises(ValueError, match="version 2"):
+            CrawlCheckpoint.from_payload(v2_payload)
 
     def test_coerce_accepts_payload_or_object(self):
         checkpoint = self._checkpoint()
@@ -219,11 +215,11 @@ class TestLoadsResultErrorContract:
     KeyError/TypeError leaking out of a malformed document is a bug."""
 
     def test_roundtrip_still_works(self):
-        result = CrawlResult()
-        result.urls["u"] = CrawledUrl(
+        result = CorpusStore()
+        result.add_url(CrawledUrl(
             commenturl_id="u", url="https://x.test", title="", description="",
             upvotes=0, downvotes=0,
-        )
+        ))
         assert loads_result(dumps_result(result)).urls.keys() == {"u"}
 
     @pytest.mark.parametrize(

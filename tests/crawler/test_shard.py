@@ -17,9 +17,9 @@ from repro.crawler.checkpoint import (
     dump_result,
     is_shard_envelope,
 )
-from repro.crawler.runtime import load_state
 from repro.crawler.dissenter_crawl import DissenterCrawler
 from repro.crawler.gab_enum import GabEnumerator
+from repro.crawler.runtime import load_state
 from repro.crawler.shadow import ShadowCrawler
 from repro.crawler.shard import SHARD_PHASES, ShardEngine, shard_key
 from repro.net import HttpClient

@@ -4,26 +4,24 @@ Every vectorized reduction in :mod:`repro.graph.csr` replaced a
 networkx call on a hot path; the contract is *bit identity*, not
 approximation.  These property tests build random directed graphs with
 gappy Gab-ID universes, run both engines, and compare exact values —
-including insertion orders, tie-breaks, and the bytes of the full
-pipeline report payload (the graph-layer mirror of
-``tests/core/test_columnar_parity.py``).
+including insertion orders and tie-breaks.  The networkx references
+live in :mod:`tests.oracles.graph`; the full pipeline report payload is
+compared in ``tests/core/test_oracle_report.py``.
 """
-
-import json
 
 import numpy as np
 import pytest
 
 nx = pytest.importorskip("networkx")
 
-from repro.core.pipeline import ReproductionPipeline
-from repro.core.report import report_to_payload
 from repro.core.socialnet import (
     analyze_social_network,
     extract_hateful_core,
 )
 from repro.graph.csr import CSRGraph, csr_from_edge_list
-from repro.platform.config import WorldConfig
+
+from tests.oracles import graph as oracles
+from tests.oracles.graph import to_networkx
 
 SEEDS = range(8)
 
@@ -56,7 +54,7 @@ class TestStructure:
         csr, oracle = both_engines(node_ids, edges)
         assert csr.nodes == sorted(node_ids)
         assert list(csr.edges) == sorted(set(edges))
-        back = csr.to_networkx()
+        back = to_networkx(csr)
         assert list(back.nodes) == list(oracle.nodes)
         assert list(back.edges) == list(oracle.edges)
 
@@ -128,7 +126,7 @@ class TestAnalysisParity:
         csr, oracle = both_engines(node_ids, edges)
         tox = self._toxicity(node_ids, seed)
         fast = analyze_social_network(csr, tox)
-        slow = analyze_social_network(oracle, tox)
+        slow = oracles.analyze_social_network(oracle, tox)
         assert fast.n_users == slow.n_users
         assert fast.isolated_users == slow.isolated_users
         assert fast.in_degrees.tolist() == slow.in_degrees.tolist()
@@ -152,7 +150,7 @@ class TestAnalysisParity:
         counts = {n: int(rng.integers(0, 300)) for n in sorted(node_ids)}
         tox = {n: float(rng.random()) for n in sorted(node_ids)}
         fast = extract_hateful_core(csr, counts, tox)
-        slow = extract_hateful_core(oracle, counts, tox)
+        slow = oracles.extract_hateful_core(oracle, counts, tox)
         assert fast.members == slow.members
         assert fast.component_sizes == slow.component_sizes
         assert fast.qualifying_users == slow.qualifying_users
@@ -176,23 +174,8 @@ class TestAnalysisParity:
             oracle = nx.DiGraph()
             oracle.add_edges_from(shuffled)
             csr = csr_from_edge_list(range(1, 10), shuffled)
-            assert analyze_social_network(oracle, top_k=4).top_in == want_top_in
+            assert oracles.analyze_social_network(
+                oracle, top_k=4
+            ).top_in == want_top_in
             assert analyze_social_network(csr, top_k=4).top_in == want_top_in
 
-
-class TestReportParity:
-    CONFIG = dict(scale=0.0015, seed=11)
-
-    def test_nx_oracle_payload_is_byte_identical(self):
-        """Two full pipeline runs of the same world — the CSR engine and
-        ``nx_oracle=True`` — must serialize to the same JSON bytes
-        (§4.5, Fig. 9, and the §4.5.1 core included)."""
-        fast = ReproductionPipeline(WorldConfig(**self.CONFIG)).run()
-        slow = ReproductionPipeline(
-            WorldConfig(**self.CONFIG), nx_oracle=True
-        ).run()
-        assert isinstance(fast.hateful_core.subgraph, CSRGraph)
-        assert not isinstance(slow.hateful_core.subgraph, CSRGraph)
-        assert json.dumps(report_to_payload(fast), indent=1) == json.dumps(
-            report_to_payload(slow), indent=1
-        )

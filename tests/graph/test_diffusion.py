@@ -7,7 +7,6 @@ import sys
 from pathlib import Path
 
 import numpy as np
-import pytest
 
 from repro.graph import run_diffusion, simulate_cascade
 from repro.graph.csr import csr_from_edge_list

@@ -24,9 +24,9 @@ N_URLS = 30
 N_COMMENTS = 500
 
 
-def build_synthetic_store(columns: bool = True) -> CorpusStore:
+def build_synthetic_store() -> CorpusStore:
     """A small deterministic sealed store (no RNG, no pipeline)."""
-    store = CorpusStore(columns=columns, segment_records=128)
+    store = CorpusStore(segment_records=128)
     for n in range(N_USERS):
         store.add_user(CrawledUser(
             username=f"user-{n:03d}",

@@ -4,11 +4,13 @@ import json
 
 import pytest
 
-from repro.crawler.records import CrawledComment, CrawledUrl, CrawledUser
+from repro.crawler.records import CrawledComment, CrawledUser
 from repro.net.clock import VirtualClock
+from repro.net.http import Response
 from repro.serve import ServeApp, corpus_manifest_hash
 from repro.store import CorpusStore
 
+from tests.oracles.serve import summary_url_payload, summary_user_payload
 from tests.serve.conftest import build_synthetic_store, get, mount
 
 BASE = f"https://{ServeApp.HOST}"
@@ -94,6 +96,22 @@ class TestConstruction:
         with pytest.raises(ValueError, match="sealed"):
             ServeApp(store, VirtualClock())
 
+    def test_rejects_columns_false_corpus(self):
+        store = CorpusStore(columns=False)
+        store.add_user(CrawledUser(
+            username="u", author_id="a", display_name="U",
+            permissions={}, view_filters={},
+        ))
+        store.seal()
+        with pytest.raises(ValueError, match="columns=False"):
+            ServeApp(store, VirtualClock())
+
+    def test_status_has_no_columns_field(self, synthetic_store):
+        _, transport, _ = mount(synthetic_store)
+        payload = _json(get(transport, f"{BASE}/api/status"))
+        assert "columns" not in payload
+        assert payload["corpus"]["comments"] == len(synthetic_store.comments)
+
     def test_manifest_hash_tracks_contents(self, synthetic_store):
         rebuilt = build_synthetic_store()
         assert corpus_manifest_hash(rebuilt) == corpus_manifest_hash(
@@ -101,7 +119,7 @@ class TestConstruction:
         )
         grown = build_synthetic_store()
         # Same shape, one more record => different identity.
-        other = CorpusStore(columns=True, segment_records=128)
+        other = CorpusStore(segment_records=128)
         other.users.update(grown.users)
         other.urls.update(grown.urls)
         other.comments.update(grown.comments)
@@ -121,21 +139,24 @@ class TestSummaries:
     def test_columnar_and_dict_paths_byte_identical(
         self, synthetic_store, synthetic_scores
     ):
-        oracle = CorpusStore(columns=False)
-        oracle.users.update(synthetic_store.users)
-        oracle.urls.update(synthetic_store.urls)
-        oracle.comments.update(synthetic_store.comments)
-        oracle.seal()
         _, columnar, _ = mount(synthetic_store, synthetic_scores)
-        _, dictpath, _ = mount(oracle, synthetic_scores)
-        for path in (
-            "/api/summary/url/0001feed",
-            "/api/summary/url/0003feed?attribute=OBSCENE",
-            "/api/summary/user/user-001",
-            "/api/summary/user/user-004?attribute=ATTACK_ON_AUTHOR",
+        for path, oracle in (
+            ("/api/summary/url/0001feed",
+             summary_url_payload(synthetic_store, synthetic_scores, "0001feed")),
+            ("/api/summary/url/0003feed?attribute=OBSCENE",
+             summary_url_payload(
+                 synthetic_store, synthetic_scores, "0003feed", "OBSCENE"
+             )),
+            ("/api/summary/user/user-001",
+             summary_user_payload(synthetic_store, synthetic_scores, "user-001")),
+            ("/api/summary/user/user-004?attribute=ATTACK_ON_AUTHOR",
+             summary_user_payload(
+                 synthetic_store, synthetic_scores, "user-004",
+                 "ATTACK_ON_AUTHOR",
+             )),
         ):
             a = get(columnar, f"{BASE}{path}")
-            b = get(dictpath, f"{BASE}{path}")
+            b = Response.json_response(oracle)
             assert a.status == b.status == 200
             assert a.body == b.body
 

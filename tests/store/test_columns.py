@@ -4,8 +4,8 @@ Covers seal-time projection into hash-manifested ``.npz`` files, the
 memory-mapped ``ColumnView`` read surface and its revision-aware dedup,
 the corruption/missing-file fallback that re-projects from the verified
 segment JSONL (healing the file on disk), restore-time file reuse, the
-inline (no ``store_dir``) mode, and the dispatch contract
-(``columns=False`` stores and legacy results have no view).
+inline (no ``store_dir``) mode, and the view contract (``columns=False``
+and unsealed stores raise ``ValueError`` naming the cause).
 """
 
 import hashlib
@@ -13,8 +13,8 @@ import hashlib
 import numpy as np
 import pytest
 
+from repro.core.macro import comment_concentration
 from repro.crawler.records import (
-    CrawlResult,
     CrawledComment,
     CrawledUrl,
     CrawledUser,
@@ -220,17 +220,23 @@ class TestDispatch:
     def test_columns_false_has_no_view(self):
         store = _fill(CorpusStore(columns=False))
         store.seal()
-        assert store.column_view() is None
-        assert columns_of(store) is None
+        with pytest.raises(ValueError, match="columns=False"):
+            store.column_view()
+        with pytest.raises(ValueError, match="columns=False"):
+            columns_of(store)
         with pytest.raises(RuntimeError):
             store.column_chunks()
 
     def test_unsealed_store_has_no_view(self):
         store = _fill(CorpusStore())
-        assert store.column_view() is None
+        with pytest.raises(ValueError, match="not sealed"):
+            store.column_view()
+        with pytest.raises(ValueError, match="not sealed"):
+            columns_of(store)
 
-    def test_legacy_result_has_no_view(self):
-        assert columns_of(_fill(CrawlResult())) is None
+    def test_analysis_on_unsealed_store_raises(self):
+        with pytest.raises(ValueError, match="not sealed"):
+            comment_concentration(_fill(CorpusStore()))
 
     def test_inline_store_projects_without_files(self):
         store = _fill(CorpusStore(segment_records=8))

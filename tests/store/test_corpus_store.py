@@ -1,11 +1,11 @@
 """Unit tests for the segmented corpus store (:mod:`repro.store`).
 
-Covers the append-log write path (upsert parity with the legacy
-``CrawlResult``), the seal contract (memoised indexes, loud rejection of
+Covers the append-log write path (upsert parity with plain dict
+upserts), the seal contract (memoised indexes, loud rejection of
 post-seal writes), disk spill with manifest + hash verification, the
 snapshot/restore round trip in every direction (inline → inline,
-inline → disk, disk → disk), legacy v2 payload replay, and the codec
-error contract.
+inline → disk, disk → disk), rejection of the legacy v2 corpus payload,
+and the codec error contract.
 """
 
 import json
@@ -14,7 +14,6 @@ import pytest
 
 from repro.crawler.checkpoint import result_to_payload
 from repro.crawler.records import (
-    CrawlResult,
     CrawledComment,
     CrawledUrl,
     CrawledUser,
@@ -23,7 +22,6 @@ from repro.store import (
     CorpusStore,
     SealedCorpusError,
     decode_line,
-    encode_comment,
     encode_record,
     encode_user,
     load_manifest,
@@ -51,6 +49,24 @@ def _comment(n: int, author: int = 1, **kwargs) -> CrawledComment:
     )
 
 
+class _DictCorpus:
+    """Plain dict upserts: the semantics the store's log must reproduce."""
+
+    def __init__(self):
+        self.users, self.urls, self.comments = {}, {}, {}
+
+    def add_user(self, user):
+        self.users[user.username] = user
+
+    touch_user = add_user
+
+    def add_url(self, url):
+        self.urls[url.commenturl_id] = url
+
+    def add_comment(self, comment):
+        self.comments[comment.comment_id] = comment
+
+
 def _fill(corpus, users: int = 4, urls: int = 3, comments: int = 10):
     for n in range(1, users + 1):
         corpus.add_user(_user(n))
@@ -63,7 +79,7 @@ def _fill(corpus, users: int = 4, urls: int = 3, comments: int = 10):
 
 class TestWritePath:
     def test_upserts_match_legacy_crawl_result(self):
-        store, legacy = _fill(CorpusStore()), _fill(CrawlResult())
+        store, legacy = _fill(CorpusStore()), _fill(_DictCorpus())
         # Mutation-by-revision on the store vs in-place on the legacy
         # dict must land on the same corpus payload.
         for corpus in (store, legacy):
@@ -194,11 +210,14 @@ class TestSnapshotRestore:
         )
 
     def test_legacy_result_payload_replays(self):
-        legacy = _fill(CrawlResult())
+        """A bare ``result_to_payload`` document (the v2 corpus shape) no
+        longer replays: it is rejected by shape, leaving the store empty."""
+        legacy = _fill(CorpusStore())
         store = CorpusStore()
-        store.restore_payload(result_to_payload(legacy))
-        assert result_to_payload(store) == result_to_payload(legacy)
-        assert list(store.comments) == list(legacy.comments)
+        with pytest.raises(ValueError, match="result_to_payload"):
+            store.restore_payload(result_to_payload(legacy))
+        assert not store.users and not store.comments
+        assert store.log_records == 0
 
     def test_unknown_version_raises(self):
         with pytest.raises(ValueError, match="version"):
