@@ -1,9 +1,10 @@
 """Paper-vs-measured reporting for the benchmark suite.
 
 Each bench calls :func:`record` with the rows it reproduced; the rows are
-printed (visible under ``pytest -s``) and appended to
-``benchmarks/results/<name>.txt`` so a ``--benchmark-only`` run leaves a
-browsable record of every table and figure.
+printed (visible under ``pytest -s``) and written to
+``benchmarks/results/<name>.txt``, replacing the previous run's record,
+so a ``--benchmark-only`` run leaves a browsable record of every table
+and figure.
 """
 
 from __future__ import annotations

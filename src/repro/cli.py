@@ -130,9 +130,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--seed", type=int, default=42, help="world seed")
     run.add_argument("--core", action="store_true",
                      help="plant the 42-user hateful core")
-    run.add_argument("--workers", type=int, default=0,
-                     help="scoring-pass worker threads (0 = serial; "
-                          "results are identical at any worker count)")
     run.add_argument("--checkpoint", type=Path, default=None,
                      help="write the crawl corpus to this JSON file")
     run.add_argument("--report", type=Path, default=None,
@@ -180,8 +177,6 @@ def build_parser() -> argparse.ArgumentParser:
     figures.add_argument("--seed", type=int, default=42)
     figures.add_argument("--out", type=Path, default=Path("figures"),
                          help="output directory for the SVG files")
-    figures.add_argument("--workers", type=int, default=0,
-                         help="scoring-pass worker threads (0 = serial)")
 
     serve = sub.add_parser(
         "serve",
@@ -222,8 +217,6 @@ def build_parser() -> argparse.ArgumentParser:
     diffuse.add_argument("--scale", type=float, default=0.002,
                          help="world scale (1.0 = the paper's sizes)")
     diffuse.add_argument("--seed", type=int, default=42, help="world seed")
-    diffuse.add_argument("--workers", type=int, default=0,
-                         help="scoring-pass worker threads (0 = serial)")
     diffuse.add_argument("--seeds", type=int, default=10, metavar="K",
                          help="seed-set size for the top-degree and random "
                               "strategies (default 10)")
@@ -256,7 +249,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
     pipeline = ReproductionPipeline(
         _config(args),
         with_faults=args.with_faults,
-        workers=args.workers,
         connections=args.connections,
         parse_workers=args.parse_workers,
         store_dir=str(args.store_dir) if args.store_dir is not None else None,
@@ -465,7 +457,7 @@ def _cmd_diffuse(args: argparse.Namespace) -> int:
     )
     from repro.graph import run_diffusion
 
-    pipeline = ReproductionPipeline(_config(args), workers=args.workers)
+    pipeline = ReproductionPipeline(_config(args))
     print(f"world: {pipeline.world.summary()}", file=sys.stderr)
     artifacts = pipeline.stage_crawl()
     score_store = pipeline.stage_score(artifacts)
@@ -497,7 +489,7 @@ def _cmd_diffuse(args: argparse.Namespace) -> int:
 def _cmd_figures(args: argparse.Namespace) -> int:
     from repro.viz.figures import render_all_figures
 
-    pipeline = ReproductionPipeline(_config(args), workers=args.workers)
+    pipeline = ReproductionPipeline(_config(args))
     report = pipeline.run()
     written = render_all_figures(report, args.out)
     for path in written:

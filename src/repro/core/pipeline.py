@@ -12,8 +12,8 @@ crawl-once / score-once / analyze-many structure:
    bundled into a :class:`CrawlArtifacts`.
 2. :meth:`ReproductionPipeline.stage_score` — ONE scoring pass over the
    corpus and baselines into the shared :class:`~repro.core.scoring.
-   ScoreStore`; each unique text is scored exactly once (optionally on a
-   worker pool).
+   ScoreStore`; each unique text is scored exactly once, a chunk of
+   texts per batch call.
 3. :meth:`ReproductionPipeline.stage_analyze` — every §4 analysis, all
    reading from the store.
 
@@ -189,8 +189,6 @@ class ReproductionPipeline:
         config: world configuration (ignored when ``world`` is given).
         world: pre-built world to reuse (worlds are expensive).
         with_faults: inject transport faults to exercise retry paths.
-        workers: thread-pool size for the scoring pass (0 = serial);
-            results are bit-identical regardless of worker count.
         connections: simulated concurrent connections for every §3
             crawl stage (1 = the historical sequential crawl); corpus,
             stats and checkpoints are bit-identical at any value.
@@ -209,7 +207,6 @@ class ReproductionPipeline:
         config: WorldConfig | None = None,
         world: World | None = None,
         with_faults: bool = False,
-        workers: int = 0,
         connections: int = 1,
         parse_workers: int = 0,
         store_dir: str | None = None,
@@ -221,7 +218,7 @@ class ReproductionPipeline:
         )
         self.client = HttpClient(self.origins.transport)
         self.models = PerspectiveModels()
-        self.store = ScoreStore(self.models, workers=workers)
+        self.store = ScoreStore(self.models)
         self.connections = int(connections)
         self.parse_workers = int(parse_workers)
         self.store_dir = store_dir
@@ -510,9 +507,7 @@ class ReproductionPipeline:
             baseline_texts=baseline_texts,
         )
 
-    def stage_score(
-        self, artifacts: CrawlArtifacts, workers: int | None = None
-    ) -> ScoreStore:
+    def stage_score(self, artifacts: CrawlArtifacts) -> ScoreStore:
         """Stage 2: the single scoring pass over corpus + baselines.
 
         After this stage the store holds scores for every text any
@@ -521,7 +516,7 @@ class ReproductionPipeline:
         texts = itertools.chain(
             artifacts.corpus_texts(), *artifacts.baseline_texts.values()
         )
-        self.store.prime(texts, workers=workers)
+        self.store.prime(texts)
         return self.store
 
     def stage_analyze(self, artifacts: CrawlArtifacts) -> ReproductionReport:

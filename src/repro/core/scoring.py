@@ -12,18 +12,16 @@ Contracts:
 * ``score(text)`` returns the *cached dict itself* — the same object on
   every call for the same text.  Callers must treat it as read-only.
 * ``score_many(texts)`` dedupes the batch, scores only the texts the
-  store has never seen, and returns results in input order.  With
-  ``workers > 1`` the missing texts are scored on a
-  :mod:`concurrent.futures` thread pool; because the underlying scorers
-  are pure functions of the text, results are bit-identical regardless
-  of worker count.
+  store has never seen, and returns results in input order.  The unseen
+  texts go to the models as one batch, which featurizes and scores them
+  as arrays (see :mod:`repro.perspective.models`); a text's scores do
+  not depend on the batch it arrives in.
 * ``counters`` exposes hit/miss/batch accounting so callers (and the
   integration tests) can assert the exactly-once property.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -75,21 +73,15 @@ class ScoreStore:
         models: shared Perspective models (fresh ones when omitted).
         dictionary: hate dictionary for :meth:`dictionary_ratios`
             (built lazily when omitted).
-        workers: default thread-pool size for :meth:`score_many`;
-            ``0``/``1`` scores serially.
     """
 
     def __init__(
         self,
         models: PerspectiveModels | None = None,
         dictionary: object | None = None,
-        workers: int = 0,
     ):
         self._models = models or PerspectiveModels()
         self._dictionary = dictionary
-        self.workers = int(workers)
-        self._executor: ThreadPoolExecutor | None = None
-        self._executor_size = 0
         self._scores: dict[str, dict[str, float]] = {}
         self._dict_ratios: dict[str, float] = {}
         self._svm_scores: dict[str, float] = {}
@@ -99,34 +91,6 @@ class ScoreStore:
     @property
     def models(self) -> PerspectiveModels:
         return self._models
-
-    def close(self) -> None:
-        """Shut down the persistent scoring executor (idempotent)."""
-        if self._executor is not None:
-            self._executor.shutdown(wait=True)
-            self._executor = None
-            self._executor_size = 0
-
-    def __del__(self):  # pragma: no cover - interpreter-shutdown path
-        try:
-            self.close()
-        except Exception:
-            pass
-
-    def _pool(self, size: int) -> ThreadPoolExecutor:
-        """The store's persistent executor, (re)built lazily per size.
-
-        Spinning a fresh pool per batch costs thread creation/teardown
-        on every ``score_many`` call; reusing one across batches is what
-        the scoring benchmark measures.
-        """
-        if self._executor is None or self._executor_size != size:
-            self.close()
-            self._executor = ThreadPoolExecutor(
-                max_workers=size, thread_name_prefix="scorestore"
-            )
-            self._executor_size = size
-        return self._executor
 
     def __len__(self) -> int:
         return len(self._scores)
@@ -149,52 +113,34 @@ class ScoreStore:
         self._scores[text] = scores
         return scores
 
-    def score_many(
-        self, texts: Iterable[str], workers: int | None = None
-    ) -> list[dict[str, float]]:
-        """Scores for a batch, in input order; each unique text scored once.
-
-        Args:
-            texts: the batch (duplicates allowed).
-            workers: thread-pool size for the texts not yet cached;
-                defaults to the store's ``workers``.
-        """
+    def score_many(self, texts: Iterable[str]) -> list[dict[str, float]]:
+        """Scores for a batch, in input order; each unique text scored once."""
         batch = list(texts)
-        pool_size = self.workers if workers is None else int(workers)
         missing = _ordered_missing(batch, self._scores)
         self.counters.batches += 1
         self.counters.hits += len(batch) - len(missing)
         self.counters.misses += len(missing)
         if missing:
-            if pool_size > 1:
-                pool = self._pool(pool_size)
-                computed = list(pool.map(self._models.score, missing))
-            else:
-                computed = self._models.score_many(missing)
+            computed = self._models.score_many(missing)
             for text, scores in zip(missing, computed):
                 self._scores[text] = scores
         return [self._scores[text] for text in batch]
 
-    def prime(
-        self,
-        texts: Iterable[str],
-        workers: int | None = None,
-        chunk_size: int = 4096,
-    ) -> int:
+    def prime(self, texts: Iterable[str], chunk_size: int = 4096) -> int:
         """Warm the cache from a stream without materializing it.
 
         The streaming counterpart of :meth:`score_many` for the
         pipeline's scoring pass: texts are consumed lazily (e.g. the
         corpus store's ``texts()`` view chained with the baselines),
         deduplicated on the fly, and the not-yet-cached remainder is
-        scored in bounded chunks.  Counter accounting is identical to
-        one ``score_many`` call over the same stream: one batch, every
-        duplicate or already-cached text a hit, every unique new text a
-        miss — so the exactly-once assertions hold unchanged.
+        scored in bounded chunks, one batch call each.  Counter
+        accounting is identical to one ``score_many`` call over the same
+        stream: one batch, every duplicate or already-cached text a hit,
+        every unique new text a miss — so the exactly-once assertions
+        hold unchanged.
 
         Returns the number of texts consumed from the stream.
         """
-        pool_size = self.workers if workers is None else int(workers)
         self.counters.batches += 1
         pending: list[str] = []
         pending_set: set[str] = set()
@@ -204,12 +150,7 @@ class ScoreStore:
             if not pending:
                 return
             self.counters.misses += len(pending)
-            if pool_size > 1:
-                computed = list(
-                    self._pool(pool_size).map(self._models.score, pending)
-                )
-            else:
-                computed = self._models.score_many(pending)
+            computed = self._models.score_many(pending)
             for text, scores in zip(pending, computed):
                 self._scores[text] = scores
             pending.clear()
@@ -231,14 +172,9 @@ class ScoreStore:
         """One attribute's score for one text."""
         return self.score(text)[attribute]
 
-    def attribute_values(
-        self,
-        texts: Iterable[str],
-        attribute: str,
-        workers: int | None = None,
-    ) -> np.ndarray:
+    def attribute_values(self, texts: Iterable[str], attribute: str) -> np.ndarray:
         """One attribute's scores over a batch, as a float array."""
-        rows = self.score_many(texts, workers=workers)
+        rows = self.score_many(texts)
         return np.asarray([row[attribute] for row in rows], dtype=float)
 
     # ------------------------------------------------------------------

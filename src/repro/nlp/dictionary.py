@@ -177,23 +177,39 @@ class HateDictionary:
     def is_hate_token(self, token: str) -> bool:
         """Whether a single token matches the dictionary."""
         token = token.lower()
-        stemmed = self._stemmer.stem(token)
+        return self._matches(token, self._stemmer.stem(token))
+
+    def _matches(self, token: str, stemmed: str) -> bool:
         if token in self._raw_terms or stemmed in self._stemmed_terms:
             return True
         if self._substring:
             return any(term in token for term in self._raw_terms if len(term) >= 4)
         return False
 
-    def score(self, text: str) -> DictionaryScore:
-        """Score a comment: ratio of dictionary hits over total tokens."""
-        tokens = tokenize(text)
-        matches = tuple(tok for tok in tokens if self.is_hate_token(tok))
+    def _score(self, text: str, stems: dict[str, str]) -> DictionaryScore:
+        """Score one comment, stemming through the ``token -> stem`` memo."""
+        tokens = tokenize(text)  # already lowercase
+        matches = []
+        for token in tokens:
+            stemmed = stems.get(token)
+            if stemmed is None:
+                stemmed = stems[token] = self._stemmer.stem(token)
+            if self._matches(token, stemmed):
+                matches.append(token)
         return DictionaryScore(
             hate_tokens=len(matches),
             total_tokens=len(tokens),
-            matches=matches,
+            matches=tuple(matches),
         )
 
+    def score(self, text: str) -> DictionaryScore:
+        """Score a comment: ratio of dictionary hits over total tokens."""
+        return self._score(text, {})
+
     def score_many(self, texts: Sequence[str]) -> np.ndarray:
-        """Vector of hate ratios for a batch of comments."""
-        return np.asarray([self.score(text).ratio for text in texts])
+        """Vector of hate ratios for a batch of comments.
+
+        Each distinct token is stemmed once per call.
+        """
+        stems: dict[str, str] = {}
+        return np.asarray([self._score(text, stems).ratio for text in texts])

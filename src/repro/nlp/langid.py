@@ -9,17 +9,32 @@ Dissenter corpus (English, German, French, Spanish, Italian).
 The seed corpora are short passages of everyday text; character-trigram
 statistics of function words dominate, which is exactly why this family of
 classifiers works well on short comments.
+
+A trained identifier holds one float64 matrix with a row of per-language
+log-probabilities for each training n-gram, plus a last row of the
+per-language defaults for unseen n-grams.  Scoring a text is one dict
+lookup per n-gram, a row gather, and a running sum taken strictly in
+n-gram order (``np.add.accumulate``), so each log-likelihood is the same
+left-to-right sum on every Python version.  ``np.sum`` (pairwise along a
+contiguous axis), ``math.fsum`` and Python 3.12's ``sum`` can each round
+differently.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
+from itertools import repeat
 from typing import Mapping, Sequence
+
+import numpy as np
 
 from repro.nlp.ngrams import char_ngrams
 
 __all__ = ["LanguageIdentifier", "default_language_identifier", "SEED_CORPORA"]
+
+#: Log-prob rows :meth:`LanguageIdentifier.scores` gathers at a time.
+_GATHER_ROWS = 4096
 
 SEED_CORPORA: dict[str, str] = {
     "en": (
@@ -102,9 +117,9 @@ class LanguageIdentifier:
             raise ValueError("smoothing must be positive")
         self._order = order
         self._smoothing = smoothing
-        self._log_probs: dict[str, dict[str, float]] = {}
-        self._default_log_prob: dict[str, float] = {}
         self._languages: list[str] = []
+        self._gram_rows: dict[str, int] = {}
+        self._log_probs = np.zeros((1, 0))
 
     @property
     def languages(self) -> list[str]:
@@ -123,14 +138,17 @@ class LanguageIdentifier:
             counts_per_lang[lang] = counts
             vocab.update(counts)
         vocab_size = max(1, len(vocab))
-        for lang in self._languages:
+        grams = sorted(vocab)
+        self._gram_rows = {gram: row for row, gram in enumerate(grams)}
+        self._log_probs = np.empty((len(grams) + 1, len(self._languages)))
+        for column, lang in enumerate(self._languages):
             counts = counts_per_lang[lang]
             total = sum(counts.values()) + self._smoothing * vocab_size
-            self._log_probs[lang] = {
-                gram: math.log((count + self._smoothing) / total)
-                for gram, count in counts.items()
-            }
-            self._default_log_prob[lang] = math.log(self._smoothing / total)
+            self._log_probs[:, column] = math.log(self._smoothing / total)
+            for gram, count in counts.items():
+                self._log_probs[self._gram_rows[gram], column] = math.log(
+                    (count + self._smoothing) / total
+                )
         return self
 
     def scores(self, text: str) -> dict[str, float]:
@@ -138,12 +156,22 @@ class LanguageIdentifier:
         if not self._languages:
             raise RuntimeError("identifier must be trained before use")
         grams = char_ngrams(text.lower(), self._order)
-        result: dict[str, float] = {}
-        for lang in self._languages:
-            table = self._log_probs[lang]
-            default = self._default_log_prob[lang]
-            result[lang] = sum(table.get(gram, default) for gram in grams)
-        return result
+        if not grams:
+            return dict.fromkeys(self._languages, 0.0)
+        rows = np.fromiter(
+            map(self._gram_rows.get, grams, repeat(len(self._gram_rows))),
+            dtype=np.intp,
+            count=len(grams),
+        )
+        # Gather a bounded block of rows at a time: a long comment would
+        # otherwise copy its whole (grams x languages) slice at once.
+        totals = None
+        for start in range(0, len(rows), _GATHER_ROWS):
+            block = self._log_probs[rows[start : start + _GATHER_ROWS]]
+            if totals is not None:
+                block[0] += totals
+            totals = np.add.accumulate(block, axis=0, out=block)[-1]
+        return dict(zip(self._languages, totals.tolist()))
 
     def classify(self, text: str) -> str:
         """Most likely language; ties broken alphabetically.

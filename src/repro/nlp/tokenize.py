@@ -9,6 +9,7 @@ tokenisation layer.
 from __future__ import annotations
 
 import re
+import string
 
 __all__ = ["clean_text", "tokenize", "sentence_count", "caps_ratio"]
 
@@ -17,8 +18,8 @@ _MENTION_RE = re.compile(r"@\w+")
 _HTML_ENTITY_RE = re.compile(r"&[a-z]+;|&#\d+;", re.IGNORECASE)
 _TOKEN_RE = re.compile(r"[a-z0-9']+")
 _SENTENCE_RE = re.compile(r"[.!?]+")
-_ALPHA_RE = re.compile(r"[A-Za-z]")
-_UPPER_RE = re.compile(r"[A-Z]")
+_ASCII_LETTERS = string.ascii_letters.encode("ascii")
+_ASCII_UPPER = string.ascii_uppercase.encode("ascii")
 
 
 def clean_text(text: str) -> str:
@@ -51,6 +52,8 @@ def tokenize(text: str, clean: bool = True) -> list[str]:
     else:
         text = text.lower()
     tokens = _TOKEN_RE.findall(text)
+    if "'" not in text:
+        return tokens
     return [tok.strip("'") for tok in tokens if tok.strip("'")]
 
 
@@ -61,13 +64,15 @@ def sentence_count(text: str) -> int:
 
 
 def caps_ratio(text: str) -> float:
-    """Fraction of alphabetic characters that are upper-case.
+    """Fraction of ASCII letters that are upper-case.
 
     SHOUTED comments are a strong informal toxicity signal; the simulated
-    Perspective models use this as one input feature.
+    Perspective models use this as one input feature.  Letters are
+    counted on the UTF-8 bytes: no other character's encoding contains
+    an ASCII byte, so deleting the letter bytes counts the letters.
     """
-    letters = _ALPHA_RE.findall(text)
+    data = text.encode("utf-8", "surrogatepass")
+    letters = len(data) - len(data.translate(None, _ASCII_LETTERS))
     if not letters:
         return 0.0
-    uppers = _UPPER_RE.findall(text)
-    return len(uppers) / len(letters)
+    return (len(data) - len(data.translate(None, _ASCII_UPPER))) / letters

@@ -25,12 +25,19 @@ def default_analyzer(orders: tuple[int, ...] = (1, 2)) -> Callable[[str], list[s
 
     Cleans, tokenises, Porter-stems, and extracts word n-grams of the given
     orders (the paper uses 1- and 2-grams of cleaned, stemmed tokens).
+    Each distinct token is stemmed once per analyzer.
     """
     stemmer = PorterStemmer()
+    stem_of: dict[str, str] = {}
+
+    def stem(token: str) -> str:
+        stemmed = stem_of.get(token)
+        if stemmed is None:
+            stemmed = stem_of[token] = stemmer.stem(token)
+        return stemmed
 
     def analyze(text: str) -> list[str]:
-        stems = [stemmer.stem(tok) for tok in tokenize(text)]
-        return extract_ngrams(stems, orders)
+        return extract_ngrams([stem(tok) for tok in tokenize(text)], orders)
 
     return analyze
 

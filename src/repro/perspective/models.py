@@ -8,6 +8,16 @@ deterministic jitter derived from the text hash stands in for model
 uncertainty, so scoring is a pure function — same text, same score, like
 the real API.
 
+Scoring runs on a chunk of texts at once: the features come from
+:func:`~repro.perspective.lexicon.extract_features_many` as float64
+columns, and each estimator evaluates its formula elementwise, taking
+both sides of every branch and choosing with ``np.where``.  Every
+expression keeps the operand order and association of the scalar
+formula it replaced; elementwise float64 ``+ - * /`` round exactly like
+the Python float operators, and :func:`_max`/:func:`_min` pick the
+same operand as the builtins, so each score has the bits the scalar
+formula gives it and does not depend on the chunk it was scored in.
+
 Attribute names match the paper: SEVERE_TOXICITY, OBSCENE,
 LIKELY_TO_REJECT, ATTACK_ON_AUTHOR.
 """
@@ -15,9 +25,15 @@ LIKELY_TO_REJECT, ATTACK_ON_AUTHOR.
 from __future__ import annotations
 
 import hashlib
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Sequence
 
-from repro.perspective.lexicon import CommentFeatures, extract_features
+import numpy as np
+
+from repro.perspective.lexicon import (
+    TABLE_ENTRIES,
+    FeatureBatch,
+    extract_features_many,
+)
 
 __all__ = [
     "ATTRIBUTES",
@@ -41,20 +57,50 @@ _RUDE_GAIN = 0.40
 _CAPS_GAIN = 0.45
 
 
-def _clip01(value: float) -> float:
-    return min(1.0, max(0.0, value))
 
 
-def _jitter(text: str, salt: str, width: float = 0.08) -> float:
-    """Deterministic pseudo-noise in [-width/2, +width/2]."""
-    digest = hashlib.blake2b(
-        (salt + "\x1f" + text).encode("utf-8"), digest_size=8
-    ).digest()
-    u = int.from_bytes(digest, "big") / 2**64
+def _max(first, *others) -> np.ndarray:
+    """Elementwise ``max(first, *others)`` with Python's tie rule.
+
+    Like the builtin, a later operand replaces the running result only
+    when strictly greater, so ``_max(0.0, -0.0)`` is ``0.0`` (where
+    ``np.maximum`` gives ``-0.0``).
+    """
+    result = first
+    for other in others:
+        result = np.where(other > result, other, result)
+    return result
+
+
+def _min(first, *others) -> np.ndarray:
+    """Elementwise ``min(first, *others)`` with Python's tie rule."""
+    result = first
+    for other in others:
+        result = np.where(other < result, other, result)
+    return result
+
+
+def _clip01(value: np.ndarray) -> np.ndarray:
+    return _min(1.0, _max(0.0, value))
+
+
+def _jitter(texts: Sequence[str], salt: str, width: float = 0.08) -> np.ndarray:
+    """Deterministic pseudo-noise in [-width/2, +width/2], one per text.
+
+    Each value is the first 8 bytes of a blake2b digest of ``salt``,
+    a unit separator and the text, read as an unsigned 64-bit fraction
+    of 2**64.
+    """
+    prefix = (salt + "\x1f").encode("utf-8")
+    digests = b"".join(
+        hashlib.blake2b(prefix + text.encode("utf-8"), digest_size=8).digest()
+        for text in texts
+    )
+    u = np.frombuffer(digests, dtype=">u8").astype(np.float64) / 2.0**64
     return (u - 0.5) * width
 
 
-def _saturation_multiplier(f: CommentFeatures) -> float:
+def _saturation_multiplier(f: FeatureBatch) -> np.ndarray:
     """Undo the generator's probability normalisation for extreme comments.
 
     The emission model turns per-class rates into a categorical
@@ -65,14 +111,14 @@ def _saturation_multiplier(f: CommentFeatures) -> float:
     inverted.  Below the saturation region shares equal rates and no
     correction applies.
     """
-    s = min(f.union_rate, 0.975)
-    if s <= 0.90:
-        return 1.0
+    s = _min(f.union_rate, 0.975)
     implied_total = 0.05 * s / (1.0 - s)
-    return max(1.0, min(2.2, implied_total + 0.05))
+    return np.where(
+        s <= 0.90, 1.0, _max(1.0, _min(2.2, implied_total + 0.05))
+    )
 
 
-def _estimate_obscene(f: CommentFeatures) -> float:
+def _estimate_obscene(f: FeatureBatch) -> np.ndarray:
     m = _saturation_multiplier(f)
     est_from_offensive = _clip01(
         (m * f.offensive_rate - _OFFENSIVE_BASE) / _OFFENSIVE_GAIN
@@ -80,59 +126,59 @@ def _estimate_obscene(f: CommentFeatures) -> float:
     est_from_obscene = _clip01(
         (m * f.obscene_rate - _OBSCENE_BASE) / _OBSCENE_GAIN
     )
-    return max(est_from_offensive, 0.9 * est_from_obscene)
+    return _max(est_from_offensive, 0.9 * est_from_obscene)
 
 
-def _estimate_toxicity(f: CommentFeatures) -> float:
-    if f.hate_rate > 0:
-        from_hate = _HATE_THRESHOLD + _saturation_multiplier(f) * f.hate_rate * (
+def _estimate_toxicity(f: FeatureBatch) -> np.ndarray:
+    from_hate = np.where(
+        f.hate_rate > 0,
+        _HATE_THRESHOLD + _saturation_multiplier(f) * f.hate_rate * (
             (1.0 - _HATE_THRESHOLD) / _HATE_GAIN
-        )
-    else:
-        from_hate = 0.0
+        ),
+        0.0,
+    )
     from_caps = _clip01(f.caps / _CAPS_GAIN) * 0.55
     from_obscene = 0.45 * _estimate_obscene(f)
-    raw = max(from_hate, from_caps, from_obscene)
+    raw = _max(from_hate, from_caps, from_obscene)
     # Calibration stretch: token-rate estimates regress extreme comments
     # toward the middle (a 16-token sample underestimates a 40% hate-token
     # rate about half the time), so the upper half of the scale is
     # expanded to undo the shrinkage.
-    if raw > 0.5:
-        raw = 0.5 + (raw - 0.5) * 1.6
+    raw = np.where(raw > 0.5, 0.5 + (raw - 0.5) * 1.6, raw)
     return _clip01(raw)
 
 
-def _estimate_reject(f: CommentFeatures) -> float:
+def _estimate_reject(f: FeatureBatch) -> np.ndarray:
     # Vocabulary evidence alone cannot certify the extreme (> 0.95) band;
     # only the graded bang channel reaches it.  This mirrors how the real
     # LIKELY_TO_REJECT model saturates: moderators reject rude comments at
     # high but not certain rates, while unambiguous markers max the score.
-    from_rude = min(
+    from_rude = _min(
         0.93, _clip01(_saturation_multiplier(f) * f.rude_rate / _RUDE_GAIN)
     )
-    from_tox = min(0.94, 0.95 * _estimate_toxicity(f) + 0.05)
+    from_tox = _min(0.94, 0.95 * _estimate_toxicity(f) + 0.05)
     from_obscene = 0.7 * _estimate_obscene(f)
-    estimate = max(from_rude, from_tox, from_obscene)
-    if f.bang_run >= 3:
-        # The generator appends a bang run only above 0.75 latent reject,
-        # with run length growing linearly in (reject - 0.75).
-        graded = 0.74 + 0.25 * min(1.0, (f.bang_run - 3) / 7.0)
-        estimate = max(estimate, graded)
+    estimate = _max(from_rude, from_tox, from_obscene)
+    # The generator appends a bang run only above 0.75 latent reject,
+    # with run length growing linearly in (reject - 0.75).
+    graded = 0.74 + 0.25 * _min(1.0, (f.bang_run - 3) / 7.0)
+    estimate = np.where(
+        f.bang_run >= 3, _max(estimate, graded), estimate
+    )
     return _clip01(estimate)
 
 
-def _estimate_attack(f: CommentFeatures) -> float:
-    if f.has_attack_phrase:
-        return _clip01(0.62 + 0.5 * f.offensive_rate + 0.3 * f.caps)
+def _estimate_attack(f: FeatureBatch) -> np.ndarray:
+    with_phrase = _clip01(0.62 + 0.5 * f.offensive_rate + 0.3 * f.caps)
     background = (
         0.30 * _clip01(f.rude_rate / _RUDE_GAIN)
         + 0.22 * _estimate_obscene(f)
         + 0.10 * f.caps
     )
-    return _clip01(background)
+    return np.where(f.has_attack_phrase, with_phrase, _clip01(background))
 
 
-AttributeScorer = Callable[[CommentFeatures], float]
+AttributeScorer = Callable[[FeatureBatch], np.ndarray]
 
 _SCORERS: dict[str, AttributeScorer] = {
     "SEVERE_TOXICITY": _estimate_toxicity,
@@ -140,6 +186,22 @@ _SCORERS: dict[str, AttributeScorer] = {
     "LIKELY_TO_REJECT": _estimate_reject,
     "ATTACK_ON_AUTHOR": _estimate_attack,
 }
+
+
+def _score_rows(
+    texts: Sequence[str],
+    table: dict[str, int],
+    attributes: Iterable[str] = ATTRIBUTES,
+) -> list[dict[str, float]]:
+    """One score dict per text, from one batch featurization."""
+    scorers = [(attribute, _SCORERS[attribute]) for attribute in attributes]
+    features = extract_features_many(texts, table)
+    rows: list[dict[str, float]] = [{} for _ in texts]
+    for attribute, scorer in scorers:
+        column = _clip01(scorer(features) + _jitter(texts, attribute)).tolist()
+        for row, value in zip(rows, column):
+            row[attribute] = value
+    return rows
 
 
 def score_comment(
@@ -150,57 +212,51 @@ def score_comment(
     Raises:
         KeyError: unknown attribute name.
     """
-    features = extract_features(text)
-    scores: dict[str, float] = {}
-    for attribute in attributes:
-        scorer = _SCORERS[attribute]
-        raw = scorer(features)
-        scores[attribute] = _clip01(raw + _jitter(text, attribute))
-    return scores
+    return _score_rows([text], {}, attributes)[0]
 
 
 class PerspectiveModels:
     """Batch scoring facade with a tiny cache.
 
     The cache matters because the crawler and several analyses score
-    overlapping comment sets; the real API would bill each call.
+    overlapping comment sets; the real API would bill each call.  The
+    models also own the token class table their featurizer fills, so a
+    token is stemmed once per models instance.
     """
 
-    def __init__(self, cache_size: int = 100_000):
+    def __init__(self, cache_size: int = TABLE_ENTRIES):
         self._cache: dict[str, dict[str, float]] = {}
         self._cache_size = cache_size
+        self._token_classes: dict[str, int] = {}
         self.calls = 0
 
     def score(self, text: str) -> dict[str, float]:
         """All-attribute scores for one comment (cached)."""
-        cached = self._cache.get(text)
-        if cached is not None:
-            return dict(cached)
-        self.calls += 1
-        scores = score_comment(text)
-        if len(self._cache) < self._cache_size:
-            self._cache[text] = scores
-        return dict(scores)
+        return self.score_many([text])[0]
 
     def score_many(
         self, texts: Iterable[str]
     ) -> list[dict[str, float]]:
         """Scores for a batch of comments, in input order.
 
-        The batch is deduplicated first, so each unique text is scored
-        at most once even when the cache is cold or full; every returned
-        row is an independent dict.
+        The batch is deduplicated first, and its uncached texts are
+        scored in one batch call, each at most once even when the cache
+        is cold or full; every returned row is an independent dict.
         """
+        batch = list(texts)
+        fresh = [text for text in dict.fromkeys(batch) if text not in self._cache]
         computed: dict[str, dict[str, float]] = {}
+        if fresh:
+            computed = dict(zip(fresh, _score_rows(fresh, self._token_classes)))
+        self.calls += len(fresh)
+        for text, scores in computed.items():
+            if len(self._cache) >= self._cache_size:
+                break
+            self._cache[text] = scores
         rows: list[dict[str, float]] = []
-        for text in texts:
+        for text in batch:
             scores = computed.get(text)
-            if scores is None:
-                scores = self.score(text)
-                computed[text] = scores
-                rows.append(scores)
-            else:
-                rows.append(dict(scores))
+            rows.append(dict(self._cache[text] if scores is None else scores))
         return rows
 
     def attribute_values(
@@ -209,4 +265,4 @@ class PerspectiveModels:
         """One attribute's scores over a batch."""
         if attribute not in _SCORERS:
             raise KeyError(f"unknown Perspective attribute {attribute!r}")
-        return [self.score(text)[attribute] for text in texts]
+        return [row[attribute] for row in self.score_many(texts)]

@@ -79,21 +79,6 @@ class TestScoreStoreCache:
             store.attribute_values(TEXTS, "NO_SUCH_ATTRIBUTE")
 
 
-class TestScoreStoreParallel:
-    @pytest.mark.parametrize("workers", [0, 2, 8])
-    def test_parallel_equals_serial(self, workers):
-        batch = TEXTS * 5 + [f"{t} again" for t in TEXTS]
-        serial = ScoreStore(workers=0).score_many(batch)
-        pooled = ScoreStore(workers=workers).score_many(batch)
-        assert serial == pooled   # bit-identical floats, same order
-
-    def test_per_call_worker_override(self):
-        store = ScoreStore(workers=0)
-        rows = store.score_many(TEXTS, workers=4)
-        assert rows == [score_comment(t) for t in TEXTS]
-        assert store.counters.misses == len(TEXTS)
-
-
 class TestScoreStoreChannels:
     def test_dictionary_ratios_cached(self):
         store = ScoreStore()
@@ -123,7 +108,7 @@ class TestScoreStoreChannels:
 
 @pytest.fixture(scope="module")
 def staged_pipeline():
-    """A tiny pipeline run stage by stage (serial scoring)."""
+    """A tiny pipeline run stage by stage."""
     pipeline = ReproductionPipeline(WorldConfig(scale=0.001, seed=3))
     artifacts = pipeline.stage_crawl()
     pipeline.stage_score(artifacts)
@@ -133,12 +118,9 @@ def staged_pipeline():
 
 
 @pytest.fixture(scope="module")
-def parallel_report():
-    """The same world, full run, scoring on 4 workers."""
-    pipeline = ReproductionPipeline(
-        WorldConfig(scale=0.001, seed=3), workers=4
-    )
-    return pipeline.run()
+def run_report():
+    """The same world, one full run() on a fresh pipeline."""
+    return ReproductionPipeline(WorldConfig(scale=0.001, seed=3)).run()
 
 
 class TestSinglePassPipeline:
@@ -159,36 +141,38 @@ class TestSinglePassPipeline:
         assert pipeline.store.counters.hits > 0
 
     def test_parallel_run_reproduces_serial_figures(
-        self, staged_pipeline, parallel_report
+        self, staged_pipeline, run_report
     ):
-        _pipeline, _artifacts, serial, _misses = staged_pipeline
-        parallel = parallel_report
-        for attribute, by_class in serial.shadow.scores.items():
+        # The staged run and a separate full run() score the same texts
+        # in one pass each; every figure must come out identical.
+        _pipeline, _artifacts, staged, _misses = staged_pipeline
+        full = run_report
+        for attribute, by_class in staged.shadow.scores.items():
             for cls, scores in by_class.items():
                 assert np.array_equal(
-                    scores, parallel.shadow.scores[attribute][cls]
+                    scores, full.shadow.scores[attribute][cls]
                 ), (attribute, cls)
-        for attribute, by_dataset in serial.relative.scores.items():
+        for attribute, by_dataset in staged.relative.scores.items():
             for name, scores in by_dataset.items():
                 assert np.array_equal(
-                    scores, parallel.relative.scores[attribute][name]
+                    scores, full.relative.scores[attribute][name]
                 ), (attribute, name)
-        assert serial.votes.bucket_means == parallel.votes.bucket_means
-        assert serial.votes.bucket_medians == parallel.votes.bucket_medians
-        for category, scores in serial.bias.toxicity.items():
+        assert staged.votes.bucket_means == full.votes.bucket_means
+        assert staged.votes.bucket_medians == full.votes.bucket_medians
+        for category, scores in staged.bias.toxicity.items():
             assert np.array_equal(
-                scores, parallel.bias.toxicity[category]
+                scores, full.bias.toxicity[category]
             ), category
-        assert serial.hateful_core.size == parallel.hateful_core.size
+        assert staged.hateful_core.size == full.hateful_core.size
         assert (
-            serial.social.toxicity_by_in_degree
-            == parallel.social.toxicity_by_in_degree
+            staged.social.toxicity_by_in_degree
+            == full.social.toxicity_by_in_degree
         )
 
-    def test_run_records_stage_timings_and_counters(self, parallel_report):
-        seconds = parallel_report.stage_seconds
+    def test_run_records_stage_timings_and_counters(self, run_report):
+        seconds = run_report.stage_seconds
         assert set(seconds) == {"crawl", "score", "analyze"}
         assert all(value >= 0 for value in seconds.values())
-        counters = parallel_report.scoring_counters
+        counters = run_report.scoring_counters
         assert counters["misses"] > 0
         assert counters["batches"] >= 1

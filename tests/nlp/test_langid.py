@@ -1,5 +1,6 @@
 """Tests for the character-n-gram language identifier."""
 
+import numpy as np
 import pytest
 
 from repro.nlp.langid import (
@@ -7,6 +8,9 @@ from repro.nlp.langid import (
     SEED_CORPORA,
     default_language_identifier,
 )
+from repro.platform.entities import CommentLatent
+from repro.platform.textgen import CommentTextGenerator
+from tests.oracles.langid import DictLanguageIdentifier
 
 SENTENCES = {
     "en": "this is clearly an english sentence about the weekly news",
@@ -66,6 +70,35 @@ class TestTraining:
         )
         assert li.classify("aaa") == "aa"
         assert li.classify("bbb") == "bb"
+
+
+def _generated_comments() -> list[str]:
+    gen = CommentTextGenerator(np.random.default_rng(11), mean_tokens=15)
+    latent = CommentLatent(toxicity=0.4, obscene=0.2, attack=0.1, reject=0.5)
+    return [
+        gen.generate(latent, language=lang)
+        for lang in sorted(SEED_CORPORA)
+        for _ in range(40)
+    ]
+
+
+class TestSequentialSumOracle:
+    """``scores`` sums gram log-probs left to right, bit for bit."""
+
+    # The last text spans several gathered blocks of log-prob rows.
+    EDGE_TEXTS = ["", " ", "   \t ", "a", "Ü", "!", " ".join(SEED_CORPORA.values()) * 4]
+
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    def test_scores_match_dict_oracle(self, order):
+        identifier = LanguageIdentifier(order=order).fit(SEED_CORPORA)
+        oracle = DictLanguageIdentifier(order=order).fit(SEED_CORPORA)
+        for text in self.EDGE_TEXTS + _generated_comments():
+            got = identifier.scores(text)
+            want = oracle.scores(text)
+            assert list(got) == list(want)
+            assert [v.hex() for v in got.values()] == [
+                v.hex() for v in want.values()
+            ], text
 
 
 class TestCorpusLevelAccuracy:

@@ -7,7 +7,11 @@ here, unchanged in behaviour, as the references for the parity tests:
 * :mod:`tests.oracles.analyses` — the record-dict §4 analyses;
 * :mod:`tests.oracles.graph` — the networkx §4.5 analyses plus a
   :func:`~tests.oracles.graph.to_networkx` converter for CSR graphs;
-* :mod:`tests.oracles.serve` — the record-dict serve toxicity summaries.
+* :mod:`tests.oracles.serve` — the record-dict serve toxicity summaries;
+* :mod:`tests.oracles.perspective` — per-text Perspective scoring, the
+  reference for the batch featurizer;
+* :mod:`tests.oracles.langid` — dict-per-language language
+  identification with a left-to-right log-likelihood sum.
 
 Every function takes the same arguments as the production function it
 mirrors, so a test can swap one for the other by name.
