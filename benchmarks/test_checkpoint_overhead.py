@@ -60,9 +60,12 @@ def test_checkpoint_overhead_and_resume_savings(tmp_path):
     )
     resumed_requests = resumed.origins.transport.requests_attempted
 
-    # The snapshot serialises the full partial corpus, so the per-save
-    # cost (not the total) is the number that matters: cadence amortises
-    # it, and on a real weeks-long crawl network latency dwarfs it.
+    # A save encodes only the active crawler's payload (its cursor and
+    # the store's unsealed tail); completed stages are copied in as text
+    # encoded once per stage.  Every save still writes the whole
+    # envelope, so the per-save cost (not the total) is the number that
+    # matters: cadence amortises it, and on a real weeks-long crawl
+    # network latency dwarfs it.
     per_save_ms = (
         (checkpointed_seconds - plain_seconds) / max(checkpointer.saves, 1)
     ) * 1000.0

@@ -56,8 +56,9 @@ def _add_crawl_engine_flags(parser: argparse.ArgumentParser) -> None:
         "--store-dir", type=Path, default=None, metavar="DIR",
         help="spill sealed corpus segments to this directory; runtime "
              "checkpoints then reference them by name + hash instead of "
-             "embedding the corpus, so a tick costs O(progress since the "
-             "last tick) — corpus and report are bit-identical either way")
+             "embedding the corpus, so a tick's store payload is bounded "
+             "by the unsealed tail — corpus and report are bit-identical "
+             "either way")
     parser.add_argument(
         "--segment-records", type=int, default=4096, metavar="N",
         help="records per sealed corpus segment (default 4096)")

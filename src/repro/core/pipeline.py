@@ -59,6 +59,7 @@ from repro.core.socialnet import (
 from repro.core.urls import UrlTableStats, analyze_urls
 from repro.core.votes import VoteToxicity, analyze_votes
 from repro.core.youtube import YouTubeAnalysis, analyze_youtube
+from repro.crawler.checkpoint import EncodedJSON
 from repro.crawler.dissenter_crawl import DissenterCrawler
 from repro.crawler.gab_enum import GabEnumerationResult, GabEnumerator
 from repro.crawler.reddit_crawl import RedditMatcher, RedditMatchResult
@@ -366,22 +367,27 @@ class ReproductionPipeline:
             artifacts = dict(resume.get("artifacts") or {})
             active = resume.get("active")
 
+        # Completed-stage artifacts only change between stages, so every
+        # tick of a stage splices in the same text, encoded once.
+        encoded_artifacts: EncodedJSON | None = None
         if checkpointer is not None:
+            encoded_artifacts = EncodedJSON.of(artifacts)
             checkpointer.set_wrapper(
                 lambda inner: {
                     "version": _PIPELINE_CHECKPOINT_VERSION,
                     "kind": "pipeline",
                     "stage": stage,
-                    "artifacts": artifacts,
+                    "artifacts": encoded_artifacts,
                     "active": inner,
                 }
             )
 
         def advance(next_stage: str) -> None:
-            nonlocal stage, active
+            nonlocal stage, active, encoded_artifacts
             stage = next_stage
             active = None
             if checkpointer is not None:
+                encoded_artifacts = EncodedJSON.of(artifacts)
                 checkpointer.set_provider(None)
                 checkpointer.flush()
 

@@ -10,11 +10,17 @@ survival.  Two formats live here:
 * **v3** — a :class:`CrawlCheckpoint` whose partial corpus travels as a
   :meth:`~repro.store.CorpusStore.snapshot` payload: sealed-segment
   references (name + count + sha256, the bytes on disk under
-  ``--store-dir``) plus only the unsealed tail — so a checkpoint tick
-  costs O(progress since the last tick), not O(corpus).  It is the only
-  runtime format read: a v2 document (whose corpus was a full
+  ``--store-dir``) plus only the unsealed tail.  It is the only runtime
+  format read: a v2 document (whose corpus was a full
   ``result_to_payload`` body) is rejected with a ``ValueError`` naming
   its version.
+
+A tick encodes only the active crawler's payload.  Values that stay
+fixed while a stage runs — the pipeline's completed-stage artifacts, the
+shadow crawler's baseline id set — travel as :class:`EncodedJSON`, whose
+text :func:`encode_json` copies in verbatim instead of re-encoding it.
+The bytes written per tick are still the whole document, and exactly
+``json.dumps`` of the plain payload.
 
 The ``store`` payload stays an opaque dict at this layer;
 :meth:`repro.store.CorpusStore.restore_payload` reads it, which keeps
@@ -37,6 +43,7 @@ if TYPE_CHECKING:   # the store's segment writer imports this module
 
 __all__ = [
     "CrawlCheckpoint",
+    "EncodedJSON",
     "SHARD_ENVELOPE_VERSION",
     "atomic_write_json",
     "atomic_write_text",
@@ -45,6 +52,7 @@ __all__ = [
     "dump_checkpoint",
     "dump_result",
     "dumps_result",
+    "encode_json",
     "is_shard_envelope",
     "load_checkpoint",
     "load_result",
@@ -224,8 +232,72 @@ def atomic_write_text(path: str | Path, text: str) -> None:
 
 
 def atomic_write_json(path: str | Path, payload: dict) -> None:
-    """Serialise ``payload`` and write it atomically."""
-    atomic_write_text(path, json.dumps(payload))
+    """Serialise ``payload`` with :func:`encode_json` and write it atomically."""
+    atomic_write_text(path, encode_json(payload))
+
+
+# ----------------------------------------------------------------------
+# Encode-once values.
+# ----------------------------------------------------------------------
+
+
+@dataclass(frozen=True, slots=True)
+class EncodedJSON:
+    """A JSON value whose :func:`encode_json` text was computed once.
+
+    Place one anywhere in a payload handed to :func:`encode_json` (or
+    :func:`atomic_write_json`) and its text is copied into the output
+    as is — a value that outlives many checkpoint ticks is encoded once,
+    not once per tick.  Build one with :meth:`of`.
+    """
+
+    text: str
+
+    @classmethod
+    def of(cls, value: object) -> "EncodedJSON":
+        return cls(encode_json(value))
+
+
+def encode_json(payload: object) -> str:
+    """``json.dumps(payload)``, with every :class:`EncodedJSON` spliced in.
+
+    The result equals ``json.dumps`` of the payload with each
+    :class:`EncodedJSON` replaced by the value it encodes.  The C
+    encoder does all the work: it hands each :class:`EncodedJSON` to a
+    ``default`` hook that substitutes a marker string, and the marker's
+    quoted form is then replaced by the stored text.  A payload string
+    that happens to encode to the marker shows up as a surplus marker,
+    and the encode is retried with another marker.
+
+    Raises:
+        TypeError: the payload holds a value JSON cannot encode.
+    """
+    spliced: list[str] = []
+    marker = ""
+
+    def splice(value: object) -> str:
+        if not isinstance(value, EncodedJSON):
+            raise TypeError(
+                f"Object of type {type(value).__name__} is not JSON serializable"
+            )
+        spliced.append(value.text)
+        return marker
+
+    attempt = 0
+    while True:
+        marker = f"\x00encoded-json-{attempt}\x00"
+        spliced.clear()
+        text = json.dumps(payload, default=splice)
+        if not spliced:
+            return text
+        parts = text.split(json.dumps(marker))
+        if len(parts) == len(spliced) + 1:
+            out = [parts[0]]
+            for inner, part in zip(spliced, parts[1:]):
+                out.append(inner)
+                out.append(part)
+            return "".join(out)
+        attempt += 1
 
 
 # ----------------------------------------------------------------------

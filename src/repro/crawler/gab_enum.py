@@ -12,7 +12,7 @@ This crawler reproduces that, driving a :class:`HeaderRateLimiter` off the
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 from repro.crawler.checkpoint import CrawlCheckpoint, coerce_checkpoint
 from repro.crawler.records import CrawledGabAccount
@@ -42,7 +42,17 @@ class GabEnumerationResult:
     def to_dict(self) -> dict:
         """JSON-ready snapshot (checkpointing)."""
         return {
-            "accounts": [asdict(a) for a in self.accounts],
+            "accounts": [
+                {
+                    "gab_id": a.gab_id,
+                    "username": a.username,
+                    "display_name": a.display_name,
+                    "created_at_iso": a.created_at_iso,
+                    "followers_count": a.followers_count,
+                    "following_count": a.following_count,
+                }
+                for a in self.accounts
+            ],
             "ids_probed": self.ids_probed,
             "misses": self.misses,
         }

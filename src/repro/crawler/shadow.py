@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from repro.crawler.checkpoint import CrawlCheckpoint, coerce_checkpoint
+from repro.crawler.checkpoint import CrawlCheckpoint, EncodedJSON, coerce_checkpoint
 from repro.crawler.parsing import parse_comment_page
 from repro.crawler.runtime import Checkpointer
 from repro.net.client import HttpClient
@@ -200,14 +200,17 @@ class ShadowCrawler:
             url_ids = list(result.urls)
 
         if checkpointer is not None:
+            # Both id lists are fixed for the whole stage: encode them once.
+            encoded_baseline = EncodedJSON.of(sorted(baseline_ids))
+            encoded_urls = EncodedJSON.of(url_ids)
             checkpointer.set_provider(
                 lambda: CrawlCheckpoint(
                     crawler="shadow",
                     stage=stage,
                     cursor={
                         "page_index": page_index,
-                        "baseline_ids": sorted(baseline_ids),
-                        "url_ids": url_ids,
+                        "baseline_ids": encoded_baseline,
+                        "url_ids": encoded_urls,
                         "found": dict(found_counts),
                     },
                     store=result.snapshot(),

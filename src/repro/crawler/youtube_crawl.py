@@ -10,7 +10,7 @@ page, follows youtu.be redirects, and executes the extraction against the
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Iterable
 from urllib.parse import urlsplit
 
@@ -54,7 +54,17 @@ class YouTubeCrawlResult:
     def to_dict(self) -> dict:
         """JSON-ready snapshot (checkpointing)."""
         return {
-            "items": {url: asdict(item) for url, item in self.items.items()},
+            "items": {
+                url: {
+                    "url": item.url,
+                    "kind": item.kind,
+                    "status": item.status,
+                    "title": item.title,
+                    "owner": item.owner,
+                    "comments_disabled": item.comments_disabled,
+                }
+                for url, item in self.items.items()
+            },
             "fetch_failures": list(self.fetch_failures),
         }
 

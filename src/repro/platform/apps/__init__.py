@@ -61,7 +61,8 @@ def build_origins(
         latency: per-request simulated round-trip seconds.
         with_faults: inject timeouts/5xx per the world config's fault
             rates (exercises the crawler's §3.2 re-request logic).
-        seed: fault-injection RNG seed.
+        seed: fault-injection RNG seed.  Session tokens are drawn from
+            the world seed instead, so they do not move with this one.
     """
     clock = clock if clock is not None else VirtualClock()
     faults = None
@@ -74,7 +75,7 @@ def build_origins(
         clock=clock, latency=latency, faults=faults, seed=seed
     )
 
-    dissenter = DissenterApp(world.dissenter, clock)
+    dissenter = DissenterApp(world.dissenter, clock, session_seed=world.config.seed)
     gab = GabApp(world.gab, world.social, clock)
     trends = TrendsApp(world.dissenter)
     youtube = YouTubeApp(world.youtube)

@@ -26,7 +26,7 @@ paper observed — which a breadth-first crawl never trips.
 from __future__ import annotations
 
 import json
-import secrets
+import random
 
 from repro.net.clock import Clock
 from repro.net.http import Request, Response
@@ -44,7 +44,7 @@ RATE_LIMIT_PER_URL = 10 / 60.0    # 10 requests/minute, per URL (§3.2)
 class DissenterApp(App):
     """HTTP application over a :class:`DissenterState`."""
 
-    def __init__(self, state: DissenterState, clock: Clock):
+    def __init__(self, state: DissenterState, clock: Clock, session_seed: int = 0):
         # Route handlers read immutable state; sessions enter the render
         # only through the request's Cookie header (part of the memo key)
         # and no handler emits Set-Cookie — so renders are memoisable.
@@ -53,6 +53,9 @@ class DissenterApp(App):
         self._state = state
         self._clock = clock
         self._sessions: dict[str, tuple[bool, bool]] = {}
+        # Seeded, so a same-seed crawl hands out the same session tokens
+        # and its checkpointed cookie jars are byte-identical.
+        self._session_rng = random.Random(session_seed)
         self._urls_by_id = state.urls.by_id()
         self._comment_index = {c.comment_id.hex: c for c in state.comments}
         # Per-URL "does any comment carry this flag" index, so the
@@ -81,7 +84,7 @@ class DissenterApp(App):
 
     def create_session(self, nsfw: bool = False, offensive: bool = False) -> str:
         """Provision an authenticated session; returns the cookie token."""
-        token = secrets.token_hex(8)
+        token = f"{self._session_rng.getrandbits(64):016x}"
         self._sessions[token] = (nsfw, offensive)
         return token
 

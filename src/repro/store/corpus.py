@@ -351,9 +351,13 @@ class CorpusStore:
 
         Sealed segments appear as references only when they live on
         disk; inline segments carry their lines (the data must live
-        somewhere).  The unsealed tail always rides along, so the
-        per-tick serialization cost with a ``store_dir`` is bounded by
-        ``segment_records``, not corpus size.
+        somewhere).  The unsealed tail always rides along, so with a
+        ``store_dir`` the store's share of a checkpoint tick is bounded
+        by ``segment_records``, not corpus size.  The rest of the tick
+        is the active crawler's cursor plus completed-stage artifacts
+        the pipeline encodes once per stage (see
+        :class:`repro.crawler.checkpoint.EncodedJSON`); a tick still
+        writes the whole envelope.
         """
         sealed = []
         for ref in self._refs:

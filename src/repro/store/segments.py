@@ -3,8 +3,8 @@
 A sealed segment is an immutable JSONL file of exactly ``count`` encoded
 records whose bytes are covered by a SHA-256 content hash; the manifest
 lists every sealed segment in order.  Checkpoint format v3 records only
-these (name, count, hash) references plus the unsealed tail, so a
-checkpoint tick costs O(progress since the last tick), not O(corpus).
+these (name, count, hash) references plus the unsealed tail, so the
+store's share of a checkpoint tick is bounded by the tail, not the corpus.
 
 A segment may additionally carry a columnar projection — a ``.npz``
 sibling file (:mod:`repro.store.columns`) whose SHA-256 travels in the

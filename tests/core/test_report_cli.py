@@ -88,23 +88,36 @@ class TestCliExecution:
         corpus = load_result(out_file)
         assert corpus.summary()["comments"] > 0
 
-    def test_crawl_kill_and_resume_round_trip(self, tmp_path, capsys):
-        """CLI crash-safety: crawl → die-after-K (exit 3) → crawl --resume
-        must finish with a corpus identical to an uninterrupted crawl."""
-        from repro.cli import EXIT_KILLED
-        from repro.crawler.checkpoint import load_result, result_to_payload
-
-        reference = tmp_path / "reference.json"
+    @pytest.fixture(scope="class")
+    def reference_dump(self, tmp_path_factory):
+        """The corpus dump of an uninterrupted sequential crawl."""
+        reference = tmp_path_factory.mktemp("reference") / "reference.json"
         assert main([
             "crawl", "--scale", "0.001", "--seed", "3",
             "--out", str(reference),
         ]) == 0
+        return reference.read_bytes()
 
+    @pytest.mark.parametrize("options", [
+        [],
+        ["--connections", "4"],
+        ["--store-dir", "{tmp}/segments", "--segment-records", "256"],
+    ], ids=["default", "connections-4", "store-dir"])
+    def test_crawl_kill_and_resume_round_trip(
+        self, options, reference_dump, tmp_path, capsys
+    ):
+        """CLI crash-safety: crawl → die-after-K (exit 3) → crawl --resume
+        must finish with a corpus dump byte-identical to an uninterrupted
+        sequential crawl's — over concurrent connections and with sealed
+        segments spilled to a store directory too."""
+        from repro.cli import EXIT_KILLED
+
+        options = [opt.format(tmp=tmp_path) for opt in options]
         out_file = tmp_path / "crawl.json"
         state_file = tmp_path / "crawl.json.state.json"
         exit_code = main([
             "crawl", "--scale", "0.001", "--seed", "3",
-            "--out", str(out_file),
+            "--out", str(out_file), *options,
             "--checkpoint-every", "5", "--die-after", "120",
         ])
         assert exit_code == EXIT_KILLED
@@ -113,13 +126,13 @@ class TestCliExecution:
 
         exit_code = main([
             "crawl", "--scale", "0.001", "--seed", "3",
-            "--out", str(out_file), "--resume",
+            "--out", str(out_file), *options, "--resume",
         ])
         assert exit_code == 0
         assert not state_file.exists()      # superseded by the corpus
-        assert result_to_payload(load_result(out_file)) == (
-            result_to_payload(load_result(reference))
-        )
+        assert out_file.read_bytes() == reference_dump
+        if "--store-dir" in options:
+            assert (tmp_path / "segments" / "manifest.json").exists()
 
     def test_crawl_resume_without_state_fails(self, tmp_path):
         with pytest.raises(SystemExit):

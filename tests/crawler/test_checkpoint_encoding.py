@@ -1,0 +1,190 @@
+"""Encode-once checkpoint payloads.
+
+:func:`encode_json` must produce exactly ``json.dumps`` of the payload
+with every :class:`EncodedJSON` replaced by the value it encodes, a
+checkpointed pipeline crawl must keep writing plain ``json.dumps`` text
+that is a pure function of the crawl's seed, and the providers'
+hand-built ``to_dict`` forms must equal their ``dataclasses.asdict``
+forms.
+"""
+
+import json
+import shutil
+from dataclasses import asdict
+
+import pytest
+from hypothesis import given, strategies as st
+
+from repro.core.pipeline import ReproductionPipeline
+from repro.crawler.checkpoint import EncodedJSON, encode_json
+from repro.crawler.gab_enum import GabEnumerationResult
+from repro.crawler.records import CrawledGabAccount, CrawledYouTubeItem
+from repro.crawler.runtime import Checkpointer
+from repro.crawler.youtube_crawl import YouTubeCrawlResult
+from repro.platform import WorldConfig, build_world
+
+LEAVES = [
+    None, True, False, 0, -7, 2**70, 0.1, -0.0, 1e300, 3.5,
+    "", "plain", "naïve café ✓", "quote \" back \\ slash", "tab\tnl\n\x00",
+    "😀 emoji", "  ", [], {},
+]
+
+
+def _encoded(value, depth):
+    """``value`` wrapped in ``depth`` containers, innermost an EncodedJSON."""
+    payload = EncodedJSON.of(value)
+    plain = value
+    for level in range(depth):
+        if level % 2:
+            payload, plain = [1, payload, "x"], [1, plain, "x"]
+        else:
+            payload, plain = {"k": payload, 3: None}, {"k": plain, 3: None}
+    return payload, plain
+
+
+class TestEncodeJson:
+    @pytest.mark.parametrize("depth", [0, 1, 2, 3])
+    @pytest.mark.parametrize("leaf", LEAVES, ids=repr)
+    def test_splices_like_json_dumps(self, leaf, depth):
+        payload, plain = _encoded(leaf, depth)
+        assert encode_json(payload) == json.dumps(plain)
+
+    def test_nested_encoded_and_mixed_keys(self):
+        inner = {"é": [1.5, None], 2: {"deep": EncodedJSON.of({})}}
+        payload = {
+            1: EncodedJSON.of({"a": [True, False]}),
+            "two": EncodedJSON.of(inner),
+            "empty": {},
+            "list": [EncodedJSON.of(None), {}, [EncodedJSON.of("ü\n")]],
+        }
+        plain = {
+            1: {"a": [True, False]},
+            "two": {"é": [1.5, None], 2: {"deep": {}}},
+            "empty": {},
+            "list": [None, {}, ["ü\n"]],
+        }
+        assert EncodedJSON.of(inner).text == json.dumps(
+            {"é": [1.5, None], 2: {"deep": {}}}
+        )
+        assert encode_json(payload) == json.dumps(plain)
+
+    def test_plain_payload_is_json_dumps(self):
+        payload = {"a": [1, 2.5, None], 7: {"b": "ÿ"}, "c": {}}
+        assert encode_json(payload) == json.dumps(payload)
+
+    def test_payload_string_equal_to_the_marker(self):
+        # A data string that encodes like the splice marker must not be
+        # mistaken for a splice point.
+        decoy = "\x00encoded-json-0\x00"
+        payload = {decoy: decoy, "v": EncodedJSON.of([decoy]), "w": [decoy]}
+        plain = {decoy: decoy, "v": [decoy], "w": [decoy]}
+        assert encode_json(payload) == json.dumps(plain)
+
+    def test_unencodable_value_raises_type_error(self):
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            encode_json({"a": EncodedJSON.of(1), "b": object()})
+
+    @given(
+        st.recursive(
+            st.none() | st.booleans() | st.integers()
+            | st.floats(allow_nan=False) | st.text(),
+            lambda children: st.lists(children, max_size=4)
+            | st.dictionaries(st.text(max_size=5), children, max_size=4),
+            max_leaves=20,
+        ),
+        st.data(),
+    )
+    def test_any_subtree_may_be_encoded(self, value, data):
+        def wrap(node):
+            if isinstance(node, dict):
+                node = {k: wrap(v) for k, v in node.items()}
+            elif isinstance(node, list):
+                node = [wrap(v) for v in node]
+            return EncodedJSON.of(node) if data.draw(st.booleans()) else node
+
+        assert encode_json(wrap(value)) == json.dumps(value)
+
+
+class _RecordingCheckpointer(Checkpointer):
+    """Keeps the bytes of every state file it writes."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.written: list[bytes] = []
+
+    def flush(self) -> bool:
+        wrote = super().flush()
+        if wrote:
+            self.written.append(self.path.read_bytes())
+        return wrote
+
+
+class TestCheckpointedCrawlBytes:
+    @pytest.fixture(scope="class")
+    def world(self):
+        return build_world(WorldConfig(scale=0.001, seed=5))
+
+    def _crawl(self, world, run_dir) -> list[bytes]:
+        shutil.rmtree(run_dir, ignore_errors=True)
+        run_dir.mkdir()
+        pipeline = ReproductionPipeline(
+            world=world, connections=2,
+            store_dir=str(run_dir / "store"), segment_records=256,
+        )
+        checkpointer = _RecordingCheckpointer(
+            run_dir / "crawl.state.json", every_pages=25
+        )
+        pipeline.stage_crawl(checkpointer=checkpointer)
+        return checkpointer.written
+
+    def test_state_files_are_plain_json_and_seed_determined(
+        self, world, tmp_path
+    ):
+        first = self._crawl(world, tmp_path / "run")
+        texts = [raw.decode("utf-8") for raw in first]
+        assert len(texts) > 10
+        for text in texts:
+            assert text == json.dumps(json.loads(text))
+        stages = {json.loads(text)["stage"] for text in texts}
+        assert {"gab_enum", "shadow", "tail"} <= stages
+        # The shadow stage's authenticated session rides in the cookies.
+        assert any('"name": "session"' in text for text in texts)
+
+        assert self._crawl(world, tmp_path / "run") == first
+
+
+class TestProviderDicts:
+    def test_gab_enumeration_to_dict_matches_asdict(self):
+        accounts = [
+            CrawledGabAccount(1, "alice", "Alice ✓", "2016-08-10T00:00:00Z"),
+            CrawledGabAccount(
+                9, "bob", "", "", followers_count=12, following_count=3
+            ),
+        ]
+        result = GabEnumerationResult(accounts=accounts, ids_probed=40, misses=31)
+        payload = result.to_dict()
+        assert payload == {
+            "accounts": [asdict(a) for a in accounts],
+            "ids_probed": 40,
+            "misses": 31,
+        }
+        assert GabEnumerationResult.from_dict(payload) == result
+
+    def test_youtube_to_dict_matches_asdict(self):
+        items = {
+            "https://youtu.be/a": CrawledYouTubeItem(
+                "https://youtu.be/a", "video", "OK", "t", "o", True
+            ),
+            "https://youtube.com/user/b": CrawledYouTubeItem(
+                "https://youtube.com/user/b", "user", "unavailable"
+            ),
+        }
+        result = YouTubeCrawlResult(items=items, fetch_failures=["x", "y"])
+        payload = result.to_dict()
+        assert payload == {
+            "items": {url: asdict(item) for url, item in items.items()},
+            "fetch_failures": ["x", "y"],
+        }
+        result.fetch_failures.append("z")
+        assert payload["fetch_failures"] == ["x", "y"]
+        assert YouTubeCrawlResult.from_dict(payload).to_dict() == payload
