@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -38,6 +39,19 @@ from repro.platform.config import WorldConfig
 __all__ = ["build_parser", "main"]
 
 EXIT_KILLED = 3   # the --die-after injector fired; state file holds progress
+
+
+def _world_scale(text: str) -> float:
+    """argparse type for ``--scale``: a positive finite float."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not (value > 0 and math.isfinite(value)):
+        raise argparse.ArgumentTypeError(
+            f"must be a positive finite number, got {text!r}"
+        )
+    return value
 
 
 def _add_crawl_engine_flags(parser: argparse.ArgumentParser) -> None:
@@ -126,7 +140,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     run = sub.add_parser("run", help="full crawl + analyses + report")
-    run.add_argument("--scale", type=float, default=0.005,
+    run.add_argument("--scale", type=_world_scale, default=0.005,
                      help="world scale (1.0 = the paper's sizes)")
     run.add_argument("--seed", type=int, default=42, help="world seed")
     run.add_argument("--core", action="store_true",
@@ -144,7 +158,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_resume_flags(run)
 
     crawl = sub.add_parser("crawl", help="collection stages only")
-    crawl.add_argument("--scale", type=float, default=0.005)
+    crawl.add_argument("--scale", type=_world_scale, default=0.005)
     crawl.add_argument("--seed", type=int, default=42)
     crawl.add_argument("--out", type=Path, required=True,
                        help="checkpoint file to write")
@@ -174,7 +188,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     figures = sub.add_parser("figures", help="render the paper's figures as SVG")
-    figures.add_argument("--scale", type=float, default=0.004)
+    figures.add_argument("--scale", type=_world_scale, default=0.004)
     figures.add_argument("--seed", type=int, default=42)
     figures.add_argument("--out", type=Path, default=Path("figures"),
                          help="output directory for the SVG files")
@@ -183,7 +197,7 @@ def build_parser() -> argparse.ArgumentParser:
         "serve",
         help="mount the read API over a crawled corpus and issue requests",
     )
-    serve.add_argument("--scale", type=float, default=0.002)
+    serve.add_argument("--scale", type=_world_scale, default=0.002)
     serve.add_argument("--seed", type=int, default=42)
     serve.add_argument("--store-dir", type=Path, default=None,
                        help="spill directory for sealed corpus segments")
@@ -194,7 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
         "loadgen",
         help="seeded deterministic load run against the serve API",
     )
-    loadgen.add_argument("--scale", type=float, default=0.002)
+    loadgen.add_argument("--scale", type=_world_scale, default=0.002)
     loadgen.add_argument("--seed", type=int, default=42)
     loadgen.add_argument("--store-dir", type=Path, default=None,
                          help="spill directory for sealed corpus segments")
@@ -215,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="seeded independent-cascade hate-diffusion simulation over "
              "the crawled follow graph",
     )
-    diffuse.add_argument("--scale", type=float, default=0.002,
+    diffuse.add_argument("--scale", type=_world_scale, default=0.002,
                          help="world scale (1.0 = the paper's sizes)")
     diffuse.add_argument("--seed", type=int, default=42, help="world seed")
     diffuse.add_argument("--seeds", type=int, default=10, metavar="K",

@@ -2,12 +2,14 @@
 
 All population sizes are the paper's, multiplied by ``scale``.  The default
 scale of 0.01 builds a world of ~13k Gab accounts / ~1k Dissenter users /
-~17k comments in a few seconds; `scale=1.0` reproduces the full census
-sizes (1.3M Gab accounts, 101k Dissenter users, 1.68M comments).
+~17k comments in about 4 s on a 2-core x86-64 VM; `scale=1.0` reproduces
+the full census sizes (1.3M Gab accounts, 101k Dissenter users, 1.68M
+comments).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 __all__ = ["WorldConfig", "PAPER"]
@@ -96,10 +98,29 @@ class WorldConfig:
     paper: PaperConstants = field(default_factory=PaperConstants)
 
     def __post_init__(self) -> None:
-        if self.scale <= 0:
-            raise ValueError("scale must be positive")
+        # Comparisons are written so NaN fails them: a NaN or infinite
+        # scale would otherwise surface deep inside ``scaled()``.
+        if not (self.scale > 0 and math.isfinite(self.scale)):
+            raise ValueError(
+                f"scale must be a positive finite number, got {self.scale!r}"
+            )
         if not self.epoch_gab < self.epoch_dissenter < self.crawl_time:
             raise ValueError("epochs must be ordered gab < dissenter < crawl")
+        if not self.baseline_sample_cap >= 1:
+            raise ValueError(
+                "baseline_sample_cap must be at least 1, got "
+                f"{self.baseline_sample_cap!r}"
+            )
+        if not (self.mean_comment_tokens > 0
+                and math.isfinite(self.mean_comment_tokens)):
+            raise ValueError(
+                "mean_comment_tokens must be a positive finite number, got "
+                f"{self.mean_comment_tokens!r}"
+            )
+        for name in ("fault_timeout_rate", "fault_error_rate"):
+            rate = getattr(self, name)
+            if not 0.0 <= rate <= 1.0:
+                raise ValueError(f"{name} must lie in [0, 1], got {rate!r}")
 
     def scaled(self, full_count: int, minimum: int = 1) -> int:
         """A paper population size at this world's scale."""

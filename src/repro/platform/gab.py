@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.platform.config import WorldConfig
+from repro.platform.draws import pick
 from repro.platform.entities import GabAccount
 
 __all__ = ["GabUniverse", "build_gab_universe"]
@@ -84,10 +85,7 @@ class GabUniverse:
 
 def _make_username(rng: np.random.Generator, used: set[str]) -> str:
     while True:
-        name = (
-            str(rng.choice(np.asarray(_ADJECTIVES)))
-            + str(rng.choice(np.asarray(_NOUNS)))
-        )
+        name = pick(rng, _ADJECTIVES) + pick(rng, _NOUNS)
         if rng.random() < 0.7:
             name += str(int(rng.integers(1, 10_000)))
         if name not in used:

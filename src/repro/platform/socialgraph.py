@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.platform.draws import pick, pick_many
 from repro.platform.gab import GabUniverse
 
 __all__ = ["SocialGraph", "build_social_graph"]
@@ -170,14 +171,12 @@ def build_social_graph(
     # Sprinkle in non-Dissenter Gab accounts so the induced-subgraph
     # filtering step of the analysis is real work.
     if non_dissenter_ids:
-        non_dissenter_arr = np.asarray(non_dissenter_ids)
         for gab_id in participants:
             n_outside = int(rng.integers(0, 4))
-            for target in rng.choice(non_dissenter_arr, size=n_outside):
-                graph.add_edge(gab_id, int(target))
+            for target in pick_many(rng, non_dissenter_ids, n_outside):
+                graph.add_edge(gab_id, target)
             if rng.random() < 0.3:
-                follower = int(rng.choice(non_dissenter_arr))
-                graph.add_edge(follower, gab_id)
+                graph.add_edge(pick(rng, non_dissenter_ids), gab_id)
 
     # Plant the hateful-core component structure.
     for group in planted_core or []:

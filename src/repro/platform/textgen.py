@@ -28,6 +28,7 @@ from repro.nlp.lexicons import (
     RUDE_VOCAB,
     hate_vocab,
 )
+from repro.platform.draws import WeightedPicker, pick, pick_many, weighted_indices
 from repro.platform.entities import CommentLatent
 
 __all__ = ["CommentTextGenerator", "EMISSION"]
@@ -94,18 +95,19 @@ class CommentTextGenerator:
     def __init__(self, rng: np.random.Generator, mean_tokens: float = 16.0):
         self._rng = rng
         self._mean_tokens = mean_tokens
-        self._benign = np.asarray(BENIGN_VOCAB)
         # Zipfian benign-word frequencies: BENIGN_VOCAB is ordered
         # function-words-first, so rank weighting makes "the"/"is"/"and"
         # dominate — real English character statistics, which is what
         # lets the language identifier work on short comments.
-        ranks = np.arange(1, len(self._benign) + 1, dtype=float)
-        self._benign_probs = (1.0 / (ranks + 4.0))
-        self._benign_probs /= self._benign_probs.sum()
-        self._offensive = np.asarray(OFFENSIVE_VOCAB)
-        self._obscene = np.asarray(OBSCENE_VOCAB)
-        self._rude = np.asarray(RUDE_VOCAB)
-        self._hate = np.asarray(hate_vocab())
+        ranks = np.arange(1, len(BENIGN_VOCAB) + 1, dtype=float)
+        benign_probs = (1.0 / (ranks + 4.0))
+        benign_probs /= benign_probs.sum()
+        self._benign_picker = WeightedPicker(BENIGN_VOCAB, benign_probs)
+        # Word-class pools in the order of the class probabilities below;
+        # class 4 (benign) is drawn Zipf-weighted, the rest uniformly.
+        self._pools: tuple[tuple[str, ...], ...] = (
+            OFFENSIVE_VOCAB, OBSCENE_VOCAB, tuple(hate_vocab()), RUDE_VOCAB,
+        )
 
     def generate(self, latent: CommentLatent, language: str = "en") -> str:
         """Emit one comment's text."""
@@ -124,13 +126,11 @@ class CommentTextGenerator:
         probs = np.concatenate([rates, [benign_rate]])
         probs = probs / probs.sum()
 
-        pools = (self._offensive, self._obscene, self._hate, self._rude, self._benign)
-        choices = rng.choice(len(pools), size=length, p=probs)
+        pools = self._pools
+        benign = self._benign_picker.pick
         words = [
-            str(rng.choice(self._benign, p=self._benign_probs))
-            if c == 4
-            else str(rng.choice(pools[c]))
-            for c in choices
+            benign(rng) if c == 4 else pick(rng, pools[c])
+            for c in weighted_indices(rng, probs, length).tolist()
         ]
 
         caps = EMISSION.caps_fraction(latent)
@@ -140,8 +140,8 @@ class CommentTextGenerator:
 
         text = " ".join(words)
         if EMISSION.fires_attack(latent):
-            phrase = str(rng.choice(np.asarray(ATTACK_PHRASES)))
-            insult = str(rng.choice(self._offensive))
+            phrase = pick(rng, ATTACK_PHRASES)
+            insult = pick(rng, OFFENSIVE_VOCAB)
             text = f"{phrase} {insult}. {text}"
         if latent.reject > 0.75:
             # Exclamation run length grows with rejection-worthiness: a
@@ -156,8 +156,7 @@ class CommentTextGenerator:
             raise ValueError(f"no vocabulary for language {language!r}")
         rng = self._rng
         length = max(4, int(rng.poisson(self._mean_tokens)))
-        words = rng.choice(np.asarray(vocab), size=length)
-        return " ".join(str(w) for w in words)
+        return " ".join(pick_many(rng, vocab, length))
 
     def generate_bio(self, mentions_censorship: bool) -> str:
         """A short profile biography.
@@ -166,7 +165,7 @@ class CommentTextGenerator:
         to 'censorship' in their profile's biography."
         """
         rng = self._rng
-        words = [str(w) for w in rng.choice(self._benign, size=int(rng.integers(4, 12)))]
+        words = pick_many(rng, BENIGN_VOCAB, int(rng.integers(4, 12)))
         if mentions_censorship:
             position = int(rng.integers(0, len(words) + 1))
             words.insert(position, "censorship")
@@ -175,5 +174,4 @@ class CommentTextGenerator:
     def generate_title(self, topic_words: int = 6) -> str:
         """A news-article-style title."""
         rng = self._rng
-        words = [str(w) for w in rng.choice(self._benign, size=topic_words)]
-        return " ".join(words).capitalize()
+        return " ".join(pick_many(rng, BENIGN_VOCAB, topic_words)).capitalize()

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.platform.config import WorldConfig
+from repro.platform.draws import WeightedPicker, pick, pick_many
 from repro.platform.entities import CommentUrl
 from repro.platform.ids import ObjectIdFactory
 from repro.platform.textgen import CommentTextGenerator
@@ -105,6 +106,17 @@ _SYLLABLES = (
     "chronicle", "observer", "dispatch", "monitor", "beacon", "ledger",
 )
 
+_TLDS, _TLD_WEIGHTS = zip(*_TAIL_TLDS)
+_TLD_PICKER = WeightedPicker(
+    _TLDS, np.asarray(_TLD_WEIGHTS) / np.sum(_TLD_WEIGHTS)
+)
+
+_VIDEO_ID_ALPHABET = (
+    "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_-"
+)
+
+_BROWSER_PAGES = ("startpage", "newtab", "settings", "extensions")
+
 
 @dataclass
 class UrlUniverse:
@@ -125,22 +137,18 @@ class UrlUniverse:
 
 
 def _random_slug(rng: np.random.Generator, n: int = 3) -> str:
-    return "-".join(str(rng.choice(np.asarray(_SYLLABLES))) for _ in range(n))
+    return "-".join(pick(rng, _SYLLABLES) for _ in range(n))
 
 
 def _random_video_id(rng: np.random.Generator) -> str:
-    alphabet = np.asarray(list("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_-"))
-    return "".join(str(c) for c in rng.choice(alphabet, size=11))
+    return "".join(pick_many(rng, _VIDEO_ID_ALPHABET, 11))
 
 
 def _tail_domain(rng: np.random.Generator, used: set[str]) -> str:
-    tlds, probs = zip(*_TAIL_TLDS)
-    probs_arr = np.asarray(probs) / np.sum(probs)
     while True:
-        tld = str(np.asarray(tlds)[rng.choice(len(tlds), p=probs_arr)])
+        tld = _TLD_PICKER.pick(rng)
         name = "".join(
-            str(rng.choice(np.asarray(_SYLLABLES)))
-            for _ in range(int(rng.integers(2, 4)))
+            pick(rng, _SYLLABLES) for _ in range(int(rng.integers(2, 4)))
         )
         domain = name + (".co.uk" if tld == ".uk" else tld)
         if domain not in used:
@@ -264,8 +272,8 @@ def build_url_universe(
     fraction_arr = np.asarray(fractions) / fixed_fraction
     n_fixed = int(round(n_urls * fixed_fraction))
     picks = rng.choice(len(domains), size=n_fixed, p=fraction_arr)
-    for pick in picks:
-        domain, category = domains[pick], categories[pick]
+    for domain_index in picks:
+        domain, category = domains[domain_index], categories[domain_index]
         path = _path_for(rng, domain, category)
         scheme = "https" if rng.random() < 0.985 else "http"
         add_url(f"{scheme}://{domain}{path}", category, _bias_for(domain, category))
@@ -293,10 +301,9 @@ def build_url_universe(
             f"file:///C:/Users/{_random_slug(rng, 1)}/Documents/{_random_slug(rng, 2)}.pdf",
             "file", "not-ranked", weight=0.05,
         )
-    browser_pages = np.asarray(["startpage", "newtab", "settings", "extensions"])
     for _ in range(config.scaled(200, minimum=1)):
         add_url(
-            f"chrome://{str(rng.choice(browser_pages))}/",
+            f"chrome://{pick(rng, _BROWSER_PAGES)}/",
             "browser", "not-ranked", weight=0.05,
         )
 

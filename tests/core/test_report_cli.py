@@ -62,6 +62,28 @@ class TestCliParser:
         args = build_parser().parse_args(["score", "hello", "world"])
         assert args.text == ["hello", "world"]
 
+    @pytest.mark.parametrize("command", [
+        "run", "figures", "serve", "loadgen", "diffuse",
+    ])
+    @pytest.mark.parametrize("scale", ["nan", "-1", "0", "inf", "tiny"])
+    def test_bad_scale_is_a_usage_error(self, command, scale, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args([command, "--scale", scale])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --scale" in err
+        assert "Traceback" not in err
+
+    def test_crawl_bad_scale_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(["crawl", "--out", "x.json", "--scale", "nan"])
+        assert excinfo.value.code == 2
+        assert "positive finite" in capsys.readouterr().err
+
+    def test_scale_accepts_positive_floats(self):
+        args = build_parser().parse_args(["run", "--scale", "1e-3"])
+        assert args.scale == 0.001
+
 
 class TestCliExecution:
     def test_score_command(self, capsys):
