@@ -281,8 +281,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print(f"crawl killed after {killed.requests_served} requests; "
               f"resume with --resume --state {state_path}", file=sys.stderr)
         return EXIT_KILLED
+    except ValueError as exc:
+        if resume_payload is None:
+            raise
+        raise SystemExit(f"--resume: {exc}") from exc
     if checkpointer is not None:
-        checkpointer.path.unlink(missing_ok=True)
+        checkpointer.discard()
     text = render_full_report(report)
     print(text)
     print(render_stage_timings(report), file=sys.stderr)
@@ -382,8 +386,8 @@ def _cmd_crawl(args: argparse.Namespace) -> int:
     corpus = artifacts.corpus
     dump_result(corpus, args.out)
     if checkpointer is not None:
-        # The finished corpus supersedes the runtime state file.
-        checkpointer.path.unlink(missing_ok=True)
+        # The finished corpus supersedes the runtime state files.
+        checkpointer.discard()
     print(f"crawled {corpus.summary()} "
           f"({pipeline.client.stats.requests} HTTP requests, "
           f"{pipeline.client.stats.timeouts} timeouts retried)")

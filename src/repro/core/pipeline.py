@@ -59,11 +59,10 @@ from repro.core.socialnet import (
 from repro.core.urls import UrlTableStats, analyze_urls
 from repro.core.votes import VoteToxicity, analyze_votes
 from repro.core.youtube import YouTubeAnalysis, analyze_youtube
-from repro.crawler.checkpoint import EncodedJSON
 from repro.crawler.dissenter_crawl import DissenterCrawler
 from repro.crawler.gab_enum import GabEnumerationResult, GabEnumerator
 from repro.crawler.reddit_crawl import RedditMatcher, RedditMatchResult
-from repro.crawler.runtime import Checkpointer
+from repro.crawler.runtime import Checkpointer, resume_checkpointer
 from repro.crawler.shadow import ShadowCrawler
 from repro.crawler.social_crawl import (
     SocialCrawlResult,
@@ -106,7 +105,18 @@ PIPELINE_STAGES = (
     "tail",
 )
 
-_PIPELINE_CHECKPOINT_VERSION = 3
+_PIPELINE_CHECKPOINT_VERSION = 4
+
+# The artifact key each completed stage leaves in a pipeline checkpoint
+# (the shadow stage rewrites the corpus it extends).
+_STAGE_ARTIFACTS = {
+    "gab_enum": "gab_enum",
+    "dissenter_detect": "detected",
+    "dissenter_crawl": "corpus",
+    "shadow": "corpus",
+    "youtube": "youtube",
+    "social": "social",
+}
 
 
 def _stage_done(stage: str, name: str) -> bool:
@@ -339,14 +349,17 @@ class ReproductionPipeline:
 
         Args:
             checkpointer: write a composite pipeline checkpoint
-                periodically — it records which §3 stage is active, the
-                artifacts of completed stages, and the active crawler's
-                own v3 checkpoint (frontier, cursor, partial corpus,
-                cookies).  Writes are atomic.
-            resume: a previously written pipeline checkpoint payload;
-                completed stages are restored from their artifacts
-                without issuing a single request, and the active stage
-                continues from its crawler checkpoint.
+                periodically — it records which §3 stage is active, a
+                sidecar reference to each completed stage's artifact, and
+                the active crawler's own v3 checkpoint (frontier, cursor,
+                partial corpus, cookies).  Writes are atomic; an
+                artifact is written once, when its stage completes.
+            resume: a pipeline checkpoint payload previously written to
+                ``checkpointer``'s state file (which must be given too:
+                it reads the sidecars and journals the payload
+                references); completed stages are restored from their
+                artifacts without issuing a single request, and the
+                active stage continues from its crawler checkpoint.
         """
         world = self.world
         stage = PIPELINE_STAGES[0]
@@ -361,41 +374,55 @@ class ReproductionPipeline:
                     f"{resume.get('version')!r} "
                     f"(only v{_PIPELINE_CHECKPOINT_VERSION} is read)"
                 )
-            stage = resume["stage"]
+            stage = resume.get("stage")
             if stage not in PIPELINE_STAGES:
                 raise ValueError(f"unknown pipeline stage {stage!r}")
-            artifacts = dict(resume.get("artifacts") or {})
+            checkpointer = resume_checkpointer(checkpointer, "pipeline")
+            refs = resume.get("artifacts") or {}
+            if not isinstance(refs, dict):
+                raise ValueError("pipeline checkpoint artifacts must be an object")
+            artifacts = {
+                key: checkpointer.read_sidecar(key, ref)
+                for key, ref in refs.items()
+            }
+            missing = sorted({
+                key for done, key in _STAGE_ARTIFACTS.items()
+                if _stage_done(stage, done) and key not in artifacts
+            })
+            if missing:
+                raise ValueError(
+                    f"pipeline checkpoint at stage {stage!r} lacks the "
+                    f"artifacts {missing}"
+                )
             active = resume.get("active")
 
-        # Completed-stage artifacts only change between stages, so every
-        # tick of a stage splices in the same text, encoded once.
-        encoded_artifacts: EncodedJSON | None = None
         if checkpointer is not None:
-            encoded_artifacts = EncodedJSON.of(artifacts)
             checkpointer.set_wrapper(
                 lambda inner: {
                     "version": _PIPELINE_CHECKPOINT_VERSION,
                     "kind": "pipeline",
                     "stage": stage,
-                    "artifacts": encoded_artifacts,
+                    "artifacts": {key: checkpointer.ref(key) for key in artifacts},
                     "active": inner,
                 }
             )
 
-        def advance(next_stage: str) -> None:
-            nonlocal stage, active, encoded_artifacts
+        def advance(next_stage: str, value: object) -> None:
+            """Record the completed stage's artifact and move to the next."""
+            nonlocal stage, active
+            key = _STAGE_ARTIFACTS[stage]
+            artifacts[key] = value
             stage = next_stage
             active = None
             if checkpointer is not None:
-                encoded_artifacts = EncodedJSON.of(artifacts)
+                checkpointer.sidecar(key, value)
                 checkpointer.set_provider(None)
                 checkpointer.flush()
 
         # ---- §3.1: Gab ID-space enumeration -------------------------
         if stage == "gab_enum":
             gab_enum = self.enumerate_gab(checkpointer=checkpointer, resume=active)
-            artifacts["gab_enum"] = gab_enum.to_dict()
-            advance("dissenter_detect")
+            advance("dissenter_detect", gab_enum.to_dict())
         else:
             gab_enum = GabEnumerationResult.from_dict(artifacts["gab_enum"])
 
@@ -408,8 +435,7 @@ class ReproductionPipeline:
                 resume=active,
                 pool=self._pool_for("dissenter_detect"),
             )
-            artifacts["detected"] = detected
-            advance("dissenter_crawl")
+            advance("dissenter_crawl", detected)
         elif _stage_done(stage, "dissenter_detect"):
             detected = list(artifacts["detected"])
 
@@ -427,8 +453,7 @@ class ReproductionPipeline:
             while crawler.stats.comment_pages_failed:
                 if crawler.recrawl_failures(corpus) == 0:
                     break
-            artifacts["corpus"] = corpus.snapshot()
-            advance("shadow")
+            advance("shadow", corpus.snapshot())
         elif _stage_done(stage, "dissenter_crawl"):
             corpus = self._new_store()
             corpus.restore_payload(artifacts["corpus"])
@@ -442,8 +467,7 @@ class ReproductionPipeline:
                 resume=active,
                 pool=self._pool_for("shadow"),
             )
-            artifacts["corpus"] = corpus.snapshot()
-            advance("youtube")
+            advance("youtube", corpus.snapshot())
 
         # The corpus is complete: freeze it so the secondary indexes
         # (by_url / by_author / active authors) are built once and
@@ -460,8 +484,7 @@ class ReproductionPipeline:
                 resume=active,
                 pool=self._pool_for("youtube"),
             )
-            artifacts["youtube"] = youtube_crawl.to_dict()
-            advance("social")
+            advance("social", youtube_crawl.to_dict())
         elif _stage_done(stage, "youtube"):
             youtube_crawl = YouTubeCrawlResult.from_dict(artifacts["youtube"])
 
@@ -482,8 +505,7 @@ class ReproductionPipeline:
                 resume=active,
                 pool=self._pool_for("social"),
             )
-            artifacts["social"] = raw_social.to_dict()
-            advance("tail")
+            advance("tail", raw_social.to_dict())
         elif _stage_done(stage, "social"):
             raw_social = SocialCrawlResult.from_dict(artifacts["social"])
         graph = induce_dissenter_graph(raw_social, active_ids)

@@ -15,12 +15,25 @@ survival.  Two formats live here:
   ``result_to_payload`` body) is rejected with a ``ValueError`` naming
   its version.
 
-A tick encodes only the active crawler's payload.  Values that stay
-fixed while a stage runs — the pipeline's completed-stage artifacts, the
-shadow crawler's baseline id set — travel as :class:`EncodedJSON`, whose
-text :func:`encode_json` copies in verbatim instead of re-encoding it.
-The bytes written per tick are still the whole document, and exactly
-``json.dumps`` of the plain payload.
+A state file does not carry everything itself.  Values that stop
+changing — a completed stage's artifact, the shadow crawler's baseline
+id set — are written once to a **sidecar**, and lists that only grow
+are appended to a **journal**; the state file holds a small reference
+to each.  Every file of a state set is named after the state file and
+ends in ``.state.json``:
+
+* sidecar ``<state>.<key>-<sha256>.state.json`` holds
+  ``encode_json(value)``; its reference is ``{"sha256", "bytes"}`` of
+  the whole file (:func:`read_sidecar` verifies both);
+* journal ``<state>.<key>.journal.state.json`` holds one record per
+  line — the byte length of the record's JSON text, a space, the text
+  and a newline; its reference is ``{"sha256", "bytes"}`` of the prefix
+  the state file vouches for, plus the ``records`` and ``generation``
+  of the list it holds (:func:`read_journal`).  Bytes past that prefix
+  are an append whose state file never landed; resuming truncates them.
+
+:class:`~repro.crawler.runtime.Checkpointer` owns the I/O on these
+files; this module owns their names, framing and verification.
 
 The ``store`` payload stays an opaque dict at this layer;
 :meth:`repro.store.CorpusStore.restore_payload` reads it, which keeps
@@ -30,8 +43,10 @@ resumable runtime in :mod:`repro.crawler.runtime` drives the cadence.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -45,6 +60,8 @@ __all__ = [
     "CrawlCheckpoint",
     "EncodedJSON",
     "SHARD_ENVELOPE_VERSION",
+    "STATE_SUFFIX",
+    "atomic_write_bytes",
     "atomic_write_json",
     "atomic_write_text",
     "coerce_checkpoint",
@@ -53,12 +70,18 @@ __all__ = [
     "dump_result",
     "dumps_result",
     "encode_json",
+    "file_ref",
     "is_shard_envelope",
+    "journal_path",
+    "journal_record",
     "load_checkpoint",
     "load_result",
     "loads_result",
+    "read_journal",
+    "read_sidecar",
     "result_from_payload",
     "result_to_payload",
+    "sidecar_path",
 ]
 
 _FORMAT_VERSION = 1
@@ -216,24 +239,31 @@ def load_result(path: str | Path) -> CorpusStore:
 # ----------------------------------------------------------------------
 
 
-def atomic_write_text(path: str | Path, text: str) -> None:
-    """Write ``text`` to ``path`` atomically (tmp file + ``os.replace``).
+def atomic_write_bytes(path: str | Path, data: bytes) -> int:
+    """Write ``data`` to ``path`` atomically (tmp file + ``os.replace``).
 
     A reader (or a resumed crawl) never observes a torn file: it sees
-    either the previous complete checkpoint or the new one.
+    either the previous complete checkpoint or the new one.  Returns the
+    number of bytes written.
     """
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "w", encoding="utf-8") as handle:
-        handle.write(text)
+    with open(tmp, "wb") as handle:
+        handle.write(data)
         handle.flush()
         os.fsync(handle.fileno())
     os.replace(tmp, path)
+    return len(data)
 
 
-def atomic_write_json(path: str | Path, payload: dict) -> None:
+def atomic_write_text(path: str | Path, text: str) -> int:
+    """:func:`atomic_write_bytes` of ``text`` in UTF-8."""
+    return atomic_write_bytes(path, text.encode("utf-8"))
+
+
+def atomic_write_json(path: str | Path, payload: object) -> int:
     """Serialise ``payload`` with :func:`encode_json` and write it atomically."""
-    atomic_write_text(path, encode_json(payload))
+    return atomic_write_text(path, encode_json(payload))
 
 
 # ----------------------------------------------------------------------
@@ -298,6 +328,161 @@ def encode_json(payload: object) -> str:
                 out.append(part)
             return "".join(out)
         attempt += 1
+
+
+# ----------------------------------------------------------------------
+# State-set files: write-once sidecars and append-only journals.
+# ----------------------------------------------------------------------
+
+#: Every file of a state set ends in this suffix, so cleanup, users and
+#: tree digests can tell checkpoint state from crawl output.
+STATE_SUFFIX = ".state.json"
+
+_KEY = re.compile(r"[a-z0-9_-]+(\.[a-z0-9_-]+)*")
+_SHA256 = re.compile(r"[0-9a-f]{64}")
+
+
+def _check_key(key: str) -> str:
+    if not isinstance(key, str) or not _KEY.fullmatch(key):
+        raise ValueError(f"invalid checkpoint file key {key!r}")
+    return key
+
+
+def file_ref(data: bytes) -> dict:
+    """The ``{"sha256", "bytes"}`` reference a state file records for ``data``."""
+    return {"sha256": hashlib.sha256(data).hexdigest(), "bytes": len(data)}
+
+
+def _count(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+
+def _check_ref(ref: object, what: str, counts: tuple[str, ...] = ()) -> dict:
+    """Validate a recorded ``{"sha256", "bytes", *counts}`` reference; returns a copy."""
+    if (
+        not isinstance(ref, dict)
+        or not isinstance(ref.get("sha256"), str)
+        or not _SHA256.fullmatch(ref["sha256"])
+        or not all(_count(ref.get(name)) for name in ("bytes", *counts))
+    ):
+        raise ValueError(f"malformed {what} reference {ref!r}")
+    return {name: ref[name] for name in ("sha256", "bytes", *counts)}
+
+
+def sidecar_path(state_path: str | Path, key: str, sha256: str) -> Path:
+    """Where the sidecar of ``key`` with content hash ``sha256`` lives."""
+    state_path = Path(state_path)
+    return state_path.with_name(
+        f"{state_path.name}.{_check_key(key)}-{sha256}{STATE_SUFFIX}"
+    )
+
+
+def journal_path(state_path: str | Path, key: str) -> Path:
+    """Where the journal of ``key`` lives."""
+    state_path = Path(state_path)
+    return state_path.with_name(
+        f"{state_path.name}.{_check_key(key)}.journal{STATE_SUFFIX}"
+    )
+
+
+def read_sidecar(
+    state_path: str | Path, key: str, ref: object
+) -> tuple[Path, dict, object]:
+    """Read and verify the sidecar ``ref`` names; returns (path, ref, value).
+
+    Raises:
+        ValueError: a malformed reference, or a sidecar that is missing,
+            of the wrong size, or fails its sha256 check — the message
+            names the file.
+    """
+    checked = _check_ref(ref, f"sidecar {key!r}")
+    digest, size = checked["sha256"], checked["bytes"]
+    path = sidecar_path(state_path, key, digest)
+    try:
+        data = path.read_bytes()
+    except FileNotFoundError:
+        raise ValueError(f"checkpoint sidecar {path} is missing") from None
+    if len(data) != size:
+        raise ValueError(
+            f"checkpoint sidecar {path} has {len(data)} bytes, "
+            f"its state file recorded {size}"
+        )
+    if hashlib.sha256(data).hexdigest() != digest:
+        raise ValueError(f"checkpoint sidecar {path} fails its sha256 check")
+    try:
+        return path, checked, json.loads(data)
+    except ValueError as exc:
+        raise ValueError(f"checkpoint sidecar {path} is not JSON: {exc}") from None
+
+
+def journal_record(value: object) -> bytes:
+    """One journal record: length of the JSON text, a space, the text, a newline."""
+    text = encode_json(value).encode("utf-8")
+    return b"%d %s\n" % (len(text), text)
+
+
+def read_journal(
+    state_path: str | Path, key: str, ref: object
+) -> tuple[Path, dict, bytes, list]:
+    """Read and verify the journal prefix ``ref`` vouches for.
+
+    A journal reference is ``{"sha256", "bytes", "records",
+    "generation"}``: the hash and length of the prefix, and how many of
+    the prefix's last records make up the journaled list (see
+    :meth:`~repro.crawler.runtime.Checkpointer.journal`).  Returns
+    (path, ref, prefix bytes, those records decoded).  Bytes past the prefix
+    are ignored here; the caller truncates them before appending.
+
+    Raises:
+        ValueError: a malformed reference, or a journal that is missing,
+            shorter than its recorded prefix, whose prefix fails its
+            sha256 check, or whose prefix is not whole records — the
+            message names the file.
+    """
+    checked = _check_ref(ref, f"journal {key!r}", ("records", "generation"))
+    digest, size = checked["sha256"], checked["bytes"]
+    path = journal_path(state_path, key)
+    try:
+        with open(path, "rb") as handle:
+            prefix = handle.read(size)
+    except FileNotFoundError:
+        raise ValueError(f"checkpoint journal {path} is missing") from None
+    if len(prefix) != size:
+        raise ValueError(
+            f"checkpoint journal {path} has {len(prefix)} bytes, "
+            f"shorter than the {size}-byte prefix its state file recorded"
+        )
+    if hashlib.sha256(prefix).hexdigest() != digest:
+        raise ValueError(
+            f"checkpoint journal {path} fails the sha256 check of its "
+            f"{size}-byte prefix"
+        )
+    spans = []
+    at = 0
+    try:
+        while at < size:
+            space = prefix.index(b" ", at)
+            if not prefix[at:space].isdigit():
+                raise ValueError("record length is not a decimal number")
+            start = space + 1
+            end = start + int(prefix[at:space])
+            if prefix[end:end + 1] != b"\n":
+                raise ValueError("record not newline-terminated")
+            spans.append((start, end))
+            at = end + 1
+        if checked["records"] > len(spans):
+            raise ValueError(
+                f"{checked['records']} records recorded, {len(spans)} present"
+            )
+        records = [
+            json.loads(prefix[start:end])
+            for start, end in spans[len(spans) - checked["records"]:]
+        ]
+    except ValueError as exc:
+        raise ValueError(
+            f"checkpoint journal {path} is malformed at byte {at}: {exc}"
+        ) from None
+    return path, checked, prefix, records
 
 
 # ----------------------------------------------------------------------

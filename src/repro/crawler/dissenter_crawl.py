@@ -34,7 +34,12 @@ from repro.crawler.parsing import (
     parse_comment_page,
     parse_user_page,
 )
-from repro.crawler.runtime import Checkpointer
+from repro.crawler.runtime import (
+    Checkpointer,
+    restore_store,
+    resume_checkpointer,
+    snapshot_store,
+)
 from repro.net.client import HttpClient
 from repro.net.cookies import CookieJar
 from repro.net.http import Response
@@ -49,6 +54,9 @@ SIZE_THRESHOLD = 10_240   # bytes: the paper's ">= 10 kB means account exists"
 
 # crawl()'s resumable stages, in execution order.
 _CRAWL_STAGES = ("home_pages", "comment_pages", "metadata", "done")
+
+# Checkpoint key of the partial corpus's sidecars and tail journal.
+_STORE_KEY = "dissenter.store"
 
 
 @dataclass
@@ -252,7 +260,10 @@ class DissenterCrawler:
                 )
             stage = checkpoint.stage
             if checkpoint.store is not None:
-                result.restore_payload(checkpoint.store)
+                restore_store(
+                    resume_checkpointer(checkpointer, "dissenter"),
+                    _STORE_KEY, result, checkpoint.store,
+                )
             if checkpoint.frontier is not None:
                 frontier = CrawlFrontier.from_state(checkpoint.frontier)
             if checkpoint.stats is not None:
@@ -272,7 +283,7 @@ class DissenterCrawler:
                         "meta_index": meta_index,
                         "visited_authors": sorted(visited_authors),
                     },
-                    store=result.snapshot(),
+                    store=snapshot_store(checkpointer, _STORE_KEY, result),
                     frontier=frontier.to_state(),
                     stats=self.stats.to_dict(),
                     cookies=self._client.cookies.to_state(),

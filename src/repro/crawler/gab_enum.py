@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 from repro.crawler.checkpoint import CrawlCheckpoint, coerce_checkpoint
 from repro.crawler.records import CrawledGabAccount
-from repro.crawler.runtime import Checkpointer
+from repro.crawler.runtime import Checkpointer, resume_checkpointer
 from repro.net.client import HttpClient
 from repro.net.cookies import CookieJar
 from repro.net.pool import FetchPool
@@ -42,17 +42,7 @@ class GabEnumerationResult:
     def to_dict(self) -> dict:
         """JSON-ready snapshot (checkpointing)."""
         return {
-            "accounts": [
-                {
-                    "gab_id": a.gab_id,
-                    "username": a.username,
-                    "display_name": a.display_name,
-                    "created_at_iso": a.created_at_iso,
-                    "followers_count": a.followers_count,
-                    "following_count": a.following_count,
-                }
-                for a in self.accounts
-            ],
+            "accounts": [_account_payload(a) for a in self.accounts],
             "ids_probed": self.ids_probed,
             "misses": self.misses,
         }
@@ -62,21 +52,40 @@ class GabEnumerationResult:
         try:
             return cls(
                 accounts=[
-                    CrawledGabAccount(
-                        gab_id=int(entry["gab_id"]),
-                        username=entry["username"],
-                        display_name=entry.get("display_name", ""),
-                        created_at_iso=entry.get("created_at_iso", ""),
-                        followers_count=int(entry.get("followers_count", 0)),
-                        following_count=int(entry.get("following_count", 0)),
-                    )
+                    _account_from_payload(entry)
                     for entry in payload.get("accounts", [])
                 ],
                 ids_probed=int(payload.get("ids_probed", 0)),
                 misses=int(payload.get("misses", 0)),
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, AttributeError) as exc:
             raise ValueError(f"malformed enumeration state: {exc!r}") from exc
+
+
+def _account_payload(account: CrawledGabAccount) -> dict:
+    return {
+        "gab_id": account.gab_id,
+        "username": account.username,
+        "display_name": account.display_name,
+        "created_at_iso": account.created_at_iso,
+        "followers_count": account.followers_count,
+        "following_count": account.following_count,
+    }
+
+
+def _account_from_payload(entry: dict) -> CrawledGabAccount:
+    return CrawledGabAccount(
+        gab_id=int(entry["gab_id"]),
+        username=entry["username"],
+        display_name=entry.get("display_name", ""),
+        created_at_iso=entry.get("created_at_iso", ""),
+        followers_count=int(entry.get("followers_count", 0)),
+        following_count=int(entry.get("following_count", 0)),
+    )
+
+
+#: Checkpoint journal of the accounts found so far, appended per tick.
+ACCOUNTS_JOURNAL = "gab_enum.accounts"
 
 
 class GabEnumerator:
@@ -166,16 +175,23 @@ class GabEnumerator:
         stage = "enumerate"
         if resume is not None:
             checkpoint = coerce_checkpoint(resume, "gab_enum")
+            checkpointer = resume_checkpointer(checkpointer, "gab_enum")
             cursor = checkpoint.cursor
             gab_id = int(cursor.get("gab_id", 0))
             consecutive_misses = int(cursor.get("consecutive_misses", 0))
-            result = GabEnumerationResult.from_dict(
-                cursor.get("result") or {}
-            )
+            result = GabEnumerationResult.from_dict({
+                "accounts": checkpointer.open_journal(
+                    ACCOUNTS_JOURNAL, cursor.get("accounts")
+                ),
+                "ids_probed": cursor.get("ids_probed", 0),
+                "misses": cursor.get("misses", 0),
+            })
             if checkpoint.cookies is not None:
                 self._client.cookies = CookieJar.from_state(checkpoint.cookies)
 
         if checkpointer is not None:
+            # The account list only grows: each tick appends the accounts
+            # found since the last one to a journal.
             checkpointer.set_provider(
                 lambda: CrawlCheckpoint(
                     crawler="gab_enum",
@@ -183,7 +199,11 @@ class GabEnumerator:
                     cursor={
                         "gab_id": gab_id,
                         "consecutive_misses": consecutive_misses,
-                        "result": result.to_dict(),
+                        "ids_probed": result.ids_probed,
+                        "misses": result.misses,
+                        "accounts": checkpointer.journal(
+                            ACCOUNTS_JOURNAL, result.accounts, _account_payload
+                        ),
                     },
                     cookies=self._client.cookies.to_state(),
                 ).to_payload()

@@ -20,9 +20,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from repro.crawler.checkpoint import CrawlCheckpoint, EncodedJSON, coerce_checkpoint
+from repro.crawler.checkpoint import CrawlCheckpoint, coerce_checkpoint
 from repro.crawler.parsing import parse_comment_page
-from repro.crawler.runtime import Checkpointer
+from repro.crawler.runtime import (
+    Checkpointer,
+    restore_store,
+    resume_checkpointer,
+    snapshot_store,
+)
 from repro.net.client import HttpClient
 from repro.net.cookies import CookieJar
 from repro.net.http import Response
@@ -42,6 +47,11 @@ SHADOW_PASSES: tuple[tuple[str, dict], ...] = (
     ("offensive", {"nsfw": False, "offensive": True}),
 )
 _PASSES = SHADOW_PASSES
+
+# Checkpoint sidecars of the two id lists, fixed for the whole stage.
+_BASELINE_SIDECAR = "shadow.baseline_ids"
+_URLS_SIDECAR = "shadow.url_ids"
+_STORE_KEY = "shadow.store"
 
 
 @dataclass
@@ -182,38 +192,46 @@ class ShadowCrawler:
                     f"cannot resume shadow crawl from stage "
                     f"{checkpoint.stage!r}"
                 )
+            checkpointer = resume_checkpointer(checkpointer, "shadow")
             stage = checkpoint.stage
             cursor = checkpoint.cursor
             page_index = int(cursor.get("page_index", 0))
-            baseline_ids = set(cursor.get("baseline_ids", []))
-            url_ids = list(cursor.get("url_ids", []))
+            baseline = checkpointer.read_sidecar(
+                _BASELINE_SIDECAR, cursor.get("baseline_ids")
+            )
+            urls = checkpointer.read_sidecar(_URLS_SIDECAR, cursor.get("url_ids"))
+            if not isinstance(baseline, list) or not isinstance(urls, list):
+                raise ValueError("shadow checkpoint id sidecars must be lists")
+            baseline_ids = set(baseline)
+            url_ids = urls
             found_counts.update(cursor.get("found", {}))
             if checkpoint.store is not None:
                 # In-place replay: the caller's reference stays valid.
-                result.restore_payload(checkpoint.store)
+                restore_store(checkpointer, _STORE_KEY, result, checkpoint.store)
             if checkpoint.cookies is not None:
                 self._client.cookies = CookieJar.from_state(checkpoint.cookies)
 
-        if baseline_ids is None:
+        if baseline_ids is None or url_ids is None:
             baseline_ids = set(result.comments)
-        if url_ids is None:
             url_ids = list(result.urls)
+            if checkpointer is not None:
+                # Both id lists are fixed for the whole stage: write them
+                # once, as sidecars.
+                checkpointer.sidecar(_BASELINE_SIDECAR, sorted(baseline_ids))
+                checkpointer.sidecar(_URLS_SIDECAR, url_ids)
 
         if checkpointer is not None:
-            # Both id lists are fixed for the whole stage: encode them once.
-            encoded_baseline = EncodedJSON.of(sorted(baseline_ids))
-            encoded_urls = EncodedJSON.of(url_ids)
             checkpointer.set_provider(
                 lambda: CrawlCheckpoint(
                     crawler="shadow",
                     stage=stage,
                     cursor={
                         "page_index": page_index,
-                        "baseline_ids": encoded_baseline,
-                        "url_ids": encoded_urls,
+                        "baseline_ids": checkpointer.ref(_BASELINE_SIDECAR),
+                        "url_ids": checkpointer.ref(_URLS_SIDECAR),
                         "found": dict(found_counts),
                     },
-                    store=result.snapshot(),
+                    store=snapshot_store(checkpointer, _STORE_KEY, result),
                     cookies=self._client.cookies.to_state(),
                 ).to_payload()
             )

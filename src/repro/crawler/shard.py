@@ -248,7 +248,7 @@ class ShardEngine:
     def cleanup(self) -> None:
         """Remove worker scratch and the envelope after a finished run."""
         shutil.rmtree(self.shards_dir, ignore_errors=True)
-        self.state_path.unlink(missing_ok=True)
+        Checkpointer(self.state_path).discard()
 
     def _restore(self, payload: dict) -> tuple[int, list[int]]:
         envelope = coerce_shard_envelope(payload, self.shards)
@@ -577,7 +577,12 @@ class ShardEngine:
         client = HttpClient(origins.transport)
         pool = FetchPool(clock, self.connections, self.parse_workers)
         checkpointer = None
-        if self.checkpoint_every > 0 or self.checkpoint_seconds > 0:
+        # A leftover state file needs its checkpointer to resume from.
+        if (
+            self.checkpoint_every > 0
+            or self.checkpoint_seconds > 0
+            or state_path.exists()
+        ):
             checkpointer = Checkpointer(
                 state_path,
                 every_pages=self.checkpoint_every or 25,
@@ -617,7 +622,8 @@ class ShardEngine:
             }
         )
         atomic_write_json(self._output_path(shard, phase), payload)
-        state_path.unlink(missing_ok=True)
+        if checkpointer is not None:
+            checkpointer.discard()
         return 0
 
     @staticmethod

@@ -17,7 +17,7 @@ from typing import Any, Mapping
 from repro.net.clock import Clock
 from repro.net.cookies import CookieJar
 from repro.net.errors import NetworkError, TimeoutError, TooManyRedirects
-from repro.net.http import Request, Response, url_with_params
+from repro.net.http import Headers, Request, Response, url_with_params
 from repro.net.transport import Transport
 
 __all__ = ["ClientStats", "HttpClient"]
@@ -184,13 +184,17 @@ class HttpClient:
         headers: Mapping[str, str] | None,
         body: bytes,
     ) -> Request:
-        request = Request(method=method, url=url_with_params(url, params))
-        request.headers.set("User-Agent", self._user_agent)
-        request.headers.set("Accept", "*/*")
+        request = Request(
+            method=method,
+            url=url_with_params(url, params),
+            headers=Headers(
+                [("User-Agent", self._user_agent), ("Accept", "*/*")]
+            ),
+        )
         if headers:
             for name, value in headers.items():
                 request.headers.set(name, value)
-        cookie_header = self.cookies.cookie_header_for(request.url)
+        cookie_header = self.cookies.cookie_header_for(request.parts)
         if cookie_header:
             request.headers.set("Cookie", cookie_header)
         request.body = body

@@ -10,7 +10,7 @@ assembly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from urllib.parse import urlsplit
+from urllib.parse import SplitResult, urlsplit
 
 __all__ = ["Cookie", "CookieJar"]
 
@@ -88,6 +88,8 @@ class CookieJar:
 
     def ingest_response(self, url: str, set_cookie_values: list[str]) -> None:
         """Store cookies from a response's Set-Cookie headers."""
+        if not set_cookie_values:
+            return
         host = urlsplit(url).netloc.lower()
         for value in set_cookie_values:
             self.set(parse_set_cookie(value, default_domain=host))
@@ -126,9 +128,11 @@ class CookieJar:
             raise ValueError(f"malformed cookie-jar state: {exc!r}") from exc
         return jar
 
-    def cookie_header_for(self, url: str) -> str | None:
-        """Assemble the Cookie header for a request URL, or None."""
-        parts = urlsplit(url)
+    def cookie_header_for(self, url: str | SplitResult) -> str | None:
+        """Assemble the Cookie header for a request URL (or its parts), or None."""
+        if not self._cookies:
+            return None
+        parts = urlsplit(url) if isinstance(url, str) else url
         host = parts.netloc.lower()
         path = parts.path or "/"
         matched = [

@@ -10,9 +10,10 @@ for an existing user page vs ~150 B for a missing one).
 from __future__ import annotations
 
 import json as _json
+from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Iterator, Mapping
-from urllib.parse import parse_qsl, quote, urlencode, urljoin, urlsplit
+from typing import Any
+from urllib.parse import SplitResult, parse_qsl, quote, urlencode, urljoin, urlsplit
 
 from repro.net.errors import HTTPStatusError
 
@@ -44,7 +45,7 @@ class Headers:
 
     def __init__(self, items: Mapping[str, str] | Iterable[tuple[str, str]] = ()) -> None:
         self._items: list[tuple[str, str]] = []
-        if isinstance(items, Mapping):
+        if isinstance(items, (dict, Mapping)):
             items = items.items()
         for name, value in items:
             self.add(name, value)
@@ -110,31 +111,42 @@ class Request:
     url: str
     headers: Headers = field(default_factory=Headers)
     body: bytes = b""
+    _split: SplitResult = field(init=False, repr=False, compare=False)
+    _split_url: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.method = self.method.upper()
-        parts = urlsplit(self.url)
+        self._split_url = self.url
+        self._split = parts = urlsplit(self.url)
         if parts.scheme not in ("http", "https"):
             raise ValueError(f"unsupported URL scheme in {self.url!r}")
         if not parts.netloc:
             raise ValueError(f"URL must be absolute: {self.url!r}")
 
     @property
+    def parts(self) -> SplitResult:
+        """``urlsplit(self.url)``, parsed once per assigned URL."""
+        if self._split_url is not self.url:
+            self._split = urlsplit(self.url)
+            self._split_url = self.url
+        return self._split
+
+    @property
     def host(self) -> str:
-        return urlsplit(self.url).netloc.lower()
+        return self.parts.netloc.lower()
 
     @property
     def path(self) -> str:
-        return urlsplit(self.url).path or "/"
+        return self.parts.path or "/"
 
     @property
     def query(self) -> dict[str, str]:
         """Query parameters (last value wins on duplicates)."""
-        return dict(parse_qsl(urlsplit(self.url).query, keep_blank_values=True))
+        return dict(parse_qsl(self.parts.query, keep_blank_values=True))
 
     @property
     def scheme(self) -> str:
-        return urlsplit(self.url).scheme
+        return self.parts.scheme
 
     def cookie_header(self) -> str | None:
         return self.headers.get("Cookie")

@@ -353,11 +353,12 @@ class CorpusStore:
         disk; inline segments carry their lines (the data must live
         somewhere).  The unsealed tail always rides along, so with a
         ``store_dir`` the store's share of a checkpoint tick is bounded
-        by ``segment_records``, not corpus size.  The rest of the tick
-        is the active crawler's cursor plus completed-stage artifacts
-        the pipeline encodes once per stage (see
-        :class:`repro.crawler.checkpoint.EncodedJSON`); a tick still
-        writes the whole envelope.
+        by ``segment_records``, not corpus size.  Checkpointing crawlers
+        go one step further through
+        :func:`repro.crawler.runtime.snapshot_store`, which moves inline
+        segment lines into write-once sidecars and the tail into an
+        append-only journal, so a tick writes only the lines added since
+        the last one.
         """
         sealed = []
         for ref in self._refs:
@@ -396,6 +397,12 @@ class CorpusStore:
         if payload.get("version") != STORE_FORMAT_VERSION:
             raise ValueError(
                 f"unsupported store payload version {payload.get('version')!r}"
+            )
+        tail = payload.get("tail") or []
+        if not isinstance(tail, list):
+            raise ValueError(
+                f"store payload tail must be a list of lines, "
+                f"got {type(tail).__name__}"
             )
         self._reset()
         # Resuming adopts the snapshot's segment size: a chain of
@@ -455,7 +462,7 @@ class CorpusStore:
             self._refs.append(ref)
         if self.store_dir is not None and self._refs:
             write_manifest(self.store_dir, self.segment_records, self._refs)
-        for raw in payload.get("tail") or []:
+        for raw in tail:
             line = str(raw)
             self._apply_line(line)
             self._append(line)

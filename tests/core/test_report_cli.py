@@ -152,6 +152,8 @@ class TestCliExecution:
         ])
         assert exit_code == 0
         assert not state_file.exists()      # superseded by the corpus
+        # ...together with every sidecar and journal it referenced.
+        assert not list(tmp_path.glob("*.state.json*"))
         assert out_file.read_bytes() == reference_dump
         if "--store-dir" in options:
             assert (tmp_path / "segments" / "manifest.json").exists()

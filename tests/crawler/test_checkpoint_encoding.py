@@ -3,9 +3,10 @@
 :func:`encode_json` must produce exactly ``json.dumps`` of the payload
 with every :class:`EncodedJSON` replaced by the value it encodes, a
 checkpointed pipeline crawl must keep writing plain ``json.dumps`` text
-that is a pure function of the crawl's seed, and the providers'
-hand-built ``to_dict`` forms must equal their ``dataclasses.asdict``
-forms.
+and state sets (state file, sidecars, journals) that are a pure
+function of the crawl's seed — also across a kill→resume chain — and
+the providers' hand-built ``to_dict`` forms must equal their
+``dataclasses.asdict`` forms.
 """
 
 import json
@@ -19,8 +20,9 @@ from repro.core.pipeline import ReproductionPipeline
 from repro.crawler.checkpoint import EncodedJSON, encode_json
 from repro.crawler.gab_enum import GabEnumerationResult
 from repro.crawler.records import CrawledGabAccount, CrawledYouTubeItem
-from repro.crawler.runtime import Checkpointer
+from repro.crawler.runtime import Checkpointer, load_state
 from repro.crawler.youtube_crawl import YouTubeCrawlResult
+from repro.net.errors import CrawlKilled
 from repro.platform import WorldConfig, build_world
 
 LEAVES = [
@@ -106,17 +108,27 @@ class TestEncodeJson:
 
 
 class _RecordingCheckpointer(Checkpointer):
-    """Keeps the bytes of every state file it writes."""
+    """Keeps the bytes of every state file it writes, and of its state set."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self.written: list[bytes] = []
+        self.state_sets: list[dict[str, bytes]] = []
 
     def flush(self) -> bool:
         wrote = super().flush()
         if wrote:
             self.written.append(self.path.read_bytes())
+            self.state_sets.append(_state_set(self.path))
         return wrote
+
+
+def _state_set(state_path) -> dict[str, bytes]:
+    """Every ``*.state.json*`` file beside ``state_path``, by name."""
+    return {
+        path.name: path.read_bytes()
+        for path in sorted(state_path.parent.glob("*.state.json*"))
+    }
 
 
 class TestCheckpointedCrawlBytes:
@@ -124,24 +136,26 @@ class TestCheckpointedCrawlBytes:
     def world(self):
         return build_world(WorldConfig(scale=0.001, seed=5))
 
-    def _crawl(self, world, run_dir) -> list[bytes]:
-        shutil.rmtree(run_dir, ignore_errors=True)
-        run_dir.mkdir()
-        pipeline = ReproductionPipeline(
+    def _pipeline(self, world, run_dir) -> ReproductionPipeline:
+        return ReproductionPipeline(
             world=world, connections=2,
             store_dir=str(run_dir / "store"), segment_records=256,
         )
+
+    def _crawl(self, world, run_dir) -> _RecordingCheckpointer:
+        shutil.rmtree(run_dir, ignore_errors=True)
+        run_dir.mkdir()
         checkpointer = _RecordingCheckpointer(
             run_dir / "crawl.state.json", every_pages=25
         )
-        pipeline.stage_crawl(checkpointer=checkpointer)
-        return checkpointer.written
+        self._pipeline(world, run_dir).stage_crawl(checkpointer=checkpointer)
+        return checkpointer
 
     def test_state_files_are_plain_json_and_seed_determined(
         self, world, tmp_path
     ):
         first = self._crawl(world, tmp_path / "run")
-        texts = [raw.decode("utf-8") for raw in first]
+        texts = [raw.decode("utf-8") for raw in first.written]
         assert len(texts) > 10
         for text in texts:
             assert text == json.dumps(json.loads(text))
@@ -149,8 +163,50 @@ class TestCheckpointedCrawlBytes:
         assert {"gab_enum", "shadow", "tail"} <= stages
         # The shadow stage's authenticated session rides in the cookies.
         assert any('"name": "session"' in text for text in texts)
+        # Sidecars and journals join the state set, and every file of
+        # the set is checkpoint state by its name.
+        names = {name for state in first.state_sets for name in state}
+        assert any(".journal.state.json" in name for name in names)
+        assert any("crawl.state.json.corpus-" in name for name in names)
+        assert all(name.endswith(".state.json") for name in names)
+        # Each tick's set is its state file plus exactly what it references.
+        for state in first.state_sets:
+            envelope = json.loads(state["crawl.state.json"])
+            for key, ref in envelope["artifacts"].items():
+                name = f"crawl.state.json.{key}-{ref['sha256']}.state.json"
+                assert len(state[name]) == ref["bytes"]
 
-        assert self._crawl(world, tmp_path / "run") == first
+        # Same seed, same directory: byte-identical state sets at every tick.
+        second = self._crawl(world, tmp_path / "run")
+        assert second.written == first.written
+        assert second.state_sets == first.state_sets
+
+    def test_killed_and_resumed_chain_reaches_the_same_final_state_set(
+        self, world, tmp_path
+    ):
+        run_dir = tmp_path / "run"
+        uninterrupted = self._crawl(world, run_dir)
+        requests = 0
+        shutil.rmtree(run_dir)
+        run_dir.mkdir()
+        state = run_dir / "crawl.state.json"
+        for kill_at in (150, 450, None):
+            pipeline = self._pipeline(world, run_dir)
+            pipeline.origins.transport.kill_after(kill_at)
+            checkpointer = _RecordingCheckpointer(state, every_pages=25)
+            try:
+                pipeline.stage_crawl(
+                    checkpointer=checkpointer,
+                    resume=load_state(state) if state.exists() else None,
+                )
+            except CrawlKilled:
+                assert kill_at is not None
+                requests += pipeline.origins.transport.requests_attempted
+                continue
+            assert kill_at is None
+        assert requests > 0
+        assert checkpointer.state_sets[-1] == uninterrupted.state_sets[-1]
+        assert _state_set(state) == uninterrupted.state_sets[-1]
 
 
 class TestProviderDicts:

@@ -86,3 +86,13 @@ class TestCookieJar:
         jar.set_simple("b", "2", "e.com")
         header = jar.cookie_header_for("https://e.com/")
         assert set(header.split("; ")) == {"a=1", "b=2"}
+
+
+def test_cookie_header_for_parsed_parts_matches_url():
+    from urllib.parse import urlsplit
+
+    jar = CookieJar()
+    assert jar.cookie_header_for(urlsplit("https://e.com/")) is None
+    jar.set_simple("s", "1", "e.com")
+    for url in ("https://e.com/", "https://sub.E.com/x?y=1", "https://f.com/"):
+        assert jar.cookie_header_for(urlsplit(url)) == jar.cookie_header_for(url)

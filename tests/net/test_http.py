@@ -1,5 +1,8 @@
 """Tests for the HTTP message model."""
 
+from collections import OrderedDict
+from urllib.parse import parse_qsl, urlsplit
+
 import pytest
 
 from repro.net.errors import HTTPStatusError
@@ -46,6 +49,48 @@ class TestRequest:
 
     def test_root_path_default(self):
         assert Request("GET", "https://example.com").path == "/"
+
+    @pytest.mark.parametrize("url", [
+        "https://example.com",
+        "https://example.com/",
+        "http://example.com/a/../b/./c",
+        "https://example.com//double//slash",
+        "https://example.com/path?",
+        "https://example.com/?a=1&a=2&b=",
+        "https://example.com/p?q=%20x+y&empty&k=v=w",
+        "https://example.com:8443/port/path?x=1#frag",
+        "https://Dissenter.COM/User/Alice?Sort=NEW",
+        "http://[::1]:8080/ipv6",
+        "https://user:pw@gab.com/api/v1/accounts/1",
+    ])
+    def test_properties_equal_urlsplit(self, url):
+        request = Request("GET", url)
+        parts = urlsplit(url)
+        assert request.parts == parts
+        assert request.host == parts.netloc.lower()
+        assert request.path == (parts.path or "/")
+        assert request.scheme == parts.scheme
+        assert request.query == dict(
+            parse_qsl(parts.query, keep_blank_values=True)
+        )
+
+    def test_reassigned_url_is_parsed_again(self):
+        request = Request("GET", "https://a.com/one?x=1")
+        assert request.host == "a.com"
+        request.url = "http://B.org:81/two?y=2"
+        assert request.host == "b.org:81"
+        assert request.path == "/two"
+        assert request.query == {"y": "2"}
+        assert request.scheme == "http"
+        assert request.parts == urlsplit(request.url)
+
+    def test_headers_from_any_mapping(self):
+        assert list(Headers(OrderedDict([("A", "1"), ("B", "2")]))) == [
+            ("A", "1"), ("B", "2"),
+        ]
+        assert list(Headers([("A", "1"), ("A", "2")])) == [
+            ("A", "1"), ("A", "2"),
+        ]
 
     def test_rejects_relative_url(self):
         with pytest.raises(ValueError):
