@@ -333,13 +333,12 @@ def _cmd_crawl_sharded(args: argparse.Namespace) -> int:
         die_after=args.die_after,
         state_path=state_path,
     )
-    resume_payload = None
-    if args.resume:
-        if not state_path.exists():
-            raise SystemExit(f"--resume: no checkpoint state at {state_path}")
-        resume_payload = load_state(state_path)
+    if args.resume and not state_path.exists():
+        raise SystemExit(f"--resume: no checkpoint state at {state_path}")
     try:
-        corpus = engine.run(resume=resume_payload)
+        corpus = engine.run(
+            resume=load_state(state_path) if args.resume else None
+        )
     except CrawlKilled as killed:
         print(f"sharded crawl killed after {killed.requests_served} requests; "
               f"resume with --resume --state {state_path}", file=sys.stderr)

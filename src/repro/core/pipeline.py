@@ -280,28 +280,6 @@ class ReproductionPipeline:
             pool=self._pool_for("gab_enum"),
         )
 
-    def crawl_dissenter(
-        self, usernames: list[str]
-    ) -> tuple[CorpusStore, DissenterCrawler]:
-        crawler = DissenterCrawler(self.client)
-        detected = crawler.detect_accounts(
-            usernames, pool=self._pool_for("dissenter_detect")
-        )
-        corpus = crawler.crawl(
-            detected,
-            pool=self._pool_for("dissenter_crawl"),
-            store=self._new_store(),
-        )
-        while crawler.stats.comment_pages_failed:
-            if crawler.recrawl_failures(corpus) == 0:
-                break
-        return corpus, crawler
-
-    def uncover_shadow(self, corpus: CorpusStore) -> ShadowCrawler:
-        shadow = ShadowCrawler(self.client, self.origins.dissenter)
-        shadow.uncover(corpus, pool=self._pool_for("shadow"))
-        return shadow
-
     def validate(
         self, corpus: CorpusStore, shadow: ShadowCrawler
     ) -> ValidationReport:
@@ -312,11 +290,6 @@ class ReproductionPipeline:
         )
         report = validator.check_consistency(corpus)
         return validator.verify_shadow_sample(corpus, shadow, report=report)
-
-    def crawl_youtube(self, corpus: CorpusStore) -> YouTubeCrawlResult:
-        crawler = YouTubeCrawler(self.client)
-        urls = [u.url for u in corpus.urls.values() if is_youtube_url(u.url)]
-        return crawler.crawl(urls, pool=self._pool_for("youtube"))
 
     def crawl_social(self, corpus: CorpusStore, gab_enum: GabEnumerationResult):
         gab_ids = {

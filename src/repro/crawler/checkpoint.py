@@ -58,20 +58,17 @@ if TYPE_CHECKING:   # the store's segment writer imports this module
 
 __all__ = [
     "CrawlCheckpoint",
-    "EncodedJSON",
-    "SHARD_ENVELOPE_VERSION",
     "STATE_SUFFIX",
     "atomic_write_bytes",
     "atomic_write_json",
     "atomic_write_text",
     "coerce_checkpoint",
-    "coerce_shard_envelope",
     "dump_checkpoint",
     "dump_result",
     "dumps_result",
     "encode_json",
     "file_ref",
-    "is_shard_envelope",
+    "is_count",
     "journal_path",
     "journal_record",
     "load_checkpoint",
@@ -86,14 +83,6 @@ __all__ = [
 
 _FORMAT_VERSION = 1
 _RUNTIME_FORMAT_VERSION = 3
-
-#: Checkpoint format v4: the *sharded* crawl's parent envelope.  It is a
-#: coordinator-level document — per-worker state still travels as the
-#: v3 :class:`CrawlCheckpoint` payloads this module already defines,
-#: wrapped one level down in each worker's own state file — so v4 does
-#: not supersede v3; it composes it with the frontier partition spec and
-#: the merged store snapshot at the last completed phase boundary.
-SHARD_ENVELOPE_VERSION = 4
 
 
 def result_to_payload(result: CorpusStore) -> dict:
@@ -266,68 +255,9 @@ def atomic_write_json(path: str | Path, payload: object) -> int:
     return atomic_write_text(path, encode_json(payload))
 
 
-# ----------------------------------------------------------------------
-# Encode-once values.
-# ----------------------------------------------------------------------
-
-
-@dataclass(frozen=True, slots=True)
-class EncodedJSON:
-    """A JSON value whose :func:`encode_json` text was computed once.
-
-    Place one anywhere in a payload handed to :func:`encode_json` (or
-    :func:`atomic_write_json`) and its text is copied into the output
-    as is — a value that outlives many checkpoint ticks is encoded once,
-    not once per tick.  Build one with :meth:`of`.
-    """
-
-    text: str
-
-    @classmethod
-    def of(cls, value: object) -> "EncodedJSON":
-        return cls(encode_json(value))
-
-
 def encode_json(payload: object) -> str:
-    """``json.dumps(payload)``, with every :class:`EncodedJSON` spliced in.
-
-    The result equals ``json.dumps`` of the payload with each
-    :class:`EncodedJSON` replaced by the value it encodes.  The C
-    encoder does all the work: it hands each :class:`EncodedJSON` to a
-    ``default`` hook that substitutes a marker string, and the marker's
-    quoted form is then replaced by the stored text.  A payload string
-    that happens to encode to the marker shows up as a surplus marker,
-    and the encode is retried with another marker.
-
-    Raises:
-        TypeError: the payload holds a value JSON cannot encode.
-    """
-    spliced: list[str] = []
-    marker = ""
-
-    def splice(value: object) -> str:
-        if not isinstance(value, EncodedJSON):
-            raise TypeError(
-                f"Object of type {type(value).__name__} is not JSON serializable"
-            )
-        spliced.append(value.text)
-        return marker
-
-    attempt = 0
-    while True:
-        marker = f"\x00encoded-json-{attempt}\x00"
-        spliced.clear()
-        text = json.dumps(payload, default=splice)
-        if not spliced:
-            return text
-        parts = text.split(json.dumps(marker))
-        if len(parts) == len(spliced) + 1:
-            out = [parts[0]]
-            for inner, part in zip(spliced, parts[1:]):
-                out.append(inner)
-                out.append(part)
-            return "".join(out)
-        attempt += 1
+    """The JSON text of every checkpoint file: ``json.dumps(payload)``."""
+    return json.dumps(payload)
 
 
 # ----------------------------------------------------------------------
@@ -353,7 +283,8 @@ def file_ref(data: bytes) -> dict:
     return {"sha256": hashlib.sha256(data).hexdigest(), "bytes": len(data)}
 
 
-def _count(value: object) -> bool:
+def is_count(value: object) -> bool:
+    """Whether ``value`` is a non-negative ``int`` (not a ``bool``)."""
     return isinstance(value, int) and not isinstance(value, bool) and value >= 0
 
 
@@ -363,7 +294,7 @@ def _check_ref(ref: object, what: str, counts: tuple[str, ...] = ()) -> dict:
         not isinstance(ref, dict)
         or not isinstance(ref.get("sha256"), str)
         or not _SHA256.fullmatch(ref["sha256"])
-        or not all(_count(ref.get(name)) for name in ("bytes", *counts))
+        or not all(is_count(ref.get(name)) for name in ("bytes", *counts))
     ):
         raise ValueError(f"malformed {what} reference {ref!r}")
     return {name: ref[name] for name in ("sha256", "bytes", *counts)}
@@ -569,6 +500,36 @@ class CrawlCheckpoint:
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed runtime checkpoint: {exc!r}") from exc
 
+    def count(self, key: str) -> int:
+        """``cursor[key]`` (0 when absent), checked to be a count.
+
+        Raises:
+            ValueError: it is not a non-negative integer.
+        """
+        value = self.cursor.get(key, 0)
+        if not is_count(value):
+            raise ValueError(
+                f"{self.crawler} checkpoint cursor {key!r} must be a "
+                f"non-negative integer, got {value!r}"
+            )
+        return int(value)
+
+    def strings(self, key: str) -> list[str]:
+        """``cursor[key]`` (empty when absent), checked to be a list of strings.
+
+        Raises:
+            ValueError: it is anything else.
+        """
+        value = self.cursor.get(key, [])
+        if not isinstance(value, list) or not all(
+            isinstance(item, str) for item in value
+        ):
+            raise ValueError(
+                f"{self.crawler} checkpoint cursor {key!r} must be a list "
+                f"of strings"
+            )
+        return list(value)
+
 
 def coerce_checkpoint(resume: "CrawlCheckpoint | dict", crawler: str) -> "CrawlCheckpoint":
     """Accept either a parsed checkpoint or its payload; validate ownership.
@@ -588,44 +549,6 @@ def coerce_checkpoint(resume: "CrawlCheckpoint | dict", crawler: str) -> "CrawlC
             f"cannot resume {crawler!r}"
         )
     return checkpoint
-
-
-def is_shard_envelope(payload: dict) -> bool:
-    """Whether a state-file payload is a sharded (v4) parent envelope.
-
-    The CLI dispatches on this: ``--resume`` over a v4 envelope goes to
-    the sharded engine, anything else to the single-process pipeline.
-    """
-    return (
-        isinstance(payload, dict)
-        and payload.get("kind") == "sharded"
-        and payload.get("version") == SHARD_ENVELOPE_VERSION
-    )
-
-
-def coerce_shard_envelope(payload: dict, shards: int) -> dict:
-    """Validate a v4 sharded envelope against the requested worker count.
-
-    Raises:
-        ValueError: not a v4 envelope, or it was written by a run with a
-            different ``--shards`` value (the frontier partition is a
-            function of the worker count, so resuming under a different
-            count would re-partition mid-crawl and corrupt the merge
-            order).
-    """
-    if not isinstance(payload, dict) or payload.get("kind") != "sharded":
-        raise ValueError("not a sharded checkpoint envelope")
-    if payload.get("version") != SHARD_ENVELOPE_VERSION:
-        raise ValueError(
-            f"unsupported sharded envelope version {payload.get('version')!r}"
-        )
-    saved = int(payload.get("shards", 0))
-    if saved != shards:
-        raise ValueError(
-            f"envelope was written by a --shards {saved} run; "
-            f"cannot resume it with --shards {shards}"
-        )
-    return payload
 
 
 def dump_checkpoint(checkpoint: CrawlCheckpoint, path: str | Path) -> None:

@@ -15,6 +15,12 @@ Stage 4 — hidden metadata: visit one single-comment page per distinct
 author and mine the commented-out ``commentAuthor`` JavaScript variable
 for language / permissions / view-filter settings.
 
+Stages 2-4 are one method each (:meth:`DissenterCrawler.crawl_home_pages`,
+:meth:`~DissenterCrawler.crawl_comment_pages`,
+:meth:`~DissenterCrawler.crawl_metadata`) whose cursor lives in a
+caller-owned :class:`CrawlState`; :meth:`DissenterCrawler.crawl` runs
+them in order, and the sharded engine runs each over a shard's jobs.
+
 Every stage is **resumable**: given a :class:`~repro.crawler.runtime.
 Checkpointer` the crawler snapshots its frontier, partial result, stats,
 cookie jar and stage cursor periodically; given a prior checkpoint it
@@ -24,6 +30,7 @@ skips all already-fetched work and continues from the cursor.
 from __future__ import annotations
 
 import threading
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, Sequence
 
@@ -34,8 +41,11 @@ from repro.crawler.parsing import (
     parse_comment_page,
     parse_user_page,
 )
+from repro.crawler.records import CrawledUser
 from repro.crawler.runtime import (
     Checkpointer,
+    LineHook,
+    count_lines,
     restore_store,
     resume_checkpointer,
     snapshot_store,
@@ -48,7 +58,7 @@ from repro.net.pool import FetchPool
 if TYPE_CHECKING:   # runtime import is deferred: store imports records,
     from repro.store.corpus import CorpusStore   # records' package imports us
 
-__all__ = ["DissenterCrawler", "SIZE_THRESHOLD"]
+__all__ = ["CrawlState", "CrawlStats", "DissenterCrawler", "SIZE_THRESHOLD"]
 
 SIZE_THRESHOLD = 10_240   # bytes: the paper's ">= 10 kB means account exists"
 
@@ -97,12 +107,11 @@ class CrawlStats:
         """Fold another stats object into this one (sharded-crawl merge).
 
         Commutative and associative: integer counters sum, and the
-        failed-pages list — whose *sharded* arrival order depends on
-        which worker finished first — is re-sorted so an N-way merge
-        yields the same value whatever the fold order.  (The sharded
-        engine separately restores the sequential failure order from
-        per-shard global indexes before the recrawl loop runs; the
-        sorted list here is the order-independent set view.)
+        failed-pages lists are concatenated and sorted, so an N-way
+        merge yields the same value whatever the fold order.  The sorted
+        list is the order-independent set view: the sharded engine then
+        replaces it with the sequential failure order, rebuilt from each
+        page's global job index, before the recrawl loop runs.
         """
         with self._lock:
             self.usernames_probed += other.usernames_probed
@@ -139,6 +148,21 @@ class CrawlStats:
             )
         except (TypeError, ValueError) as exc:
             raise ValueError(f"malformed crawl stats: {exc!r}") from exc
+
+
+@dataclass
+class CrawlState:
+    """Where stages 2-4 stand.
+
+    Owned by whoever runs the phase methods: :meth:`DissenterCrawler.
+    crawl` keeps one, and so does each sharded-crawl worker.
+    """
+
+    stage: str = "home_pages"          # the active stage, or "done"
+    index: int = 0                     # home pages: usernames done
+    frontier: CrawlFrontier[str] = field(default_factory=CrawlFrontier)
+    meta_index: int = 0                # metadata: comment positions done
+    visited_authors: set[str] = field(default_factory=set)
 
 
 class DissenterCrawler:
@@ -182,8 +206,8 @@ class DissenterCrawler:
                     f"cannot resume detect_accounts from stage "
                     f"{checkpoint.stage!r}"
                 )
-            index = int(checkpoint.cursor.get("index", 0))
-            detected = list(checkpoint.cursor.get("detected", []))
+            index = checkpoint.count("index")
+            detected = checkpoint.strings("detected")
             if checkpoint.stats is not None:
                 self.stats = CrawlStats.from_dict(checkpoint.stats)
             self._restore_client_cookies(checkpoint.cookies)
@@ -246,165 +270,253 @@ class DissenterCrawler:
 
         usernames = list(usernames)
         result = store if store is not None else CorpusStore()
-        frontier: CrawlFrontier[str] = CrawlFrontier()
-        stage = "home_pages"
-        index = 0                       # home-pages cursor
-        meta_index = 0                  # metadata cursor
-        visited_authors: set[str] = set()
-
-        if resume is not None:
-            checkpoint = coerce_checkpoint(resume, "dissenter")
-            if checkpoint.stage not in _CRAWL_STAGES:
-                raise ValueError(
-                    f"cannot resume crawl from stage {checkpoint.stage!r}"
-                )
-            stage = checkpoint.stage
-            if checkpoint.store is not None:
-                restore_store(
-                    resume_checkpointer(checkpointer, "dissenter"),
-                    _STORE_KEY, result, checkpoint.store,
-                )
-            if checkpoint.frontier is not None:
-                frontier = CrawlFrontier.from_state(checkpoint.frontier)
-            if checkpoint.stats is not None:
-                self.stats = CrawlStats.from_dict(checkpoint.stats)
-            self._restore_client_cookies(checkpoint.cookies)
-            index = int(checkpoint.cursor.get("index", 0))
-            meta_index = int(checkpoint.cursor.get("meta_index", 0))
-            visited_authors = set(checkpoint.cursor.get("visited_authors", []))
-
+        state = (
+            self.restore(resume, result, checkpointer)
+            if resume is not None
+            else CrawlState()
+        )
         if checkpointer is not None:
             checkpointer.set_provider(
-                lambda: CrawlCheckpoint(
-                    crawler="dissenter",
-                    stage=stage,
-                    cursor={
-                        "index": index,
-                        "meta_index": meta_index,
-                        "visited_authors": sorted(visited_authors),
-                    },
-                    store=snapshot_store(checkpointer, _STORE_KEY, result),
-                    frontier=frontier.to_state(),
-                    stats=self.stats.to_dict(),
-                    cookies=self._client.cookies.to_state(),
-                ).to_payload()
+                lambda: self.checkpoint(state, result, checkpointer)
             )
-
         if pool is None:
             pool = FetchPool(self._client.clock)
 
-        if stage == "home_pages":
-
-            def plan_home(capacity: int) -> list[int]:
-                return list(
-                    range(index, min(index + capacity, len(usernames)))
-                )
-
-            def fetch_home(position: int) -> Response | None:
-                return self._client.get_or_none(
-                    f"{self.BASE}/user/{usernames[position]}"
-                )
-
-            def parse_home(position: int, response: Response | None):
-                if (
-                    response is not None
-                    and response.status == 200
-                    and response.size >= SIZE_THRESHOLD
-                ):
-                    return parse_user_page(response.text)
-                return None
-
-            def process_home(position: int, user) -> None:
-                nonlocal index
-                if user is not None:
-                    self.stats.bump("home_pages_parsed")
-                    result.add_user(user)
-                    frontier.add_many(user.commented_url_ids)
-                index = position + 1
-
-            pool.run(
-                plan_home, fetch_home, process_home,
-                parse=parse_home, checkpointer=checkpointer,
-            )
-            stage = "comment_pages"
+        if state.stage == "home_pages":
+            self.crawl_home_pages(usernames, result, state, pool, checkpointer)
             if checkpointer is not None:
                 checkpointer.flush()
-
-        if stage == "comment_pages":
-
-            def fetch_page(commenturl_id: str) -> Response | None:
-                return self._client.get_or_none(
-                    f"{self.BASE}/discussion/{commenturl_id}"
-                )
-
-            def process_page(commenturl_id: str, outcome) -> None:
-                # The item is popped only now, at merge time: a
-                # mid-window checkpoint must still show it queued, and a
-                # 429 re-enqueues it behind the already-planned items —
-                # the same tail position a sequential crawl would use.
-                popped = frontier.pop()
-                assert popped == commenturl_id
-                self._merge_comment_page(result, frontier, commenturl_id, outcome)
-
-            pool.run(
-                lambda capacity: frontier.peek(capacity),
-                fetch_page,
-                process_page,
-                parse=lambda _id, response: self._comment_page_outcome(response),
-                checkpointer=checkpointer,
-            )
-            stage = "metadata"
+        if state.stage == "comment_pages":
+            self.crawl_comment_pages(result, state, pool, checkpointer)
             if checkpointer is not None:
                 checkpointer.flush()
-
-        if stage == "metadata":
-            users_by_author = result.users_by_author_id()
-            comments = list(result.comments.values())
-
-            def plan_meta(capacity: int) -> list[tuple[int, object]]:
-                # Walk forward from the merged cursor, simulating the
-                # sequential visited-set so the window never requests an
-                # author twice; each job carries the cursor value to
-                # install once it merges.
-                jobs: list[tuple[int, object]] = []
-                planned: set[str] = set()
-                position = meta_index
-                while position < len(comments) and len(jobs) < capacity:
-                    comment = comments[position]
-                    position += 1
-                    author_id = comment.author_id
-                    if author_id in visited_authors or author_id in planned:
-                        continue
-                    if users_by_author.get(author_id) is None:
-                        continue
-                    planned.add(author_id)
-                    jobs.append((position, comment))
-                return jobs
-
-            def fetch_meta(job: tuple[int, object]) -> Response | None:
-                _, comment = job
-                return self._client.get_or_none(
-                    f"{self.BASE}/comment/{comment.comment_id}"
-                )
-
-            def process_meta(job: tuple[int, object], response) -> None:
-                nonlocal meta_index
-                meta_index_after, comment = job
-                visited_authors.add(comment.author_id)
-                user = users_by_author[comment.author_id]
-                if self._merge_author_page(user, response):
-                    result.touch_user(user)
-                meta_index = meta_index_after
-
-            pool.run(
-                plan_meta, fetch_meta, process_meta, checkpointer=checkpointer
+        if state.stage == "metadata":
+            self.crawl_metadata(
+                self.metadata_jobs(result), result, state, pool, checkpointer
             )
-            meta_index = len(comments)
-            stage = "done"
+            state.meta_index = len(result.comments)   # the walk passed them all
             if checkpointer is not None:
                 checkpointer.flush()
-
         return result
+
+    def checkpoint(
+        self, state: CrawlState, store: CorpusStore, checkpointer: Checkpointer
+    ) -> dict:
+        """The v3 checkpoint payload of stages 2-4 (a provider's value)."""
+        return CrawlCheckpoint(
+            crawler="dissenter",
+            stage=state.stage,
+            cursor={
+                "index": state.index,
+                "meta_index": state.meta_index,
+                "visited_authors": sorted(state.visited_authors),
+            },
+            store=snapshot_store(checkpointer, _STORE_KEY, store),
+            frontier=state.frontier.to_state(),
+            stats=self.stats.to_dict(),
+            cookies=self._client.cookies.to_state(),
+        ).to_payload()
+
+    def restore(
+        self,
+        resume: CrawlCheckpoint | dict,
+        store: CorpusStore,
+        checkpointer: Checkpointer | None,
+    ) -> CrawlState:
+        """Load a :meth:`checkpoint` payload into ``store`` and this crawler.
+
+        Raises:
+            ValueError: a malformed payload.
+        """
+        checkpoint = coerce_checkpoint(resume, "dissenter")
+        if checkpoint.stage not in _CRAWL_STAGES:
+            raise ValueError(
+                f"cannot resume crawl from stage {checkpoint.stage!r}"
+            )
+        state = CrawlState(
+            stage=checkpoint.stage,
+            index=checkpoint.count("index"),
+            meta_index=checkpoint.count("meta_index"),
+            visited_authors=set(checkpoint.strings("visited_authors")),
+        )
+        if checkpoint.store is not None:
+            restore_store(
+                resume_checkpointer(checkpointer, "dissenter"),
+                _STORE_KEY, store, checkpoint.store,
+            )
+        if checkpoint.frontier is not None:
+            state.frontier = CrawlFrontier.from_state(checkpoint.frontier)
+        if checkpoint.stats is not None:
+            self.stats = CrawlStats.from_dict(checkpoint.stats)
+        self._restore_client_cookies(checkpoint.cookies)
+        return state
+
+    # Each phase method runs one stage over an explicit job list, keeps
+    # its cursor in the caller's ``state`` and advances ``state.stage``
+    # when done.  ``on_lines`` (see runtime.count_lines) hears how many
+    # corpus log lines each job appended.
+
+    def crawl_home_pages(
+        self,
+        usernames: Sequence[str],
+        store: CorpusStore,
+        state: CrawlState,
+        pool: FetchPool,
+        checkpointer: Checkpointer | None = None,
+        on_lines: LineHook | None = None,
+    ) -> None:
+        """Stage 2: each user's home page, from ``state.index`` on.
+
+        Jobs are positions in ``usernames``; a user's commented URL ids
+        join ``state.frontier``.
+        """
+
+        def plan(capacity: int) -> list[int]:
+            return list(
+                range(state.index, min(state.index + capacity, len(usernames)))
+            )
+
+        def fetch(position: int) -> Response | None:
+            return self._client.get_or_none(
+                f"{self.BASE}/user/{usernames[position]}"
+            )
+
+        def parse(position: int, response: Response | None):
+            if (
+                response is not None
+                and response.status == 200
+                and response.size >= SIZE_THRESHOLD
+            ):
+                return parse_user_page(response.text)
+            return None
+
+        def process(position: int, user) -> None:
+            if user is not None:
+                self.stats.bump("home_pages_parsed")
+                store.add_user(user)
+                state.frontier.add_many(user.commented_url_ids)
+            state.index = position + 1
+
+        pool.run(
+            plan, fetch, count_lines(store, process, on_lines),
+            parse=parse, checkpointer=checkpointer,
+        )
+        state.stage = "comment_pages"
+
+    def crawl_comment_pages(
+        self,
+        store: CorpusStore,
+        state: CrawlState,
+        pool: FetchPool,
+        checkpointer: Checkpointer | None = None,
+        on_lines: LineHook | None = None,
+    ) -> None:
+        """Stage 3: fetch every discussion page ``state.frontier`` holds.
+
+        Jobs are commenturl ids.  A 429 re-queues its page until the
+        frontier's retry budget is spent; a page that fails for good is
+        recorded in ``stats.comment_pages_failed``.
+        """
+        frontier = state.frontier
+
+        def fetch(commenturl_id: str) -> Response | None:
+            return self._client.get_or_none(
+                f"{self.BASE}/discussion/{commenturl_id}"
+            )
+
+        def process(commenturl_id: str, outcome) -> None:
+            # The item is popped only now, at merge time: a mid-window
+            # checkpoint must still show it queued, and a 429 re-enqueues
+            # it behind the already-planned items — the same tail
+            # position a sequential crawl would use.
+            popped = frontier.pop()
+            assert popped == commenturl_id
+            kind, payload = outcome
+            if kind == "rate_limited":
+                # Once the retry budget is spent the page must still be
+                # accounted as failed, or recrawl_failures() and the
+                # validation report would undercount missing pages.
+                if not frontier.fail(commenturl_id):
+                    self.stats.record_failed(commenturl_id)
+            elif kind == "failed":
+                self.stats.record_failed(commenturl_id)
+            else:
+                self.stats.bump("comment_pages_parsed")
+                self._add_page(store, *payload)
+
+        pool.run(
+            lambda capacity: frontier.peek(capacity),
+            fetch,
+            count_lines(store, process, on_lines),
+            parse=lambda _id, response: self._comment_page_outcome(response),
+            checkpointer=checkpointer,
+        )
+        state.stage = "metadata"
+
+    @staticmethod
+    def metadata_jobs(store: CorpusStore) -> list[tuple[int, str, CrawledUser]]:
+        """Stage 4's jobs: each author's first comment, in corpus order.
+
+        A job is ``(comment position, comment id, user)``; authors
+        without a crawled user are skipped.
+        """
+        users_by_author = store.users_by_author_id()
+        planned: set[str] = set()
+        jobs: list[tuple[int, str, CrawledUser]] = []
+        for position, comment in enumerate(store.comments.values()):
+            author_id = comment.author_id
+            user = users_by_author.get(author_id)
+            if user is None or author_id in planned:
+                continue
+            planned.add(author_id)
+            jobs.append((position, comment.comment_id, user))
+        return jobs
+
+    def crawl_metadata(
+        self,
+        jobs: Sequence[tuple[int, str, CrawledUser]],
+        store: CorpusStore,
+        state: CrawlState,
+        pool: FetchPool,
+        checkpointer: Checkpointer | None = None,
+        on_lines: LineHook | None = None,
+    ) -> None:
+        """Stage 4: mine each job's commentAuthor blob into its user.
+
+        ``jobs`` come from :meth:`metadata_jobs`, ascending by position;
+        those before ``state.meta_index`` are done.  A user whose fields
+        changed is re-appended to ``store``'s log, so replay reproduces
+        the mutation.
+        """
+        positions = [position for position, _, _ in jobs]
+
+        def plan(capacity: int) -> Sequence[tuple[int, str, CrawledUser]]:
+            start = bisect_left(positions, state.meta_index)
+            return jobs[start:start + capacity]
+
+        def fetch(job: tuple[int, str, CrawledUser]) -> Response | None:
+            return self._client.get_or_none(f"{self.BASE}/comment/{job[1]}")
+
+        def process(job: tuple[int, str, CrawledUser], response) -> None:
+            position, _, user = job
+            state.visited_authors.add(user.author_id)
+            state.meta_index = position + 1
+            if response is None or response.status != 200:
+                return
+            self.stats.bump("author_pages_visited")
+            blob = parse_comment_author_blob(response.text)
+            if blob is None:
+                return
+            user.language = blob.get("language")
+            user.permissions = dict(blob.get("permissions", {}))
+            user.view_filters = dict(blob.get("filters", {}))
+            store.touch_user(user)
+
+        pool.run(
+            plan, fetch, count_lines(store, process, on_lines),
+            checkpointer=checkpointer,
+        )
+        state.stage = "done"
 
     @staticmethod
     def _comment_page_outcome(response: Response | None):
@@ -422,44 +534,11 @@ class DissenterCrawler:
             return ("failed", None)
         return ("ok", (url, comments))
 
-    def _merge_comment_page(
-        self,
-        result: CorpusStore,
-        frontier: CrawlFrontier[str],
-        commenturl_id: str,
-        outcome,
-    ) -> None:
-        """Merge one discussion page's outcome (stage 3 unit of work)."""
-        kind, payload = outcome
-        if kind == "rate_limited":
-            # Retry through the frontier; once the retry budget is
-            # spent the page must still be accounted as failed, or
-            # recrawl_failures() and the validation report would
-            # silently undercount missing pages.
-            if not frontier.fail(commenturl_id):
-                self.stats.record_failed(commenturl_id)
-            return
-        if kind == "failed":
-            self.stats.record_failed(commenturl_id)
-            return
-        url, comments = payload
-        self.stats.bump("comment_pages_parsed")
-        result.add_url(url)
+    @staticmethod
+    def _add_page(store: CorpusStore, url, comments) -> None:
+        store.add_url(url)
         for comment in comments:
-            result.add_comment(comment)
-
-    def _fetch_comment_page(
-        self,
-        result: CorpusStore,
-        frontier: CrawlFrontier[str],
-        commenturl_id: str,
-    ) -> None:
-        """Fetch and record one discussion page (sequential form)."""
-        response = self._client.get_or_none(
-            f"{self.BASE}/discussion/{commenturl_id}"
-        )
-        outcome = self._comment_page_outcome(response)
-        self._merge_comment_page(result, frontier, commenturl_id, outcome)
+            store.add_comment(comment)
 
     def recrawl_failures(self, result: CorpusStore) -> int:
         """Re-request comment pages that failed (§3.2's validation loop).
@@ -470,70 +549,15 @@ class DissenterCrawler:
         recovered = 0
         still_failed: list[str] = []
         for commenturl_id in self.stats.comment_pages_failed:
-            response = self._client.get_or_none(
-                f"{self.BASE}/discussion/{commenturl_id}"
+            kind, payload = self._comment_page_outcome(
+                self._client.get_or_none(
+                    f"{self.BASE}/discussion/{commenturl_id}"
+                )
             )
-            if response is None or response.status != 200:
+            if kind != "ok":
                 still_failed.append(commenturl_id)
                 continue
-            url, comments = parse_comment_page(response.text)
-            if url is None:
-                still_failed.append(commenturl_id)
-                continue
-            result.add_url(url)
-            for comment in comments:
-                result.add_comment(comment)
+            self._add_page(result, *payload)
             recovered += 1
         self.stats.replace_failed(still_failed)
         return recovered
-
-    def _merge_author_page(self, user, response: Response | None) -> bool:
-        """Apply one author page's commentAuthor blob to its user.
-
-        Returns True when user fields changed — the caller re-appends
-        the user to the store log so replay reproduces the mutation.
-        """
-        if response is None or response.status != 200:
-            return False
-        self.stats.bump("author_pages_visited")
-        blob = parse_comment_author_blob(response.text)
-        if blob is None:
-            return False
-        user.language = blob.get("language")
-        user.permissions = dict(blob.get("permissions", {}))
-        user.view_filters = dict(blob.get("filters", {}))
-        return True
-
-    def _mine_author_page(
-        self,
-        result: CorpusStore,
-        comment,
-        users_by_author: dict,
-        visited_authors: set[str],
-    ) -> bool:
-        """Mine one author's commentAuthor blob (sequential form).
-
-        Returns True when an HTTP request was issued.
-        """
-        author_id = comment.author_id
-        if author_id in visited_authors:
-            return False
-        user = users_by_author.get(author_id)
-        if user is None:
-            return False
-        visited_authors.add(author_id)
-        response = self._client.get_or_none(
-            f"{self.BASE}/comment/{comment.comment_id}"
-        )
-        if self._merge_author_page(user, response):
-            result.touch_user(user)
-        return True
-
-    def _mine_hidden_metadata(self, result: CorpusStore) -> None:
-        """Visit one comment page per author for the commentAuthor blob."""
-        users_by_author = result.users_by_author_id()
-        visited_authors: set[str] = set()
-        for comment in list(result.comments.values()):
-            self._mine_author_page(
-                result, comment, users_by_author, visited_authors
-            )

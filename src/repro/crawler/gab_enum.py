@@ -177,8 +177,8 @@ class GabEnumerator:
             checkpoint = coerce_checkpoint(resume, "gab_enum")
             checkpointer = resume_checkpointer(checkpointer, "gab_enum")
             cursor = checkpoint.cursor
-            gab_id = int(cursor.get("gab_id", 0))
-            consecutive_misses = int(cursor.get("consecutive_misses", 0))
+            gab_id = checkpoint.count("gab_id")
+            consecutive_misses = checkpoint.count("consecutive_misses")
             result = GabEnumerationResult.from_dict({
                 "accounts": checkpointer.open_journal(
                     ACCOUNTS_JOURNAL, cursor.get("accounts")

@@ -17,13 +17,15 @@ This module reproduces that three-pass protocol:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from repro.crawler.checkpoint import CrawlCheckpoint, coerce_checkpoint
 from repro.crawler.parsing import parse_comment_page
 from repro.crawler.runtime import (
     Checkpointer,
+    LineHook,
+    count_lines,
     restore_store,
     resume_checkpointer,
     snapshot_store,
@@ -37,16 +39,15 @@ from repro.platform.apps.dissenter_app import DissenterApp
 if TYPE_CHECKING:   # runtime import would cycle through the crawler package
     from repro.store.corpus import CorpusStore
 
-__all__ = ["SHADOW_PASSES", "ShadowCrawler", "ShadowCrawlReport"]
+__all__ = ["SHADOW_PASSES", "ShadowCrawler", "ShadowCrawlReport", "ShadowState"]
 
 # The two authenticated passes, in execution order: which view filter the
 # session enables, and the label applied to comments absent from baseline.
-# Public because the sharded engine runs the same protocol per shard.
 SHADOW_PASSES: tuple[tuple[str, dict], ...] = (
     ("nsfw", {"nsfw": True, "offensive": False}),
     ("offensive", {"nsfw": False, "offensive": True}),
 )
-_PASSES = SHADOW_PASSES
+_PASS_NAMES = tuple(name for name, _ in SHADOW_PASSES)
 
 # Checkpoint sidecars of the two id lists, fixed for the whole stage.
 _BASELINE_SIDECAR = "shadow.baseline_ids"
@@ -61,6 +62,24 @@ class ShadowCrawlReport:
     nsfw_found: int = 0
     offensive_found: int = 0
     pages_recrawled: int = 0
+
+
+@dataclass
+class ShadowState:
+    """Where the authenticated passes stand; owned by the caller.
+
+    A comment on a page of ``url_ids`` is hidden when its id is not in
+    ``baseline_ids``.  Comment ids are unique to their URL, so the
+    baseline need only cover the comments of ``url_ids``.
+    """
+
+    url_ids: list[str]                 # the pages every pass visits, in order
+    baseline_ids: set[str]             # comments the baseline crawl saw
+    stage: str = _PASS_NAMES[0]        # the active pass, or "done"
+    page_index: int = 0                # pages of the active pass done
+    found: dict[str, int] = field(
+        default_factory=lambda: dict.fromkeys(_PASS_NAMES, 0)
+    )
 
 
 class ShadowCrawler:
@@ -89,73 +108,17 @@ class ShadowCrawler:
         # instances would alias mutable records between runs.
         self._parse_memo: dict[bytes, list] = {}
 
-    @staticmethod
-    def _parse_page(response: Response | None) -> list:
-        """Pure parse of a discussion-page response into its comments."""
-        if response is None or response.status != 200:
-            return []
-        _, comments = parse_comment_page(response.text)
-        return comments
-
     def _parse_page_cached(self, response: Response | None) -> list:
+        """Parse a discussion-page response into its comments (memoised)."""
         if response is None or response.status != 200:
             return []
         cached = self._parse_memo.get(response.body)
         if cached is None:
-            cached = self._parse_page(response)
+            _, cached = parse_comment_page(response.text)
             if len(self._parse_memo) >= self.PARSE_MEMO_SIZE:
                 self._parse_memo.clear()
             self._parse_memo[response.body] = cached
         return cached
-
-    def _merge_labeled(
-        self,
-        result: CorpusStore,
-        comments: list,
-        label: str,
-        baseline_ids: set[str],
-    ) -> int:
-        """Label and record comments absent from the baseline crawl."""
-        found = 0
-        for comment in comments:
-            if comment.comment_id in baseline_ids:
-                continue
-            if comment.comment_id in result.comments:
-                continue
-            comment.shadow_label = label
-            result.add_comment(comment)
-            found += 1
-        return found
-
-    def _label_page(
-        self,
-        result: CorpusStore,
-        commenturl_id: str,
-        label: str,
-        baseline_ids: set[str],
-    ) -> int:
-        """Fetch one discussion page; label comments absent from baseline."""
-        response = self._client.get_or_none(
-            f"{self.BASE}/discussion/{commenturl_id}"
-        )
-        return self._merge_labeled(
-            result, self._parse_page_cached(response), label, baseline_ids
-        )
-
-    def _crawl_pass(
-        self,
-        result: CorpusStore,
-        token: str,
-        label: str,
-        baseline_ids: set[str],
-    ) -> int:
-        """One authenticated pass; labels comments absent from baseline."""
-        self._client.cookies.set_simple("session", token, "dissenter.com")
-        found = 0
-        for commenturl_id in list(result.urls):
-            found += self._label_page(result, commenturl_id, label, baseline_ids)
-        self._client.cookies.clear("dissenter.com")
-        return found
 
     def uncover(
         self,
@@ -177,111 +140,145 @@ class ShadowCrawler:
         fresh authenticated session is provisioned for the active pass —
         sessions do not survive the death of the crawling process.
         """
-        report = ShadowCrawlReport()
-        stage = _PASSES[0][0]
-        page_index = 0
-        baseline_ids: set[str] | None = None
-        url_ids: list[str] | None = None
-        found_counts = {"nsfw": 0, "offensive": 0}
-
-        if resume is not None:
-            checkpoint = coerce_checkpoint(resume, "shadow")
-            pass_names = [name for name, _ in _PASSES] + ["done"]
-            if checkpoint.stage not in pass_names:
-                raise ValueError(
-                    f"cannot resume shadow crawl from stage "
-                    f"{checkpoint.stage!r}"
-                )
-            checkpointer = resume_checkpointer(checkpointer, "shadow")
-            stage = checkpoint.stage
-            cursor = checkpoint.cursor
-            page_index = int(cursor.get("page_index", 0))
-            baseline = checkpointer.read_sidecar(
-                _BASELINE_SIDECAR, cursor.get("baseline_ids")
-            )
-            urls = checkpointer.read_sidecar(_URLS_SIDECAR, cursor.get("url_ids"))
-            if not isinstance(baseline, list) or not isinstance(urls, list):
-                raise ValueError("shadow checkpoint id sidecars must be lists")
-            baseline_ids = set(baseline)
-            url_ids = urls
-            found_counts.update(cursor.get("found", {}))
-            if checkpoint.store is not None:
-                # In-place replay: the caller's reference stays valid.
-                restore_store(checkpointer, _STORE_KEY, result, checkpoint.store)
-            if checkpoint.cookies is not None:
-                self._client.cookies = CookieJar.from_state(checkpoint.cookies)
-
-        if baseline_ids is None or url_ids is None:
-            baseline_ids = set(result.comments)
-            url_ids = list(result.urls)
-            if checkpointer is not None:
-                # Both id lists are fixed for the whole stage: write them
-                # once, as sidecars.
-                checkpointer.sidecar(_BASELINE_SIDECAR, sorted(baseline_ids))
-                checkpointer.sidecar(_URLS_SIDECAR, url_ids)
-
+        state = (
+            self.restore(resume, result, checkpointer)
+            if resume is not None
+            else ShadowState(list(result.urls), set(result.comments))
+        )
         if checkpointer is not None:
             checkpointer.set_provider(
-                lambda: CrawlCheckpoint(
-                    crawler="shadow",
-                    stage=stage,
-                    cursor={
-                        "page_index": page_index,
-                        "baseline_ids": checkpointer.ref(_BASELINE_SIDECAR),
-                        "url_ids": checkpointer.ref(_URLS_SIDECAR),
-                        "found": dict(found_counts),
-                    },
-                    store=snapshot_store(checkpointer, _STORE_KEY, result),
-                    cookies=self._client.cookies.to_state(),
-                ).to_payload()
+                lambda: self.checkpoint(state, result, checkpointer)
             )
-
         if pool is None:
             pool = FetchPool(self._client.clock)
-
-        pass_order = [name for name, _ in _PASSES]
-        for position, (label, filters) in enumerate(_PASSES):
-            if stage == "done" or pass_order.index(stage) > position:
-                continue   # this pass completed before the checkpoint
-            token = self._app.create_session(**filters)
-            self._client.cookies.set_simple("session", token, "dissenter.com")
-
-            def plan(capacity: int) -> list[int]:
-                return list(
-                    range(page_index, min(page_index + capacity, len(url_ids)))
-                )
-
-            def fetch(position_: int) -> Response | None:
-                return self._client.get_or_none(
-                    f"{self.BASE}/discussion/{url_ids[position_]}"
-                )
-
-            def process(position_: int, comments: list) -> None:
-                nonlocal page_index
-                found_counts[label] += self._merge_labeled(
-                    result, comments, label, baseline_ids
-                )
-                page_index = position_ + 1
-
-            pool.run(
-                plan, fetch, process,
-                parse=lambda _i, response: self._parse_page_cached(response),
-                checkpointer=checkpointer,
-            )
-            self._client.cookies.clear("dissenter.com")
-            page_index = 0
-            stage = (
-                pass_order[position + 1]
-                if position + 1 < len(pass_order)
-                else "done"
-            )
+        while state.stage != "done":
+            self.run_pass(result, state, pool, checkpointer)
             if checkpointer is not None:
                 checkpointer.flush()
+        return ShadowCrawlReport(
+            nsfw_found=state.found["nsfw"],
+            offensive_found=state.found["offensive"],
+            pages_recrawled=len(SHADOW_PASSES) * len(state.url_ids),
+        )
 
-        report.nsfw_found = found_counts["nsfw"]
-        report.offensive_found = found_counts["offensive"]
-        report.pages_recrawled = 2 * len(url_ids)
-        return report
+    def checkpoint(
+        self, state: ShadowState, store: CorpusStore, checkpointer: Checkpointer
+    ) -> dict:
+        """The v3 checkpoint payload of the passes (a provider's value).
+
+        Both id lists are fixed for the whole stage: they are written
+        once, as sidecars.
+        """
+        if _BASELINE_SIDECAR not in checkpointer:
+            checkpointer.sidecar(_BASELINE_SIDECAR, sorted(state.baseline_ids))
+            checkpointer.sidecar(_URLS_SIDECAR, state.url_ids)
+        return CrawlCheckpoint(
+            crawler="shadow",
+            stage=state.stage,
+            cursor={
+                "page_index": state.page_index,
+                "baseline_ids": checkpointer.ref(_BASELINE_SIDECAR),
+                "url_ids": checkpointer.ref(_URLS_SIDECAR),
+                "found": dict(state.found),
+            },
+            store=snapshot_store(checkpointer, _STORE_KEY, store),
+            cookies=self._client.cookies.to_state(),
+        ).to_payload()
+
+    def restore(
+        self,
+        resume: CrawlCheckpoint | dict,
+        store: CorpusStore,
+        checkpointer: Checkpointer | None,
+    ) -> ShadowState:
+        """Load a :meth:`checkpoint` payload: its corpus replaces the
+        contents of ``store`` in place, its cookies go to the client;
+        returns its state.
+
+        Raises:
+            ValueError: the payload or its sidecars are malformed.
+        """
+        checkpoint = coerce_checkpoint(resume, "shadow")
+        if checkpoint.stage not in (*_PASS_NAMES, "done"):
+            raise ValueError(
+                f"cannot resume shadow crawl from stage {checkpoint.stage!r}"
+            )
+        checkpointer = resume_checkpointer(checkpointer, "shadow")
+        cursor = checkpoint.cursor
+        baseline = checkpointer.read_sidecar(
+            _BASELINE_SIDECAR, cursor.get("baseline_ids")
+        )
+        urls = checkpointer.read_sidecar(_URLS_SIDECAR, cursor.get("url_ids"))
+        if not isinstance(baseline, list) or not isinstance(urls, list):
+            raise ValueError("shadow checkpoint id sidecars must be lists")
+        found = cursor.get("found", {})
+        if not isinstance(found, dict) or not all(
+            isinstance(count, int) for count in found.values()
+        ):
+            raise ValueError("shadow checkpoint found counts must be integers")
+        state = ShadowState(
+            urls, set(baseline), checkpoint.stage, checkpoint.count("page_index")
+        )
+        state.found.update(found)
+        if checkpoint.store is not None:
+            restore_store(checkpointer, _STORE_KEY, store, checkpoint.store)
+        if checkpoint.cookies is not None:
+            self._client.cookies = CookieJar.from_state(checkpoint.cookies)
+        return state
+
+    def run_pass(
+        self,
+        store: CorpusStore,
+        state: ShadowState,
+        pool: FetchPool,
+        checkpointer: Checkpointer | None = None,
+        on_lines: LineHook | None = None,
+    ) -> None:
+        """Run the active pass (``state.stage``) from ``state.page_index`` on.
+
+        Provisions the pass's authenticated session, labels and records
+        the comments of each page absent from the baseline and from
+        ``store``, then advances ``state`` to the next pass.  Jobs are
+        positions in ``state.url_ids``; ``on_lines`` (see
+        :func:`~repro.crawler.runtime.count_lines`) hears how many log
+        lines each appended.
+        """
+        label = state.stage
+        token = self._app.create_session(**dict(SHADOW_PASSES)[label])
+        self._client.cookies.set_simple("session", token, "dissenter.com")
+
+        def plan(capacity: int) -> list[int]:
+            end = min(state.page_index + capacity, len(state.url_ids))
+            return list(range(state.page_index, end))
+
+        def fetch(position: int) -> Response | None:
+            return self._client.get_or_none(
+                f"{self.BASE}/discussion/{state.url_ids[position]}"
+            )
+
+        def process(position: int, comments: list) -> None:
+            for comment in comments:
+                if (
+                    comment.comment_id in state.baseline_ids
+                    or comment.comment_id in store.comments
+                ):
+                    continue
+                comment.shadow_label = label
+                store.add_comment(comment)
+                state.found[label] += 1
+            state.page_index = position + 1
+
+        pool.run(
+            plan, fetch, count_lines(store, process, on_lines),
+            parse=lambda _i, response: self._parse_page_cached(response),
+            checkpointer=checkpointer,
+        )
+        self._client.cookies.clear("dissenter.com")
+        following = _PASS_NAMES.index(label) + 1
+        state.page_index = 0
+        state.stage = (
+            _PASS_NAMES[following] if following < len(_PASS_NAMES) else "done"
+        )
 
     def verify_sample(
         self, result: CorpusStore, sample_ids: list[str]

@@ -11,6 +11,19 @@ processes, each running its own origins + :class:`VirtualClock` +
 **merge deterministically** so the final corpus is byte-identical to the
 unsharded run.
 
+Workers run the crawlers' own phase methods
+==========================================
+
+Every phase's fetch, parse and process is written once, in its crawler.
+A worker calls the same method the unsharded crawl runs —
+:meth:`GabEnumerator.enumerate`, :meth:`DissenterCrawler.detect_accounts`,
+:meth:`~DissenterCrawler.crawl_home_pages`,
+:meth:`~DissenterCrawler.crawl_comment_pages`,
+:meth:`~DissenterCrawler.crawl_metadata` and
+:meth:`ShadowCrawler.run_pass` — over its shard's jobs, with a cursor
+state of its own, and records order keys through the methods'
+``on_lines`` hook.
+
 Why byte-identity is achievable
 ===============================
 
@@ -43,8 +56,8 @@ observed.  Two wrinkles are handled explicitly:
 * **Worker-local dedup equals global dedup.**  A shadow-pass comment
   renders only on its own URL's page, and both shadow passes of a URL
   run on the URL's owning shard — so a worker deduplicating against
-  (its per-URL baseline ∪ its own additions) reproduces the global
-  dedup decision exactly.
+  (its URLs' baseline ∪ its own additions) reproduces the global dedup
+  decision exactly.
 
 Checkpoint envelope (v4) and kill → resume
 ==========================================
@@ -53,59 +66,55 @@ The parent's state file is a **v4 envelope**: the partition spec, the
 merged store snapshot at the last completed phase boundary, the phase
 artifacts (usernames / detected / failed lists), merged stats, and the
 list of shards that already finished the active phase.  Each worker
-periodically writes its *own* state file — a v3
-:class:`~repro.crawler.checkpoint.CrawlCheckpoint` payload wrapped with
-its shard id and phase — under ``<out>.shards/shard-NN/``.  Killing any
-single worker therefore resumes *just that shard*: the parent relaunches
-only the shards without a phase output file, each continuing from its
-own checkpoint, and the merge consumes completed shards' outputs from
-disk.
+periodically writes its *own* state set under ``<out>.shards/shard-NN/``:
+``state.json`` is ``{"kind": "shard-worker", "shard", "phase", "keys",
+"active"}``, where ``active`` is the crawler's own checkpoint of the
+phase — the payload it writes in an unsharded crawl, store sidecars and
+tail journal included — and ``keys`` references the journal of the
+order keys recorded so far.  Killing any single worker therefore
+resumes *just that shard*: the parent relaunches only the shards
+without a phase output file, each continuing from its own checkpoint,
+and the merge consumes completed shards' outputs from disk.
 
 ``--die-after K`` composes: the kill budget arms shard 0's transport,
 carried across phases (the parent deducts each phase's served count), so
-the CI round-trip can kill one worker mid-crawl and ``cmp`` the resumed
-merge against the uninterrupted unsharded tree.
+a test can kill one worker mid-crawl and compare the resumed merge with
+the uninterrupted unsharded tree.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import multiprocessing
 import shutil
 import sys
 import zlib
 from heapq import merge as heap_merge
 from pathlib import Path
-from typing import Callable, Iterator
 
-from repro.crawler.checkpoint import (
-    SHARD_ENVELOPE_VERSION,
-    CrawlCheckpoint,
-    atomic_write_json,
-    coerce_checkpoint,
-    coerce_shard_envelope,
-)
-from repro.crawler.dissenter_crawl import (
-    SIZE_THRESHOLD,
-    CrawlStats,
-    DissenterCrawler,
-)
+from repro.crawler.checkpoint import atomic_write_json, is_count
+from repro.crawler.dissenter_crawl import CrawlState, CrawlStats, DissenterCrawler
 from repro.crawler.frontier import CrawlFrontier
 from repro.crawler.gab_enum import GabEnumerationResult, GabEnumerator
-from repro.crawler.parsing import parse_user_page
-from repro.crawler.runtime import Checkpointer
-from repro.crawler.shadow import SHADOW_PASSES, ShadowCrawler
+from repro.crawler.runtime import Checkpointer, load_state
+from repro.crawler.shadow import SHADOW_PASSES, ShadowCrawler, ShadowState
 from repro.net.client import ClientStats, HttpClient
 from repro.net.clock import VirtualClock
 from repro.net.errors import CrawlKilled
-from repro.net.http import Response
 from repro.net.pool import FetchPool
 from repro.platform.apps import Origins, build_origins
 from repro.platform.world import World
-from repro.store.codecs import decode_line, encode_user
 from repro.store.corpus import CorpusStore, iter_snapshot_lines
 
-__all__ = ["SHARD_PHASES", "PARTITION_SPEC", "ShardEngine", "shard_key"]
+__all__ = [
+    "PARTITION_SPEC",
+    "SHARD_ENVELOPE_VERSION",
+    "SHARD_PHASES",
+    "ShardEngine",
+    "coerce_shard_envelope",
+    "shard_key",
+]
 
 #: The sharded engine's phases, in execution order.  They cover exactly
 #: the corpus-producing §3 stages; the non-corpus stages (YouTube,
@@ -133,8 +142,22 @@ PARTITION_SPEC = {
     "shadow": "crc32(commenturl_id) % shards (both passes on one shard)",
 }
 
+#: Version of the parent envelope and of the worker state files.
+SHARD_ENVELOPE_VERSION = 4
+
+#: The artifacts a resume at a phase reads (earlier merges wrote them).
+_PHASE_ARTIFACTS = {"detect": "usernames", "home_pages": "detected"}
+
 #: Exit status of a worker (and the parent) interrupted by --die-after.
 EXIT_KILLED = 3
+
+#: Exit status of a worker whose saved state failed validation.
+EXIT_BAD_STATE = 4
+
+# Worker checkpoint journal of the order keys recorded so far.
+_KEYS_JOURNAL = "shard.keys"
+
+_PASS_NAMES = [name for name, _ in SHADOW_PASSES]
 
 
 def shard_key(value: str, shards: int) -> int:
@@ -145,6 +168,65 @@ def shard_key(value: str, shards: int) -> int:
     resumed run's partition across different workers.
     """
     return zlib.crc32(value.encode("utf-8")) % shards
+
+
+def coerce_shard_envelope(payload: object, shards: int) -> dict:
+    """Validate a v4 sharded envelope: every field a resume reads.
+
+    Raises:
+        ValueError: not a v4 envelope; written by a run with a different
+            ``--shards`` value (the frontier partition is a function of
+            the worker count, so resuming under another count would
+            re-partition mid-crawl and corrupt the merge order); or a
+            field is missing or malformed.
+    """
+    if not isinstance(payload, dict) or payload.get("kind") != "sharded":
+        raise ValueError("not a sharded checkpoint envelope")
+    if payload.get("version") != SHARD_ENVELOPE_VERSION:
+        raise ValueError(
+            f"unsupported sharded envelope version {payload.get('version')!r}"
+        )
+    if payload.get("shards") != shards:
+        raise ValueError(
+            f"envelope was written by a --shards {payload.get('shards')} run; "
+            f"cannot resume it with --shards {shards}"
+        )
+    phase = payload.get("phase")
+    artifacts = payload.get("artifacts")
+    completed = payload.get("completed_shards")
+    simulated = payload.get("simulated")
+    malformed = {
+        "phase": phase not in SHARD_PHASES,
+        "store": not isinstance(payload.get("store"), dict),
+        "stats": not isinstance(payload.get("stats"), dict),
+        "client": not isinstance(payload.get("client"), dict),
+        "requests": not is_count(payload.get("requests")),
+        "simulated": isinstance(simulated, bool)
+        or not isinstance(simulated, (int, float))
+        or not 0 <= simulated < math.inf,
+        # Distinct ids of this run's shards.
+        "completed_shards": not isinstance(completed, list)
+        or not all(is_count(shard) and shard < shards for shard in completed)
+        or len(set(completed)) != len(completed),
+        # The id lists, and the one a resume at ``phase`` reads.
+        "artifacts": not isinstance(artifacts, dict)
+        or not all(
+            _is_strings(artifacts.get(key, []))
+            for key in ("usernames", "detected", "failed")
+        )
+        or any(
+            phase == name and needed not in artifacts
+            for name, needed in _PHASE_ARTIFACTS.items()
+        ),
+    }
+    for field, bad in malformed.items():
+        if bad:
+            raise ValueError(f"sharded envelope field {field!r} is malformed")
+    return payload
+
+
+def _is_strings(value: object) -> bool:
+    return isinstance(value, list) and all(isinstance(item, str) for item in value)
 
 
 class ShardEngine:
@@ -232,6 +314,7 @@ class ShardEngine:
             CrawlKilled: the --die-after budget fired in a worker; the
                 v4 envelope has been written to ``state_path`` and the
                 surviving shards' phase outputs are on disk.
+            ValueError: ``resume`` or a worker's saved state is invalid.
         """
         start_index = 0
         completed: list[int] = []
@@ -252,22 +335,21 @@ class ShardEngine:
 
     def _restore(self, payload: dict) -> tuple[int, list[int]]:
         envelope = coerce_shard_envelope(payload, self.shards)
-        phase = envelope.get("phase")
-        if phase not in SHARD_PHASES:
-            raise ValueError(f"unknown sharded phase {phase!r}")
         self.store.restore_payload(envelope["store"])
-        self._artifacts = dict(envelope.get("artifacts") or {})
-        self.stats = CrawlStats.from_dict(envelope.get("stats") or {})
-        self.client_stats = ClientStats.from_dict(envelope.get("client") or {})
-        self.requests = int(envelope.get("requests", 0))
-        self.simulated_seconds = float(envelope.get("simulated", 0.0))
+        self._artifacts = dict(envelope["artifacts"])
+        self.stats = CrawlStats.from_dict(envelope["stats"])
+        self.client_stats = ClientStats.from_dict(envelope["client"])
+        self.requests = envelope["requests"]
+        self.simulated_seconds = float(envelope["simulated"])
         # The die-after budget is per *run*, exactly like the unsharded
         # resume legs: each --die-after leg gets K fresh requests.  The
         # envelope's "die_spent" is diagnostic; restoring it would make
         # a zero-remaining budget kill the relaunched worker instantly.
         self._die_spent = 0
-        completed = [int(w) for w in envelope.get("completed_shards") or []]
-        return SHARD_PHASES.index(phase), completed
+        return (
+            SHARD_PHASES.index(envelope["phase"]),
+            list(envelope["completed_shards"]),
+        )
 
     def _write_envelope(self, phase: str, completed: list[int]) -> None:
         atomic_write_json(
@@ -299,13 +381,24 @@ class ShardEngine:
     def _output_path(self, shard: int, phase: str) -> Path:
         return self._shard_dir(shard) / f"{phase}.json"
 
+    def _error_path(self, shard: int) -> Path:
+        return self._shard_dir(shard) / "error.txt"
+
+    def _read_output(self, shard: int, phase: str) -> dict:
+        path = self._output_path(shard, phase)
+        try:
+            payload = json.loads(path.read_text(encoding="utf-8"))
+        except (OSError, ValueError) as exc:
+            raise ValueError(
+                f"shard {shard}'s {phase} output {path} is unreadable: {exc}"
+            ) from None
+        if not isinstance(payload, dict):
+            raise ValueError(f"shard {shard}'s {phase} output {path} is not an object")
+        return payload
+
     def _run_phase(self, phase: str, completed: list[int]) -> None:
         self._phase_jobs = self._plan_phase(phase)
-        outputs: dict[int, dict] = {}
-        for shard in completed:
-            outputs[shard] = json.loads(
-                self._output_path(shard, phase).read_text(encoding="utf-8")
-            )
+        outputs = {shard: self._read_output(shard, phase) for shard in completed}
         pending = [w for w in range(self.shards) if w not in outputs]
         if pending:
             self._kill_remaining = {}
@@ -335,18 +428,21 @@ class ShardEngine:
             )
             process.start()
             workers.append((shard, process))
+        for _, process in workers:
+            process.join()
         killed: list[int] = []
         # Collect in shard-id order, never completion order (CONC002):
         # the merge and the envelope must not depend on scheduling.
         for shard, process in workers:
-            process.join()
             if process.exitcode == 0:
-                outputs[shard] = json.loads(
-                    self._output_path(shard, phase).read_text(encoding="utf-8")
-                )
+                outputs[shard] = self._read_output(shard, phase)
                 self._account_worker(phase, shard, outputs[shard])
             elif process.exitcode == EXIT_KILLED:
                 killed.append(shard)
+            elif process.exitcode == EXIT_BAD_STATE:
+                raise ValueError(
+                    self._error_path(shard).read_text(encoding="utf-8")
+                )
             else:
                 raise RuntimeError(
                     f"shard {shard} worker exited with status "
@@ -381,13 +477,9 @@ class ShardEngine:
                 start += size
             return stripes
         if phase == "detect":
-            return self._partition_indexed(
-                self._artifacts["usernames"], key=lambda name: name
-            )
+            return self._partition(self._artifacts["usernames"])
         if phase == "home_pages":
-            return self._partition_indexed(
-                self._artifacts["detected"], key=lambda name: name
-            )
+            return self._partition(self._artifacts["detected"])
         if phase == "comment_pages":
             # Replay stage 2's discovery pass over the merged users: the
             # frontier dedups in first-seen order, which IS the order a
@@ -396,45 +488,23 @@ class ShardEngine:
             frontier: CrawlFrontier[str] = CrawlFrontier()
             for user in self.store.users.values():
                 frontier.add_many(user.commented_url_ids)
-            return self._partition_indexed(
-                frontier.queued(), key=lambda url_id: url_id
-            )
+            return self._partition(frontier.queued())
         if phase == "metadata":
-            users_by_author = self.store.users_by_author_id()
-            visited: set[str] = set()
-            jobs: list[list[tuple[int, str, str]]] = [[] for _ in range(n)]
-            for position, comment in enumerate(self.store.comments.values()):
-                author_id = comment.author_id
-                if author_id in visited:
-                    continue
-                user = users_by_author.get(author_id)
-                if user is None:
-                    continue
-                visited.add(author_id)
-                jobs[shard_key(author_id, n)].append(
-                    (position, comment.comment_id, encode_user(user))
-                )
+            # The worker's copy of each job's user is its own (fork), so
+            # mining it leaves the parent's store untouched.
+            jobs: list[list] = [[] for _ in range(n)]
+            for job in DissenterCrawler.metadata_jobs(self.store):
+                jobs[shard_key(job[2].author_id, n)].append(job)
             return jobs
         if phase == "shadow":
-            by_url = self.store.comments_by_url()
-            shadow_jobs: list[list[tuple[int, str, list[str]]]] = [
-                [] for _ in range(n)
-            ]
-            for position, url_id in enumerate(self.store.urls):
-                baseline = [c.comment_id for c in by_url.get(url_id, [])]
-                shadow_jobs[shard_key(url_id, n)].append(
-                    (position, url_id, baseline)
-                )
-            return shadow_jobs
+            return self._partition(list(self.store.urls))
         raise ValueError(f"phase {phase!r} has no worker partition")
 
-    def _partition_indexed(
-        self, items: list[str], key: Callable[[str], str]
-    ) -> list[list[tuple[int, str]]]:
+    def _partition(self, items: list[str]) -> list[list[tuple[int, str]]]:
         """Partition (global index, item) pairs by the item's shard key."""
         jobs: list[list[tuple[int, str]]] = [[] for _ in range(self.shards)]
         for position, item in enumerate(items):
-            jobs[shard_key(key(item), self.shards)].append((position, item))
+            jobs[shard_key(item, self.shards)].append((position, item))
         return jobs
 
     # ------------------------------------------------------------------
@@ -446,13 +516,10 @@ class ShardEngine:
         # Workers run concurrently on real hardware, so the phase's
         # simulated duration is the slowest worker's, not the sum; the
         # per-shard CPU detail feeds the benchmark's critical path.
-        self.simulated_seconds += max(
-            float(payload.get("simulated", 0.0)) for payload in ordered
-        )
+        simulated = max(float(payload.get("simulated", 0.0)) for payload in ordered)
+        self.simulated_seconds += simulated
         self.phase_meta[phase] = {
-            "simulated": max(
-                float(payload.get("simulated", 0.0)) for payload in ordered
-            ),
+            "simulated": simulated,
             "cpu_by_shard": {
                 str(w): float(outputs[w].get("cpu_seconds", 0.0))
                 for w in range(self.shards)
@@ -527,13 +594,6 @@ class ShardEngine:
     # Parent: the serial recrawl phase.
     # ------------------------------------------------------------------
 
-    def _parent_client(self) -> tuple[HttpClient, VirtualClock]:
-        clock = VirtualClock()
-        origins = build_origins(
-            self.world, clock=clock, seed=self.world.config.seed
-        )
-        return HttpClient(origins.transport), clock
-
     def _run_recrawl(self) -> None:
         """§3.2's re-request loop, parent-serial over the merged store.
 
@@ -545,7 +605,11 @@ class ShardEngine:
         failed = [str(url_id) for url_id in self._artifacts.get("failed", [])]
         self.stats.replace_failed(failed)
         if failed:
-            client, clock = self._parent_client()
+            clock = VirtualClock()
+            client = HttpClient(
+                build_origins(self.world, clock=clock, seed=self.world.config.seed)
+                .transport
+            )
             crawler = DissenterCrawler(client)
             crawler.stats = self.stats
             while crawler.stats.comment_pages_failed:
@@ -557,7 +621,7 @@ class ShardEngine:
         self._artifacts.pop("failed", None)
 
     # ------------------------------------------------------------------
-    # Worker process entry.
+    # Worker process.
     # ------------------------------------------------------------------
 
     def _worker_main(self, phase: str, shard: int) -> None:
@@ -567,6 +631,7 @@ class ShardEngine:
         shard_dir = self._shard_dir(shard)
         shard_dir.mkdir(parents=True, exist_ok=True)
         state_path = shard_dir / "state.json"
+        resuming = state_path.exists()
         clock = VirtualClock()
         origins = build_origins(
             self.world, clock=clock, seed=self.world.config.seed
@@ -578,36 +643,49 @@ class ShardEngine:
         pool = FetchPool(clock, self.connections, self.parse_workers)
         checkpointer = None
         # A leftover state file needs its checkpointer to resume from.
-        if (
-            self.checkpoint_every > 0
-            or self.checkpoint_seconds > 0
-            or state_path.exists()
-        ):
+        if self.checkpoint_every > 0 or self.checkpoint_seconds > 0 or resuming:
             checkpointer = Checkpointer(
                 state_path,
                 every_pages=self.checkpoint_every or 25,
                 every_seconds=self.checkpoint_seconds,
                 clock=clock,
             )
-            checkpointer.set_wrapper(
-                lambda inner: {
-                    "version": SHARD_ENVELOPE_VERSION,
-                    "kind": "shard-worker",
-                    "shard": shard,
-                    "phase": phase,
-                    "active": inner,
-                }
-            )
-        resume = self._worker_resume(state_path, phase, shard)
-        runner = getattr(self, f"_worker_{phase}")
+        keys: list[list] = []
         try:
-            payload = runner(shard, origins, client, pool, checkpointer, resume)
+            saved = self._worker_saved_state(state_path, phase, shard)
+            if checkpointer is not None:
+                if saved is not None:
+                    keys = checkpointer.open_journal(_KEYS_JOURNAL, saved.get("keys"))
+                checkpointer.set_wrapper(
+                    lambda inner: {
+                        "version": SHARD_ENVELOPE_VERSION,
+                        "kind": "shard-worker",
+                        "shard": shard,
+                        "phase": phase,
+                        "keys": checkpointer.journal(_KEYS_JOURNAL, keys, list),
+                        "active": inner,
+                    }
+                )
+            payload = self._worker_phase(
+                phase, shard, origins, client, pool, checkpointer,
+                None if saved is None else saved.get("active"), keys,
+            )
         except CrawlKilled:
             # The pool merged the completed prefix first, so the state
             # written here is a clean sequential boundary.
             if checkpointer is not None:
                 checkpointer.flush()
             return EXIT_KILLED
+        except ValueError as exc:
+            if not resuming:
+                raise
+            # A run that resumed fails where a fresh one would not: the
+            # saved state is at fault.  The parent raises this message.
+            self._error_path(shard).write_text(
+                f"shard {shard} cannot resume from {state_path}: {exc}",
+                encoding="utf-8",
+            )
+            return EXIT_BAD_STATE
         finally:
             pool.close()
         payload.update(
@@ -627,21 +705,27 @@ class ShardEngine:
         return 0
 
     @staticmethod
-    def _worker_resume(state_path: Path, phase: str, shard: int) -> dict | None:
+    def _worker_saved_state(state_path: Path, phase: str, shard: int) -> dict | None:
+        """This worker's saved state for ``phase``, or None.
+
+        A state file of another phase is stale and ignored: that phase
+        finished after the envelope was written.
+
+        Raises:
+            ValueError: the file is not a worker state of this shard.
+        """
         if not state_path.exists():
             return None
-        try:
-            payload = json.loads(state_path.read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError):
-            return None
+        payload = load_state(state_path)
         if (
-            not isinstance(payload, dict)
-            or payload.get("kind") != "shard-worker"
-            or payload.get("phase") != phase
+            payload.get("kind") != "shard-worker"
+            or payload.get("version") != SHARD_ENVELOPE_VERSION
             or payload.get("shard") != shard
         ):
-            return None   # stale state from an earlier phase
-        return payload.get("active")
+            raise ValueError(
+                f"not a version {SHARD_ENVELOPE_VERSION} worker state of shard {shard}"
+            )
+        return payload if payload.get("phase") == phase else None
 
     def _worker_store(self, shard: int, phase: str) -> CorpusStore:
         """A worker's per-shard store: same sealing cadence, no columns.
@@ -659,329 +743,103 @@ class ShardEngine:
             columns=False,
         )
 
-    # ------------------------------------------------------------------
-    # Worker phase runners.  Each returns the phase output payload; jobs
-    # arrive through self._phase_jobs (fork-inherited, never pickled).
-    # ------------------------------------------------------------------
-
-    def _worker_gab_enum(
+    def _worker_phase(
         self,
+        phase: str,
         shard: int,
         origins: Origins,
         client: HttpClient,
         pool: FetchPool,
         checkpointer: Checkpointer | None,
-        resume: dict | None,
+        active: dict | None,
+        keys: list[list],
     ) -> dict:
-        start_id, max_id = self._phase_jobs[shard]
-        enumerator = GabEnumerator(client)
-        result = enumerator.enumerate(
-            max_id=max_id,
-            checkpointer=checkpointer,
-            resume=resume,
-            pool=pool,
-            start_id=start_id,
-        )
-        return {"result": result.to_dict()}
+        """Run this shard's jobs of ``phase`` through the crawler's phase method.
 
-    def _worker_detect(
-        self,
-        shard: int,
-        origins: Origins,
-        client: HttpClient,
-        pool: FetchPool,
-        checkpointer: Checkpointer | None,
-        resume: dict | None,
-    ) -> dict:
+        Jobs arrive through ``self._phase_jobs`` (fork-inherited, never
+        pickled); ``active`` is the crawler checkpoint to resume from.
+        Corpus phases append one order key per log line to ``keys``.
+        Returns the phase output payload.
+        """
         jobs = self._phase_jobs[shard]
-        crawler = DissenterCrawler(client)
-        detected = crawler.detect_accounts(
-            [name for _, name in jobs],
-            checkpointer=checkpointer,
-            resume=resume,
-            pool=pool,
-        )
-        index_of = {name: position for position, name in jobs}
-        return {
-            "detected": [index_of[name] for name in detected],
-            "stats": crawler.stats.to_dict(),
-        }
+        if phase == "gab_enum":
+            start_id, max_id = jobs
+            result = GabEnumerator(client).enumerate(
+                max_id=max_id, checkpointer=checkpointer, resume=active,
+                pool=pool, start_id=start_id,
+            )
+            return {"result": result.to_dict()}
+        dissenter = DissenterCrawler(client)
+        if phase == "detect":
+            detected = dissenter.detect_accounts(
+                [name for _, name in jobs],
+                checkpointer=checkpointer, resume=active, pool=pool,
+            )
+            index_of = {name: position for position, name in jobs}
+            return {
+                "detected": [index_of[name] for name in detected],
+                "stats": dissenter.stats.to_dict(),
+            }
 
-    def _worker_home_pages(
-        self,
-        shard: int,
-        origins: Origins,
-        client: HttpClient,
-        pool: FetchPool,
-        checkpointer: Checkpointer | None,
-        resume: dict | None,
-    ) -> dict:
-        jobs = self._phase_jobs[shard]
-        store = self._worker_store(shard, "home_pages")
-        crawler = DissenterCrawler(client)
-        index = 0
-        keys: list[list[int]] = []
-        if resume is not None:
-            checkpoint = coerce_checkpoint(resume, "shard")
-            index = int(checkpoint.cursor.get("index", 0))
-            keys = [list(key) for key in checkpoint.cursor.get("keys", [])]
-            if checkpoint.store is not None:
-                store.restore_payload(checkpoint.store)
-            if checkpoint.stats is not None:
-                crawler.stats = CrawlStats.from_dict(checkpoint.stats)
+        store = self._worker_store(shard, phase)
+        crawler: DissenterCrawler | ShadowCrawler = dissenter
+        if phase == "shadow":
+            crawler = ShadowCrawler(client, origins.dissenter)
+        state: CrawlState | ShadowState
+        if active is not None:
+            state = crawler.restore(active, store, checkpointer)
+        elif phase == "shadow":
+            url_ids = [url_id for _, url_id in jobs]
+            by_url = self.store.comments_by_url()
+            baseline = {c.comment_id for u in url_ids for c in by_url.get(u, ())}
+            state = ShadowState(url_ids, baseline)
+        elif phase == "comment_pages":
+            state = CrawlState(phase, frontier=CrawlFrontier(u for _, u in jobs))
+        else:
+            state = CrawlState(phase)
         if checkpointer is not None:
             checkpointer.set_provider(
-                lambda: CrawlCheckpoint(
-                    crawler="shard",
-                    stage="home_pages",
-                    cursor={"index": index, "keys": list(keys)},
-                    store=store.snapshot(),
-                    stats=crawler.stats.to_dict(),
-                ).to_payload()
+                lambda: crawler.checkpoint(state, store, checkpointer)
             )
+        position_of = {item: position for position, item, *_ in jobs}
 
-        def plan(capacity: int) -> list[int]:
-            return list(range(index, min(index + capacity, len(jobs))))
+        def record(job, count: int) -> None:
+            # The job's global order key; shadow keys lead with the pass.
+            if phase == "home_pages":
+                key = [jobs[job][0]]
+            elif phase == "comment_pages":
+                key = [position_of[job]]
+            elif phase == "metadata":
+                key = [job[0]]
+            else:
+                key = [_PASS_NAMES.index(state.stage), jobs[job][0]]
+            keys.extend([*key, line] for line in range(count))
 
-        def fetch(position: int) -> Response | None:
-            return client.get_or_none(
-                f"{DissenterCrawler.BASE}/user/{jobs[position][1]}"
+        if isinstance(state, ShadowState):
+            while state.stage != "done":
+                crawler.run_pass(store, state, pool, checkpointer, record)
+                if checkpointer is not None:
+                    checkpointer.flush()
+            return {"keys": keys, "store": store.snapshot(), "found": state.found}
+        if phase == "home_pages":
+            dissenter.crawl_home_pages(
+                [name for _, name in jobs], store, state, pool, checkpointer, record
             )
-
-        def parse(position: int, response: Response | None):
-            if (
-                response is not None
-                and response.status == 200
-                and response.size >= SIZE_THRESHOLD
-            ):
-                return parse_user_page(response.text)
-            return None
-
-        def process(position: int, user) -> None:
-            nonlocal index
-            if user is not None:
-                crawler.stats.bump("home_pages_parsed")
-                store.add_user(user)
-                keys.append([jobs[position][0]])
-            index = position + 1
-
-        pool.run(plan, fetch, process, parse=parse, checkpointer=checkpointer)
-        return {
+        elif phase == "comment_pages":
+            dissenter.crawl_comment_pages(store, state, pool, checkpointer, record)
+        else:
+            dissenter.crawl_metadata(jobs, store, state, pool, checkpointer, record)
+        payload = {
             "keys": keys,
             "store": store.snapshot(),
-            "stats": crawler.stats.to_dict(),
+            "stats": dissenter.stats.to_dict(),
         }
-
-    def _worker_comment_pages(
-        self,
-        shard: int,
-        origins: Origins,
-        client: HttpClient,
-        pool: FetchPool,
-        checkpointer: Checkpointer | None,
-        resume: dict | None,
-    ) -> dict:
-        jobs = self._phase_jobs[shard]
-        position_of = {url_id: position for position, url_id in jobs}
-        store = self._worker_store(shard, "comment_pages")
-        crawler = DissenterCrawler(client)
-        frontier: CrawlFrontier[str] = CrawlFrontier(
-            url_id for _, url_id in jobs
-        )
-        keys: list[list[int]] = []
-        if resume is not None:
-            checkpoint = coerce_checkpoint(resume, "shard")
-            keys = [list(key) for key in checkpoint.cursor.get("keys", [])]
-            if checkpoint.frontier is not None:
-                frontier = CrawlFrontier.from_state(checkpoint.frontier)
-            if checkpoint.store is not None:
-                store.restore_payload(checkpoint.store)
-            if checkpoint.stats is not None:
-                crawler.stats = CrawlStats.from_dict(checkpoint.stats)
-        if checkpointer is not None:
-            checkpointer.set_provider(
-                lambda: CrawlCheckpoint(
-                    crawler="shard",
-                    stage="comment_pages",
-                    cursor={"keys": list(keys)},
-                    store=store.snapshot(),
-                    frontier=frontier.to_state(),
-                    stats=crawler.stats.to_dict(),
-                ).to_payload()
-            )
-
-        def fetch(commenturl_id: str) -> Response | None:
-            return client.get_or_none(
-                f"{DissenterCrawler.BASE}/discussion/{commenturl_id}"
-            )
-
-        def process(commenturl_id: str, outcome) -> None:
-            popped = frontier.pop()
-            assert popped == commenturl_id
-            before = store.log_records
-            crawler._merge_comment_page(store, frontier, commenturl_id, outcome)
-            added = store.log_records - before
-            position = position_of[commenturl_id]
-            keys.extend([position, line] for line in range(added))
-
-        pool.run(
-            lambda capacity: frontier.peek(capacity),
-            fetch,
-            process,
-            parse=lambda _id, response: (
-                DissenterCrawler._comment_page_outcome(response)
-            ),
-            checkpointer=checkpointer,
-        )
-        failed = [
-            [position_of[url_id], url_id]
-            for url_id in crawler.stats.comment_pages_failed
-        ]
-        return {
-            "keys": keys,
-            "store": store.snapshot(),
-            "stats": crawler.stats.to_dict(),
-            "failed": failed,
-        }
-
-    def _worker_metadata(
-        self,
-        shard: int,
-        origins: Origins,
-        client: HttpClient,
-        pool: FetchPool,
-        checkpointer: Checkpointer | None,
-        resume: dict | None,
-    ) -> dict:
-        jobs = self._phase_jobs[shard]
-        store = self._worker_store(shard, "metadata")
-        crawler = DissenterCrawler(client)
-        index = 0
-        keys: list[list[int]] = []
-        if resume is not None:
-            checkpoint = coerce_checkpoint(resume, "shard")
-            index = int(checkpoint.cursor.get("index", 0))
-            keys = [list(key) for key in checkpoint.cursor.get("keys", [])]
-            if checkpoint.store is not None:
-                store.restore_payload(checkpoint.store)
-            if checkpoint.stats is not None:
-                crawler.stats = CrawlStats.from_dict(checkpoint.stats)
-        if checkpointer is not None:
-            checkpointer.set_provider(
-                lambda: CrawlCheckpoint(
-                    crawler="shard",
-                    stage="metadata",
-                    cursor={"index": index, "keys": list(keys)},
-                    store=store.snapshot(),
-                    stats=crawler.stats.to_dict(),
-                ).to_payload()
-            )
-
-        def plan(capacity: int) -> list[int]:
-            return list(range(index, min(index + capacity, len(jobs))))
-
-        def fetch(position: int) -> Response | None:
-            return client.get_or_none(
-                f"{DissenterCrawler.BASE}/comment/{jobs[position][1]}"
-            )
-
-        def process(position: int, response: Response | None) -> None:
-            nonlocal index
-            global_index, _, user_line = jobs[position]
-            _, user = decode_line(user_line)
-            if crawler._merge_author_page(user, response):
-                store.add_user(user)
-                keys.append([global_index])
-            index = position + 1
-
-        pool.run(plan, fetch, process, checkpointer=checkpointer)
-        return {
-            "keys": keys,
-            "store": store.snapshot(),
-            "stats": crawler.stats.to_dict(),
-        }
-
-    def _worker_shadow(
-        self,
-        shard: int,
-        origins: Origins,
-        client: HttpClient,
-        pool: FetchPool,
-        checkpointer: Checkpointer | None,
-        resume: dict | None,
-    ) -> dict:
-        jobs = self._phase_jobs[shard]
-        store = self._worker_store(shard, "shadow")
-        shadow = ShadowCrawler(client, origins.dissenter)
-        pass_index = 0
-        index = 0
-        keys: list[list[int]] = []
-        found = {"nsfw": 0, "offensive": 0}
-        if resume is not None:
-            checkpoint = coerce_checkpoint(resume, "shard")
-            pass_index = int(checkpoint.cursor.get("pass_index", 0))
-            index = int(checkpoint.cursor.get("index", 0))
-            keys = [list(key) for key in checkpoint.cursor.get("keys", [])]
-            found.update(checkpoint.cursor.get("found", {}))
-            if checkpoint.store is not None:
-                store.restore_payload(checkpoint.store)
-        if checkpointer is not None:
-            checkpointer.set_provider(
-                lambda: CrawlCheckpoint(
-                    crawler="shard",
-                    stage="shadow",
-                    cursor={
-                        "pass_index": pass_index,
-                        "index": index,
-                        "keys": list(keys),
-                        "found": dict(found),
-                    },
-                    store=store.snapshot(),
-                ).to_payload()
-            )
-
-        for position in range(pass_index, len(SHADOW_PASSES)):
-            pass_index = position
-            label, filters = SHADOW_PASSES[position]
-            # A fresh authenticated session per pass, exactly like the
-            # unsharded crawler (sessions never survive a process).
-            token = origins.dissenter.create_session(**filters)
-            client.cookies.set_simple("session", token, "dissenter.com")
-
-            def plan(capacity: int) -> list[int]:
-                return list(range(index, min(index + capacity, len(jobs))))
-
-            def fetch(job_index: int) -> Response | None:
-                return client.get_or_none(
-                    f"{ShadowCrawler.BASE}/discussion/{jobs[job_index][1]}"
-                )
-
-            def process(job_index: int, comments: list) -> None:
-                nonlocal index
-                global_index, _, baseline = jobs[job_index]
-                before = store.log_records
-                found[label] += shadow._merge_labeled(
-                    store, comments, label, set(baseline)
-                )
-                added = store.log_records - before
-                keys.extend(
-                    [position, global_index, line] for line in range(added)
-                )
-                index = job_index + 1
-
-            pool.run(
-                plan,
-                fetch,
-                process,
-                parse=lambda _i, response: shadow._parse_page_cached(response),
-                checkpointer=checkpointer,
-            )
-            client.cookies.clear("dissenter.com")
-            index = 0
-            pass_index = position + 1
-            if checkpointer is not None:
-                checkpointer.flush()
-        return {"keys": keys, "store": store.snapshot(), "found": found}
+        if phase == "comment_pages":
+            payload["failed"] = [
+                [position_of[url_id], url_id]
+                for url_id in dissenter.stats.comment_pages_failed
+            ]
+        return payload
 
 
 def _process_cpu_seconds() -> float:
@@ -996,13 +854,3 @@ def _process_cpu_seconds() -> float:
 
     usage = resource.getrusage(resource.RUSAGE_SELF)
     return float(usage.ru_utime + usage.ru_stime)
-
-
-def iter_shard_dirs(shards_dir: str | Path) -> Iterator[Path]:
-    """Yield existing shard scratch directories in shard-id order."""
-    base = Path(shards_dir)
-    if not base.is_dir():
-        return
-    for entry in sorted(base.iterdir()):
-        if entry.is_dir() and entry.name.startswith("shard-"):
-            yield entry

@@ -1,11 +1,9 @@
-"""Encode-once checkpoint payloads.
+"""Checkpoint bytes.
 
-:func:`encode_json` must produce exactly ``json.dumps`` of the payload
-with every :class:`EncodedJSON` replaced by the value it encodes, a
-checkpointed pipeline crawl must keep writing plain ``json.dumps`` text
-and state sets (state file, sidecars, journals) that are a pure
-function of the crawl's seed — also across a kill→resume chain — and
-the providers' hand-built ``to_dict`` forms must equal their
+A checkpointed pipeline crawl must write plain ``json.dumps`` text and
+state sets (state file, sidecars, journals) that are a pure function of
+the crawl's seed — also across a kill→resume chain — and the
+providers' hand-built ``to_dict`` forms must equal their
 ``dataclasses.asdict`` forms.
 """
 
@@ -14,97 +12,14 @@ import shutil
 from dataclasses import asdict
 
 import pytest
-from hypothesis import given, strategies as st
 
 from repro.core.pipeline import ReproductionPipeline
-from repro.crawler.checkpoint import EncodedJSON, encode_json
 from repro.crawler.gab_enum import GabEnumerationResult
 from repro.crawler.records import CrawledGabAccount, CrawledYouTubeItem
 from repro.crawler.runtime import Checkpointer, load_state
 from repro.crawler.youtube_crawl import YouTubeCrawlResult
 from repro.net.errors import CrawlKilled
 from repro.platform import WorldConfig, build_world
-
-LEAVES = [
-    None, True, False, 0, -7, 2**70, 0.1, -0.0, 1e300, 3.5,
-    "", "plain", "naïve café ✓", "quote \" back \\ slash", "tab\tnl\n\x00",
-    "😀 emoji", "  ", [], {},
-]
-
-
-def _encoded(value, depth):
-    """``value`` wrapped in ``depth`` containers, innermost an EncodedJSON."""
-    payload = EncodedJSON.of(value)
-    plain = value
-    for level in range(depth):
-        if level % 2:
-            payload, plain = [1, payload, "x"], [1, plain, "x"]
-        else:
-            payload, plain = {"k": payload, 3: None}, {"k": plain, 3: None}
-    return payload, plain
-
-
-class TestEncodeJson:
-    @pytest.mark.parametrize("depth", [0, 1, 2, 3])
-    @pytest.mark.parametrize("leaf", LEAVES, ids=repr)
-    def test_splices_like_json_dumps(self, leaf, depth):
-        payload, plain = _encoded(leaf, depth)
-        assert encode_json(payload) == json.dumps(plain)
-
-    def test_nested_encoded_and_mixed_keys(self):
-        inner = {"é": [1.5, None], 2: {"deep": EncodedJSON.of({})}}
-        payload = {
-            1: EncodedJSON.of({"a": [True, False]}),
-            "two": EncodedJSON.of(inner),
-            "empty": {},
-            "list": [EncodedJSON.of(None), {}, [EncodedJSON.of("ü\n")]],
-        }
-        plain = {
-            1: {"a": [True, False]},
-            "two": {"é": [1.5, None], 2: {"deep": {}}},
-            "empty": {},
-            "list": [None, {}, ["ü\n"]],
-        }
-        assert EncodedJSON.of(inner).text == json.dumps(
-            {"é": [1.5, None], 2: {"deep": {}}}
-        )
-        assert encode_json(payload) == json.dumps(plain)
-
-    def test_plain_payload_is_json_dumps(self):
-        payload = {"a": [1, 2.5, None], 7: {"b": "ÿ"}, "c": {}}
-        assert encode_json(payload) == json.dumps(payload)
-
-    def test_payload_string_equal_to_the_marker(self):
-        # A data string that encodes like the splice marker must not be
-        # mistaken for a splice point.
-        decoy = "\x00encoded-json-0\x00"
-        payload = {decoy: decoy, "v": EncodedJSON.of([decoy]), "w": [decoy]}
-        plain = {decoy: decoy, "v": [decoy], "w": [decoy]}
-        assert encode_json(payload) == json.dumps(plain)
-
-    def test_unencodable_value_raises_type_error(self):
-        with pytest.raises(TypeError, match="not JSON serializable"):
-            encode_json({"a": EncodedJSON.of(1), "b": object()})
-
-    @given(
-        st.recursive(
-            st.none() | st.booleans() | st.integers()
-            | st.floats(allow_nan=False) | st.text(),
-            lambda children: st.lists(children, max_size=4)
-            | st.dictionaries(st.text(max_size=5), children, max_size=4),
-            max_leaves=20,
-        ),
-        st.data(),
-    )
-    def test_any_subtree_may_be_encoded(self, value, data):
-        def wrap(node):
-            if isinstance(node, dict):
-                node = {k: wrap(v) for k, v in node.items()}
-            elif isinstance(node, list):
-                node = [wrap(v) for v in node]
-            return EncodedJSON.of(node) if data.draw(st.booleans()) else node
-
-        assert encode_json(wrap(value)) == json.dumps(value)
 
 
 class _RecordingCheckpointer(Checkpointer):

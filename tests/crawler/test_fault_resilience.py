@@ -10,6 +10,8 @@ fault-free crawl.
 import pytest
 
 from repro.core.pipeline import ReproductionPipeline
+from repro.crawler.dissenter_crawl import DissenterCrawler
+from repro.crawler.shadow import ShadowCrawler
 from repro.platform.config import WorldConfig
 
 
@@ -23,9 +25,15 @@ def faulty_and_clean():
     faulty = ReproductionPipeline(config, with_faults=True)
 
     def collect(pipeline):
+        # stage_crawl's detect → crawl → recrawl → shadow sequence, on the
+        # crawler classes so the Dissenter crawler's stats stay in reach.
         enum = pipeline.enumerate_gab()
-        corpus, crawler = pipeline.crawl_dissenter(enum.usernames())
-        pipeline.uncover_shadow(corpus)
+        crawler = DissenterCrawler(pipeline.client)
+        corpus = crawler.crawl(crawler.detect_accounts(enum.usernames()))
+        while crawler.stats.comment_pages_failed:
+            if crawler.recrawl_failures(corpus) == 0:
+                break
+        ShadowCrawler(pipeline.client, pipeline.origins.dissenter).uncover(corpus)
         return enum, corpus, crawler, pipeline
 
     return collect(clean), collect(faulty)

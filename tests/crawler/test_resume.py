@@ -16,12 +16,14 @@ import pytest
 
 from repro.core.pipeline import ReproductionPipeline
 from repro.crawler.checkpoint import result_to_payload
-from repro.crawler.dissenter_crawl import DissenterCrawler
+from repro.crawler.dissenter_crawl import CrawlState, DissenterCrawler
 from repro.crawler.frontier import CrawlFrontier
 from repro.crawler.runtime import Checkpointer, load_state
+from repro.net.clock import VirtualClock
 from repro.net.cookies import CookieJar
 from repro.net.errors import CrawlKilled
 from repro.net.http import Response
+from repro.net.pool import FetchPool
 from repro.platform.config import WorldConfig
 from repro.platform.world import build_world
 from repro.store import CorpusStore
@@ -247,25 +249,29 @@ class TestFailedPagesAreRecorded:
     land in ``stats.comment_pages_failed`` — previously they were
     silently dropped, so §3.2's re-request loop never saw them."""
 
-    def test_429_budget_exhaustion_is_recorded(self):
-        client = _StubClient(status=429)
+    @staticmethod
+    def _crawl_comment_pages(status: int, frontier: CrawlFrontier[str]):
+        client = _StubClient(status=status)
         crawler = DissenterCrawler(client)
+        state = CrawlState("comment_pages", frontier=frontier)
+        crawler.crawl_comment_pages(
+            CorpusStore(), state, FetchPool(VirtualClock())
+        )
+        assert state.stage == "metadata"
+        return client, crawler
+
+    def test_429_budget_exhaustion_is_recorded(self):
         frontier: CrawlFrontier[str] = CrawlFrontier(["url-1"], max_retries=2)
-        result = CorpusStore()
-        for commenturl_id in frontier.drain():
-            crawler._fetch_comment_page(result, frontier, commenturl_id)
+        client, crawler = self._crawl_comment_pages(429, frontier)
         # 1 initial attempt + 2 retries, then the budget is spent.
         assert client.calls == 3
         assert frontier.permanently_failed() == ["url-1"]
         assert crawler.stats.comment_pages_failed == ["url-1"]
 
     def test_non_retryable_failure_is_recorded(self):
-        client = _StubClient(status=404)
-        crawler = DissenterCrawler(client)
-        frontier: CrawlFrontier[str] = CrawlFrontier(["url-2"])
-        result = CorpusStore()
-        for commenturl_id in frontier.drain():
-            crawler._fetch_comment_page(result, frontier, commenturl_id)
+        client, crawler = self._crawl_comment_pages(
+            404, CrawlFrontier(["url-2"])
+        )
         assert client.calls == 1
         assert crawler.stats.comment_pages_failed == ["url-2"]
 

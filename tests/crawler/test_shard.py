@@ -1,27 +1,32 @@
 """The sharded crawl engine: byte-identity, kill→resume, envelope v4.
 
-The contract under test is ISSUE 8's acceptance bar: a sharded crawl's
-merged corpus — the dumped JSON *and* the sealed store snapshot — is
-byte-identical to the unsharded run's, across worker counts, connection
-counts, and kill→resume chains.
+The contract under test: a sharded crawl's merged corpus — the dumped
+JSON, the sealed store snapshot and, with a spill directory, every
+segment, manifest and column file — is byte-identical to the unsharded
+run's, across worker counts, connection counts, and kill→resume chains;
+and a resume over a damaged envelope or worker state fails with a
+``ValueError`` naming what is wrong.
 """
 
 import json
+import shutil
 import zlib
 
 import pytest
 
-from repro.crawler.checkpoint import (
-    SHARD_ENVELOPE_VERSION,
-    coerce_shard_envelope,
-    dump_result,
-    is_shard_envelope,
-)
+from repro.cli import main
+from repro.crawler.checkpoint import dump_result
 from repro.crawler.dissenter_crawl import DissenterCrawler
 from repro.crawler.gab_enum import GabEnumerator
 from repro.crawler.runtime import load_state
 from repro.crawler.shadow import ShadowCrawler
-from repro.crawler.shard import SHARD_PHASES, ShardEngine, shard_key
+from repro.crawler.shard import (
+    SHARD_ENVELOPE_VERSION,
+    SHARD_PHASES,
+    ShardEngine,
+    coerce_shard_envelope,
+    shard_key,
+)
 from repro.net import HttpClient
 from repro.net.clock import VirtualClock
 from repro.net.errors import CrawlKilled
@@ -36,29 +41,49 @@ def shard_world():
     return build_world(WorldConfig(scale=0.001, seed=3))
 
 
-@pytest.fixture(scope="module")
-def reference(shard_world, tmp_path_factory):
-    """The unsharded corpus-stage crawl: store snapshot + dumped bytes."""
+def _unsharded(world, out, store):
+    """The unsharded corpus-stage crawl into ``store``, dumped to ``out``."""
     clock = VirtualClock()
-    origins = build_origins(
-        shard_world, clock=clock, seed=shard_world.config.seed
-    )
+    origins = build_origins(world, clock=clock, seed=world.config.seed)
     client = HttpClient(origins.transport)
-    enum = GabEnumerator(client).enumerate(max_id=shard_world.gab.max_id)
+    enum = GabEnumerator(client).enumerate(max_id=world.gab.max_id)
     crawler = DissenterCrawler(client)
     detected = crawler.detect_accounts(enum.usernames())
-    corpus = crawler.crawl(detected, store=CorpusStore())
+    corpus = crawler.crawl(detected, store=store)
     while crawler.stats.comment_pages_failed:
         if crawler.recrawl_failures(corpus) == 0:
             break
     ShadowCrawler(client, origins.dissenter).uncover(corpus)
     corpus.seal()
-    out = tmp_path_factory.mktemp("reference") / "corpus.json"
     dump_result(corpus, out)
+    return {"corpus": corpus, "bytes": out.read_bytes(), "stats": crawler.stats}
+
+
+@pytest.fixture(scope="module")
+def reference(shard_world, tmp_path_factory):
+    """The unsharded crawl with inline segments: store snapshot + dumped bytes."""
+    out = tmp_path_factory.mktemp("reference") / "corpus.json"
+    return _unsharded(shard_world, out, CorpusStore())
+
+
+@pytest.fixture(scope="module")
+def spilled_reference(shard_world, tmp_path_factory):
+    """The unsharded crawl spilled to a segment directory (256 records each)."""
+    base = tmp_path_factory.mktemp("spilled")
+    segments = base / "segments"
+    _unsharded(
+        shard_world, base / "corpus.json",
+        CorpusStore(store_dir=segments, segment_records=256),
+    )
+    return _tree(segments)
+
+
+def _tree(root):
+    """Every file under ``root``, by relative path."""
     return {
-        "corpus": corpus,
-        "bytes": out.read_bytes(),
-        "stats": crawler.stats,
+        path.relative_to(root): path.read_bytes()
+        for path in sorted(root.rglob("*"))
+        if path.is_file()
     }
 
 
@@ -102,9 +127,12 @@ def test_single_shard_matches_unsharded(shard_world, reference, tmp_path):
     assert not engine.state_path.exists()
 
 
-def test_multi_shard_byte_identical(shard_world, reference, tmp_path):
+@pytest.mark.parametrize("shards", [2, 4, 8])
+def test_multi_shard_byte_identical(shard_world, reference, tmp_path, shards):
     out = tmp_path / "corpus.json"
-    engine = run_sharded(shard_world, 3, out, connections=4, parse_workers=2)
+    engine = run_sharded(
+        shard_world, shards, out, connections=4, parse_workers=2
+    )
     assert out.read_bytes() == reference["bytes"]
     # Shard-local counters merge to exactly the sequential totals.
     ref = reference["stats"]
@@ -112,6 +140,7 @@ def test_multi_shard_byte_identical(shard_world, reference, tmp_path):
     assert engine.stats.home_pages_parsed == ref.home_pages_parsed
     assert engine.stats.accounts_detected == ref.accounts_detected
     assert engine.stats.usernames_probed == ref.usernames_probed
+    assert engine.stats.author_pages_visited == ref.author_pages_visited
 
 
 def test_spilled_segments_byte_identical(shard_world, tmp_path):
@@ -125,16 +154,7 @@ def test_spilled_segments_byte_identical(shard_world, tmp_path):
             store_dir=store_dir, segment_records=64,
         )
         dirs[shards] = store_dir
-    files = {
-        path.relative_to(dirs[1]): path.read_bytes()
-        for path in sorted(dirs[1].rglob("*"))
-        if path.is_file()
-    }
-    other = {
-        path.relative_to(dirs[2]): path.read_bytes()
-        for path in sorted(dirs[2].rglob("*"))
-        if path.is_file()
-    }
+    files, other = _tree(dirs[1]), _tree(dirs[2])
     assert files.keys() == other.keys()
     assert files == other
 
@@ -143,28 +163,42 @@ def test_spilled_segments_byte_identical(shard_world, tmp_path):
 # Kill → resume.
 # ----------------------------------------------------------------------
 
+#: Kill→resume chains: (shards, engine options, spill the store).
+#: Worker checkpoints matter: without them a die budget smaller than one
+#: shard's phase cost would never converge.
+_KILL_CASES = {
+    "two-shards": (2, {"die_after": 500, "checkpoint_every": 25}, False),
+    # Shard 0 dies in every phase that has workers at least once.
+    "every-phase": (2, {"die_after": 30, "checkpoint_every": 4}, False),
+    "four-shards-spilled": (
+        4,
+        {"connections": 2, "segment_records": 256,
+         "checkpoint_every": 5, "die_after": 200},
+        True,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(_KILL_CASES))
 def test_kill_writes_v4_envelope_and_resume_converges(
-    shard_world, reference, tmp_path
+    shard_world, reference, spilled_reference, tmp_path, case
 ):
+    shards, options, spilled = _KILL_CASES[case]
     out = tmp_path / "corpus.json"
-    # checkpoint_every matters: without worker checkpoints a die budget
-    # smaller than one shard's phase cost would never converge.
-    engine = ShardEngine(
-        shard_world, 2, out, die_after=500, checkpoint_every=25
-    )
+    if spilled:
+        options = {**options, "store_dir": tmp_path / "segments"}
+    engine = ShardEngine(shard_world, shards, out, **options)
     with pytest.raises(CrawlKilled):
         engine.run()
     assert engine.state_path.exists()
     envelope = load_state(engine.state_path)
-    assert is_shard_envelope(envelope)
+    assert envelope["kind"] == "sharded"
     assert envelope["version"] == SHARD_ENVELOPE_VERSION
-    assert envelope["shards"] == 2
+    assert envelope["shards"] == shards
     assert envelope["phase"] in SHARD_PHASES
     # Resume legs until the chain converges (budget is per-run).
-    for _ in range(40):
-        engine = ShardEngine(
-            shard_world, 2, out, die_after=500, checkpoint_every=25
-        )
+    for _ in range(100):
+        engine = ShardEngine(shard_world, shards, out, **options)
         try:
             engine.run(resume=load_state(engine.state_path))
         except CrawlKilled:
@@ -176,6 +210,13 @@ def test_kill_writes_v4_envelope_and_resume_converges(
     dump_result(engine.store, out)
     engine.cleanup()
     assert out.read_bytes() == reference["bytes"]
+    # No file of any state set (envelope, worker state, sidecars,
+    # journals) and no worker scratch survives the finished chain.
+    assert not list(tmp_path.rglob("*.state.json*"))
+    assert not engine.shards_dir.exists()
+    if spilled:
+        # Every segment (JSONL, manifest, column files) matches too.
+        assert _tree(tmp_path / "segments") == spilled_reference
 
 
 # ----------------------------------------------------------------------
@@ -202,8 +243,6 @@ def test_envelope_rejects_foreign_payloads():
         coerce_shard_envelope({"kind": "pipeline", "version": 4}, 2)
     with pytest.raises(ValueError):
         coerce_shard_envelope({"kind": "sharded", "version": 3}, 2)
-    assert not is_shard_envelope({"kind": "pipeline", "version": 4})
-    assert not is_shard_envelope([])
 
 
 def test_shards_must_be_positive(shard_world, tmp_path):
@@ -219,3 +258,102 @@ def test_envelope_is_valid_json_with_partition_spec(shard_world, tmp_path):
     payload = json.loads(engine.state_path.read_text())
     assert set(payload["partition"]) == set(SHARD_PHASES)
     assert payload["completed_shards"] == sorted(payload["completed_shards"])
+
+
+# ----------------------------------------------------------------------
+# Typed errors at the resume boundary.
+# ----------------------------------------------------------------------
+
+#: Shard 0 issues 650 gab_enum requests at this scale, so this budget
+#: kills it in the detect phase, after a few worker checkpoints.
+_DETECT_KILL = 700
+
+
+@pytest.fixture(scope="module")
+def killed_in_detect(shard_world, tmp_path_factory):
+    """A 2-shard run killed in the detect phase: envelope + worker state."""
+    base = tmp_path_factory.mktemp("killed")
+    engine = ShardEngine(
+        shard_world, 2, base / "corpus.json",
+        die_after=_DETECT_KILL, checkpoint_every=5,
+    )
+    with pytest.raises(CrawlKilled):
+        engine.run()
+    envelope = load_state(engine.state_path)
+    assert envelope["phase"] == "detect"
+    assert envelope["completed_shards"] == [1]
+    return base
+
+
+def _damaged_copy(killed, tmp_path):
+    """A copy of the killed run; returns (out path, envelope, worker state path)."""
+    shutil.copytree(killed, tmp_path, dirs_exist_ok=True)
+    out = tmp_path / "corpus.json"
+    worker_state = tmp_path / "corpus.json.shards" / "shard-00" / "state.json"
+    return out, load_state(tmp_path / "corpus.json.state.json"), worker_state
+
+
+def _bad_worker_cursor(worker_state):
+    payload = load_state(worker_state)
+    payload["active"]["cursor"]["index"] = "x"
+    worker_state.write_text(json.dumps(payload), encoding="utf-8")
+
+
+def _drop_output(tmp_path):
+    (tmp_path / "corpus.json.shards" / "shard-01" / "detect.json").unlink()
+
+
+_RESUME_CASES = {
+    "no-store": (
+        lambda envelope, tmp: envelope.pop("store"), "field 'store' is malformed",
+    ),
+    "completed-shard-out-of-range": (
+        lambda envelope, tmp: envelope.update(completed_shards=[5]),
+        "field 'completed_shards' is malformed",
+    ),
+    "artifacts-not-object": (
+        lambda envelope, tmp: envelope.update(artifacts=[1]),
+        "field 'artifacts' is malformed",
+    ),
+    "completed-shard-output-missing": (
+        lambda envelope, tmp: _drop_output(tmp),
+        "shard 1's detect output",
+    ),
+    "worker-cursor": (
+        lambda envelope, tmp: _bad_worker_cursor(
+            tmp / "corpus.json.shards" / "shard-00" / "state.json"
+        ),
+        "shard 0 cannot resume from",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(_RESUME_CASES))
+def test_resume_over_damaged_state_raises_value_error(
+    shard_world, killed_in_detect, tmp_path, case
+):
+    damage, message = _RESUME_CASES[case]
+    out, envelope, worker_state = _damaged_copy(killed_in_detect, tmp_path)
+    damage(envelope, tmp_path)
+    engine = ShardEngine(shard_world, 2, out, checkpoint_every=5)
+    with pytest.raises(ValueError) as raised:
+        engine.run(resume=envelope)
+    assert message in str(raised.value)
+    if case == "worker-cursor":
+        assert str(worker_state) in str(raised.value)
+        assert "'index'" in str(raised.value)
+
+
+def test_cli_resume_over_damaged_worker_state_exits_with_message(
+    killed_in_detect, tmp_path
+):
+    out, _, worker_state = _damaged_copy(killed_in_detect, tmp_path)
+    _bad_worker_cursor(worker_state)
+    with pytest.raises(SystemExit) as exited:
+        main([
+            "crawl", "--scale", "0.001", "--seed", "3", "--shards", "2",
+            "--checkpoint-every", "5", "--out", str(out), "--resume",
+        ])
+    assert str(exited.value.code).startswith("--shards: shard 0 cannot resume")
+    assert str(worker_state) in str(exited.value.code)
+    assert not out.exists()
