@@ -182,6 +182,24 @@ class DissenterCrawler:
     # Stage 1: account detection by response size.
     # ------------------------------------------------------------------
 
+    def restore_detect(self, resume: CrawlCheckpoint | dict) -> tuple[int, list[str]]:
+        """Load a "detect" checkpoint: (probe index, accounts detected so far).
+
+        Raises:
+            ValueError: a malformed payload.
+        """
+        checkpoint = coerce_checkpoint(resume, "dissenter")
+        if checkpoint.stage != "detect":
+            raise ValueError(
+                f"cannot resume detect_accounts from stage {checkpoint.stage!r}"
+            )
+        index = checkpoint.count("index")
+        detected = checkpoint.strings("detected")
+        if checkpoint.stats is not None:
+            self.stats = CrawlStats.from_dict(checkpoint.stats)
+        self._restore_client_cookies(checkpoint.cookies)
+        return index, detected
+
     def detect_accounts(
         self,
         usernames: Iterable[str],
@@ -200,17 +218,7 @@ class DissenterCrawler:
         index = 0
         detected: list[str] = []
         if resume is not None:
-            checkpoint = coerce_checkpoint(resume, "dissenter")
-            if checkpoint.stage != "detect":
-                raise ValueError(
-                    f"cannot resume detect_accounts from stage "
-                    f"{checkpoint.stage!r}"
-                )
-            index = checkpoint.count("index")
-            detected = checkpoint.strings("detected")
-            if checkpoint.stats is not None:
-                self.stats = CrawlStats.from_dict(checkpoint.stats)
-            self._restore_client_cookies(checkpoint.cookies)
+            index, detected = self.restore_detect(resume)
 
         if checkpointer is not None:
             checkpointer.set_provider(

@@ -113,10 +113,6 @@ class CrawlFrontier(Generic[T]):
         while self._queue:
             yield self.pop()
 
-    @property
-    def seen_count(self) -> int:
-        return len(self._seen)
-
     def queued(self) -> list[T]:
         """Every currently-enqueued item, in pop order (a copy).
 

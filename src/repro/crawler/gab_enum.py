@@ -116,22 +116,15 @@ class GabEnumerator:
         self._stop_after_misses = stop_after_misses
 
     def _fetch_account(self, gab_id: int) -> CrawledGabAccount | None:
-        self._limiter.before_request()
-        response = self._client.get_or_none(
-            self.GAB_API.format(gab_id=gab_id)
-        )
-        if response is None:
-            return None
-        self._limiter.after_response(response)
-        if response.status == 429:
-            # The limiter will wait for the reset; retry once after.
+        # After a 429 the limiter waits for the reset; retry once then.
+        for _attempt in range(2):
             self._limiter.before_request()
-            response = self._client.get_or_none(
-                self.GAB_API.format(gab_id=gab_id)
-            )
+            response = self._client.get_or_none(self.GAB_API.format(gab_id=gab_id))
             if response is None:
                 return None
             self._limiter.after_response(response)
+            if response.status != 429:
+                break
         if response.status != 200:
             return None
         payload = response.json()
@@ -143,6 +136,30 @@ class GabEnumerator:
             followers_count=int(payload.get("followers_count", 0)),
             following_count=int(payload.get("following_count", 0)),
         )
+
+    def restore(
+        self, resume: CrawlCheckpoint | dict, checkpointer: Checkpointer | None
+    ) -> tuple[int, int, GabEnumerationResult]:
+        """Load a "gab_enum" checkpoint: (last probed ID, consecutive misses, result).
+
+        Raises:
+            ValueError: a malformed payload or accounts journal.
+        """
+        checkpoint = coerce_checkpoint(resume, "gab_enum")
+        checkpointer = resume_checkpointer(checkpointer, "gab_enum")
+        cursor = checkpoint.cursor
+        gab_id = checkpoint.count("gab_id")
+        consecutive_misses = checkpoint.count("consecutive_misses")
+        result = GabEnumerationResult.from_dict({
+            "accounts": checkpointer.open_journal(
+                ACCOUNTS_JOURNAL, cursor.get("accounts")
+            ),
+            "ids_probed": cursor.get("ids_probed", 0),
+            "misses": cursor.get("misses", 0),
+        })
+        if checkpoint.cookies is not None:
+            self._client.cookies = CookieJar.from_state(checkpoint.cookies)
+        return gab_id, consecutive_misses, result
 
     def enumerate(
         self,
@@ -174,20 +191,7 @@ class GabEnumerator:
         consecutive_misses = 0
         stage = "enumerate"
         if resume is not None:
-            checkpoint = coerce_checkpoint(resume, "gab_enum")
-            checkpointer = resume_checkpointer(checkpointer, "gab_enum")
-            cursor = checkpoint.cursor
-            gab_id = checkpoint.count("gab_id")
-            consecutive_misses = checkpoint.count("consecutive_misses")
-            result = GabEnumerationResult.from_dict({
-                "accounts": checkpointer.open_journal(
-                    ACCOUNTS_JOURNAL, cursor.get("accounts")
-                ),
-                "ids_probed": cursor.get("ids_probed", 0),
-                "misses": cursor.get("misses", 0),
-            })
-            if checkpoint.cookies is not None:
-                self._client.cookies = CookieJar.from_state(checkpoint.cookies)
+            gab_id, consecutive_misses, result = self.restore(resume, checkpointer)
 
         if checkpointer is not None:
             # The account list only grows: each tick appends the accounts

@@ -39,7 +39,7 @@ from repro.platform.apps.dissenter_app import DissenterApp
 if TYPE_CHECKING:   # runtime import would cycle through the crawler package
     from repro.store.corpus import CorpusStore
 
-__all__ = ["SHADOW_PASSES", "ShadowCrawler", "ShadowCrawlReport", "ShadowState"]
+__all__ = ["PASS_NAMES", "SHADOW_PASSES", "ShadowCrawler", "ShadowCrawlReport", "ShadowState"]
 
 # The two authenticated passes, in execution order: which view filter the
 # session enables, and the label applied to comments absent from baseline.
@@ -47,7 +47,8 @@ SHADOW_PASSES: tuple[tuple[str, dict], ...] = (
     ("nsfw", {"nsfw": True, "offensive": False}),
     ("offensive", {"nsfw": False, "offensive": True}),
 )
-_PASS_NAMES = tuple(name for name, _ in SHADOW_PASSES)
+# The pass labels alone, in execution order.
+PASS_NAMES = tuple(name for name, _ in SHADOW_PASSES)
 
 # Checkpoint sidecars of the two id lists, fixed for the whole stage.
 _BASELINE_SIDECAR = "shadow.baseline_ids"
@@ -75,10 +76,10 @@ class ShadowState:
 
     url_ids: list[str]                 # the pages every pass visits, in order
     baseline_ids: set[str]             # comments the baseline crawl saw
-    stage: str = _PASS_NAMES[0]        # the active pass, or "done"
+    stage: str = PASS_NAMES[0]         # the active pass, or "done"
     page_index: int = 0                # pages of the active pass done
     found: dict[str, int] = field(
-        default_factory=lambda: dict.fromkeys(_PASS_NAMES, 0)
+        default_factory=lambda: dict.fromkeys(PASS_NAMES, 0)
     )
 
 
@@ -199,7 +200,7 @@ class ShadowCrawler:
             ValueError: the payload or its sidecars are malformed.
         """
         checkpoint = coerce_checkpoint(resume, "shadow")
-        if checkpoint.stage not in (*_PASS_NAMES, "done"):
+        if checkpoint.stage not in (*PASS_NAMES, "done"):
             raise ValueError(
                 f"cannot resume shadow crawl from stage {checkpoint.stage!r}"
             )
@@ -274,10 +275,10 @@ class ShadowCrawler:
             checkpointer=checkpointer,
         )
         self._client.cookies.clear("dissenter.com")
-        following = _PASS_NAMES.index(label) + 1
+        following = PASS_NAMES.index(label) + 1
         state.page_index = 0
         state.stage = (
-            _PASS_NAMES[following] if following < len(_PASS_NAMES) else "done"
+            PASS_NAMES[following] if following < len(PASS_NAMES) else "done"
         )
 
     def verify_sample(

@@ -90,6 +90,7 @@ import multiprocessing
 import shutil
 import sys
 import zlib
+from collections.abc import Callable
 from heapq import merge as heap_merge
 from pathlib import Path
 
@@ -98,7 +99,7 @@ from repro.crawler.dissenter_crawl import CrawlState, CrawlStats, DissenterCrawl
 from repro.crawler.frontier import CrawlFrontier
 from repro.crawler.gab_enum import GabEnumerationResult, GabEnumerator
 from repro.crawler.runtime import Checkpointer, load_state
-from repro.crawler.shadow import SHADOW_PASSES, ShadowCrawler, ShadowState
+from repro.crawler.shadow import PASS_NAMES, ShadowCrawler, ShadowState
 from repro.net.client import ClientStats, HttpClient
 from repro.net.clock import VirtualClock
 from repro.net.errors import CrawlKilled
@@ -156,8 +157,6 @@ EXIT_BAD_STATE = 4
 
 # Worker checkpoint journal of the order keys recorded so far.
 _KEYS_JOURNAL = "shard.keys"
-
-_PASS_NAMES = [name for name, _ in SHADOW_PASSES]
 
 
 def shard_key(value: str, shards: int) -> int:
@@ -467,15 +466,10 @@ class ShardEngine:
     def _plan_phase(self, phase: str) -> list:
         n = self.shards
         if phase == "gab_enum":
-            max_id = self.world.gab.max_id
-            base, remainder = divmod(max_id, n)
-            stripes: list[tuple[int, int]] = []
-            start = 0
-            for w in range(n):
-                size = base + (1 if w < remainder else 0)
-                stripes.append((start, start + size))
-                start += size
-            return stripes
+            # The first ``remainder`` stripes take one extra ID each.
+            base, remainder = divmod(self.world.gab.max_id, n)
+            bounds = [w * base + min(w, remainder) for w in range(n + 1)]
+            return list(zip(bounds, bounds[1:]))
         if phase == "detect":
             return self._partition(self._artifacts["usernames"])
         if phase == "home_pages":
@@ -530,17 +524,14 @@ class ShardEngine:
             },
         }
         if phase == "gab_enum":
-            merged = GabEnumerationResult()
-            for payload in ordered:
-                part = GabEnumerationResult.from_dict(payload["result"])
-                merged.accounts.extend(part.accounts)
-                merged.ids_probed += part.ids_probed
-                merged.misses += part.misses
-            self._artifacts["usernames"] = merged.usernames()
+            # Stripes are contiguous, so they concatenate in shard order.
+            parts = [GabEnumerationResult.from_dict(p["result"]) for p in ordered]
+            usernames = [name for part in parts for name in part.usernames()]
+            self._artifacts["usernames"] = usernames
             self._artifacts["enum"] = {
-                "accounts": len(merged.accounts),
-                "ids_probed": merged.ids_probed,
-                "misses": merged.misses,
+                "accounts": len(usernames),
+                "ids_probed": sum(part.ids_probed for part in parts),
+                "misses": sum(part.misses for part in parts),
             }
             return
         if phase == "detect":
@@ -640,7 +631,6 @@ class ShardEngine:
         if kill_remaining is not None:
             origins.transport.kill_after(kill_remaining)
         client = HttpClient(origins.transport)
-        pool = FetchPool(clock, self.connections, self.parse_workers)
         checkpointer = None
         # A leftover state file needs its checkpointer to resume from.
         if self.checkpoint_every > 0 or self.checkpoint_seconds > 0 or resuming:
@@ -666,26 +656,29 @@ class ShardEngine:
                         "active": inner,
                     }
                 )
-            payload = self._worker_phase(
-                phase, shard, origins, client, pool, checkpointer,
+            crawl = self._worker_phase(
+                phase, shard, origins, client, checkpointer,
                 None if saved is None else saved.get("active"), keys,
             )
+        except ValueError as exc:
+            if not resuming:
+                raise
+            # Only the saved state has been read so far, so it is at
+            # fault.  The parent raises this message.
+            self._error_path(shard).write_text(
+                f"shard {shard} cannot resume from {state_path}: {exc}",
+                encoding="utf-8",
+            )
+            return EXIT_BAD_STATE
+        pool = FetchPool(clock, self.connections, self.parse_workers)
+        try:
+            payload = crawl(pool)
         except CrawlKilled:
             # The pool merged the completed prefix first, so the state
             # written here is a clean sequential boundary.
             if checkpointer is not None:
                 checkpointer.flush()
             return EXIT_KILLED
-        except ValueError as exc:
-            if not resuming:
-                raise
-            # A run that resumed fails where a fresh one would not: the
-            # saved state is at fault.  The parent raises this message.
-            self._error_path(shard).write_text(
-                f"shard {shard} cannot resume from {state_path}: {exc}",
-                encoding="utf-8",
-            )
-            return EXIT_BAD_STATE
         finally:
             pool.close()
         payload.update(
@@ -749,37 +742,49 @@ class ShardEngine:
         shard: int,
         origins: Origins,
         client: HttpClient,
-        pool: FetchPool,
         checkpointer: Checkpointer | None,
         active: dict | None,
         keys: list[list],
-    ) -> dict:
-        """Run this shard's jobs of ``phase`` through the crawler's phase method.
+    ) -> Callable[[FetchPool], dict]:
+        """Restore this shard's ``phase`` and return the call that crawls it.
 
-        Jobs arrive through ``self._phase_jobs`` (fork-inherited, never
-        pickled); ``active`` is the crawler checkpoint to resume from.
-        Corpus phases append one order key per log line to ``keys``.
-        Returns the phase output payload.
+        ``active`` is the crawler checkpoint to resume from; it is loaded
+        here, before any request, and a ValueError means it is invalid.
+        The returned call runs the crawler's phase method over the
+        shard's jobs (``self._phase_jobs``: fork-inherited, never
+        pickled) and returns the phase output payload.  Corpus phases
+        append one order key per log line to ``keys``.
         """
         jobs = self._phase_jobs[shard]
         if phase == "gab_enum":
             start_id, max_id = jobs
-            result = GabEnumerator(client).enumerate(
-                max_id=max_id, checkpointer=checkpointer, resume=active,
-                pool=pool, start_id=start_id,
-            )
-            return {"result": result.to_dict()}
+            enumerator = GabEnumerator(client)
+            if active is not None:
+                # enumerate() restores it again, from the same files.
+                enumerator.restore(active, checkpointer)
+            return lambda pool: {
+                "result": enumerator.enumerate(
+                    max_id=max_id, checkpointer=checkpointer, resume=active,
+                    pool=pool, start_id=start_id,
+                ).to_dict()
+            }
         dissenter = DissenterCrawler(client)
         if phase == "detect":
-            detected = dissenter.detect_accounts(
-                [name for _, name in jobs],
-                checkpointer=checkpointer, resume=active, pool=pool,
-            )
+            if active is not None:
+                dissenter.restore_detect(active)   # detect_accounts does again
             index_of = {name: position for position, name in jobs}
-            return {
-                "detected": [index_of[name] for name in detected],
-                "stats": dissenter.stats.to_dict(),
-            }
+
+            def detect(pool: FetchPool) -> dict:
+                detected = dissenter.detect_accounts(
+                    [name for _, name in jobs],
+                    checkpointer=checkpointer, resume=active, pool=pool,
+                )
+                return {
+                    "detected": [index_of[name] for name in detected],
+                    "stats": dissenter.stats.to_dict(),
+                }
+
+            return detect
 
         store = self._worker_store(shard, phase)
         crawler: DissenterCrawler | ShadowCrawler = dissenter
@@ -801,45 +806,49 @@ class ShardEngine:
             checkpointer.set_provider(
                 lambda: crawler.checkpoint(state, store, checkpointer)
             )
+
+        # A job's global order key; shadow keys lead with the active pass.
         position_of = {item: position for position, item, *_ in jobs}
+        order_key: Callable[[object], list] = {
+            "home_pages": lambda position: [jobs[position][0]],
+            "comment_pages": lambda url_id: [position_of[url_id]],
+            "metadata": lambda job: [job[0]],
+            "shadow": lambda page: [PASS_NAMES.index(state.stage), jobs[page][0]],
+        }[phase]
 
         def record(job, count: int) -> None:
-            # The job's global order key; shadow keys lead with the pass.
-            if phase == "home_pages":
-                key = [jobs[job][0]]
-            elif phase == "comment_pages":
-                key = [position_of[job]]
-            elif phase == "metadata":
-                key = [job[0]]
-            else:
-                key = [_PASS_NAMES.index(state.stage), jobs[job][0]]
+            key = order_key(job)
             keys.extend([*key, line] for line in range(count))
 
-        if isinstance(state, ShadowState):
-            while state.stage != "done":
-                crawler.run_pass(store, state, pool, checkpointer, record)
-                if checkpointer is not None:
-                    checkpointer.flush()
-            return {"keys": keys, "store": store.snapshot(), "found": state.found}
-        if phase == "home_pages":
-            dissenter.crawl_home_pages(
-                [name for _, name in jobs], store, state, pool, checkpointer, record
-            )
-        elif phase == "comment_pages":
-            dissenter.crawl_comment_pages(store, state, pool, checkpointer, record)
-        else:
-            dissenter.crawl_metadata(jobs, store, state, pool, checkpointer, record)
-        payload = {
-            "keys": keys,
-            "store": store.snapshot(),
-            "stats": dissenter.stats.to_dict(),
-        }
-        if phase == "comment_pages":
-            payload["failed"] = [
-                [position_of[url_id], url_id]
-                for url_id in dissenter.stats.comment_pages_failed
-            ]
-        return payload
+        def crawl(pool: FetchPool) -> dict:
+            if isinstance(state, ShadowState):
+                while state.stage != "done":
+                    crawler.run_pass(store, state, pool, checkpointer, record)
+                    if checkpointer is not None:
+                        checkpointer.flush()
+                return {"keys": keys, "store": store.snapshot(), "found": state.found}
+            if phase == "home_pages":
+                dissenter.crawl_home_pages(
+                    [name for _, name in jobs], store, state, pool, checkpointer,
+                    record,
+                )
+            elif phase == "comment_pages":
+                dissenter.crawl_comment_pages(store, state, pool, checkpointer, record)
+            else:
+                dissenter.crawl_metadata(jobs, store, state, pool, checkpointer, record)
+            payload = {
+                "keys": keys,
+                "store": store.snapshot(),
+                "stats": dissenter.stats.to_dict(),
+            }
+            if phase == "comment_pages":
+                payload["failed"] = [
+                    [position_of[url_id], url_id]
+                    for url_id in dissenter.stats.comment_pages_failed
+                ]
+            return payload
+
+        return crawl
 
 
 def _process_cpu_seconds() -> float:

@@ -376,15 +376,6 @@ def _atomic_write_bytes(path: Path, data: bytes) -> None:
     os.replace(tmp, path)
 
 
-def write_columns(store_dir: Path, name: str, arrays: dict[str, np.ndarray]) -> str:
-    """Write one segment's column file atomically; returns its sha256."""
-    store_dir = Path(store_dir)
-    store_dir.mkdir(parents=True, exist_ok=True)
-    data = serialize_columns(arrays)
-    _atomic_write_bytes(columns_path(store_dir, name), data)
-    return hashlib.sha256(data).hexdigest()
-
-
 def adopt_columns(
     store_dir: Path, name: str, arrays: dict[str, np.ndarray]
 ) -> tuple[str, bool]:

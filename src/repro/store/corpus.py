@@ -254,12 +254,6 @@ class CorpusStore:
     # Streaming read views.
     # ------------------------------------------------------------------
 
-    def iter_users(self) -> Iterator[CrawledUser]:
-        return iter(self.users.values())
-
-    def iter_urls(self) -> Iterator[CrawledUrl]:
-        return iter(self.urls.values())
-
     def iter_comments(self) -> Iterator[CrawledComment]:
         return iter(self.comments.values())
 

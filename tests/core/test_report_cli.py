@@ -120,18 +120,32 @@ class TestCliExecution:
         ]) == 0
         return reference.read_bytes()
 
+    @pytest.fixture(scope="class")
+    def reference_segments(self, tmp_path_factory):
+        """Every segment file of an uninterrupted crawl spilled to a store dir."""
+        base = tmp_path_factory.mktemp("reference-segments")
+        assert main([
+            "crawl", "--scale", "0.001", "--seed", "3",
+            "--out", str(base / "reference.json"),
+            "--store-dir", str(base / "segments"), "--segment-records", "256",
+        ]) == 0
+        return {f.name: f.read_bytes() for f in (base / "segments").iterdir()}
+
     @pytest.mark.parametrize("options", [
         [],
         ["--connections", "4"],
         ["--store-dir", "{tmp}/segments", "--segment-records", "256"],
-    ], ids=["default", "connections-4", "store-dir"])
+        ["--shards", "4", "--connections", "2",
+         "--store-dir", "{tmp}/segments", "--segment-records", "256"],
+    ], ids=["default", "connections-4", "store-dir", "shards-4"])
     def test_crawl_kill_and_resume_round_trip(
-        self, options, reference_dump, tmp_path, capsys
+        self, options, reference_dump, reference_segments, tmp_path, capsys
     ):
         """CLI crash-safety: crawl → die-after-K (exit 3) → crawl --resume
         must finish with a corpus dump byte-identical to an uninterrupted
-        sequential crawl's — over concurrent connections and with sealed
-        segments spilled to a store directory too."""
+        sequential crawl's — over concurrent connections, with sealed
+        segments spilled to a store directory, and sharded across worker
+        processes too."""
         from repro.cli import EXIT_KILLED
 
         options = [opt.format(tmp=tmp_path) for opt in options]
@@ -155,8 +169,15 @@ class TestCliExecution:
         # ...together with every sidecar and journal it referenced.
         assert not list(tmp_path.glob("*.state.json*"))
         assert out_file.read_bytes() == reference_dump
+        # No worker scratch of a sharded crawl survives either.
+        assert not (tmp_path / "crawl.json.shards").exists()
         if "--store-dir" in options:
-            assert (tmp_path / "segments" / "manifest.json").exists()
+            # Every segment (JSONL, manifest, column files) matches too.
+            segments = tmp_path / "segments"
+            assert (segments / "manifest.json").exists()
+            assert {
+                f.name: f.read_bytes() for f in segments.iterdir()
+            } == reference_segments
 
     def test_crawl_resume_without_state_fails(self, tmp_path):
         with pytest.raises(SystemExit):

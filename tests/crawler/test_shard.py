@@ -163,18 +163,20 @@ def test_spilled_segments_byte_identical(shard_world, tmp_path):
 # Kill → resume.
 # ----------------------------------------------------------------------
 
-#: Kill→resume chains: (shards, engine options, spill the store).
-#: Worker checkpoints matter: without them a die budget smaller than one
-#: shard's phase cost would never converge.
+#: Kill→resume chains: (shards, engine options, spill the store, most
+#: resume legs).  Worker checkpoints matter: without them a die budget
+#: smaller than one shard's phase cost would never converge.
 _KILL_CASES = {
-    "two-shards": (2, {"die_after": 500, "checkpoint_every": 25}, False),
-    # Shard 0 dies in every phase that has workers at least once.
-    "every-phase": (2, {"die_after": 30, "checkpoint_every": 4}, False),
+    "two-shards": (2, {"die_after": 500, "checkpoint_every": 25}, False, 40),
+    # Shard 0 dies in every phase that has workers at least once; the
+    # chain takes 56 legs.
+    "every-phase": (2, {"die_after": 30, "checkpoint_every": 4}, False, 60),
     "four-shards-spilled": (
         4,
         {"connections": 2, "segment_records": 256,
          "checkpoint_every": 5, "die_after": 200},
         True,
+        40,
     ),
 }
 
@@ -183,7 +185,7 @@ _KILL_CASES = {
 def test_kill_writes_v4_envelope_and_resume_converges(
     shard_world, reference, spilled_reference, tmp_path, case
 ):
-    shards, options, spilled = _KILL_CASES[case]
+    shards, options, spilled, max_legs = _KILL_CASES[case]
     out = tmp_path / "corpus.json"
     if spilled:
         options = {**options, "store_dir": tmp_path / "segments"}
@@ -197,7 +199,7 @@ def test_kill_writes_v4_envelope_and_resume_converges(
     assert envelope["shards"] == shards
     assert envelope["phase"] in SHARD_PHASES
     # Resume legs until the chain converges (budget is per-run).
-    for _ in range(100):
+    for _ in range(max_legs):
         engine = ShardEngine(shard_world, shards, out, **options)
         try:
             engine.run(resume=load_state(engine.state_path))
@@ -357,3 +359,20 @@ def test_cli_resume_over_damaged_worker_state_exits_with_message(
     assert str(exited.value.code).startswith("--shards: shard 0 cannot resume")
     assert str(worker_state) in str(exited.value.code)
     assert not out.exists()
+
+
+def test_fault_after_a_resume_is_not_blamed_on_the_state(
+    shard_world, killed_in_detect, tmp_path, monkeypatch
+):
+    """A ValueError a resumed worker raises while crawling is a worker
+    fault: it is not reported as an invalid saved state."""
+    out, envelope, _ = _damaged_copy(killed_in_detect, tmp_path)
+
+    def broken(self, *args, **kwargs):
+        raise ValueError("a parser fault")
+
+    # Workers are forked, so they inherit the patched method.
+    monkeypatch.setattr(DissenterCrawler, "detect_accounts", broken)
+    engine = ShardEngine(shard_world, 2, out, checkpoint_every=5)
+    with pytest.raises(RuntimeError, match="shard 0 worker exited with status 1"):
+        engine.run(resume=envelope)
