@@ -7,6 +7,7 @@ prominence matching .de's rank among TLDs.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 from repro.nlp.langid import LanguageIdentifier, default_language_identifier
@@ -35,8 +36,7 @@ def analyze_languages(
 ) -> LanguageAnalysis:
     """Classify every comment's language."""
     identifier = identifier or default_language_identifier()
-    analysis = LanguageAnalysis(total=len(result.comments))
-    for comment in result.comments.values():
-        language = identifier.classify(comment.text)
-        analysis.counts[language] = analysis.counts.get(language, 0) + 1
-    return analysis
+    texts = list(result.texts())
+    return LanguageAnalysis(
+        total=len(texts), counts=dict(Counter(identifier.classify_many(texts)))
+    )

@@ -10,31 +10,52 @@ The seed corpora are short passages of everyday text; character-trigram
 statistics of function words dominate, which is exactly why this family of
 classifiers works well on short comments.
 
-A trained identifier holds one float64 matrix with a row of per-language
-log-probabilities for each training n-gram, plus a last row of the
-per-language defaults for unseen n-grams.  Scoring a text is one dict
-lookup per n-gram, a row gather, and a running sum taken strictly in
-n-gram order (``np.add.accumulate``), so each log-likelihood is the same
-left-to-right sum on every Python version.  ``np.sum`` (pairwise along a
-contiguous axis), ``math.fsum`` and Python 3.12's ``sum`` can each round
-differently.
+A trained identifier holds one float64 matrix of per-language
+log-probabilities: row 0 holds the defaults for unseen n-grams, and row
+i + 1 the i-th training n-gram in code-point order.  Scoring is batched
+(:meth:`LanguageIdentifier.scores_many`); ``scores`` and ``classify`` are
+its batch of one.  Each bounded chunk of texts is lowercased, joined with
+the ``order - 1`` ``\\x00`` padding and encoded once to code points.  A
+dense table codes each character (0: outside the training alphabet), and
+``order - 1`` prefix-table lookups turn every window into its n-gram's
+row, all as whole-array operations.
+
+Each log-likelihood is the text's n-gram rows summed strictly left to
+right from ``0.0``, as adding one n-gram at a time would: position j is
+added to every text longer than j at once, and the few longest texts
+finish alone, carrying their totals through bounded blocks of
+``np.add.accumulate``.  ``np.sum`` (pairwise along a contiguous axis),
+``math.fsum`` and Python 3.12's ``sum`` can each round differently.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
-from itertools import repeat
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from repro.nlp.ngrams import char_ngrams
 
-__all__ = ["LanguageIdentifier", "default_language_identifier", "SEED_CORPORA"]
+__all__ = [
+    "LanguageIdentifier",
+    "default_corpora",
+    "default_language_identifier",
+    "SEED_CORPORA",
+]
 
-#: Log-prob rows :meth:`LanguageIdentifier.scores` gathers at a time.
+#: Characters per scoring chunk: a chunk holds the texts that end in one
+#: bin this wide, so it spans at most this plus one text.  Its temporaries
+#: take ~40 bytes per character, a few MB.
+_CHUNK_CHARS = 1 << 16
+
+#: Log-prob rows a long text gathers at a time when it carries its total.
 _GATHER_ROWS = 4096
+
+#: What finishing one text alone costs, in steps of the shared per-position
+#: loop; sets where the longest texts leave that loop.
+_CARRY_STEPS = 4
 
 SEED_CORPORA: dict[str, str] = {
     "en": (
@@ -118,7 +139,9 @@ class LanguageIdentifier:
         self._order = order
         self._smoothing = smoothing
         self._languages: list[str] = []
-        self._gram_rows: dict[str, int] = {}
+        self._char_codes = np.zeros(1, dtype=np.intp)
+        self._width = 1
+        self._prefix_tables: list[np.ndarray] = []
         self._log_probs = np.zeros((1, 0))
 
     @property
@@ -137,41 +160,124 @@ class LanguageIdentifier:
             counts = Counter(char_ngrams(text.lower(), self._order))
             counts_per_lang[lang] = counts
             vocab.update(counts)
-        vocab_size = max(1, len(vocab))
         grams = sorted(vocab)
-        self._gram_rows = {gram: row for row, gram in enumerate(grams)}
+        self._index_grams(grams)
+        gram_rows = {gram: row for row, gram in enumerate(grams, start=1)}
         self._log_probs = np.empty((len(grams) + 1, len(self._languages)))
         for column, lang in enumerate(self._languages):
             counts = counts_per_lang[lang]
-            total = sum(counts.values()) + self._smoothing * vocab_size
+            total = sum(counts.values()) + self._smoothing * max(1, len(vocab))
             self._log_probs[:, column] = math.log(self._smoothing / total)
             for gram, count in counts.items():
-                self._log_probs[self._gram_rows[gram], column] = math.log(
+                self._log_probs[gram_rows[gram], column] = math.log(
                     (count + self._smoothing) / total
                 )
         return self
 
+    def _index_grams(self, grams: list[str]) -> None:
+        """Build the character codes and prefix tables that map a window
+        of characters to its gram's row (0 for an unseen gram).
+
+        Characters are coded 1..A in code-point order (0: unseen).  Each
+        table maps ``rank * width + code`` of a k-character prefix and
+        its next character to the rank of the (k+1)-character prefix
+        among the trained ones, 0 if there is none.  Ranks follow code
+        point order, so the last level's rank of ``grams[i]`` is
+        ``i + 1``: its row in ``_log_probs``.
+        """
+        alphabet = sorted(set("".join(grams)))
+        top = ord(alphabet[-1]) if alphabet else 0
+        self._char_codes = np.zeros(top + 2, dtype=np.intp)
+        self._char_codes[[ord(char) for char in alphabet]] = np.arange(
+            1, len(alphabet) + 1
+        )
+        self._width = len(alphabet) + 1
+        codes = self._char_codes[_code_points("".join(grams))]
+        codes = codes.reshape(len(grams), self._order)
+        ranks, ranked = codes[:, 0], len(alphabet)
+        self._prefix_tables = []
+        for step in range(1, self._order):
+            keys = ranks * self._width + codes[:, step]
+            prefixes = np.unique(keys)
+            table = np.zeros((ranked + 1) * self._width, dtype=np.intp)
+            table[prefixes] = np.arange(1, len(prefixes) + 1)
+            self._prefix_tables.append(table)
+            ranks, ranked = table[keys], len(prefixes)
+
     def scores(self, text: str) -> dict[str, float]:
         """Log-likelihood of the text under each language model."""
+        return dict(zip(self._languages, self.scores_many([text])[0].tolist()))
+
+    def scores_many(self, texts: Sequence[str]) -> np.ndarray:
+        """Log-likelihoods: one row per text, one column per language.
+
+        Columns follow :attr:`languages`.  Each entry is the text's gram
+        log-probs summed from left to right, starting from ``0.0``.
+        """
         if not self._languages:
             raise RuntimeError("identifier must be trained before use")
-        grams = char_ngrams(text.lower(), self._order)
-        if not grams:
-            return dict.fromkeys(self._languages, 0.0)
-        rows = np.fromiter(
-            map(self._gram_rows.get, grams, repeat(len(self._gram_rows))),
-            dtype=np.intp,
-            count=len(grams),
+        scored = np.empty((len(texts), len(self._languages)))
+        if not len(texts):
+            return scored
+        # A chunk holds the texts that end in one _CHUNK_CHARS-wide bin of
+        # the batch's characters, so it spans at most one bin plus a text.
+        ends = np.cumsum(np.fromiter(map(len, texts), np.intp, len(texts)))
+        bounds = (np.flatnonzero(np.diff(ends // _CHUNK_CHARS)) + 1).tolist()
+        for start, end in zip([0, *bounds], [*bounds, len(texts)]):
+            scored[start:end] = self._score_chunk(texts[start:end])
+        return scored
+
+    def _score_chunk(self, texts: Sequence[str]) -> np.ndarray:
+        """Score one chunk: encode it once, then sum each text's rows."""
+        lowered = [text.lower() for text in texts]
+        # Text i's grams are the windows of its padded span; joined with
+        # one padding between neighbours, those spans tile the string's
+        # windows exactly, text after text.
+        padding = "\x00" * (self._order - 1)
+        points = _code_points(padding + padding.join(lowered) + padding)
+        codes = self._char_codes.take(points, mode="clip")
+        windows = len(codes) - self._order + 1
+        rows = codes[:windows]
+        for step, table in enumerate(self._prefix_tables, start=1):
+            rows = table.take(rows * self._width + codes[step : step + windows])
+        counts = np.fromiter(map(len, lowered), dtype=np.intp, count=len(lowered))
+        return self._sum_rows(rows, counts + (self._order - 1))
+
+    def _sum_rows(self, rows: np.ndarray, counts: np.ndarray) -> np.ndarray:
+        """Sum each text's log-prob rows strictly in gram order.
+
+        ``rows`` holds the texts' gram rows back to back, ``counts[i]``
+        of them for text i.  Position j's rows are added to every text
+        longer than j at once (sorted longest first, those texts are a
+        prefix), so each total is the same left-to-right sum as adding
+        one gram at a time.  The longest texts stop sharing the loop
+        where finishing them alone is cheaper, and carry their totals
+        through bounded blocks of ``np.add.accumulate``.
+        """
+        by_length = np.argsort(-counts, kind="stable")
+        lengths = counts[by_length]
+        firsts = (np.cumsum(counts) - counts)[by_length]
+        # Carrying the k longest texts leaves ``after[k]`` shared steps.
+        after = np.append(lengths, 0)
+        carried = int(np.argmin(np.arange(len(after)) * _CARRY_STEPS + after))
+        shared = int(after[carried])
+        active = len(lengths) - np.searchsorted(
+            lengths[::-1], np.arange(shared), side="right"
         )
-        # Gather a bounded block of rows at a time: a long comment would
-        # otherwise copy its whole (grams x languages) slice at once.
-        totals = None
-        for start in range(0, len(rows), _GATHER_ROWS):
-            block = self._log_probs[rows[start : start + _GATHER_ROWS]]
-            if totals is not None:
-                block[0] += totals
-            totals = np.add.accumulate(block, axis=0, out=block)[-1]
-        return dict(zip(self._languages, totals.tolist()))
+        totals = np.zeros((len(counts), len(self._languages)))
+        for position, texts in enumerate(active.tolist()):
+            gathered = rows.take(firsts[:texts] + position)
+            totals[:texts] += self._log_probs.take(gathered, axis=0)
+        for text in range(carried):
+            first = int(firsts[text])
+            tail = rows[first + shared : first + int(lengths[text])]
+            for start in range(0, len(tail), _GATHER_ROWS):
+                block = self._log_probs.take(tail[start : start + _GATHER_ROWS], axis=0)
+                block[0] += totals[text]
+                totals[text] = np.add.accumulate(block, axis=0, out=block)[-1]
+        scored = np.empty_like(totals)
+        scored[by_length] = totals
+        return scored
 
     def classify(self, text: str) -> str:
         """Most likely language; ties broken alphabetically.
@@ -179,18 +285,25 @@ class LanguageIdentifier:
         Empty/whitespace-only text defaults to English (matching langid's
         behaviour of always producing a label).
         """
-        if not text.strip():
-            return "en" if "en" in self._languages else self._languages[0]
-        scored = self.scores(text)
-        return min(scored, key=lambda lang: (-scored[lang], lang))
+        return self.classify_many([text])[0]
 
     def classify_many(self, texts: Sequence[str]) -> list[str]:
-        """Classify a batch of texts."""
-        return [self.classify(text) for text in texts]
+        """Classify a batch of texts (see :meth:`classify`)."""
+        best = np.argmax(self.scores_many(texts), axis=1).tolist()
+        blank = "en" if "en" in self._languages else self._languages[0]
+        return [
+            self._languages[column] if text.strip() else blank
+            for text, column in zip(texts, best)
+        ]
 
 
-def default_language_identifier() -> LanguageIdentifier:
-    """Identifier trained on the bundled seed corpora.
+def _code_points(text: str) -> np.ndarray:
+    """The text's code points, one ``uint32`` per character."""
+    return np.frombuffer(text.encode("utf-32-le", "surrogatepass"), dtype="<u4")
+
+
+def default_corpora() -> dict[str, str]:
+    """The bundled seed corpora, with the platform vocabulary in English.
 
     The English model is additionally trained on the platform's own
     vocabulary (including the synthetic hate lexicon, whose pseudo-words
@@ -217,4 +330,9 @@ def default_language_identifier() -> LanguageIdentifier:
     # Repeat the base text so ordinary English n-gram statistics still
     # dominate; the domain vocabulary only needs to beat the OOV penalty.
     corpora["en"] = (corpora["en"] + " ") * 10 + (domain_text + " ") * 3
-    return LanguageIdentifier().fit(corpora)
+    return corpora
+
+
+def default_language_identifier() -> LanguageIdentifier:
+    """Identifier trained on :func:`default_corpora`."""
+    return LanguageIdentifier().fit(default_corpora())

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.cli import main
 from repro.net.errors import CrawlKilled
 from repro.serve import LoadGenerator, ServeApp
 
@@ -91,7 +92,7 @@ class TestKillSafety:
 
 class TestSmokeGolden:
     def test_real_stack_load_matches_golden(self, serve_stack):
-        """In-process twin of the CI `repro loadgen` smoke invocation."""
+        """In-process twin of :meth:`test_cli_loadgen_matches_golden`."""
         _, transport, app = mount(
             serve_stack.corpus,
             score_store=serve_stack.score_store,
@@ -102,3 +103,16 @@ class TestSmokeGolden:
         )
         summary = generator.run().summary_text()
         assert summary + "\n" == GOLDEN.read_text(encoding="utf-8")
+
+    def test_cli_loadgen_matches_golden(self, tmp_path, capsys):
+        """``repro loadgen`` end to end, through ``_build_stack`` and
+        ``_cmd_loadgen``: exit 0 and the golden summary, byte for byte."""
+        out = tmp_path / "serve-smoke.txt"
+        code = main([
+            "loadgen", "--scale", "0.002", "--seed", "42",
+            "--users", "300", "--requests", "1200", "--load-seed", "5",
+            "--out", str(out),
+        ])
+        assert code == 0
+        assert out.read_bytes() == GOLDEN.read_bytes()
+        assert capsys.readouterr().out == GOLDEN.read_text(encoding="utf-8")
