@@ -6,18 +6,21 @@ K virtual connections in flight.  The win shows up on two axes:
 * **Simulated seconds** (``VirtualClock.total_slept``): the crawl's
   modelled duration collapses from the serial sum of waits to the
   makespan over K lanes — the acceptance bar is ≥3× at K=4.
-* **Wall seconds**: render memoisation and the persistent parse/score
-  executors shave real CPU; the corpus must stay bit-identical.
+* **Wall seconds**: render memoisation and the crawl-wide parse memo
+  shave real CPU; the corpus must stay bit-identical.
 """
 
 import time
 
+import pytest
+
+import repro.core.pipeline as pipeline_mod
 from benchmarks._report import record, row
 from repro.core.pipeline import ReproductionPipeline
-from repro.crawler.shadow import ShadowCrawler
 from repro.crawler.checkpoint import result_to_payload
 from repro.platform.config import WorldConfig
 from repro.platform.world import build_world
+from tests.oracles.parse_memo import NeverHitParseMemo
 
 SCALE = 0.002
 SEED = 7
@@ -26,20 +29,19 @@ CONNECTIONS = (2, 4, 8)
 
 def _crawl(config, world, connections, memoise=True):
     # memoise=False is the pre-engine wall-clock baseline: every request
-    # re-renders and the shadow passes re-parse every page.
-    ShadowCrawler.PARSE_MEMO_SIZE = 8192 if memoise else 0
+    # re-renders and every discussion page fetched is parsed afresh.
     pipeline = ReproductionPipeline(
         config, world=world, connections=connections
     )
     if not memoise:
         for app in pipeline.origins.transport._origins.values():
             app.deterministic_render = False
-    try:
+    with pytest.MonkeyPatch.context() as patch:
+        if not memoise:
+            patch.setattr(pipeline_mod, "PageParseMemo", NeverHitParseMemo)
         t0 = time.perf_counter()
         artifacts = pipeline.stage_crawl()
         wall = time.perf_counter() - t0
-    finally:
-        ShadowCrawler.PARSE_MEMO_SIZE = 8192
     simulated = pipeline.client.clock.total_slept
     requests = pipeline.origins.transport.requests_attempted
     hits = pipeline.origins.transport.render_hits
@@ -51,7 +53,7 @@ def test_crawl_throughput_across_connections():
     config = WorldConfig(scale=SCALE, seed=SEED)
     world = build_world(config)
 
-    # Pre-engine wall-clock baseline: render + shadow-parse memoisation
+    # Pre-engine wall-clock baseline: render + parse memoisation
     # off (how every request rendered before this PR).  Corpus must match
     # regardless; best-of-3 walls keep the comparison out of scheduler
     # noise.
@@ -113,7 +115,7 @@ def test_crawl_throughput_across_connections():
     assert speedups[8] >= speedups[4] >= speedups[2] > 1.0
     # The wall-clock win comes from render memoisation (the shadow
     # passes re-request ~20% of all pages; unchanged ones render once)
-    # plus the shadow parse memo.  It is a 5-10% win at this scale --
+    # plus the crawl-wide parse memo.  It is a 5-10% win at this scale --
     # per-request client machinery dominates -- so the guard allows
     # scheduler noise while the record shows the best-of-3 ratio.
     assert base_wall <= plain_wall * 1.05

@@ -61,6 +61,7 @@ from repro.core.votes import VoteToxicity, analyze_votes
 from repro.core.youtube import YouTubeAnalysis, analyze_youtube
 from repro.crawler.dissenter_crawl import DissenterCrawler
 from repro.crawler.gab_enum import GabEnumerationResult, GabEnumerator
+from repro.crawler.parsing import PageParseMemo
 from repro.crawler.reddit_crawl import RedditMatcher, RedditMatchResult
 from repro.crawler.runtime import Checkpointer, resume_checkpointer
 from repro.crawler.shadow import ShadowCrawler
@@ -400,7 +401,11 @@ class ReproductionPipeline:
             gab_enum = GabEnumerationResult.from_dict(artifacts["gab_enum"])
 
         # ---- §3.1: Dissenter account detection ----------------------
-        crawler = DissenterCrawler(self.client)
+        # One discussion-page parse memo for the spider, its re-request
+        # loop and both shadow passes: a page whose bytes were already
+        # parsed in this crawl is not parsed again.  Never checkpointed.
+        parse_memo = PageParseMemo()
+        crawler = DissenterCrawler(self.client, parse_memo)
         if stage == "dissenter_detect":
             detected = crawler.detect_accounts(
                 gab_enum.usernames(),
@@ -432,7 +437,9 @@ class ReproductionPipeline:
             corpus.restore_payload(artifacts["corpus"])
 
         # ---- §3.2: shadow (NSFW/offensive) overlay ------------------
-        shadow_crawler = ShadowCrawler(self.client, self.origins.dissenter)
+        shadow_crawler = ShadowCrawler(
+            self.client, self.origins.dissenter, parse_memo
+        )
         if stage == "shadow":
             shadow_crawler.uncover(
                 corpus,
@@ -441,6 +448,7 @@ class ReproductionPipeline:
                 pool=self._pool_for("shadow"),
             )
             advance("youtube", corpus.snapshot())
+        parse_memo.clear()   # no later stage parses a discussion page
 
         # The corpus is complete: freeze it so the secondary indexes
         # (by_url / by_author / active authors) are built once and

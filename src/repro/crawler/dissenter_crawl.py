@@ -37,8 +37,9 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 from repro.crawler.checkpoint import CrawlCheckpoint, coerce_checkpoint
 from repro.crawler.frontier import CrawlFrontier
 from repro.crawler.parsing import (
+    PageParseMemo,
+    ParsedPage,
     parse_comment_author_blob,
-    parse_comment_page,
     parse_user_page,
 )
 from repro.crawler.records import CrawledUser
@@ -135,15 +136,25 @@ class CrawlStats:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "CrawlStats":
+        """Rebuild stats from :meth:`to_dict` output.
+
+        Raises:
+            ValueError: the payload is malformed.
+        """
+        if not isinstance(payload, dict):
+            raise ValueError("crawl stats must be an object")
+        failed = payload.get("comment_pages_failed", [])
+        if not isinstance(failed, list) or not all(
+            isinstance(url_id, str) for url_id in failed
+        ):
+            raise ValueError("crawl stats comment_pages_failed must be a list of strings")
         try:
             return cls(
                 usernames_probed=int(payload.get("usernames_probed", 0)),
                 accounts_detected=int(payload.get("accounts_detected", 0)),
                 home_pages_parsed=int(payload.get("home_pages_parsed", 0)),
                 comment_pages_parsed=int(payload.get("comment_pages_parsed", 0)),
-                comment_pages_failed=list(
-                    payload.get("comment_pages_failed", [])
-                ),
+                comment_pages_failed=list(failed),
                 author_pages_visited=int(payload.get("author_pages_visited", 0)),
             )
         except (TypeError, ValueError) as exc:
@@ -166,13 +177,20 @@ class CrawlState:
 
 
 class DissenterCrawler:
-    """Drives the full §3.1-3.2 crawl over HTTP."""
+    """Drives the full §3.1-3.2 crawl over HTTP.
+
+    Args:
+        client: HTTP client.
+        parse_memo: the crawl's discussion-page parse memo, shared with
+            the shadow passes (a private one when omitted).
+    """
 
     BASE = "https://dissenter.com"
 
-    def __init__(self, client: HttpClient):
+    def __init__(self, client: HttpClient, parse_memo: PageParseMemo | None = None):
         self._client = client
         self.stats = CrawlStats()
+        self.parse_memo = parse_memo if parse_memo is not None else PageParseMemo()
 
     def _restore_client_cookies(self, cookies: list | None) -> None:
         if cookies is not None:
@@ -439,7 +457,8 @@ class DissenterCrawler:
             # position a sequential crawl would use.
             popped = frontier.pop()
             assert popped == commenturl_id
-            kind, payload = outcome
+            kind, page = outcome
+            self.parse_memo.remember(page)
             if kind == "rate_limited":
                 # Once the retry budget is spent the page must still be
                 # accounted as failed, or recrawl_failures() and the
@@ -450,7 +469,7 @@ class DissenterCrawler:
                 self.stats.record_failed(commenturl_id)
             else:
                 self.stats.bump("comment_pages_parsed")
-                self._add_page(store, *payload)
+                self._add_page(store, page)
 
         pool.run(
             lambda capacity: frontier.peek(capacity),
@@ -526,26 +545,26 @@ class DissenterCrawler:
         )
         state.stage = "done"
 
-    @staticmethod
-    def _comment_page_outcome(response: Response | None):
+    def _comment_page_outcome(
+        self, response: Response | None
+    ) -> tuple[str, ParsedPage | None]:
         """Pure classify-and-parse of a discussion-page response.
 
-        Returns ``("rate_limited", None)``, ``("failed", None)``, or
-        ``("ok", (url, comments))`` — safe to run on a parse worker.
+        Returns ``(kind, page)``: kind is ``"rate_limited"``,
+        ``"failed"`` or ``"ok"``, and ``page`` is the memoised parse of
+        a 200 body (None otherwise) — safe to run on a parse worker.
         """
-        if response is None or response.status != 200:
-            if response is not None and response.status == 429:
-                return ("rate_limited", None)
-            return ("failed", None)
-        url, comments = parse_comment_page(response.text)
-        if url is None:
-            return ("failed", None)
-        return ("ok", (url, comments))
+        if response is not None and response.status == 429:
+            return ("rate_limited", None)
+        page = self.parse_memo.parse(response)
+        if page is None or page.url is None:
+            return ("failed", page)
+        return ("ok", page)
 
     @staticmethod
-    def _add_page(store: CorpusStore, url, comments) -> None:
-        store.add_url(url)
-        for comment in comments:
+    def _add_page(store: CorpusStore, page: ParsedPage) -> None:
+        store.add_url(page.url)
+        for comment in page.comments:
             store.add_comment(comment)
 
     def recrawl_failures(self, result: CorpusStore) -> int:
@@ -557,15 +576,16 @@ class DissenterCrawler:
         recovered = 0
         still_failed: list[str] = []
         for commenturl_id in self.stats.comment_pages_failed:
-            kind, payload = self._comment_page_outcome(
+            kind, page = self._comment_page_outcome(
                 self._client.get_or_none(
                     f"{self.BASE}/discussion/{commenturl_id}"
                 )
             )
+            self.parse_memo.remember(page)
             if kind != "ok":
                 still_failed.append(commenturl_id)
                 continue
-            self._add_page(result, *payload)
+            self._add_page(result, page)
             recovered += 1
         self.stats.replace_failed(still_failed)
         return recovered

@@ -10,6 +10,7 @@ from __future__ import annotations
 import html as _html
 import json
 import re
+from typing import NamedTuple
 
 from repro.crawler.records import (
     CrawledComment,
@@ -17,8 +18,11 @@ from repro.crawler.records import (
     CrawledUser,
     CrawledYouTubeItem,
 )
+from repro.net.http import Response
 
 __all__ = [
+    "PageParseMemo",
+    "ParsedPage",
     "parse_comment_author_blob",
     "parse_comment_page",
     "parse_comments",
@@ -116,6 +120,61 @@ def parse_comment_page(
     for comment in comments:
         comment.commenturl_id = url.commenturl_id
     return url, comments
+
+
+class ParsedPage(NamedTuple):
+    """One 200 discussion page's body and its :func:`parse_comment_page`."""
+
+    body: bytes
+    url: CrawledUrl | None
+    comments: list[CrawledComment]
+
+
+class PageParseMemo:
+    """Body-keyed memo of discussion-page parses, for one crawl.
+
+    The baseline comment-page phase, the §3.2 re-request loop and both
+    shadow passes fetch the same discussion pages, and most of those
+    fetches return bytes already parsed earlier in the crawl.  The memo
+    is keyed by body *value*, so it still hits after the transport's
+    render cache has evicted a page and re-rendered equal bytes.
+
+    Reads and writes are split so parsing stays pure (DESIGN §8):
+    :meth:`parse` only reads, and may run on a parse worker;
+    :meth:`remember` writes, and runs on the coordinator thread, in a
+    phase's ``process`` callback.  A memo hit hands back the same record
+    objects as the first parse, so callers must not mutate records
+    that are already in their store.
+    """
+
+    MAX_PAGES = 8192   # cleared wholesale when full
+
+    def __init__(self) -> None:
+        self._pages: dict[bytes, ParsedPage] = {}
+
+    def __len__(self) -> int:
+        return len(self._pages)
+
+    def parse(self, response: Response | None) -> ParsedPage | None:
+        """The parse of a 200 response (memoised), else None; never writes."""
+        if response is None or response.status != 200:
+            return None
+        page = self._pages.get(response.body)
+        if page is None:
+            page = ParsedPage(response.body, *parse_comment_page(response.text))
+        return page
+
+    def remember(self, page: ParsedPage | None) -> None:
+        """Record a :meth:`parse` result (coordinator thread only)."""
+        if page is None or page.body in self._pages:
+            return
+        if len(self._pages) >= self.MAX_PAGES:
+            self._pages.clear()
+        self._pages[page.body] = page
+
+    def clear(self) -> None:
+        """Drop every memoised page."""
+        self._pages.clear()
 
 
 def parse_comment_author_blob(body: str) -> dict | None:

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from repro.crawler.checkpoint import CrawlCheckpoint, coerce_checkpoint
-from repro.crawler.parsing import parse_comment_page
+from repro.crawler.parsing import PageParseMemo, ParsedPage
 from repro.crawler.runtime import (
     Checkpointer,
     LineHook,
@@ -86,40 +86,36 @@ class ShadowState:
 class ShadowCrawler:
     """Runs the authenticated re-spiders and labels hidden comments.
 
+    Most re-spidered pages carry no hidden content, so their bytes equal
+    the page the baseline crawl (or the NSFW pass) already parsed.  The
+    passes read their parses from ``parse_memo``, the crawl-wide
+    :class:`~repro.crawler.parsing.PageParseMemo` that
+    :meth:`~repro.core.pipeline.ReproductionPipeline.stage_crawl` shares
+    with the baseline crawler; ``run_pass`` fills it in its merge step,
+    on the coordinator thread.  A memo hit returns the baseline's own
+    comment records, which the pass skips (they are in the baseline),
+    so a baseline comment never gains a ``shadow_label``.
+
     Args:
         client: HTTP client (its cookie jar receives the session cookie).
         app: the Dissenter origin — used only to provision sessions, the
             way the paper's authors registered their own accounts and
             flipped the view settings.
+        parse_memo: the crawl's discussion-page parse memo (a private
+            one when omitted, as in a sharded shadow worker).
     """
 
     BASE = "https://dissenter.com"
 
-    PARSE_MEMO_SIZE = 8192
-
-    def __init__(self, client: HttpClient, app: DissenterApp):
+    def __init__(
+        self,
+        client: HttpClient,
+        app: DissenterApp,
+        parse_memo: PageParseMemo | None = None,
+    ):
         self._client = client
         self._app = app
-        # Body-keyed parse memo.  The NSFW and offensive passes re-fetch
-        # the same pages, and for pages without hidden content the
-        # transport's render cache hands back the *same* body object —
-        # so the dict lookup short-circuits on identity and the second
-        # pass skips the regex parse entirely.  Instance-scoped on
-        # purpose: sharing parsed comment objects across crawler
-        # instances would alias mutable records between runs.
-        self._parse_memo: dict[bytes, list] = {}
-
-    def _parse_page_cached(self, response: Response | None) -> list:
-        """Parse a discussion-page response into its comments (memoised)."""
-        if response is None or response.status != 200:
-            return []
-        cached = self._parse_memo.get(response.body)
-        if cached is None:
-            _, cached = parse_comment_page(response.text)
-            if len(self._parse_memo) >= self.PARSE_MEMO_SIZE:
-                self._parse_memo.clear()
-            self._parse_memo[response.body] = cached
-        return cached
+        self.parse_memo = parse_memo if parse_memo is not None else PageParseMemo()
 
     def uncover(
         self,
@@ -257,8 +253,9 @@ class ShadowCrawler:
                 f"{self.BASE}/discussion/{state.url_ids[position]}"
             )
 
-        def process(position: int, comments: list) -> None:
-            for comment in comments:
+        def process(position: int, page: ParsedPage | None) -> None:
+            self.parse_memo.remember(page)
+            for comment in page.comments if page is not None else ():
                 if (
                     comment.comment_id in state.baseline_ids
                     or comment.comment_id in store.comments
@@ -271,7 +268,7 @@ class ShadowCrawler:
 
         pool.run(
             plan, fetch, count_lines(store, process, on_lines),
-            parse=lambda _i, response: self._parse_page_cached(response),
+            parse=lambda _i, response: self.parse_memo.parse(response),
             checkpointer=checkpointer,
         )
         self._client.cookies.clear("dissenter.com")

@@ -115,6 +115,16 @@ class ClientStats:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "ClientStats":
+        """Rebuild stats from :meth:`to_dict` output.
+
+        Raises:
+            ValueError: the payload is malformed.
+        """
+        if not isinstance(payload, dict):
+            raise ValueError("client stats must be an object")
+        status_counts = payload.get("status_counts") or {}
+        if not isinstance(status_counts, dict):
+            raise ValueError("client stats status_counts must be an object")
         try:
             return cls(
                 requests=int(payload.get("requests", 0)),
@@ -124,9 +134,7 @@ class ClientStats:
                 bytes_received=int(payload.get("bytes_received", 0)),
                 status_counts={
                     int(status): int(count)
-                    for status, count in (
-                        payload.get("status_counts") or {}
-                    ).items()
+                    for status, count in status_counts.items()
                 },
             )
         except (TypeError, ValueError) as exc:
@@ -163,7 +171,10 @@ class HttpClient:
         if max_retries < 0:
             raise ValueError("max_retries must be >= 0")
         self._transport = transport
-        self._user_agent = user_agent
+        # Every request starts from these; _build_request copies them.
+        self._default_headers = Headers(
+            [("User-Agent", user_agent), ("Accept", "*/*")]
+        )
         self._max_retries = max_retries
         self._backoff = backoff
         self._max_redirects = max_redirects
@@ -187,16 +198,15 @@ class HttpClient:
         request = Request(
             method=method,
             url=url_with_params(url, params),
-            headers=Headers(
-                [("User-Agent", self._user_agent), ("Accept", "*/*")]
-            ),
+            headers=self._default_headers.copy(),
         )
         if headers:
             for name, value in headers.items():
                 request.headers.set(name, value)
-        cookie_header = self.cookies.cookie_header_for(request.parts)
-        if cookie_header:
-            request.headers.set("Cookie", cookie_header)
+        if self.cookies:
+            cookie_header = self.cookies.cookie_header_for(request.parts)
+            if cookie_header:
+                request.headers.set("Cookie", cookie_header)
         request.body = body
         return request
 

@@ -57,7 +57,8 @@ class Headers:
     def set(self, name: str, value: str) -> None:
         """Replace all values of ``name`` with a single value."""
         lowered = name.lower()
-        self._items = [(n, v) for n, v in self._items if n.lower() != lowered]
+        if any(n.lower() == lowered for n, _ in self._items):
+            self._items = [(n, v) for n, v in self._items if n.lower() != lowered]
         self._items.append((name, str(value)))
 
     def get(self, name: str, default: str | None = None) -> str | None:
@@ -84,7 +85,10 @@ class Headers:
         return f"Headers({self._items!r})"
 
     def copy(self) -> "Headers":
-        return Headers(self._items)
+        # The items were validated on the way in: copy the list as is.
+        clone = Headers.__new__(Headers)
+        clone._items = list(self._items)
+        return clone
 
 
 def url_with_params(url: str, params: Mapping[str, Any] | None) -> str:

@@ -112,6 +112,9 @@ class FetchPool:
         if parse_workers < 0:
             raise ValueError("parse_workers must be >= 0")
         self._clock = clock
+        # Whether the clock captures flights (VirtualClock) or is only
+        # read through now() deltas; fixed for the pool's lifetime.
+        self._captures = getattr(clock, "begin_flight", None) is not None
         self.connections = int(connections)
         self._parse_workers = int(parse_workers)
         self._executor: ThreadPoolExecutor | None = None
@@ -180,6 +183,21 @@ class FetchPool:
         self.stats.makespan_seconds = self._makespan   # repro: allow CONC001 coordinator-only
         return self._makespan - previous
 
+    def _begin_flight(self) -> float:
+        """Open a flight; returns its start time (``now()`` clocks only)."""
+        if self._captures:
+            self._clock.begin_flight()  # type: ignore[attr-defined]
+            return 0.0
+        return self._clock.now()
+
+    def _end_flight(self, start: float) -> None:
+        """Close the open flight and schedule it onto a lane."""
+        if self._captures:
+            delta = self._schedule(self._clock.end_flight())  # type: ignore[attr-defined]
+            self._clock.charge_concurrent(delta)  # type: ignore[attr-defined]
+        else:
+            self._schedule(self._clock.now() - start)
+
     @contextmanager
     def flight(self) -> Iterator[None]:
         """Account one fetch (plus its retries and waits) as a flight.
@@ -190,21 +208,11 @@ class FetchPool:
         ``CrawlKilled``) still schedule the partial duration — the time
         was spent — and propagate.
         """
-        begin = getattr(self._clock, "begin_flight", None)
-        if begin is None:
-            start = self._clock.now()
-            try:
-                yield
-            finally:
-                self._schedule(self._clock.now() - start)
-            return
-        begin()
+        start = self._begin_flight()
         try:
             yield
         finally:
-            captured = self._clock.end_flight()
-            delta = self._schedule(captured)
-            self._clock.charge_concurrent(delta)
+            self._end_flight(start)
 
     # ------------------------------------------------------------------
     # The windowed fetch/parse/merge engine.
@@ -251,9 +259,13 @@ class FetchPool:
             fetched: list[tuple[J, object]] = []
             failure: BaseException | None = None
             for job in jobs:
+                # flight() inlined: no generator frame per job.
                 try:
-                    with self.flight():
+                    start = self._begin_flight()
+                    try:
                         fetched.append((job, fetch(job)))
+                    finally:
+                        self._end_flight(start)
                 except Exception as exc:
                     # Merge the completed prefix before propagating, so
                     # the last checkpoint matches a sequential crawl

@@ -35,9 +35,9 @@ KIND_URL = "url"
 KIND_COMMENT = "comment"
 
 
-def _dumps(payload: dict) -> str:
-    """Canonical one-line JSON: compact separators, ASCII escapes."""
-    return json.dumps(payload, separators=(",", ":"), ensure_ascii=True)
+# Built once: json.dumps with non-default options builds a new encoder
+# per call, and every stored line goes through here.
+_dumps = json.JSONEncoder(separators=(",", ":"), ensure_ascii=True).encode
 
 
 def encode_user(user: CrawledUser) -> str:

@@ -1,0 +1,160 @@
+"""The crawl-wide discussion-page parse memo (§3 crawl, DESIGN §8).
+
+``stage_crawl`` shares one body-keyed memo between the baseline
+comment-page phase, the re-request loop and both shadow passes, so each
+distinct 200 discussion body is parsed once per crawl.  The memo must be
+invisible in the output: the dump, the spilled segments and the manifest
+match a crawl whose memo never hits, with or without parse workers, and
+the memo is only written on the coordinator thread.
+"""
+
+import threading
+
+import pytest
+
+import repro.core.pipeline as pipeline_mod
+import repro.crawler.parsing as parsing
+from repro.core.pipeline import ReproductionPipeline
+from repro.crawler.checkpoint import dumps_result
+from repro.crawler.parsing import PageParseMemo
+from repro.crawler.shadow import ShadowCrawler
+from repro.net.transport import LoopbackTransport
+from repro.platform.config import WorldConfig
+from repro.platform.world import build_world
+from tests.oracles.parse_memo import NeverHitParseMemo
+
+# Seed 0 at scale 0.002: the baseline fetches 1,068 discussion pages and
+# each shadow pass fetches them again; 129 of those re-fetches carry
+# hidden comments, so their bodies are new.
+DISTINCT_200_BODIES = 1197
+ALL_200_FETCHES = 3 * 1068
+
+
+@pytest.fixture(scope="module")
+def world_0002():
+    config = WorldConfig(scale=0.002, seed=0)
+    return config, build_world(config)
+
+
+def _crawl(world_0002, tmp_path, monkeypatch, memo_cls=PageParseMemo,
+           parse_workers=0):
+    """One spilled stage_crawl; returns its bytes and what it observed."""
+    config, world = world_0002
+    monkeypatch.setattr(pipeline_mod, "PageParseMemo", memo_cls)
+
+    parsed: list[str] = []
+    real_parse = parsing.parse_comment_page
+
+    def counted_parse(text):
+        parsed.append(text)
+        return real_parse(text)
+
+    monkeypatch.setattr(parsing, "parse_comment_page", counted_parse)
+
+    bodies: set[bytes] = set()
+    real_send = LoopbackTransport.send
+
+    def recording_send(transport, request, *args, **kwargs):
+        response = real_send(transport, request, *args, **kwargs)
+        if request.path.startswith("/discussion/") and response.status == 200:
+            bodies.add(response.body)
+        return response
+
+    monkeypatch.setattr(LoopbackTransport, "send", recording_send)
+
+    writers: list[threading.Thread] = []
+    real_remember = memo_cls.remember
+
+    def watched_remember(memo, page):
+        writers.append(threading.current_thread())
+        return real_remember(memo, page)
+
+    monkeypatch.setattr(memo_cls, "remember", watched_remember)
+
+    baselines: list[set[str]] = []
+    real_uncover = ShadowCrawler.uncover
+
+    def watched_uncover(crawler, result, *args, **kwargs):
+        baselines.append(set(result.comments))
+        return real_uncover(crawler, result, *args, **kwargs)
+
+    monkeypatch.setattr(ShadowCrawler, "uncover", watched_uncover)
+
+    store_dir = tmp_path / f"{memo_cls.__name__}-{parse_workers}"
+    pipeline = ReproductionPipeline(
+        config, world=world, parse_workers=parse_workers,
+        store_dir=str(store_dir), segment_records=256,
+    )
+    try:
+        artifacts = pipeline.stage_crawl()
+    finally:
+        pipeline.close_pools()
+    monkeypatch.undo()
+    files = {
+        path.relative_to(store_dir): path.read_bytes()
+        for path in sorted(store_dir.rglob("*"))
+        if path.is_file()
+    }
+    return {
+        "dump": dumps_result(artifacts.corpus),
+        "files": files,
+        "parsed": parsed,
+        "bodies": bodies,
+        "writers": writers,
+        "baseline": baselines[0],
+        "corpus": artifacts.corpus,
+        "memo": artifacts.shadow_crawler.parse_memo,
+    }
+
+
+@pytest.fixture(scope="module")
+def memo_run(world_0002, tmp_path_factory):
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        return _crawl(world_0002, tmp_path_factory.mktemp("memo"), monkeypatch)
+
+
+@pytest.fixture(scope="module")
+def oracle_run(world_0002, tmp_path_factory):
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        return _crawl(
+            world_0002, tmp_path_factory.mktemp("oracle"), monkeypatch,
+            memo_cls=NeverHitParseMemo,
+        )
+
+
+def test_each_distinct_200_body_is_parsed_once(memo_run, oracle_run):
+    assert len(memo_run["bodies"]) == DISTINCT_200_BODIES
+    assert len(memo_run["parsed"]) == DISTINCT_200_BODIES
+    assert len(set(memo_run["parsed"])) == DISTINCT_200_BODIES
+    # The oracle parses every 200 fetch.
+    assert len(oracle_run["parsed"]) == ALL_200_FETCHES
+
+
+def test_baseline_comments_never_gain_a_shadow_label(memo_run):
+    comments = memo_run["corpus"].comments
+    assert memo_run["baseline"]
+    assert all(comments[cid].shadow_label is None for cid in memo_run["baseline"])
+    hidden = [c for c in comments.values() if c.shadow_label is not None]
+    assert hidden and not memo_run["baseline"] & {c.comment_id for c in hidden}
+
+
+def test_memo_is_invisible_in_dump_segments_and_manifest(memo_run, oracle_run):
+    assert memo_run["dump"] == oracle_run["dump"]
+    assert memo_run["files"] == oracle_run["files"]
+    assert any(path.name.endswith(".jsonl") for path in memo_run["files"])
+    assert any("manifest" in path.name for path in memo_run["files"])
+
+
+def test_memo_is_dropped_when_the_crawl_stage_returns(memo_run):
+    assert len(memo_run["memo"]) == 0
+
+
+def test_parse_workers_keep_bytes_and_parse_count(
+    world_0002, tmp_path, monkeypatch, memo_run
+):
+    run = _crawl(world_0002, tmp_path, monkeypatch, parse_workers=2)
+    assert run["dump"] == memo_run["dump"]
+    assert run["files"] == memo_run["files"]
+    assert len(run["parsed"]) == DISTINCT_200_BODIES
+    main = threading.main_thread()
+    assert run["writers"] and all(thread is main for thread in run["writers"])

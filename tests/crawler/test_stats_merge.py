@@ -8,7 +8,10 @@ APIs to be commutative and associative — this pins that contract.
 
 import itertools
 
-from repro.crawler.dissenter_crawl import CrawlStats
+import pytest
+
+from repro.crawler.checkpoint import CrawlCheckpoint
+from repro.crawler.dissenter_crawl import CrawlStats, DissenterCrawler
 from repro.net.client import ClientStats
 
 
@@ -137,3 +140,41 @@ def test_client_merge_serializes_identically_regardless_of_order():
     assert list(forward.to_dict()["status_counts"]) == list(
         backward.to_dict()["status_counts"]
     )
+
+
+# ----------------------------------------------------------------------
+# Malformed payloads at the checkpoint boundary raise ValueError.
+# ----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("payload", [
+    [1], "stats", 7, None,
+    {"comment_pages_failed": "abc"},
+    {"comment_pages_failed": [1, 2]},
+    {"comment_pages_failed": {"a": 1}},
+    {"usernames_probed": "many"},
+])
+def test_crawl_stats_from_dict_rejects_malformed_payloads(payload):
+    with pytest.raises(ValueError):
+        CrawlStats.from_dict(payload)
+
+
+@pytest.mark.parametrize("payload", [
+    [1], "stats", 7, None,
+    {"status_counts": [200, 1]},
+    {"status_counts": "200"},
+    {"status_counts": {"ok": 1}},
+    {"requests": "many"},
+])
+def test_client_stats_from_dict_rejects_malformed_payloads(payload):
+    with pytest.raises(ValueError):
+        ClientStats.from_dict(payload)
+
+
+def test_restore_detect_rejects_non_mapping_stats():
+    payload = CrawlCheckpoint(
+        crawler="dissenter", stage="detect",
+        cursor={"index": 0, "detected": []}, stats=[1],
+    ).to_payload()
+    with pytest.raises(ValueError):
+        DissenterCrawler(client=None).restore_detect(payload)

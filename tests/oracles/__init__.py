@@ -12,6 +12,8 @@ here, unchanged in behaviour, as the references for the parity tests:
   reference for the batch featurizer;
 * :mod:`tests.oracles.langid` — dict-per-language language
   identification with a left-to-right log-likelihood sum.
+* :mod:`tests.oracles.parse_memo` — a discussion-page parse memo that
+  never hits, the reference for the crawl-wide memo.
 
 Every function takes the same arguments as the production function it
 mirrors, so a test can swap one for the other by name.
