@@ -34,8 +34,8 @@ def _crawl(config, world, connections, memoise=True):
         config, world=world, connections=connections
     )
     if not memoise:
-        for app in pipeline.origins.transport._origins.values():
-            app.deterministic_render = False
+        for origin in pipeline.origins.transport._origins.values():
+            origin.app.deterministic_render = False
     with pytest.MonkeyPatch.context() as patch:
         if not memoise:
             patch.setattr(pipeline_mod, "PageParseMemo", NeverHitParseMemo)

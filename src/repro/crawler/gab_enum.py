@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.crawler.checkpoint import CrawlCheckpoint, coerce_checkpoint
+from repro.crawler.parsing import parse_gab_account
 from repro.crawler.records import CrawledGabAccount
 from repro.crawler.runtime import Checkpointer, resume_checkpointer
 from repro.net.client import HttpClient
@@ -127,15 +128,7 @@ class GabEnumerator:
                 break
         if response.status != 200:
             return None
-        payload = response.json()
-        return CrawledGabAccount(
-            gab_id=int(payload["id"]),
-            username=payload["username"],
-            display_name=payload.get("display_name", ""),
-            created_at_iso=payload.get("created_at", ""),
-            followers_count=int(payload.get("followers_count", 0)),
-            following_count=int(payload.get("following_count", 0)),
-        )
+        return parse_gab_account(response.text)
 
     def restore(
         self, resume: CrawlCheckpoint | dict, checkpointer: Checkpointer | None

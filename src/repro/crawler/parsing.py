@@ -10,10 +10,11 @@ from __future__ import annotations
 import html as _html
 import json
 import re
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from repro.crawler.records import (
     CrawledComment,
+    CrawledGabAccount,
     CrawledUrl,
     CrawledUser,
     CrawledYouTubeItem,
@@ -23,9 +24,11 @@ from repro.net.http import Response
 __all__ = [
     "PageParseMemo",
     "ParsedPage",
+    "parse_account_ids",
     "parse_comment_author_blob",
     "parse_comment_page",
     "parse_comments",
+    "parse_gab_account",
     "parse_user_page",
     "parse_youtube_page",
 ]
@@ -37,17 +40,71 @@ _BIO_RE = re.compile(r'<p class="bio">(.*?)</p>', re.DOTALL)
 _URL_ITEM_RE = re.compile(
     r'<li class="commented-url"><a href="/discussion/([0-9a-f]{24})">'
 )
-_TITLE_RE = re.compile(r'<h1 class="page-title">(.*?)</h1>', re.DOTALL)
-_DESCRIPTION_RE = re.compile(
-    r'<p class="page-description">(.*?)</p>', re.DOTALL
+
+
+class _PrefixedPattern:
+    """A regex that starts with a literal prefix, searched by that prefix.
+
+    :meth:`search` finds each occurrence of the prefix with ``str.find``
+    and tries the regex only there.  Every match starts with the prefix,
+    so the first occurrence where the regex matches is where
+    ``regex.search`` would have matched, with the same span and groups.
+
+    The prefix holds a ``"``, so no occurrence can start before the
+    body's first ``"`` less the quote's offset in the prefix.  A
+    one-character find (a ``memchr``) locates that quote, which skips
+    the page's quote-free 10 kB style block much faster than a
+    substring search or the regex engine would walk it.
+    """
+
+    __slots__ = ("prefix", "regex", "_quote_at")
+
+    def __init__(self, prefix: str, rest: str, flags: int = 0) -> None:
+        self.prefix = prefix
+        self.regex = re.compile(re.escape(prefix) + rest, flags)
+        self._quote_at = prefix.index('"')
+
+    def _first(self, body: str) -> int:
+        """Index of the prefix's first occurrence in ``body``, or -1."""
+        quote = body.find('"')
+        if quote < 0:
+            return -1
+        return body.find(self.prefix, max(quote - self._quote_at, 0))
+
+    def search(self, body: str) -> re.Match[str] | None:
+        """``regex.search(body)``."""
+        find, match, prefix = body.find, self.regex.match, self.prefix
+        start = self._first(body)
+        while start >= 0:
+            found = match(body, start)
+            if found is not None:
+                return found
+            start = find(prefix, start + 1)
+        return None
+
+    def finditer(self, body: str) -> Iterator[re.Match[str]]:
+        """``regex.finditer(body)``: no match starts before the first prefix."""
+        start = self._first(body)
+        if start < 0:
+            return iter(())
+        return self.regex.finditer(body, start)
+
+
+# A discussion page: its URL-level fields and its comment blocks.
+_TITLE_RE = _PrefixedPattern('<h1 class="page-title">', r"(.*?)</h1>", re.DOTALL)
+_DESCRIPTION_RE = _PrefixedPattern(
+    '<p class="page-description">', r"(.*?)</p>", re.DOTALL
 )
-_COMMENTURL_ID_RE = re.compile(
-    r'<meta name="commenturl-id" content="([0-9a-f]{24})">'
+_COMMENTURL_ID_RE = _PrefixedPattern(
+    '<meta name="commenturl-id" content="', r'([0-9a-f]{24})">'
 )
-_TARGET_URL_RE = re.compile(r'<meta name="target-url" content="(.*?)">')
-_VOTES_RE = re.compile(r'<span class="votes" data-up="(\d+)" data-down="(\d+)">')
-_COMMENT_RE = re.compile(
-    r'<div class="comment" data-comment-id="([0-9a-f]{24})" '
+_TARGET_URL_RE = _PrefixedPattern('<meta name="target-url" content="', r'(.*?)">')
+_VOTES_RE = _PrefixedPattern(
+    '<span class="votes" data-up="', r'(\d+)" data-down="(\d+)">'
+)
+_COMMENT_RE = _PrefixedPattern(
+    '<div class="comment" data-comment-id="',
+    r'([0-9a-f]{24})" '
     r'data-author-id="([0-9a-f]{24})" '
     r'data-parent-id="([0-9a-f]{24})?" '
     r'data-created="(\d+)">\s*'
@@ -193,6 +250,56 @@ def parse_comment_author_blob(body: str) -> dict | None:
     if not isinstance(payload, list) or not payload:
         return None
     return payload[0]
+
+
+def _json_or_none(body: str) -> object:
+    """``json.loads(body)``, or None when the body is not JSON."""
+    try:
+        return json.loads(body)
+    except (ValueError, RecursionError):
+        return None
+
+
+def parse_gab_account(body: str) -> CrawledGabAccount | None:
+    """Parse one Gab accounts-API record (§3.1); None when malformed.
+
+    A 200 whose body is not an account object (truncated JSON, a list,
+    a missing or non-numeric ``id``, a non-string name) is a miss, the
+    same as an unallocated ID.
+    """
+    payload = _json_or_none(body)
+    if not isinstance(payload, dict):
+        return None
+    try:
+        account = CrawledGabAccount(
+            gab_id=int(payload["id"]),
+            username=payload["username"],
+            display_name=payload.get("display_name", ""),
+            created_at_iso=payload.get("created_at", ""),
+            followers_count=int(payload.get("followers_count", 0)),
+            following_count=int(payload.get("following_count", 0)),
+        )
+    except (KeyError, TypeError, ValueError, OverflowError):
+        return None
+    texts = (account.username, account.display_name, account.created_at_iso)
+    if not all(isinstance(text, str) for text in texts):
+        return None
+    return account
+
+
+def parse_account_ids(body: str) -> list[int] | None:
+    """The account IDs on one page of a Gab follower list (§3.4).
+
+    None when the page is not a list of objects with numeric ``id``
+    fields; the caller ends that list's pagination there.
+    """
+    payload = _json_or_none(body)
+    if not isinstance(payload, list):
+        return None
+    try:
+        return [int(entry["id"]) for entry in payload]
+    except (KeyError, TypeError, ValueError, OverflowError):
+        return None
 
 
 def parse_youtube_page(url: str, body: str) -> CrawledYouTubeItem | None:

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 from typing import Iterable
 
 from repro.crawler.checkpoint import CrawlCheckpoint, coerce_checkpoint
+from repro.crawler.parsing import parse_account_ids
 from repro.crawler.runtime import Checkpointer
 from repro.graph.csr import CSRGraph, csr_from_follow_records
 from repro.net.client import HttpClient
@@ -101,10 +102,10 @@ class SocialGraphCrawler:
                 continue   # limiter sleeps to the reset on the next call
             if response.status != 200:
                 break
-            payload = response.json()
-            if not isinstance(payload, list) or not payload:
-                break
-            collected.extend(int(entry["id"]) for entry in payload)
+            ids = parse_account_ids(response.text)
+            if not ids:
+                break   # past the last page, or a malformed one
+            collected.extend(ids)
             page += 1
         return collected
 

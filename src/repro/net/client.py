@@ -9,7 +9,6 @@ the NSFW/offensive shadow crawl.
 
 from __future__ import annotations
 
-import math
 import threading
 from dataclasses import dataclass, field
 from typing import Any, Mapping
@@ -17,30 +16,18 @@ from typing import Any, Mapping
 from repro.net.clock import Clock
 from repro.net.cookies import CookieJar
 from repro.net.errors import NetworkError, TimeoutError, TooManyRedirects
-from repro.net.http import Headers, Request, Response, url_with_params
+from repro.net.http import (
+    Headers,
+    Request,
+    Response,
+    parse_delay_seconds,
+    url_with_params,
+)
 from repro.net.transport import Transport
 
 __all__ = ["ClientStats", "HttpClient"]
 
 _RETRYABLE_STATUSES = frozenset({429, 500, 502, 503})
-
-
-def _parse_delay_seconds(value: str) -> float | None:
-    """A server-advertised delay as finite, non-negative seconds.
-
-    ``float()`` alone is not a safe parse here: it *raises* on the
-    HTTP-date form of ``Retry-After``, and it *accepts* ``"inf"`` and
-    ``"nan"`` — an infinite sleep would wedge the virtual clock forever.
-    Anything unusable degrades to ``None`` so the caller falls back to
-    its exponential backoff.
-    """
-    try:
-        parsed = float(value)
-    except ValueError:
-        return None
-    if not math.isfinite(parsed) or parsed < 0:
-        return None
-    return parsed
 
 
 @dataclass
@@ -70,7 +57,9 @@ class ClientStats:
             setattr(self, counter, getattr(self, counter) + amount)
 
     def record_response(self, response: Response) -> None:
+        """Count one answered request: the request, its bytes, its status."""
         with self._lock:
+            self.requests += 1
             self.bytes_received += response.size
             self.status_counts[response.status] = (
                 self.status_counts.get(response.status, 0) + 1
@@ -211,12 +200,16 @@ class HttpClient:
         return request
 
     def _send_once(self, request: Request) -> Response:
-        self.stats.bump("requests")
-        response = self._transport.send(request, timeout=self._timeout)
+        try:
+            response = self._transport.send(request, timeout=self._timeout)
+        except BaseException:
+            # A request that got no response (timeout, kill) still counts.
+            self.stats.bump("requests")
+            raise
         self.stats.record_response(response)
-        self.cookies.ingest_response(
-            response.url or request.url, response.headers.get_all("Set-Cookie")
-        )
+        set_cookies = response.headers.get_all("Set-Cookie")
+        if set_cookies:
+            self.cookies.ingest_response(response.url or request.url, set_cookies)
         return response
 
     def _retry_delay(self, response: Response | None, attempt: int) -> float:
@@ -232,12 +225,12 @@ class HttpClient:
             return backoff
         retry_after = response.headers.get("Retry-After")
         if retry_after is not None:
-            delay = _parse_delay_seconds(retry_after)
+            delay = parse_delay_seconds(retry_after)
             if delay is not None:
                 return max(backoff, delay)
         reset_at = response.headers.get("X-RateLimit-Reset")
         if reset_at is not None:
-            timestamp = _parse_delay_seconds(reset_at)
+            timestamp = parse_delay_seconds(reset_at)
             if timestamp is not None:
                 return max(backoff, timestamp - self.clock.now())
         return backoff

@@ -10,6 +10,8 @@ for an existing user page vs ~150 B for a missing one).
 from __future__ import annotations
 
 import json as _json
+import math
+import re
 from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass, field
 from typing import Any
@@ -17,7 +19,14 @@ from urllib.parse import SplitResult, parse_qsl, quote, urlencode, urljoin, urls
 
 from repro.net.errors import HTTPStatusError
 
-__all__ = ["Headers", "Request", "Response", "url_with_params"]
+__all__ = [
+    "Headers",
+    "Request",
+    "Response",
+    "parse_delay_seconds",
+    "split_url",
+    "url_with_params",
+]
 
 REASON_PHRASES: dict[int, str] = {
     200: "OK",
@@ -41,10 +50,15 @@ class Headers:
     """Case-insensitive header map preserving insertion order.
 
     Multiple values per name are supported (needed for Set-Cookie).
+    ``_keys`` holds each item's lower-cased name, so a lookup lowers
+    only the name it is asked for and then compares in C.
     """
+
+    __slots__ = ("_items", "_keys")
 
     def __init__(self, items: Mapping[str, str] | Iterable[tuple[str, str]] = ()) -> None:
         self._items: list[tuple[str, str]] = []
+        self._keys: list[str] = []
         if isinstance(items, (dict, Mapping)):
             items = items.items()
         for name, value in items:
@@ -53,27 +67,41 @@ class Headers:
     def add(self, name: str, value: str) -> None:
         """Append a header, keeping any existing values with the same name."""
         self._items.append((name, str(value)))
+        self._keys.append(name.lower())
 
     def set(self, name: str, value: str) -> None:
         """Replace all values of ``name`` with a single value."""
         lowered = name.lower()
-        if any(n.lower() == lowered for n, _ in self._items):
-            self._items = [(n, v) for n, v in self._items if n.lower() != lowered]
+        if lowered in self._keys:
+            kept = [
+                (item, key)
+                for item, key in zip(self._items, self._keys)
+                if key != lowered
+            ]
+            self._items = [item for item, _ in kept]
+            self._keys = [key for _, key in kept]
         self._items.append((name, str(value)))
+        self._keys.append(lowered)
 
     def get(self, name: str, default: str | None = None) -> str | None:
+        keys = self._keys
         lowered = name.lower()
-        for n, v in self._items:
-            if n.lower() == lowered:
-                return v
+        if lowered in keys:
+            return self._items[keys.index(lowered)][1]
         return default
 
     def get_all(self, name: str) -> list[str]:
         lowered = name.lower()
-        return [v for n, v in self._items if n.lower() == lowered]
+        if lowered not in self._keys:
+            return []
+        return [
+            item[1]
+            for item, key in zip(self._items, self._keys)
+            if key == lowered
+        ]
 
     def __contains__(self, name: object) -> bool:
-        return isinstance(name, str) and self.get(name) is not None
+        return isinstance(name, str) and name.lower() in self._keys
 
     def __iter__(self) -> Iterator[tuple[str, str]]:
         return iter(self._items)
@@ -85,10 +113,61 @@ class Headers:
         return f"Headers({self._items!r})"
 
     def copy(self) -> "Headers":
-        # The items were validated on the way in: copy the list as is.
+        # The items were validated on the way in: copy the lists as is.
         clone = Headers.__new__(Headers)
         clone._items = list(self._items)
+        clone._keys = list(self._keys)
         return clone
+
+
+def parse_delay_seconds(value: str) -> float | None:
+    """A server-advertised delay or timestamp as finite, non-negative seconds.
+
+    ``float()`` alone is not a safe parse here: it *raises* on the
+    HTTP-date form of ``Retry-After``, and it *accepts* ``"inf"`` and
+    ``"nan"`` — an infinite sleep would wedge the virtual clock forever.
+    Anything unusable degrades to ``None`` so the caller falls back to
+    its own default (exponential backoff, or the limiter's floor).
+    """
+    try:
+        parsed = float(value)
+    except ValueError:
+        return None
+    if not math.isfinite(parsed) or parsed < 0:
+        return None
+    return parsed
+
+
+# A URL ``split_url`` can split without ``urlsplit``: a lower-case
+# http(s) scheme and printable ASCII only, with no brackets in the
+# netloc (they would start urlsplit's IPv6 validation).  The groups
+# fall exactly where urlsplit cuts: the netloc runs to the first of
+# "/?#", so a path is empty or starts with "/"; the path runs to the
+# first "?" or "#", the query to the first "#", and the fragment takes
+# the rest.
+_NOT_VISIBLE = r"\x00-\x20\x7f-\U0010ffff"
+_PLAIN_URL_RE = re.compile(
+    r"(https?)://"
+    rf"([^{_NOT_VISIBLE}/?#\[\]]*)"
+    rf"((?:/[^{_NOT_VISIBLE}?#]*)?)"
+    rf"(?:\?([^{_NOT_VISIBLE}#]*))?"
+    rf"(?:#([^{_NOT_VISIBLE}]*))?\Z"
+)
+
+
+def split_url(url: str) -> SplitResult:
+    """``urlsplit(url)``, with plain http(s) URLs split by one regex match.
+
+    Any other URL (upper-case scheme, whitespace or control characters,
+    non-ASCII, an IPv6 netloc) goes to ``urlsplit`` itself, so the result
+    is always exactly ``urlsplit``'s.
+    """
+    match = _PLAIN_URL_RE.match(url)
+    if match is None:
+        return urlsplit(url)
+    # The namedtuple's own __new__ is a Python-level call; this is the
+    # same tuple for half the cost.
+    return tuple.__new__(SplitResult, match.groups(""))
 
 
 def url_with_params(url: str, params: Mapping[str, Any] | None) -> str:
@@ -121,7 +200,7 @@ class Request:
     def __post_init__(self) -> None:
         self.method = self.method.upper()
         self._split_url = self.url
-        self._split = parts = urlsplit(self.url)
+        self._split = parts = split_url(self.url)
         if parts.scheme not in ("http", "https"):
             raise ValueError(f"unsupported URL scheme in {self.url!r}")
         if not parts.netloc:
@@ -131,7 +210,7 @@ class Request:
     def parts(self) -> SplitResult:
         """``urlsplit(self.url)``, parsed once per assigned URL."""
         if self._split_url is not self.url:
-            self._split = urlsplit(self.url)
+            self._split = split_url(self.url)
             self._split_url = self.url
         return self._split
 

@@ -16,7 +16,7 @@ import math
 from collections import OrderedDict
 
 from repro.net.clock import Clock
-from repro.net.http import Response
+from repro.net.http import Response, parse_delay_seconds
 
 __all__ = ["HeaderRateLimiter", "KeyedRateLimiter", "TokenBucket"]
 
@@ -266,7 +266,7 @@ class HeaderRateLimiter:
             except ValueError:
                 self._remaining = None
         if reset_at is not None:
-            try:
-                self._reset_at = float(reset_at)
-            except ValueError:
-                self._reset_at = None
+            # "inf" would make before_request() sleep forever; an
+            # unusable reset is dropped, and an exhausted window then
+            # waits the floor interval instead.
+            self._reset_at = parse_delay_seconds(reset_at)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Protocol
+from typing import TYPE_CHECKING, Callable, NamedTuple, Protocol
 
 import numpy as np
 
@@ -31,6 +31,20 @@ class Transport(Protocol):
 
     def send(self, request: Request, timeout: float) -> Response:
         ...
+
+
+class _Origin(NamedTuple):
+    """One registered origin with its dispatch hooks, looked up once.
+
+    ``render`` is the app's ``handle`` when it has no ``prepare``/
+    ``render`` split (test fakes); ``cookie_key`` is its
+    ``render_cookie_key``, or the raw Cookie header.
+    """
+
+    app: App
+    prepare: Callable[[Request], Response | None] | None
+    render: Callable[[Request], Response]
+    cookie_key: Callable[[Request], object]
 
 
 @dataclass(frozen=True)
@@ -81,7 +95,7 @@ class LoopbackTransport:
         self._latency = latency
         self._faults = faults or FaultPlan()
         self._rng = np.random.default_rng(seed)
-        self._origins: dict[str, object] = {}
+        self._origins: dict[str, _Origin] = {}
         self._fault_counts: dict[str, int] = {}
         self._kill_remaining: int | None = None
         self._render_cache: OrderedDict[tuple, Response] = OrderedDict()
@@ -92,8 +106,19 @@ class LoopbackTransport:
         self.faults_injected = 0
 
     def register(self, app: App) -> None:
-        """Register an origin App; its ``host`` becomes routable."""
-        self._origins[app.host] = app
+        """Register an origin App; its ``host`` becomes routable.
+
+        Its hooks are looked up here, once, not per request; only
+        ``deterministic_render`` is read per request, so it may still be
+        switched after registration.
+        """
+        prepare = getattr(app, "prepare", None)
+        self._origins[app.host] = _Origin(
+            app,
+            prepare,
+            app.render if prepare is not None else app.handle,
+            getattr(app, "render_cookie_key", None) or Request.cookie_header,
+        )
 
     def kill_after(self, remaining: int | None) -> None:
         """Arm the die-after-K injector (None disarms).
@@ -145,22 +170,22 @@ class LoopbackTransport:
             self._kill_remaining -= 1
         self.requests_attempted += 1
         host = request.host
-        app = self._origins.get(host)
-        if app is None:
+        origin = self._origins.get(host)
+        if origin is None:
             raise ConnectError(host)
         faulted = self._maybe_fault(request, timeout)
         if faulted is not None:
             return faulted
         start = self.clock.now()
         self.clock.sleep(self._latency)
-        response = self._dispatch(app, request)
+        response = self._dispatch(origin, request)
         response.elapsed = self.clock.now() - start
         if not response.url:
             response.url = request.url
         self.requests_served += 1
         return response
 
-    def _dispatch(self, app: App, request: Request) -> Response:
+    def _dispatch(self, origin: _Origin, request: Request) -> Response:
         """Run an origin app, memoising pure renders.
 
         Apps that declare ``deterministic_render`` promise their route
@@ -170,21 +195,19 @@ class LoopbackTransport:
         CPU cost of a simulated fetch.  Apps without the split (test
         fakes) fall back to ``handle``.
         """
-        prepare = getattr(app, "prepare", None)
+        app, prepare, render, cookie_key = origin
         if prepare is None:
-            return app.handle(request)
+            return render(request)
         early = prepare(request)
         if early is not None:
             return early
         if not getattr(app, "deterministic_render", False):
-            return app.render(request)
-        cookie_key = getattr(app, "render_cookie_key", None)
+            return render(request)
         key = (
             app.host,
             request.method,
             request.url,
-            cookie_key(request) if cookie_key is not None
-            else request.cookie_header(),
+            cookie_key(request),
             request.body,
         )
         cached = self._render_cache.get(key)
@@ -199,7 +222,7 @@ class LoopbackTransport:
                 body=cached.body,
                 url=cached.url,
             )
-        response = app.render(request)
+        response = render(request)
         self._render_cache[key] = response
         self.render_misses += 1
         if len(self._render_cache) > self.RENDER_CACHE_SIZE:

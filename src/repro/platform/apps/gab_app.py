@@ -93,13 +93,19 @@ class GabApp(App):
         created = datetime.datetime.fromtimestamp(
             account.created_at, tz=datetime.timezone.utc
         )
+        # strftime("%Y-%m-%dT%H:%M:%S.000Z") spelled out: the same text
+        # (glibc's %Y does not pad) for about half the cost per account.
+        created_at = "%d-%02d-%02dT%02d:%02d:%02d.000Z" % (
+            created.year, created.month, created.day,
+            created.hour, created.minute, created.second,
+        )
         return {
             "id": str(account.gab_id),
             "username": account.username,
             "acct": account.username,
             "display_name": account.display_name,
             "note": account.bio,
-            "created_at": created.strftime("%Y-%m-%dT%H:%M:%S.000Z"),
+            "created_at": created_at,
             "followers_count": self._social.in_degree(account.gab_id),
             "following_count": self._social.out_degree(account.gab_id),
         }

@@ -10,11 +10,16 @@ Every field of :class:`~repro.crawler.records.CrawledUser`,
 ``encode_*``/``decode_*`` pair below; the CHK002 project checker in
 :mod:`repro.analysis` enforces that at lint time, exactly as CHK001
 does for the checkpoint serializers.
+
+Each ``encode_*`` writes its line field by field rather than through
+``JSONEncoder.encode`` on a dict, which builds a new C encoder per call;
+the bytes are the same (DESIGN.md §10).
 """
 
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring_ascii as _escape
 
 from repro.crawler.records import CrawledComment, CrawledUrl, CrawledUser
 
@@ -36,23 +41,37 @@ KIND_COMMENT = "comment"
 
 
 # Built once: json.dumps with non-default options builds a new encoder
-# per call, and every stored line goes through here.
+# per call.  The line encoders fall back to it for any value that is not
+# a str, an int or None, and for the nested list and dict fields.
 _dumps = json.JSONEncoder(separators=(",", ":"), ensure_ascii=True).encode
+
+
+def _value(value: object) -> str:
+    """``_dumps(value)``, with the common scalar types written directly."""
+    if type(value) is str:
+        return _escape(value)   # what the C encoder writes for a str
+    if value is None:
+        return "null"
+    if type(value) is int:
+        return int.__repr__(value)   # a bool is not an int here: "true"
+    return _dumps(value)
 
 
 def encode_user(user: CrawledUser) -> str:
     """One ``CrawledUser`` as a canonical JSONL line."""
-    return _dumps({
-        "kind": KIND_USER,
-        "username": user.username,
-        "author_id": user.author_id,
-        "display_name": user.display_name,
-        "bio": user.bio,
-        "commented_url_ids": list(user.commented_url_ids),
-        "language": user.language,
-        "permissions": dict(user.permissions),
-        "view_filters": dict(user.view_filters),
-    })
+    v = _value
+    return "".join((
+        '{"', "kind", '":', _escape(KIND_USER),
+        ',"', "username", '":', v(user.username),
+        ',"', "author_id", '":', v(user.author_id),
+        ',"', "display_name", '":', v(user.display_name),
+        ',"', "bio", '":', v(user.bio),
+        ',"', "commented_url_ids", '":', _dumps(list(user.commented_url_ids)),
+        ',"', "language", '":', v(user.language),
+        ',"', "permissions", '":', _dumps(dict(user.permissions)),
+        ',"', "view_filters", '":', _dumps(dict(user.view_filters)),
+        "}",
+    ))
 
 
 def decode_user(payload: dict) -> CrawledUser:
@@ -71,15 +90,17 @@ def decode_user(payload: dict) -> CrawledUser:
 
 def encode_url(url: CrawledUrl) -> str:
     """One ``CrawledUrl`` as a canonical JSONL line."""
-    return _dumps({
-        "kind": KIND_URL,
-        "commenturl_id": url.commenturl_id,
-        "url": url.url,
-        "title": url.title,
-        "description": url.description,
-        "upvotes": url.upvotes,
-        "downvotes": url.downvotes,
-    })
+    v = _value
+    return "".join((
+        '{"', "kind", '":', _escape(KIND_URL),
+        ',"', "commenturl_id", '":', v(url.commenturl_id),
+        ',"', "url", '":', v(url.url),
+        ',"', "title", '":', v(url.title),
+        ',"', "description", '":', v(url.description),
+        ',"', "upvotes", '":', v(url.upvotes),
+        ',"', "downvotes", '":', v(url.downvotes),
+        "}",
+    ))
 
 
 def decode_url(payload: dict) -> CrawledUrl:
@@ -96,16 +117,18 @@ def decode_url(payload: dict) -> CrawledUrl:
 
 def encode_comment(comment: CrawledComment) -> str:
     """One ``CrawledComment`` as a canonical JSONL line."""
-    return _dumps({
-        "kind": KIND_COMMENT,
-        "comment_id": comment.comment_id,
-        "author_id": comment.author_id,
-        "commenturl_id": comment.commenturl_id,
-        "text": comment.text,
-        "parent_comment_id": comment.parent_comment_id,
-        "created_at_epoch": comment.created_at_epoch,
-        "shadow_label": comment.shadow_label,
-    })
+    v = _value
+    return "".join((
+        '{"', "kind", '":', _escape(KIND_COMMENT),
+        ',"', "comment_id", '":', v(comment.comment_id),
+        ',"', "author_id", '":', v(comment.author_id),
+        ',"', "commenturl_id", '":', v(comment.commenturl_id),
+        ',"', "text", '":', v(comment.text),
+        ',"', "parent_comment_id", '":', v(comment.parent_comment_id),
+        ',"', "created_at_epoch", '":', v(comment.created_at_epoch),
+        ',"', "shadow_label", '":', v(comment.shadow_label),
+        "}",
+    ))
 
 
 def decode_comment(payload: dict) -> CrawledComment:

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.net.clock import VirtualClock
-from repro.net.http import Headers, Response
+from repro.net.http import Headers, Response, parse_delay_seconds
 from repro.net.ratelimit import HeaderRateLimiter, KeyedRateLimiter, TokenBucket
 
 
@@ -310,3 +310,40 @@ class TestHeaderRateLimiterStaleReset:
         limiter.before_request()
         assert limiter._remaining is None
         assert limiter._reset_at is None
+
+
+class TestHeaderRateLimiterUnusableReset:
+    """Regression: ``after_response`` parsed ``X-RateLimit-Reset`` with a
+    bare ``float()``, so ``Remaining: 0`` with ``Reset: inf`` made the
+    next ``before_request()`` sleep the virtual clock to infinity.  The
+    reset now goes through the same finite, non-negative parse as the
+    client's ``Retry-After``: an unusable value is dropped and the
+    exhausted window waits the floor interval."""
+
+    @pytest.mark.parametrize(
+        "reset", ["inf", "nan", "-1", "Fri, 31 Dec 1999 23:59:59 GMT"]
+    )
+    def test_unusable_reset_backs_off_by_floor(self, reset):
+        clock = VirtualClock()
+        limiter = HeaderRateLimiter(clock, floor_interval=2.0)
+        limiter.before_request()
+        limiter.after_response(Response(status=429, headers=Headers({
+            "X-RateLimit-Remaining": "0",
+            "X-RateLimit-Reset": reset,
+        })))
+        assert limiter._reset_at is None
+        clock.sleep(10.0)
+        start = clock.now()
+        waited = limiter.before_request()
+        assert waited == pytest.approx(2.0)
+        assert clock.now() - start == pytest.approx(2.0)
+
+    @pytest.mark.parametrize(
+        "value", ["inf", "-inf", "nan", "-1", "1e400", "Fri, 31 Dec 1999 23:59:59 GMT", ""]
+    )
+    def test_shared_parse_rejects(self, value):
+        assert parse_delay_seconds(value) is None
+
+    @pytest.mark.parametrize("value, expected", [("0", 0.0), ("30", 30.0), ("1.5", 1.5)])
+    def test_shared_parse_accepts(self, value, expected):
+        assert parse_delay_seconds(value) == expected

@@ -325,3 +325,55 @@ class TestRetryAfterDegradesToBackoff:
         assert response.status == 200
         waited = clock.now() - start
         assert waited == pytest.approx(0.1)
+
+
+class TestHooksResolvedAtRegister:
+    """``register`` looks an origin's hooks up once; the render memo's
+    switch and class-level wrappers installed before registration are
+    still honoured."""
+
+    def _counting_app(self):
+        app = App("memo.example", deterministic_render=True)
+        renders = []
+
+        @app.get("/page")
+        def page(request, params):
+            renders.append(request.url)
+            return Response.html("<p>page</p>")
+
+        return app, renders
+
+    def test_deterministic_render_switched_after_register(self):
+        app, renders = self._counting_app()
+        transport = LoopbackTransport(clock=VirtualClock(), latency=0.0)
+        transport.register(app)
+        client = HttpClient(transport)
+        client.get("https://memo.example/page")
+        client.get("https://memo.example/page")
+        assert len(renders) == 1          # memoised
+        app.deterministic_render = False
+        client.get("https://memo.example/page")
+        client.get("https://memo.example/page")
+        assert len(renders) == 3          # every request renders again
+
+    def test_class_level_wrapper_installed_before_register(self, monkeypatch):
+        calls = []
+
+        class Origin(App):
+            pass
+
+        def wrapped_render(self, request):
+            calls.append(request.url)
+            return App.render(self, request)
+
+        monkeypatch.setattr(Origin, "render", wrapped_render)
+        app = Origin("wrapped.example")
+
+        @app.get("/x")
+        def x(request, params):
+            return Response.html("<p>x</p>")
+
+        transport = LoopbackTransport(clock=VirtualClock(), latency=0.0)
+        transport.register(app)
+        assert HttpClient(transport).get("https://wrapped.example/x").status == 200
+        assert calls == ["https://wrapped.example/x"]

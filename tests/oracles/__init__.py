@@ -11,9 +11,17 @@ here, unchanged in behaviour, as the references for the parity tests:
 * :mod:`tests.oracles.perspective` — per-text Perspective scoring, the
   reference for the batch featurizer;
 * :mod:`tests.oracles.langid` — dict-per-language language
-  identification with a left-to-right log-likelihood sum.
+  identification with a left-to-right log-likelihood sum;
 * :mod:`tests.oracles.parse_memo` — a discussion-page parse memo that
-  never hits, the reference for the crawl-wide memo.
+  never hits, the reference for the crawl-wide memo;
+* :mod:`tests.oracles.headers` — the list-scan header map, the
+  reference for ``Headers``' lower-cased name index;
+* :mod:`tests.oracles.codecs` — store line encoders built on
+  ``JSONEncoder.encode`` of a dict, the reference for the field-by-field
+  line encoders;
+* :mod:`tests.oracles.page_patterns` — the discussion-page regexes
+  searched over the whole page, the reference for the literal-prefix
+  seek.
 
 Every function takes the same arguments as the production function it
 mirrors, so a test can swap one for the other by name.
