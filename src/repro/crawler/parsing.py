@@ -25,10 +25,13 @@ __all__ = [
     "PageParseMemo",
     "ParsedPage",
     "parse_account_ids",
+    "parse_account_usernames",
     "parse_comment_author_blob",
     "parse_comment_page",
     "parse_comments",
     "parse_gab_account",
+    "parse_pushshift_authors",
+    "parse_pushshift_history",
     "parse_user_page",
     "parse_youtube_page",
 ]
@@ -285,6 +288,56 @@ def parse_gab_account(body: str) -> CrawledGabAccount | None:
     if not all(isinstance(text, str) for text in texts):
         return None
     return account
+
+
+def parse_account_usernames(body: str) -> list[str] | None:
+    """The usernames on one page of a Gab follower list (§3.1 seeds).
+
+    None when the page is not a list of objects with string
+    ``username`` fields; the caller ends that list's pagination there.
+    """
+    payload = _json_or_none(body)
+    if not isinstance(payload, list):
+        return None
+    try:
+        names = [entry["username"] for entry in payload]
+    except (KeyError, TypeError):
+        return None
+    return names if all(isinstance(name, str) for name in names) else None
+
+
+def parse_pushshift_authors(body: str) -> list[str] | None:
+    """The author names on one page of Pushshift's Gab archive (§3.1).
+
+    None when the page is not an ``{"aggs": {"author": [{"key": ...}]}}``
+    object with string keys; the caller ends the pagination there.
+    """
+    payload = _json_or_none(body)
+    if not isinstance(payload, dict):
+        return None
+    try:
+        names = [entry["key"] for entry in payload.get("aggs", {}).get("author", [])]
+    except (AttributeError, KeyError, TypeError):
+        return None
+    return names if all(isinstance(name, str) for name in names) else None
+
+
+def parse_pushshift_history(body: str) -> tuple[int, list[str]] | None:
+    """``(total_results, comment bodies)`` of a Pushshift comment search.
+
+    None when the body is not a search result object (truncated JSON, a
+    list, a non-numeric total, an entry without a string ``body``); the
+    caller counts that as no history (§4.4.1).
+    """
+    payload = _json_or_none(body)
+    if not isinstance(payload, dict):
+        return None
+    try:
+        total = int(payload.get("metadata", {}).get("total_results", 0))
+        texts = [entry["body"] for entry in payload.get("data", [])]
+    except (AttributeError, KeyError, TypeError, ValueError, OverflowError):
+        return None
+    return (total, texts) if all(isinstance(text, str) for text in texts) else None
 
 
 def parse_account_ids(body: str) -> list[int] | None:

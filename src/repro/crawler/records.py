@@ -6,6 +6,9 @@ the generator's ground truth.  The crawl assembles these records into a
 analyses in :mod:`repro.core` read them from there, exactly as the
 paper's analyses operated on its crawl corpus.  The test suite closes the
 loop by comparing them against the world's ground truth.
+
+The records are slotted dataclasses: a corpus holds one per crawled
+user, URL and comment, so no per-instance ``__dict__`` is kept.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ __all__ = [
 ]
 
 
-@dataclass
+@dataclass(slots=True)
 class CrawledGabAccount:
     """One Gab account recovered through the API enumeration."""
 
@@ -33,7 +36,7 @@ class CrawledGabAccount:
     following_count: int = 0
 
 
-@dataclass
+@dataclass(slots=True)
 class CrawledUser:
     """One Dissenter user assembled from home + comment pages."""
 
@@ -54,7 +57,7 @@ class CrawledUser:
         return int(self.author_id[:8], 16)
 
 
-@dataclass
+@dataclass(slots=True)
 class CrawledUrl:
     """One comment page's URL-level data."""
 
@@ -75,7 +78,7 @@ class CrawledUrl:
         return int(self.commenturl_id[:8], 16)
 
 
-@dataclass
+@dataclass(slots=True)
 class CrawledComment:
     """One comment or reply."""
 
@@ -99,7 +102,7 @@ class CrawledComment:
         return int(self.comment_id[:8], 16)
 
 
-@dataclass
+@dataclass(slots=True)
 class CrawledYouTubeItem:
     """YouTube metadata recovered by the render crawler."""
 

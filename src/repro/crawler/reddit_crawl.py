@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable
 
+from repro.crawler.parsing import parse_pushshift_history
 from repro.net.client import HttpClient
 
 __all__ = ["RedditMatchResult", "RedditMatcher"]
@@ -52,17 +53,18 @@ class RedditMatcher:
         return response is not None and response.status == 200
 
     def pull_history(self, username: str) -> tuple[int, list[str]]:
-        """Total comment count and a text sample from Pushshift."""
+        """Total comment count and a text sample from Pushshift.
+
+        A failed request or a malformed 200 is a miss: ``(0, [])``.
+        """
         response = self._client.get_or_none(
             self.PUSHSHIFT,
             params={"author": username, "size": self._sample_size},
         )
         if response is None or response.status != 200:
             return 0, []
-        payload = response.json()
-        total = int(payload.get("metadata", {}).get("total_results", 0))
-        texts = [entry["body"] for entry in payload.get("data", [])]
-        return total, texts
+        history = parse_pushshift_history(response.text)
+        return history if history is not None else (0, [])
 
     def match(self, usernames: Iterable[str]) -> RedditMatchResult:
         """Run the full matching + history pull."""

@@ -18,6 +18,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.crawler.parsing import (
+    parse_account_usernames,
+    parse_gab_account,
+    parse_pushshift_authors,
+)
 from repro.net.client import HttpClient
 from repro.net.ratelimit import HeaderRateLimiter
 
@@ -56,7 +61,7 @@ class SeedDiscovery:
         )
 
     def mine_pushshift(self) -> set[str]:
-        """Page through the Gab author archive."""
+        """Page through the Gab author archive (a malformed page ends it)."""
         authors: set[str] = set()
         page = 1
         while True:
@@ -65,11 +70,7 @@ class SeedDiscovery:
             )
             if response is None or response.status != 200:
                 break
-            payload = response.json()
-            window = [
-                entry["key"]
-                for entry in payload.get("aggs", {}).get("author", [])
-            ]
+            window = parse_pushshift_authors(response.text)
             if not window:
                 break
             authors.update(window)
@@ -89,7 +90,8 @@ class SeedDiscovery:
             self._limiter.after_response(response)
             if response.status != 200:
                 continue
-            if response.json().get("username") == self.TORBA_USERNAME:
+            account = parse_gab_account(response.text)
+            if account is not None and account.username == self.TORBA_USERNAME:
                 return gab_id
         return None
 
@@ -110,10 +112,10 @@ class SeedDiscovery:
             self._limiter.after_response(response)
             if response.status != 200:
                 break
-            payload = response.json()
-            if not isinstance(payload, list) or not payload:
+            names = parse_account_usernames(response.text)
+            if not names:
                 break
-            followers.update(entry["username"] for entry in payload)
+            followers.update(names)
             page += 1
         return followers
 

@@ -4,13 +4,19 @@ Each synthetic site (dissenter.com, gab.com, youtube.com, …) is an
 :class:`App`: an ordered list of routes whose patterns may contain
 ``{placeholder}`` segments.  Handlers receive the request and the extracted
 path parameters and return a :class:`~repro.net.http.Response`.
+
+An app's own bound methods (``self.get(...)(self._page)``,
+``self.use(self._rate_limit)``) are stored as their plain functions and
+bound again at dispatch.  Storing the bound method would make a cycle
+(app → route → bound method → app), and a dropped app would then live
+on until a full garbage collection, holding its caches.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Callable
+from typing import Any, Callable
 
 from repro.net.http import Request, Response
 
@@ -42,14 +48,26 @@ def _compile_pattern(pattern: str) -> re.Pattern[str]:
     return re.compile("^" + "".join(parts) + "$")
 
 
+def _unbind(owner: object, function: Callable[..., Any]) -> tuple[Callable[..., Any], bool]:
+    """``(function, False)``, or ``(plain function, True)`` for a method of ``owner``."""
+    if getattr(function, "__self__", None) is owner:
+        return function.__func__, True  # type: ignore[attr-defined]
+    return function, False
+
+
 @dataclass
 class Route:
-    """A compiled route: method + path pattern + handler."""
+    """A compiled route: method + path pattern + handler.
+
+    ``own`` marks a handler that is a method of the app holding the
+    route, stored unbound: dispatch passes the app as its first argument.
+    """
 
     method: str
     pattern: str
-    handler: RouteHandler
+    handler: Callable[..., Response]
     regex: re.Pattern[str]
+    own: bool = False
 
     def match(self, method: str, path: str) -> dict[str, str] | None:
         if method != self.method:
@@ -81,15 +99,17 @@ class App:
         # and always runs.
         self.deterministic_render = deterministic_render
         self._routes: list[Route] = []
-        self._middleware: list[Callable[[Request], Response | None]] = []
+        self._middleware: list[tuple[Callable[..., Response | None], bool]] = []
 
     def add_route(self, method: str, pattern: str, handler: RouteHandler) -> None:
+        function, own = _unbind(self, handler)
         self._routes.append(
             Route(
                 method=method.upper(),
                 pattern=pattern,
-                handler=handler,
+                handler=function,
                 regex=_compile_pattern(pattern),
+                own=own,
             )
         )
 
@@ -113,7 +133,7 @@ class App:
         Middleware runs before routing; returning a Response (e.g. a 429
         from a rate limiter) stops dispatch, returning None continues.
         """
-        self._middleware.append(middleware)
+        self._middleware.append(_unbind(self, middleware))
 
     def prepare(self, request: Request) -> Response | None:
         """Run the stateful half of dispatch: middleware.
@@ -121,8 +141,8 @@ class App:
         Returns a short-circuit response (e.g. a rate limiter's 429) or
         None when the request may proceed to :meth:`render`.
         """
-        for middleware in self._middleware:
-            early = middleware(request)
+        for middleware, own in self._middleware:
+            early = middleware(self, request) if own else middleware(request)
             if early is not None:
                 early.url = request.url
                 return early
@@ -148,7 +168,10 @@ class App:
         for route in self._routes:
             params = route.match(request.method, request.path)
             if params is not None:
-                response = route.handler(request, params)
+                if route.own:
+                    response = route.handler(self, request, params)
+                else:
+                    response = route.handler(request, params)
                 response.url = request.url
                 return response
         response = Response.not_found()

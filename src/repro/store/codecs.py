@@ -13,13 +13,15 @@ does for the checkpoint serializers.
 
 Each ``encode_*`` writes its line field by field rather than through
 ``JSONEncoder.encode`` on a dict, which builds a new C encoder per call;
-the bytes are the same (DESIGN.md §10).
+so are a user's list of URL ids and its permission and view-filter
+flags.  The bytes are the same (DESIGN.md §10).
 """
 
 from __future__ import annotations
 
 import json
 from json.encoder import encode_basestring_ascii as _escape
+from typing import Any
 
 from repro.crawler.records import CrawledComment, CrawledUrl, CrawledUser
 
@@ -42,7 +44,8 @@ KIND_COMMENT = "comment"
 
 # Built once: json.dumps with non-default options builds a new encoder
 # per call.  The line encoders fall back to it for any value that is not
-# a str, an int or None, and for the nested list and dict fields.
+# a str, an int or None, and for nested lists and dicts of other shapes
+# than a list of str or a dict of str to bool.
 _dumps = json.JSONEncoder(separators=(",", ":"), ensure_ascii=True).encode
 
 
@@ -57,6 +60,31 @@ def _value(value: object) -> str:
     return _dumps(value)
 
 
+def _str_list(values: Any) -> str:
+    """``_dumps(list(values))``, with a list of exact ``str`` written directly."""
+    if type(values) is list:
+        for item in values:
+            if type(item) is not str:
+                break
+        else:
+            return "[" + ",".join(map(_escape, values)) + "]"
+    return _dumps(list(values))
+
+
+def _flag_dict(flags: Any) -> str:
+    """``_dumps(dict(flags))``, with a dict of exact ``str`` to exact
+    ``bool`` written directly (in the dict's order, as the encoder does)."""
+    if type(flags) is dict:
+        parts = []
+        for key, value in flags.items():
+            if type(key) is not str or type(value) is not bool:
+                break
+            parts.append(_escape(key) + (":true" if value else ":false"))
+        else:
+            return "{" + ",".join(parts) + "}"
+    return _dumps(dict(flags))
+
+
 def encode_user(user: CrawledUser) -> str:
     """One ``CrawledUser`` as a canonical JSONL line."""
     v = _value
@@ -66,10 +94,10 @@ def encode_user(user: CrawledUser) -> str:
         ',"', "author_id", '":', v(user.author_id),
         ',"', "display_name", '":', v(user.display_name),
         ',"', "bio", '":', v(user.bio),
-        ',"', "commented_url_ids", '":', _dumps(list(user.commented_url_ids)),
+        ',"', "commented_url_ids", '":', _str_list(user.commented_url_ids),
         ',"', "language", '":', v(user.language),
-        ',"', "permissions", '":', _dumps(dict(user.permissions)),
-        ',"', "view_filters", '":', _dumps(dict(user.view_filters)),
+        ',"', "permissions", '":', _flag_dict(user.permissions),
+        ',"', "view_filters", '":', _flag_dict(user.view_filters),
         "}",
     ))
 

@@ -48,6 +48,7 @@ from typing import TYPE_CHECKING, Any
 import numpy as np
 
 from repro.crawler.records import CrawledComment, CrawledUrl, CrawledUser
+from repro.net.http import split_url
 from repro.store.codecs import decode_line
 from repro.store.segments import SegmentRef, columns_path
 
@@ -265,14 +266,12 @@ class ColumnProjector:
         # Function-level import: repro.core.urls imports the store
         # package, so a module-level import here would cycle during
         # package init.
-        from urllib.parse import urlsplit
+        from repro.core.urls import split_domains
 
-        from repro.core.urls import second_level_domain, tld_of
-
-        tld = tld_of(url)
-        domain = second_level_domain(url)
+        parts = split_url(url)
+        tld, domain = split_domains(parts)
         scheme = url.split(":", 1)[0].lower() if ":" in url else "unknown"
-        query = urlsplit(url).query if "://" in url else ""
+        query = parts.query if "://" in url else ""
         return (
             self.tlds.intern(tld) if tld is not None else -1,
             self.domains.intern(domain) if domain is not None else -1,

@@ -21,7 +21,7 @@ import re
 from dataclasses import dataclass
 from pathlib import Path
 
-from repro.crawler.checkpoint import atomic_write_json, atomic_write_text
+from repro.crawler.checkpoint import atomic_write_bytes, atomic_write_json
 
 __all__ = [
     "MANIFEST_NAME",
@@ -59,10 +59,16 @@ def columns_path(store_dir: Path, name: str) -> Path:
     return Path(store_dir) / f"{name}.columns.npz"
 
 
+def _segment_bytes(lines: list[str]) -> bytes:
+    """A segment's exact on-disk bytes: every line, newline-terminated."""
+    if not lines:
+        return b""
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
 def hash_lines(lines: list[str]) -> str:
     """SHA-256 over the segment's exact on-disk bytes."""
-    body = "".join(line + "\n" for line in lines)
-    return hashlib.sha256(body.encode("utf-8")).hexdigest()
+    return hashlib.sha256(_segment_bytes(lines)).hexdigest()
 
 
 @dataclass(frozen=True)
@@ -117,13 +123,18 @@ class SegmentRef:
 
 
 def write_segment(store_dir: Path, name: str, lines: list[str]) -> SegmentRef:
-    """Write one sealed segment atomically; returns its reference."""
+    """Write one sealed segment atomically; returns its reference.
+
+    The body is joined and encoded once; the hash covers the bytes
+    written.
+    """
     store_dir = Path(store_dir)
     store_dir.mkdir(parents=True, exist_ok=True)
-    atomic_write_text(
-        segment_path(store_dir, name), "".join(line + "\n" for line in lines)
+    data = _segment_bytes(lines)
+    atomic_write_bytes(segment_path(store_dir, name), data)
+    return SegmentRef(
+        name=name, count=len(lines), sha256=hashlib.sha256(data).hexdigest()
     )
-    return SegmentRef(name=name, count=len(lines), sha256=hash_lines(lines))
 
 
 def read_segment(store_dir: Path, ref: SegmentRef) -> list[str]:

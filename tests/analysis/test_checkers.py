@@ -150,6 +150,36 @@ def test_chk002_silent_without_codec_functions():
     assert [f for f in findings if f.code == "CHK002"] == []
 
 
+LIVE = Path(__file__).resolve().parents[2] / "src" / "repro"
+_LIVE_CODEC_FILES = ("crawler/records.py", "store/codecs.py", "store/columns.py")
+
+
+def _live_codec_findings(tmp_path, drop: str = "") -> list:
+    """CHK002/CHK003 findings over copies of the live slotted records,
+    codecs and projection spec, with every line containing ``drop``
+    removed from the codecs."""
+    for rel in _LIVE_CODEC_FILES:
+        text = (LIVE / rel).read_text(encoding="utf-8")
+        if rel == "store/codecs.py" and drop:
+            kept = [line for line in text.splitlines() if drop not in line]
+            assert len(kept) < len(text.splitlines())
+            text = "\n".join(kept) + "\n"
+        target = tmp_path / rel
+        target.parent.mkdir(parents=True, exist_ok=True)
+        target.write_text(text, encoding="utf-8")
+    findings = analyze_paths([tmp_path], root=tmp_path)
+    return [f for f in findings if f.code in ("CHK002", "CHK003")]
+
+
+def test_chk002_chk003_check_the_live_slotted_records(tmp_path):
+    assert "@dataclass(slots=True)" in (LIVE / "crawler/records.py").read_text()
+    assert _live_codec_findings(tmp_path) == []
+    findings = _live_codec_findings(tmp_path, drop='"view_filters"')
+    messages = sorted((f.code, f.message) for f in findings)
+    assert [code for code, _ in messages] == ["CHK002", "CHK003"]
+    assert all("CrawledUser.view_filters" in message for _, message in messages)
+
+
 # ----------------------------------------------------------------------
 # CHK003 — column projection schema drift (project-level pass).
 # ----------------------------------------------------------------------

@@ -1,8 +1,17 @@
-"""Router unit tests (pattern compilation, dispatch, middleware)."""
+"""Router unit tests (pattern compilation, dispatch, middleware, lifetime)."""
 
+import gc
+import weakref
 
+import pytest
+
+from repro.net.clock import VirtualClock
 from repro.net.http import Request, Response
 from repro.net.router import App, Route, _compile_pattern
+from repro.perspective.http_api import ANALYZE_PATH, API_HOST, PerspectiveHttpApp
+from repro.platform import WorldConfig, build_world
+from repro.platform.apps import build_origins
+from tests.serve.conftest import build_synthetic_store, get, mount
 
 
 class TestPatternCompilation:
@@ -102,3 +111,83 @@ class TestAppDispatch:
         allowed = app.handle(Request("GET", "https://example.com/open"))
         assert allowed.status == 200
         assert calls[-1][0] == "catch"
+
+
+class _Counter(App):
+    """An app routing to its own methods, as every origin does."""
+
+    def __init__(self) -> None:
+        super().__init__("counter.test")
+        self.hits = 0
+        self.use(self._count)
+        self.get("/n/{x}")(self._page)
+
+    def _count(self, request):
+        self.hits += 1
+        return None
+
+    def _page(self, request, params):
+        return Response.html(f"{self.hits}:{params['x']}")
+
+
+def _freed_without_gc(make) -> bool:
+    """Whether the app ``make()`` builds, used and dropped, is freed by
+    reference counting alone (the cyclic collector is off)."""
+    gc.collect()
+    gc.disable()
+    try:
+        ref = make()
+        return ref() is None
+    finally:
+        gc.enable()
+
+
+class TestAppLifetime:
+    """An app's own methods as routes and middleware make no cycle, so a
+    dropped app (and its render cache) is freed at once, not at the next
+    full collection."""
+
+    def test_dropped_counter_app_is_freed(self):
+        def make():
+            app = _Counter()
+            assert app.handle(Request("GET", "https://counter.test/n/a")).body == b"1:a"
+            return weakref.ref(app)
+
+        assert _freed_without_gc(make)
+
+    def test_dropped_serve_app_is_freed(self):
+        store = build_synthetic_store()
+
+        def make():
+            _, transport, app = mount(store)
+            response = get(transport, "https://serve.dissenter.local/api/status")
+            assert response.status == 200
+            return weakref.ref(app)
+
+        assert _freed_without_gc(make)
+
+    def test_dropped_perspective_app_is_freed(self):
+        def make():
+            app = PerspectiveHttpApp(daily_quota=5, clock=VirtualClock())
+            request = Request("POST", f"https://{API_HOST}{ANALYZE_PATH}")
+            app.handle(request)
+            return weakref.ref(app)
+
+        assert _freed_without_gc(make)
+
+    @pytest.mark.parametrize("name", ["dissenter", "gab", "trends", "youtube",
+                                      "youtu_be", "pushshift", "reddit"])
+    def test_dropped_platform_origin_is_freed(self, name, tiny_world):
+        def make():
+            origins = build_origins(tiny_world)
+            origins.transport.send(
+                Request("GET", "https://dissenter.com/discussion/begin?url=x")
+            )
+            return weakref.ref(getattr(origins, name))
+
+        assert _freed_without_gc(make)
+
+
+@pytest.fixture(scope="module")
+def tiny_world():
+    return build_world(WorldConfig(scale=0.0005, seed=7))

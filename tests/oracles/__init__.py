@@ -21,7 +21,10 @@ here, unchanged in behaviour, as the references for the parity tests:
   line encoders;
 * :mod:`tests.oracles.page_patterns` — the discussion-page regexes
   searched over the whole page, the reference for the literal-prefix
-  seek.
+  seek;
+* :mod:`tests.oracles.urls` — ``tld_of``/``second_level_domain`` and the
+  projector's URL metadata with one ``urlsplit`` per question, the
+  reference for the shared ``split_domains``.
 
 Every function takes the same arguments as the production function it
 mirrors, so a test can swap one for the other by name.

@@ -6,6 +6,9 @@ the dict form.  Any record, well-typed or not, must give equal lines
 (or the same error).
 """
 
+import enum
+from collections import OrderedDict
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -95,6 +98,86 @@ def test_encode_url_matches_dict_encoder(url):
 )
 def test_encode_user_matches_dict_encoder(user):
     assert _outcome(codecs.encode_user, user) == _outcome(oracle.encode_user, user)
+
+
+class _Str(str):
+    pass
+
+
+class _Flag(enum.IntEnum):
+    OFF = 0
+    ON = 1
+
+
+# encode_user writes a list of exact str and a dict of exact str to
+# exact bool itself and hands every other shape to the encoder: these
+# cover both sides of that test and its edges.
+_KEY = st.one_of(
+    _TEXT,
+    _TEXT.map(_Str),
+    st.integers(),
+    st.booleans(),
+    st.none(),
+    st.floats(allow_nan=False),
+    st.tuples(st.integers()),
+)
+_FLAG = st.one_of(
+    st.booleans(),
+    st.none(),
+    st.integers(min_value=0, max_value=1),
+    st.sampled_from(list(_Flag)),
+    _TEXT,
+    _TEXT.map(_Str),
+    st.floats(),
+)
+_FLAGS = st.one_of(
+    st.dictionaries(_TEXT, st.booleans(), max_size=4),
+    st.dictionaries(_TEXT, _FLAG, max_size=4),
+    st.dictionaries(_KEY, _FLAG, max_size=4),
+    st.dictionaries(_TEXT, st.booleans(), max_size=4).map(OrderedDict),
+    st.just({}),
+)
+_URL_IDS = st.one_of(
+    st.lists(_TEXT, max_size=4),
+    st.lists(_TEXT, max_size=4).map(tuple),
+    st.lists(st.one_of(_TEXT, _TEXT.map(_Str), st.integers(), st.none(),
+                       st.booleans()), max_size=4),
+    st.just([]),
+    st.just(()),
+)
+
+
+@settings(max_examples=400)
+@given(
+    st.builds(
+        CrawledUser,
+        username=_TEXT,
+        author_id=_TEXT,
+        commented_url_ids=_URL_IDS,
+        language=_OPTIONAL_TEXT,
+        permissions=_FLAGS,
+        view_filters=_FLAGS,
+    )
+)
+def test_encode_user_container_shapes_match_dict_encoder(user):
+    assert _outcome(codecs.encode_user, user) == _outcome(oracle.encode_user, user)
+
+
+def test_encode_user_container_edges():
+    cases = [
+        ([], {}, {}),
+        ((), {}, {}),
+        (["é\ud800", "\x00"], {"é": True, "\u2028": False}, {"a": False}),
+        ([_Str("a"), 1, None], {1: True, None: False}, {True: True}),
+        (["a"], {"pro": 1}, {"nsfw": _Flag.ON}),
+        (["a"], {"vote": True, "pro": None}, {"nsfw": False, "x": "y"}),
+        (["a"], {"vote": True, "pro": 0.5}, {"nsfw": True, "off": 0}),
+        (["a"], {_Str("k"): True}, OrderedDict(z=True, a=False)),
+    ]
+    for ids, permissions, filters in cases:
+        user = CrawledUser("u", "a", commented_url_ids=ids,
+                           permissions=permissions, view_filters=filters)
+        assert codecs.encode_user(user) == oracle.encode_user(user), (ids, permissions)
 
 
 def test_encoded_lines_decode_back():

@@ -8,6 +8,7 @@ inline → disk, disk → disk), rejection of the legacy v2 corpus payload,
 and the codec error contract.
 """
 
+import hashlib
 import json
 
 import pytest
@@ -24,9 +25,11 @@ from repro.store import (
     decode_line,
     encode_record,
     encode_user,
+    iter_snapshot_lines,
     load_manifest,
     segment_path,
 )
+from tests.oracles import codecs as oracle
 
 
 def _user(n: int, **kwargs) -> CrawledUser:
@@ -267,3 +270,47 @@ class TestCodecs:
         restored.restore_payload(store.snapshot())
         (only,) = restored.comments.values()
         assert only.shadow_label == "offensive"
+
+
+class TestMutateThenReAdd:
+    """The crawl mutates a stored record in place and adds it again (the
+    shadow pass sets ``shadow_label``; the metadata crawl fills a user's
+    flags and calls ``touch_user``).  Each add must log the record as it
+    is at that add: every line, and every segment's hash and bytes, equal
+    the dict encoder's output taken at each add."""
+
+    @pytest.mark.parametrize("spilled", [False, True], ids=["inline", "spilled"])
+    def test_revision_lines_and_segments_match_the_oracle(self, tmp_path, spilled):
+        store = CorpusStore(store_dir=tmp_path if spilled else None,
+                            segment_records=3)
+        expected = []
+        user, comment = _user(1), _comment(1)
+        store.add_user(user)
+        expected.append(oracle.encode_user(user))
+        store.add_comment(comment)
+        expected.append(oracle.encode_comment(comment))
+        comment.shadow_label = "nsfw"
+        store.add_comment(comment)
+        expected.append(oracle.encode_comment(comment))
+        user.language = "en"
+        user.permissions["comment"] = True
+        user.view_filters.update(nsfw=False, offensive=True)
+        user.commented_url_ids.append(comment.commenturl_id)
+        store.touch_user(user)
+        expected.append(oracle.encode_user(user))
+        comment.shadow_label = "offensive"
+        store.add_comment(comment)
+        expected.append(oracle.encode_comment(comment))
+
+        assert len(set(expected)) == len(expected)
+        assert list(iter_snapshot_lines(store.snapshot())) == expected
+        (ref,) = store.segment_refs
+        body = "".join(line + "\n" for line in expected[:3]).encode("utf-8")
+        assert ref.sha256 == hashlib.sha256(body).hexdigest()
+        if spilled:
+            assert segment_path(tmp_path, ref.name).read_bytes() == body
+        assert store.comments[comment.comment_id].shadow_label == "offensive"
+        restored = CorpusStore()
+        restored.restore_payload(store.snapshot())
+        assert restored.users == {user.username: user}
+        assert restored.comments == {comment.comment_id: comment}
