@@ -57,7 +57,6 @@ def _crawl(config, world, store_dir, memo_cls):
         t0 = time.perf_counter()
         artifacts = pipeline.stage_crawl()
         wall = time.perf_counter() - t0
-    pipeline.close_pools()
     return dumps_result(artifacts.corpus), _tree(store_dir), parses[0], wall
 
 

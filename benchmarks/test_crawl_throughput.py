@@ -45,7 +45,6 @@ def _crawl(config, world, connections, memoise=True):
     simulated = pipeline.client.clock.total_slept
     requests = pipeline.origins.transport.requests_attempted
     hits = pipeline.origins.transport.render_hits
-    pipeline.close_pools()
     return artifacts, wall, simulated, requests, hits
 
 

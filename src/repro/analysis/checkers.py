@@ -605,9 +605,10 @@ class StatsWriteChecker(Checker):
     code = "CONC001"
     name = "unguarded stats write"
     rationale = (
-        "ClientStats/CrawlStats are shared across parse workers and pool "
-        "merges; a bare read-modify-write races and loses counts (the "
-        "lock-guarded bump()/record_*() APIs exist for this)"
+        "ClientStats/CrawlStats are the public crawl counters and may be "
+        "shared between threads by any caller; a bare read-modify-write "
+        "races and loses counts (the lock-guarded bump()/record_*() APIs "
+        "exist for this)"
     )
     hint = (
         "go through the stats object's lock-guarded mutation methods, or "

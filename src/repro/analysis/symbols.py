@@ -323,9 +323,6 @@ class SymbolTable:
         for qname in sorted(self.functions):
             yield self.functions[qname]
 
-    def class_named(self, name: str) -> ClassInfo | None:
-        return self._classes_by_name.get(name)
-
     def module_attr(self, dotted: str) -> FunctionInfo | ClassInfo | None:
         """Resolve an absolute dotted origin to a project symbol.
 

@@ -63,10 +63,6 @@ def _add_crawl_engine_flags(parser: argparse.ArgumentParser) -> None:
              "bit-identical at any K — only the simulated crawl duration "
              "shrinks, to the makespan over K connections)")
     parser.add_argument(
-        "--parse-workers", type=int, default=0, metavar="W",
-        help="worker threads for off-loading page parsing during the "
-             "crawl (0 = parse inline; results identical at any W)")
-    parser.add_argument(
         "--store-dir", type=Path, default=None, metavar="DIR",
         help="spill sealed corpus segments to this directory; runtime "
              "checkpoints then reference them by name + hash instead of "
@@ -265,7 +261,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         _config(args),
         with_faults=args.with_faults,
         connections=args.connections,
-        parse_workers=args.parse_workers,
         store_dir=str(args.store_dir) if args.store_dir is not None else None,
         segment_records=args.segment_records,
     )
@@ -325,7 +320,6 @@ def _cmd_crawl_sharded(args: argparse.Namespace) -> int:
         args.shards,
         args.out,
         connections=args.connections,
-        parse_workers=args.parse_workers,
         store_dir=str(args.store_dir) if args.store_dir is not None else None,
         segment_records=args.segment_records,
         checkpoint_every=args.checkpoint_every,
@@ -363,7 +357,6 @@ def _cmd_crawl(args: argparse.Namespace) -> int:
         _config(args),
         with_faults=args.with_faults,
         connections=args.connections,
-        parse_workers=args.parse_workers,
         store_dir=str(args.store_dir) if args.store_dir is not None else None,
         segment_records=args.segment_records,
     )
@@ -390,10 +383,8 @@ def _cmd_crawl(args: argparse.Namespace) -> int:
     print(f"crawled {corpus.summary()} "
           f"({pipeline.client.stats.requests} HTTP requests, "
           f"{pipeline.client.stats.timeouts} timeouts retried)")
-    simulated = getattr(pipeline.client.clock, "total_slept", None)
-    if simulated is not None:
-        print(f"simulated crawl duration: {simulated:.1f}s "
-              f"over {args.connections} connection(s)")
+    print(f"simulated crawl duration: {pipeline.client.clock.total_slept:.1f}s "
+          f"over {args.connections} connection(s)")
     print(f"checkpoint written to {args.out}")
     return 0
 

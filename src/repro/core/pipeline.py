@@ -204,8 +204,6 @@ class ReproductionPipeline:
         connections: simulated concurrent connections for every §3
             crawl stage (1 = the historical sequential crawl); corpus,
             stats and checkpoints are bit-identical at any value.
-        parse_workers: thread-pool size for off-loading pure page
-            parsing during the crawl (0 = parse inline).
         store_dir: spill directory for the corpus store's sealed
             segments; ``None`` keeps segments inline (in memory and in
             checkpoints).  Corpus bytes and report numbers are identical
@@ -220,7 +218,6 @@ class ReproductionPipeline:
         world: World | None = None,
         with_faults: bool = False,
         connections: int = 1,
-        parse_workers: int = 0,
         store_dir: str | None = None,
         segment_records: int = 4096,
     ):
@@ -232,7 +229,6 @@ class ReproductionPipeline:
         self.models = PerspectiveModels()
         self.store = ScoreStore(self.models)
         self.connections = int(connections)
-        self.parse_workers = int(parse_workers)
         self.store_dir = store_dir
         self.segment_records = int(segment_records)
         self._pools: dict[str, FetchPool] = {}
@@ -245,12 +241,7 @@ class ReproductionPipeline:
 
     def _pool_for(self, stage: str) -> FetchPool:
         """A fresh fetch pool for one §3 stage (kept for its counters)."""
-        pool = FetchPool(
-            self.client.clock, self.connections, self.parse_workers
-        )
-        old = self._pools.get(stage)
-        if old is not None:
-            old.close()
+        pool = FetchPool(self.client.clock, self.connections)
         self._pools[stage] = pool
         return pool
 
@@ -259,10 +250,6 @@ class ReproductionPipeline:
         return {
             stage: pool.stats.as_dict() for stage, pool in self._pools.items()
         }
-
-    def close_pools(self) -> None:
-        for pool in self._pools.values():
-            pool.close()
 
     # ------------------------------------------------------------------
     # Crawl stages (each usable on its own).
@@ -608,8 +595,5 @@ class ReproductionPipeline:
         report.extras["scoring"] = self.store.counters.as_dict()
         report.extras["connections"] = self.connections
         report.extras["fetch"] = self.fetch_extras()
-        simulated = getattr(self.client.clock, "total_slept", None)
-        if simulated is not None:
-            report.extras["simulated_seconds"] = simulated
-        self.close_pools()
+        report.extras["simulated_seconds"] = self.client.clock.total_slept
         return report

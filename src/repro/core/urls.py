@@ -9,42 +9,19 @@ surfaces fringe domains.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from urllib.parse import SplitResult, urlsplit
+from urllib.parse import urlsplit
 
 import numpy as np
 
+from repro.net.http import split_domains
 from repro.store import CorpusStore, columns_of
 
 __all__ = [
     "UrlTableStats",
     "analyze_urls",
     "second_level_domain",
-    "split_domains",
     "tld_of",
 ]
-
-# Multi-label suffixes treated as a single effective TLD, as Table 2 does
-# (bbc.co.uk counts toward .uk).
-_COMPOSITE_SUFFIXES = (".co.uk", ".org.uk", ".ac.uk", ".co.nz", ".com.au")
-
-
-def split_domains(parts: SplitResult) -> tuple[str | None, str | None]:
-    """``(tld_of(url), second_level_domain(url))`` from ``urlsplit(url)``.
-
-    One split of a URL serves both (the column projector also reads the
-    query from it); ``repro.net.http.split_url`` gives the same split.
-    """
-    if parts.scheme not in ("http", "https"):
-        return None, None
-    host = parts.netloc.lower().rsplit(":", 1)[0]
-    if "." not in host:
-        return None, None
-    tld = "." + host.rsplit(".", 1)[1]
-    for suffix in _COMPOSITE_SUFFIXES:
-        if host.endswith(suffix):
-            stem = host[: -len(suffix)]
-            return tld, (stem.rsplit(".", 1)[-1] + suffix if stem else None)
-    return tld, ".".join(host.rsplit(".", 2)[-2:])
 
 
 def tld_of(url: str) -> str | None:

@@ -33,9 +33,6 @@ class VoteToxicity:
     bucket_means: dict[int, float] = field(default_factory=dict)
     bucket_medians: dict[int, float] = field(default_factory=dict)
 
-    def mean_at(self, net: int) -> float | None:
-        return self.bucket_means.get(net)
-
     def aggregate_mean(self, nets: list[int]) -> float:
         values = [self.bucket_means[n] for n in nets if n in self.bucket_means]
         return float(np.mean(values)) if values else float("nan")

@@ -75,7 +75,8 @@ class CrawlStats:
     """Progress counters for one crawl.
 
     Increment through :meth:`bump`/:meth:`record_failed` — they hold a
-    lock so counters stay exact if merge work ever runs off-thread.
+    lock so counters stay exact for a caller that shares one crawler's
+    stats between threads; the crawl itself is single-threaded.
     """
 
     usernames_probed: int = 0
@@ -407,25 +408,22 @@ class DissenterCrawler:
                 f"{self.BASE}/user/{usernames[position]}"
             )
 
-        def parse(position: int, response: Response | None):
+        def process(position: int, response: Response | None) -> None:
             if (
                 response is not None
                 and response.status == 200
                 and response.size >= SIZE_THRESHOLD
             ):
-                return parse_user_page(response.text)
-            return None
-
-        def process(position: int, user) -> None:
-            if user is not None:
-                self.stats.bump("home_pages_parsed")
-                store.add_user(user)
-                state.frontier.add_many(user.commented_url_ids)
+                user = parse_user_page(response.text)
+                if user is not None:
+                    self.stats.bump("home_pages_parsed")
+                    store.add_user(user)
+                    state.frontier.add_many(user.commented_url_ids)
             state.index = position + 1
 
         pool.run(
             plan, fetch, count_lines(store, process, on_lines),
-            parse=parse, checkpointer=checkpointer,
+            checkpointer=checkpointer,
         )
         state.stage = "comment_pages"
 
@@ -450,15 +448,14 @@ class DissenterCrawler:
                 f"{self.BASE}/discussion/{commenturl_id}"
             )
 
-        def process(commenturl_id: str, outcome) -> None:
+        def process(commenturl_id: str, response: Response | None) -> None:
             # The item is popped only now, at merge time: a mid-window
             # checkpoint must still show it queued, and a 429 re-enqueues
             # it behind the already-planned items — the same tail
             # position a sequential crawl would use.
             popped = frontier.pop()
             assert popped == commenturl_id
-            kind, page = outcome
-            self.parse_memo.remember(page)
+            kind, page = self._comment_page_outcome(response)
             if kind == "rate_limited":
                 # Once the retry budget is spent the page must still be
                 # accounted as failed, or recrawl_failures() and the
@@ -475,7 +472,6 @@ class DissenterCrawler:
             lambda capacity: frontier.peek(capacity),
             fetch,
             count_lines(store, process, on_lines),
-            parse=lambda _id, response: self._comment_page_outcome(response),
             checkpointer=checkpointer,
         )
         state.stage = "metadata"
@@ -548,11 +544,11 @@ class DissenterCrawler:
     def _comment_page_outcome(
         self, response: Response | None
     ) -> tuple[str, ParsedPage | None]:
-        """Pure classify-and-parse of a discussion-page response.
+        """Classify and parse a discussion-page response.
 
         Returns ``(kind, page)``: kind is ``"rate_limited"``,
         ``"failed"`` or ``"ok"``, and ``page`` is the memoised parse of
-        a 200 body (None otherwise) — safe to run on a parse worker.
+        a 200 body (None otherwise).
         """
         if response is not None and response.status == 429:
             return ("rate_limited", None)
@@ -581,7 +577,6 @@ class DissenterCrawler:
                     f"{self.BASE}/discussion/{commenturl_id}"
                 )
             )
-            self.parse_memo.remember(page)
             if kind != "ok":
                 still_failed.append(commenturl_id)
                 continue

@@ -199,12 +199,8 @@ class PageParseMemo:
     is keyed by body *value*, so it still hits after the transport's
     render cache has evicted a page and re-rendered equal bytes.
 
-    Reads and writes are split so parsing stays pure (DESIGN §8):
-    :meth:`parse` only reads, and may run on a parse worker;
-    :meth:`remember` writes, and runs on the coordinator thread, in a
-    phase's ``process`` callback.  A memo hit hands back the same record
-    objects as the first parse, so callers must not mutate records
-    that are already in their store.
+    A memo hit hands back the same record objects as the first parse,
+    so callers must not mutate records that are already in their store.
     """
 
     MAX_PAGES = 8192   # cleared wholesale when full
@@ -216,21 +212,16 @@ class PageParseMemo:
         return len(self._pages)
 
     def parse(self, response: Response | None) -> ParsedPage | None:
-        """The parse of a 200 response (memoised), else None; never writes."""
+        """The parse of a 200 response (memoised), else None."""
         if response is None or response.status != 200:
             return None
         page = self._pages.get(response.body)
         if page is None:
             page = ParsedPage(response.body, *parse_comment_page(response.text))
+            if len(self._pages) >= self.MAX_PAGES:
+                self._pages.clear()
+            self._pages[page.body] = page
         return page
-
-    def remember(self, page: ParsedPage | None) -> None:
-        """Record a :meth:`parse` result (coordinator thread only)."""
-        if page is None or page.body in self._pages:
-            return
-        if len(self._pages) >= self.MAX_PAGES:
-            self._pages.clear()
-        self._pages[page.body] = page
 
     def clear(self) -> None:
         """Drop every memoised page."""

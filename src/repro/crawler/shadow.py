@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from repro.crawler.checkpoint import CrawlCheckpoint, coerce_checkpoint
-from repro.crawler.parsing import PageParseMemo, ParsedPage
+from repro.crawler.parsing import PageParseMemo
 from repro.crawler.runtime import (
     Checkpointer,
     LineHook,
@@ -91,10 +91,10 @@ class ShadowCrawler:
     passes read their parses from ``parse_memo``, the crawl-wide
     :class:`~repro.crawler.parsing.PageParseMemo` that
     :meth:`~repro.core.pipeline.ReproductionPipeline.stage_crawl` shares
-    with the baseline crawler; ``run_pass`` fills it in its merge step,
-    on the coordinator thread.  A memo hit returns the baseline's own
-    comment records, which the pass skips (they are in the baseline),
-    so a baseline comment never gains a ``shadow_label``.
+    with the baseline crawler; ``run_pass`` parses through it in its
+    merge step.  A memo hit returns the baseline's own comment records,
+    which the pass skips (they are in the baseline), so a baseline
+    comment never gains a ``shadow_label``.
 
     Args:
         client: HTTP client (its cookie jar receives the session cookie).
@@ -253,8 +253,8 @@ class ShadowCrawler:
                 f"{self.BASE}/discussion/{state.url_ids[position]}"
             )
 
-        def process(position: int, page: ParsedPage | None) -> None:
-            self.parse_memo.remember(page)
+        def process(position: int, response: Response | None) -> None:
+            page = self.parse_memo.parse(response)
             for comment in page.comments if page is not None else ():
                 if (
                     comment.comment_id in state.baseline_ids
@@ -268,7 +268,6 @@ class ShadowCrawler:
 
         pool.run(
             plan, fetch, count_lines(store, process, on_lines),
-            parse=lambda _i, response: self.parse_memo.parse(response),
             checkpointer=checkpointer,
         )
         self._client.cookies.clear("dissenter.com")

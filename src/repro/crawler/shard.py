@@ -239,7 +239,6 @@ class ShardEngine:
         out: the crawl's ``--out`` path; worker scratch lives under
             ``<out>.shards/`` and the v4 envelope at ``state_path``.
         connections: virtual connections per worker's fetch pool.
-        parse_workers: parse threads per worker's fetch pool.
         store_dir: final store's segment spill directory (workers then
             spill their shard segments under their scratch directories).
         segment_records: records per sealed segment (final and shard
@@ -260,7 +259,6 @@ class ShardEngine:
         shards: int,
         out: str | Path,
         connections: int = 1,
-        parse_workers: int = 0,
         store_dir: str | Path | None = None,
         segment_records: int = 4096,
         checkpoint_every: int = 0,
@@ -280,7 +278,6 @@ class ShardEngine:
             else Path(str(out) + ".state.json")
         )
         self.connections = int(connections)
-        self.parse_workers = int(parse_workers)
         self.segment_records = int(segment_records)
         self.checkpoint_every = int(checkpoint_every)
         self.checkpoint_seconds = float(checkpoint_seconds)
@@ -670,7 +667,7 @@ class ShardEngine:
                 encoding="utf-8",
             )
             return EXIT_BAD_STATE
-        pool = FetchPool(clock, self.connections, self.parse_workers)
+        pool = FetchPool(clock, self.connections)
         try:
             payload = crawl(pool)
         except CrawlKilled:
@@ -679,8 +676,6 @@ class ShardEngine:
             if checkpointer is not None:
                 checkpointer.flush()
             return EXIT_KILLED
-        finally:
-            pool.close()
         payload.update(
             {
                 "shard": shard,

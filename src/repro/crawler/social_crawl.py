@@ -134,7 +134,7 @@ class SocialGraphCrawler:
         stage = "relations"
         if resume is not None:
             checkpoint = coerce_checkpoint(resume, "social")
-            index = int(checkpoint.cursor.get("index", 0))
+            index = checkpoint.count("index")
             result = SocialCrawlResult.from_dict(
                 checkpoint.cursor.get("result") or {}
             )

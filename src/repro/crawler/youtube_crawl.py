@@ -135,7 +135,7 @@ class YouTubeCrawler:
         stage = "render"
         if resume is not None:
             checkpoint = coerce_checkpoint(resume, "youtube")
-            index = int(checkpoint.cursor.get("index", 0))
+            index = checkpoint.count("index")
             result = YouTubeCrawlResult.from_dict(
                 checkpoint.cursor.get("result") or {}
             )
@@ -167,9 +167,10 @@ class YouTubeCrawler:
                     jobs.append((position, url))
             return jobs
 
-        def process(job: tuple[int, str], item: CrawledYouTubeItem | None) -> None:
+        def process(job: tuple[int, str], response: Response | None) -> None:
             nonlocal index
             index_after, url = job
+            item = self._extract(url, response)
             if item is None:
                 result.fetch_failures.append(url)
             else:
@@ -180,7 +181,6 @@ class YouTubeCrawler:
             plan,
             lambda job: self._fetch(job[1]),
             process,
-            parse=lambda job, response: self._extract(job[1], response),
             checkpointer=checkpointer,
         )
         index = len(urls)

@@ -14,7 +14,7 @@ HTML/JSON bodies, status codes, Set-Cookie) are real, the wire is simulated.
 """
 
 from repro.net.client import ClientStats, HttpClient
-from repro.net.clock import SystemClock, VirtualClock
+from repro.net.clock import VirtualClock
 from repro.net.cookies import Cookie, CookieJar
 from repro.net.errors import (
     ConnectError,
@@ -56,7 +56,6 @@ __all__ = [
     "Request",
     "Response",
     "Route",
-    "SystemClock",
     "TimeoutError",
     "TokenBucket",
     "TooManyRedirects",

@@ -13,7 +13,7 @@ import threading
 from dataclasses import dataclass, field
 from typing import Any, Mapping
 
-from repro.net.clock import Clock
+from repro.net.clock import VirtualClock
 from repro.net.cookies import CookieJar
 from repro.net.errors import NetworkError, TimeoutError, TooManyRedirects
 from repro.net.http import (
@@ -35,9 +35,9 @@ class ClientStats:
     """Counters a crawl report can cite.
 
     Mutations go through the ``record_*``/``bump`` methods, which hold a
-    lock: once a :class:`~repro.net.pool.FetchPool` offloads parse work
-    to threads, the read-modify-write increments here would otherwise
-    lose updates.
+    lock: the crawl is single-threaded, but a caller that shares one
+    client between threads would otherwise lose updates to the
+    read-modify-write increments here.
     """
 
     requests: int = 0
@@ -172,7 +172,7 @@ class HttpClient:
         self.stats = ClientStats()
 
     @property
-    def clock(self) -> Clock:
+    def clock(self) -> VirtualClock:
         """The transport's clock (for callers that pace themselves)."""
         return self._transport.clock  # type: ignore[attr-defined]
 

@@ -1,4 +1,4 @@
-"""Virtual and system clocks.
+"""The simulation clock.
 
 The crawl of a 1.3M-account API at one request per second took the paper's
 authors weeks of wall time; our reproduction runs the same control flow
@@ -9,10 +9,9 @@ object — no module reads ``time.time()`` directly.
 
 from __future__ import annotations
 
-import time
 from typing import Protocol
 
-__all__ = ["Clock", "SystemClock", "VirtualClock"]
+__all__ = ["Clock", "VirtualClock"]
 
 
 class Clock(Protocol):
@@ -99,14 +98,3 @@ class VirtualClock:
             raise ValueError("cannot charge a negative duration")
         self.total_slept += seconds
 
-
-class SystemClock:
-    """Real wall-clock (used only when running against live-like latencies)."""
-
-    def now(self) -> float:
-        return time.monotonic()
-
-    def sleep(self, seconds: float) -> None:
-        if seconds < 0:
-            raise ValueError("cannot sleep a negative duration")
-        time.sleep(seconds)

@@ -24,6 +24,7 @@ __all__ = [
     "Request",
     "Response",
     "parse_delay_seconds",
+    "split_domains",
     "split_url",
     "url_with_params",
 ]
@@ -168,6 +169,30 @@ def split_url(url: str) -> SplitResult:
     # The namedtuple's own __new__ is a Python-level call; this is the
     # same tuple for half the cost.
     return tuple.__new__(SplitResult, match.groups(""))
+
+
+# Multi-label suffixes treated as a single effective TLD, as Table 2 does
+# (bbc.co.uk counts toward .uk).
+_COMPOSITE_SUFFIXES = (".co.uk", ".org.uk", ".ac.uk", ".co.nz", ".com.au")
+
+
+def split_domains(parts: SplitResult) -> tuple[str | None, str | None]:
+    """``(tld_of(url), second_level_domain(url))`` from ``urlsplit(url)``.
+
+    One split of a URL serves both (the column projector also reads the
+    query from it); :func:`split_url` gives the same split.
+    """
+    if parts.scheme not in ("http", "https"):
+        return None, None
+    host = parts.netloc.lower().rsplit(":", 1)[0]
+    if "." not in host:
+        return None, None
+    tld = "." + host.rsplit(".", 1)[1]
+    for suffix in _COMPOSITE_SUFFIXES:
+        if host.endswith(suffix):
+            stem = host[: -len(suffix)]
+            return tld, (stem.rsplit(".", 1)[-1] + suffix if stem else None)
+    return tld, ".".join(host.rsplit(".", 2)[-2:])
 
 
 def url_with_params(url: str, params: Mapping[str, Any] | None) -> str:

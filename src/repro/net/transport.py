@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING, Callable, NamedTuple, Protocol
 
 import numpy as np
 
-from repro.net.clock import Clock, VirtualClock
+from repro.net.clock import VirtualClock
 from repro.net.errors import ConnectError, CrawlKilled, TimeoutError
 from repro.net.http import Request, Response
 
@@ -86,12 +86,12 @@ class LoopbackTransport:
 
     def __init__(
         self,
-        clock: Clock | None = None,
+        clock: VirtualClock | None = None,
         latency: float = 0.05,
         faults: FaultPlan | None = None,
         seed: int = 0,
     ) -> None:
-        self.clock: Clock = clock if clock is not None else VirtualClock()
+        self.clock: VirtualClock = clock if clock is not None else VirtualClock()
         self._latency = latency
         self._faults = faults or FaultPlan()
         self._rng = np.random.default_rng(seed)

@@ -174,11 +174,6 @@ class HateDictionary:
         """Number of raw dictionary terms."""
         return len(self._raw_terms)
 
-    def is_hate_token(self, token: str) -> bool:
-        """Whether a single token matches the dictionary."""
-        token = token.lower()
-        return self._matches(token, self._stemmer.stem(token))
-
     def _matches(self, token: str, stemmed: str) -> bool:
         if token in self._raw_terms or stemmed in self._stemmed_terms:
             return True

@@ -96,12 +96,3 @@ class PerspectiveClient:
             self.analyze(AnalyzeRequest(text=text, requested_attributes=requested))
             for text in texts
         ]
-
-    def scores_for(
-        self, texts: Sequence[str], attribute: str
-    ) -> list[float]:
-        """Convenience: one attribute over a batch."""
-        return [
-            response.score(attribute)
-            for response in self.analyze_batch(texts, (attribute,))
-        ]

@@ -108,20 +108,6 @@ class CommentFeatures:
     has_attack_phrase: bool
     bang_run: int              # longest run of consecutive '!'
 
-    @property
-    def exclamation_burst(self) -> bool:
-        return self.bang_run >= 3
-
-    @property
-    def any_signal(self) -> bool:
-        return (
-            self.offensive_rate > 0
-            or self.obscene_rate > 0
-            or self.rude_rate > 0
-            or self.hate_rate > 0
-            or self.has_attack_phrase
-        )
-
 
 @dataclass(frozen=True)
 class FeatureBatch:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.net.clock import Clock, VirtualClock
+from repro.net.clock import VirtualClock
 from repro.net.transport import FaultPlan, LoopbackTransport
 from repro.platform.apps.dissenter_app import DissenterApp
 from repro.platform.apps.gab_app import GabApp
@@ -36,7 +36,7 @@ class Origins:
     """Everything needed to crawl the world over HTTP."""
 
     transport: LoopbackTransport
-    clock: Clock
+    clock: VirtualClock
     dissenter: DissenterApp
     gab: GabApp
     trends: TrendsApp
@@ -48,7 +48,7 @@ class Origins:
 
 def build_origins(
     world: World,
-    clock: Clock | None = None,
+    clock: VirtualClock | None = None,
     latency: float = 0.05,
     with_faults: bool = False,
     seed: int = 0,

@@ -131,10 +131,6 @@ class WorldConfig:
         return self.scaled(self.paper.gab_accounts, minimum=50)
 
     @property
-    def n_dissenter_users(self) -> int:
-        return self.scaled(self.paper.dissenter_users, minimum=20)
-
-    @property
     def n_comments(self) -> int:
         return self.scaled(self.paper.comments, minimum=100)
 

@@ -60,10 +60,6 @@ class GabAccount:
     # accounts that posted; "silent" users were invisible to it (§3.1).
     has_posted: bool = False
 
-    @property
-    def profile_path(self) -> str:
-        return f"/api/v1/accounts/{self.gab_id}"
-
 
 @dataclass
 class DissenterUser:
@@ -87,10 +83,6 @@ class DissenterUser:
     gab_deleted: bool = False        # true for the ~1,300 orphaned users
     in_planted_core: bool = False    # latent; hateful-core ground truth
     became_active: bool = False      # set once the user posts a comment
-
-    @property
-    def home_path(self) -> str:
-        return f"/user/{self.username}"
 
 
 @dataclass

@@ -47,11 +47,6 @@ class ECDF:
         """Number of samples the ECDF was built from."""
         return self._n
 
-    @property
-    def support(self) -> tuple[float, float]:
-        """(min, max) of the underlying sample."""
-        return float(self._sorted[0]), float(self._sorted[-1])
-
     def __call__(self, x: float | np.ndarray) -> float | np.ndarray:
         """Evaluate F(x); accepts scalars or arrays."""
         idx = np.searchsorted(self._sorted, np.asarray(x, dtype=float), side="right")
@@ -86,12 +81,6 @@ class ECDF:
     def steps(self) -> tuple[np.ndarray, np.ndarray]:
         """Return (x, F(x)) arrays suitable for plotting a step function."""
         return self._sorted.copy(), self._ranks.copy()
-
-    def evaluate_grid(self, points: int = 101) -> tuple[np.ndarray, np.ndarray]:
-        """Evaluate the ECDF on an evenly spaced grid over its support."""
-        lo, hi = self.support
-        grid = np.linspace(lo, hi, points)
-        return grid, np.asarray(self(grid))
 
 
 def quantile(samples: Sequence[float], q: float) -> float:

@@ -48,7 +48,7 @@ from typing import TYPE_CHECKING, Any
 import numpy as np
 
 from repro.crawler.records import CrawledComment, CrawledUrl, CrawledUser
-from repro.net.http import split_url
+from repro.net.http import split_domains, split_url
 from repro.store.codecs import decode_line
 from repro.store.segments import SegmentRef, columns_path
 
@@ -263,11 +263,6 @@ class ColumnProjector:
         self._pending += 1
 
     def _derive_url_meta(self, url: str) -> tuple[int, int, int, int]:
-        # Function-level import: repro.core.urls imports the store
-        # package, so a module-level import here would cycle during
-        # package init.
-        from repro.core.urls import split_domains
-
         parts = split_url(url)
         tld, domain = split_domains(parts)
         scheme = url.split(":", 1)[0].lower() if ":" in url else "unknown"

@@ -1,6 +1,6 @@
 """One URL split answers the TLD, registrable domain and query.
 
-``repro.core.urls.split_domains`` gives ``tld_of`` and
+``repro.net.http.split_domains`` gives ``tld_of`` and
 ``second_level_domain`` from one ``urlsplit`` (or ``split_url``), and
 the column projector reads the query from the same split.  The oracle in
 ``tests/oracles/urls.py`` splits once per question; for any URL (ports,
@@ -13,8 +13,8 @@ from urllib.parse import urlsplit
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.urls import second_level_domain, split_domains, tld_of
-from repro.net.http import split_url
+from repro.core.urls import second_level_domain, tld_of
+from repro.net.http import split_domains, split_url
 from repro.store.columns import ColumnProjector
 from tests.oracles import urls as oracle
 

@@ -33,12 +33,12 @@ def shared_world():
     return config, build_world(config)
 
 
-def _crawl(shared_world, connections, parse_workers=0):
+def _crawl(shared_world, connections):
     """One full §3 crawl; returns comparable observables."""
     config, world = shared_world
     pipeline = ReproductionPipeline(
         config, world=world, with_faults=True,
-        connections=connections, parse_workers=parse_workers,
+        connections=connections,
     )
     artifacts = pipeline.stage_crawl()
     snapshot = {
@@ -56,7 +56,6 @@ def _crawl(shared_world, connections, parse_workers=0):
     }
     simulated = pipeline.client.clock.total_slept
     extras = pipeline.fetch_extras()
-    pipeline.close_pools()
     return snapshot, simulated, extras
 
 
@@ -80,12 +79,6 @@ class TestBitIdenticalAcrossConnections:
         assert simulated < 0.6 * reference_simulated
         # The lanes genuinely filled at some point in some stage.
         assert max(s["high_watermark"] for s in extras.values()) == connections
-
-    def test_parse_workers_do_not_change_results(self, shared_world, sequential):
-        reference, _, _ = sequential
-        snapshot, _, extras = _crawl(shared_world, connections=4, parse_workers=3)
-        assert snapshot == reference
-        assert sum(s["parse_tasks"] for s in extras.values()) > 0
 
     def test_sequential_pool_is_pure_overhead_free(self, sequential):
         _, simulated, extras = sequential
@@ -114,8 +107,6 @@ def _run_leg(shared_world, state_path, kill_after, connections):
         artifacts = pipeline.stage_crawl(checkpointer=checkpointer, resume=resume)
     except CrawlKilled:
         return None, checkpointer.saves
-    finally:
-        pipeline.close_pools()
     return artifacts, checkpointer.saves
 
 

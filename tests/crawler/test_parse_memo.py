@@ -4,11 +4,8 @@
 comment-page phase, the re-request loop and both shadow passes, so each
 distinct 200 discussion body is parsed once per crawl.  The memo must be
 invisible in the output: the dump, the spilled segments and the manifest
-match a crawl whose memo never hits, with or without parse workers, and
-the memo is only written on the coordinator thread.
+match a crawl whose memo never hits, at any connection count.
 """
-
-import threading
 
 import pytest
 
@@ -37,7 +34,7 @@ def world_0002():
 
 
 def _crawl(world_0002, tmp_path, monkeypatch, memo_cls=PageParseMemo,
-           parse_workers=0):
+           connections=1):
     """One spilled stage_crawl; returns its bytes and what it observed."""
     config, world = world_0002
     monkeypatch.setattr(pipeline_mod, "PageParseMemo", memo_cls)
@@ -62,15 +59,6 @@ def _crawl(world_0002, tmp_path, monkeypatch, memo_cls=PageParseMemo,
 
     monkeypatch.setattr(LoopbackTransport, "send", recording_send)
 
-    writers: list[threading.Thread] = []
-    real_remember = memo_cls.remember
-
-    def watched_remember(memo, page):
-        writers.append(threading.current_thread())
-        return real_remember(memo, page)
-
-    monkeypatch.setattr(memo_cls, "remember", watched_remember)
-
     baselines: list[set[str]] = []
     real_uncover = ShadowCrawler.uncover
 
@@ -80,15 +68,12 @@ def _crawl(world_0002, tmp_path, monkeypatch, memo_cls=PageParseMemo,
 
     monkeypatch.setattr(ShadowCrawler, "uncover", watched_uncover)
 
-    store_dir = tmp_path / f"{memo_cls.__name__}-{parse_workers}"
+    store_dir = tmp_path / f"{memo_cls.__name__}-{connections}"
     pipeline = ReproductionPipeline(
-        config, world=world, parse_workers=parse_workers,
+        config, world=world, connections=connections,
         store_dir=str(store_dir), segment_records=256,
     )
-    try:
-        artifacts = pipeline.stage_crawl()
-    finally:
-        pipeline.close_pools()
+    artifacts = pipeline.stage_crawl()
     monkeypatch.undo()
     files = {
         path.relative_to(store_dir): path.read_bytes()
@@ -100,7 +85,6 @@ def _crawl(world_0002, tmp_path, monkeypatch, memo_cls=PageParseMemo,
         "files": files,
         "parsed": parsed,
         "bodies": bodies,
-        "writers": writers,
         "baseline": baselines[0],
         "corpus": artifacts.corpus,
         "memo": artifacts.shadow_crawler.parse_memo,
@@ -149,12 +133,12 @@ def test_memo_is_dropped_when_the_crawl_stage_returns(memo_run):
     assert len(memo_run["memo"]) == 0
 
 
-def test_parse_workers_keep_bytes_and_parse_count(
+def test_connections_keep_bytes_and_parse_count(
     world_0002, tmp_path, monkeypatch, memo_run
 ):
-    run = _crawl(world_0002, tmp_path, monkeypatch, parse_workers=2)
+    # Four jobs per fetch window: a page can now hit the memo entry a
+    # job earlier in the same window wrote.
+    run = _crawl(world_0002, tmp_path, monkeypatch, connections=4)
     assert run["dump"] == memo_run["dump"]
     assert run["files"] == memo_run["files"]
     assert len(run["parsed"]) == DISTINCT_200_BODIES
-    main = threading.main_thread()
-    assert run["writers"] and all(thread is main for thread in run["writers"])

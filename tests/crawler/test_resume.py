@@ -15,15 +15,19 @@ import random
 import pytest
 
 from repro.core.pipeline import ReproductionPipeline
-from repro.crawler.checkpoint import result_to_payload
+from repro.crawler.checkpoint import CrawlCheckpoint, result_to_payload
 from repro.crawler.dissenter_crawl import CrawlState, DissenterCrawler
 from repro.crawler.frontier import CrawlFrontier
 from repro.crawler.runtime import Checkpointer, load_state
+from repro.crawler.social_crawl import SocialGraphCrawler
+from repro.crawler.youtube_crawl import YouTubeCrawler
+from repro.net.client import HttpClient
 from repro.net.clock import VirtualClock
 from repro.net.cookies import CookieJar
 from repro.net.errors import CrawlKilled
 from repro.net.http import Response
 from repro.net.pool import FetchPool
+from repro.net.transport import LoopbackTransport
 from repro.platform.config import WorldConfig
 from repro.platform.world import build_world
 from repro.store import CorpusStore
@@ -342,3 +346,18 @@ class TestV2StateIsRejected:
         )
         assert not out.exists()
         assert state.exists()
+
+
+@pytest.mark.parametrize("index", [None, -2, 1.9, True, "3"])
+@pytest.mark.parametrize(
+    "crawler, crawler_cls",
+    [("youtube", YouTubeCrawler), ("social", SocialGraphCrawler)],
+)
+def test_malformed_index_cursor_raises_value_error(crawler, crawler_cls, index):
+    client = HttpClient(LoopbackTransport())
+    resume = CrawlCheckpoint(
+        crawler=crawler, stage="render", cursor={"index": index}
+    ).to_payload()
+    with pytest.raises(ValueError, match="'index'"):
+        crawler_cls(client).crawl([], resume=resume)
+    assert client.stats.requests == 0

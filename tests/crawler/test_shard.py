@@ -130,9 +130,7 @@ def test_single_shard_matches_unsharded(shard_world, reference, tmp_path):
 @pytest.mark.parametrize("shards", [2, 4, 8])
 def test_multi_shard_byte_identical(shard_world, reference, tmp_path, shards):
     out = tmp_path / "corpus.json"
-    engine = run_sharded(
-        shard_world, shards, out, connections=4, parse_workers=2
-    )
+    engine = run_sharded(shard_world, shards, out, connections=4)
     assert out.read_bytes() == reference["bytes"]
     # Shard-local counters merge to exactly the sequential totals.
     ref = reference["stats"]

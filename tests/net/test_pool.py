@@ -80,8 +80,6 @@ class TestLaneScheduling:
     def test_connection_count_validated(self):
         with pytest.raises(ValueError):
             FetchPool(VirtualClock(), connections=0)
-        with pytest.raises(ValueError):
-            FetchPool(VirtualClock(), parse_workers=-1)
 
     def test_stats_as_dict_round_trips(self):
         pool = FetchPool(VirtualClock(), connections=2)
@@ -139,34 +137,13 @@ class TestFlightCapture:
                 with pool.flight():
                     pass  # pragma: no cover
 
-    def test_clock_without_flight_capture_gets_no_credit(self):
-        class PlainClock:
-            """now/sleep only — the SystemClock shape."""
-
-            def __init__(self):
-                self._now = 0.0
-
-            def now(self):
-                return self._now
-
-            def sleep(self, seconds):
-                self._now += seconds
-
-        clock = PlainClock()
-        pool = FetchPool(clock, connections=4)
-        with pool.flight():
-            clock.sleep(2.0)
-        # The seconds were genuinely spent; the pool only records stats.
-        assert clock.now() == 2.0
-        assert pool.stats.busy_seconds == 2.0
-
 
 # ----------------------------------------------------------------------
-# The windowed plan/fetch/parse/process engine.
+# The windowed plan/fetch/process engine.
 # ----------------------------------------------------------------------
 
 
-def run_range(pool, n, log, checkpointer=None, parse=None):
+def run_range(pool, n, log, checkpointer=None):
     """Drive the pool over jobs 0..n-1, appending events to ``log``."""
     cursor = 0
 
@@ -182,7 +159,7 @@ def run_range(pool, n, log, checkpointer=None, parse=None):
         log.append(("process", job, value))
         cursor = job + 1
 
-    return pool.run(plan, fetch, process, parse=parse, checkpointer=checkpointer)
+    return pool.run(plan, fetch, process, checkpointer=checkpointer)
 
 
 class TestRunEngine:
@@ -235,24 +212,3 @@ class TestRunEngine:
         # (and ticked) exactly as a sequential crawl dying at job 2.
         assert merged == [0, 1]
         assert ticker.ticks == 2
-
-    def test_parse_offload_is_bit_identical(self):
-        inline_log, offload_log = [], []
-        parse = lambda job, raw: raw + 1
-        inline = FetchPool(VirtualClock(), connections=3, parse_workers=0)
-        offload = FetchPool(VirtualClock(), connections=3, parse_workers=4)
-        try:
-            run_range(inline, 9, inline_log, parse=parse)
-            run_range(offload, 9, offload_log, parse=parse)
-        finally:
-            offload.close()
-        assert inline_log == offload_log
-        assert inline.stats.parse_tasks == 0
-        assert offload.stats.parse_tasks == 9
-
-    def test_close_is_idempotent(self):
-        pool = FetchPool(VirtualClock(), parse_workers=2)
-        assert pool._pool() is not None
-        pool.close()
-        pool.close()
-        assert pool._executor is None

@@ -7,7 +7,9 @@ byte.
 
 from __future__ import annotations
 
+import repro.crawler.parsing as parsing
 from repro.crawler.parsing import PageParseMemo, ParsedPage
+from repro.net.http import Response
 
 __all__ = ["NeverHitParseMemo"]
 
@@ -15,5 +17,11 @@ __all__ = ["NeverHitParseMemo"]
 class NeverHitParseMemo(PageParseMemo):
     """Same interface as ``PageParseMemo``; remembers nothing."""
 
-    def remember(self, page: ParsedPage | None) -> None:
-        pass
+    def parse(self, response: Response | None) -> ParsedPage | None:
+        if response is None or response.status != 200:
+            return None
+        # Through the module, so a patched parse_comment_page sees
+        # every call.
+        return ParsedPage(
+            response.body, *parsing.parse_comment_page(response.text)
+        )

@@ -1,6 +1,6 @@
 """URL domain helpers that split the URL once per question.
 
-The reference for ``repro.core.urls.split_domains``, which answers
+The reference for ``repro.net.http.split_domains``, which answers
 ``tld_of`` and ``second_level_domain`` from one split that the column
 projector also reads the query from.  These split the URL in each
 function, as the projector did with a third split for the query; for

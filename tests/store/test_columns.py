@@ -9,10 +9,15 @@ and unsealed stores raise ``ValueError`` naming the cause).
 """
 
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro
 from repro.core.macro import comment_concentration
 from repro.crawler.records import (
     CrawledComment,
@@ -245,3 +250,23 @@ class TestDispatch:
         assert view is not None
         assert view.comments.n == len(store.comments)
         assert store.column_stats()["projected"] > 0
+
+
+def test_url_projection_does_not_import_the_analyses():
+    # The projector derives TLD and domain through repro.net.http; the
+    # whole repro.core pipeline must not load on the first add_url.
+    script = (
+        "import sys\n"
+        "import repro.store\n"
+        "from repro.crawler.records import CrawledUrl\n"
+        "store = repro.store.CorpusStore()\n"
+        "store.add_url(CrawledUrl('a' * 24, 'https://news.bbc.co.uk/x?a=1&b=2',\n"
+        "                         'title', '', 0, 0))\n"
+        "print(sorted(m for m in sys.modules if m.startswith('repro.core')))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(repro.__file__).parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env,
+        capture_output=True, text=True, check=True,
+    )
+    assert done.stdout.strip() == "[]"
