@@ -7,7 +7,8 @@ here, unchanged in behaviour, as the references for the parity tests:
 * :mod:`tests.oracles.analyses` — the record-dict §4 analyses;
 * :mod:`tests.oracles.graph` — the networkx §4.5 analyses plus a
   :func:`~tests.oracles.graph.to_networkx` converter for CSR graphs;
-* :mod:`tests.oracles.serve` — the record-dict serve toxicity summaries;
+* :mod:`tests.oracles.serve` — the record-dict serve toxicity summaries
+  and the dict-built thread payload;
 * :mod:`tests.oracles.perspective` — per-text Perspective scoring, the
   reference for the batch featurizer;
 * :mod:`tests.oracles.langid` — dict-per-language language

@@ -1,9 +1,10 @@
-"""Record-dict reference implementations of the serve toxicity summaries.
+"""Record-dict reference implementations of serve payloads.
 
 ``ServeApp`` slices the sealed store's score column through the memoised
-URL/author group indexes; these functions score each comment's text
-through the score store instead, walking the record-dict indexes — the
-path the column slices replaced.  Each returns the JSON payload the
+URL/author group indexes; the summary functions here score each
+comment's text through the score store instead, walking the record-dict
+indexes — the path the column slices replaced.  :func:`thread_payload`
+builds a thread page as a dict.  Each returns the JSON payload the
 matching endpoint serves.
 """
 
@@ -13,7 +14,7 @@ from repro.core.scoring import ScoreStore
 from repro.serve.api import DEFAULT_ATTRIBUTE, _score_summary
 from repro.store import CorpusStore
 
-__all__ = ["summary_url_payload", "summary_user_payload"]
+__all__ = ["summary_url_payload", "summary_user_payload", "thread_payload"]
 
 
 def summary_url_payload(
@@ -50,4 +51,37 @@ def summary_user_payload(
         "username": username,
         "attribute": attribute,
         **_score_summary(scores),
+    }
+
+
+def thread_payload(
+    corpus: CorpusStore, commenturl_id: str, page_size: int
+) -> dict | None:
+    """``/api/thread/{commenturl_id}``'s payload as a dict (None: unknown).
+
+    The handler writes this payload's ``json.dumps`` bytes field by
+    field; this is the dict it used to build and encode.
+    """
+    url = corpus.urls.get(commenturl_id)
+    if url is None:
+        return None
+    comments = corpus.comments_by_url().get(commenturl_id, [])
+    page = [
+        {
+            "comment_id": c.comment_id,
+            "author_id": c.author_id,
+            "text": c.text,
+            "created_at": c.created_at_epoch,
+            "reply": bool(c.parent_comment_id),
+        }
+        for c in comments[:page_size]
+    ]
+    return {
+        "commenturl_id": commenturl_id,
+        "url": url.url,
+        "title": url.title,
+        "upvotes": url.upvotes,
+        "downvotes": url.downvotes,
+        "total_comments": len(comments),
+        "comments": page,
     }
