@@ -5,7 +5,7 @@ bit-identity guarantee (corpus/stats/checkpoints identical across
 ``--connections``, kill→resume chains and ``--workers``):
 
 ========  ==============================================================
-DET001    wall-clock access outside ``net/clock.py``
+DET001    wall-clock access (components take an injected ``Clock``)
 DET002    unseeded randomness (stdlib ``random`` or numpy global state)
 DET003    iteration over an unordered ``set``/``frozenset``/``.keys()``
 DET004    set construction inside a serializer (checkpoint/report bytes)
@@ -46,15 +46,8 @@ class Checker:
     name: str = ""
     rationale: str = ""
     hint: str = ""
-    #: path suffixes (posix) where this checker never fires.
-    allowed_paths: tuple[str, ...] = ()
-
-    def is_exempt(self, module: ParsedModule) -> bool:
-        return any(module.path.endswith(suffix) for suffix in self.allowed_paths)
 
     def check(self, module: ParsedModule) -> Iterator[Finding]:
-        if self.is_exempt(module):
-            return
         yield from self.visit(module)
 
     def visit(self, module: ParsedModule) -> Iterator[Finding]:
@@ -119,8 +112,6 @@ class WallClockChecker(Checker):
         "take a repro.net.clock.Clock parameter and call clock.now() / "
         "clock.sleep()"
     )
-    allowed_paths = ("repro/net/clock.py",)
-
     _WALL = frozenset({
         "time.time", "time.time_ns", "time.monotonic", "time.monotonic_ns",
         "time.perf_counter", "time.perf_counter_ns", "time.process_time",
@@ -142,7 +133,7 @@ class WallClockChecker(Checker):
             if target in self._WALL:
                 yield module.finding(
                     self.code, node,
-                    f"wall-clock call {target}() outside net/clock.py",
+                    f"wall-clock call {target}()",
                     self.hint,
                 )
             elif (

@@ -410,7 +410,6 @@ class _FunctionTaint:
         self.param_to_return: set[str] = set()
         self.param_sinks: dict[str, tuple[ChainStep, ...]] = {}
         self.is_sink = function.name in _SINK_FUNCTIONS
-        self._source_exempt = function.path.endswith("repro/net/clock.py")
 
     # -- plumbing -------------------------------------------------------
 
@@ -580,7 +579,7 @@ class _FunctionTaint:
 
     def _name_taints(self, name: str) -> TaintSet:
         taints = self.env.get(name, _EMPTY)
-        if taints or self._source_exempt:
+        if taints:
             return taints
         module_env = self.engine.module_globals.get(self.function.module)
         if module_env is not None:
@@ -643,8 +642,6 @@ class _FunctionTaint:
 
     def _reference_taint(self, expr: ast.expr) -> TaintSet:
         """fn-taint for a bare reference to a nondeterministic callable."""
-        if self._source_exempt:
-            return _EMPTY
         dotted = self.engine.table.resolve_dotted(expr, self.resolver.imports)
         if dotted is None:
             return _EMPTY
@@ -725,7 +722,7 @@ class _FunctionTaint:
             return _EMPTY
 
         # Direct nondeterminism source.
-        if dotted is not None and not self._source_exempt:
+        if dotted is not None:
             classified = _classify_call(dotted, has_args)
             if classified is not None:
                 kind, label = classified

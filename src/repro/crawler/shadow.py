@@ -34,9 +34,12 @@ from repro.net.client import HttpClient
 from repro.net.cookies import CookieJar
 from repro.net.http import Response
 from repro.net.pool import FetchPool
-from repro.platform.apps.dissenter_app import DissenterApp
 
-if TYPE_CHECKING:   # runtime import would cycle through the crawler package
+if TYPE_CHECKING:
+    # The origin app is an annotation only: importing it at run time
+    # loads the world generators into every ``import repro.store``.
+    from repro.platform.apps.dissenter_app import DissenterApp
+    # A runtime import would cycle through the crawler package.
     from repro.store.corpus import CorpusStore
 
 __all__ = ["PASS_NAMES", "SHADOW_PASSES", "ShadowCrawler", "ShadowCrawlReport", "ShadowState"]

@@ -23,6 +23,7 @@ __all__ = [
     "Headers",
     "Request",
     "Response",
+    "encode_json",
     "parse_delay_seconds",
     "split_domains",
     "split_url",
@@ -47,6 +48,13 @@ REASON_PHRASES: dict[int, str] = {
 }
 
 
+#: ``json.dumps(payload)`` with default options, without its circular-
+#: reference check: JSON responses are built from fresh payloads, so one
+#: shared encoder writes the same bytes for less (a cyclic payload is a
+#: RecursionError here, not a ValueError).
+encode_json = _json.JSONEncoder(check_circular=False).encode
+
+
 class Headers:
     """Case-insensitive header map preserving insertion order.
 
@@ -60,6 +68,8 @@ class Headers:
     def __init__(self, items: Mapping[str, str] | Iterable[tuple[str, str]] = ()) -> None:
         self._items: list[tuple[str, str]] = []
         self._keys: list[str] = []
+        if not items:   # the per-request default: skip the ABC check
+            return
         if isinstance(items, (dict, Mapping)):
             items = items.items()
         for name, value in items:
@@ -250,7 +260,10 @@ class Request:
     @property
     def query(self) -> dict[str, str]:
         """Query parameters (last value wins on duplicates)."""
-        return dict(parse_qsl(self.parts.query, keep_blank_values=True))
+        query = self.parts.query
+        if not query:
+            return {}
+        return dict(parse_qsl(query, keep_blank_values=True))
 
     @property
     def scheme(self) -> str:
@@ -326,12 +339,15 @@ class Response:
 
     @classmethod
     def json_response(cls, payload: Any, status: int = 200) -> "Response":
-        headers = Headers({"Content-Type": "application/json"})
-        return cls(
-            status=status,
-            headers=headers,
-            body=_json.dumps(payload).encode("utf-8"),
-        )
+        return cls.json_text(encode_json(payload), status)
+
+    @classmethod
+    def json_text(cls, text: str, status: int = 200) -> "Response":
+        """A JSON response around already-encoded (ASCII) JSON text."""
+        headers = Headers.__new__(Headers)
+        headers._items = [("Content-Type", "application/json")]
+        headers._keys = ["content-type"]
+        return cls(status=status, headers=headers, body=text.encode("utf-8"))
 
     @classmethod
     def not_found(cls, message: str = "Not Found") -> "Response":

@@ -165,8 +165,12 @@ class App:
         When ``deterministic_render`` is set this must be pure in the
         request, which lets the transport cache the result.
         """
+        return self.route(request, request.method, request.path)
+
+    def route(self, request: Request, method: str, path: str) -> Response:
+        """:meth:`render` for a caller that already read the method and path."""
         for route in self._routes:
-            params = route.match(request.method, request.path)
+            params = route.match(method, path)
             if params is not None:
                 if route.own:
                     response = route.handler(self, request, params)

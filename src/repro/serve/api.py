@@ -35,18 +35,23 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+from json.encoder import encode_basestring_ascii as _escape
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.net.clock import Clock
-from repro.net.http import Request, Response
+from repro.net.http import Request, Response, encode_json
 from repro.net.ratelimit import KeyedRateLimiter
 from repro.net.router import App
 from repro.serve.cache import RenderCache
 from repro.store import CorpusStore
 from repro.store.columns import columns_of
 
-__all__ = ["ServeApp", "corpus_manifest_hash"]
+if TYPE_CHECKING:
+    from repro.crawler.records import CrawledComment, CrawledUrl
+
+__all__ = ["ServeApp", "corpus_manifest_hash", "thread_json"]
 
 #: Default Perspective attribute for the summary endpoints (§4.5.1's
 #: hateful-core criterion scores SEVERE_TOXICITY medians).
@@ -84,11 +89,62 @@ def _score_summary(scores: np.ndarray) -> dict:
 
     return {
         "count": n,
-        "mean": float(scores.mean()),
+        # ndarray.mean is this sum and division behind a Python-level
+        # wrapper that costs more than both on a thread-sized slice.
+        "mean": float(np.add.reduce(scores) / n),
         "median": quantile(0.5),
         "p90": quantile(0.9),
         "max": float(ordered[-1]),
     }
+
+
+def thread_json(
+    commenturl_id: str,
+    url: CrawledUrl,
+    comments: list[CrawledComment],
+    page_size: int,
+) -> str:
+    """The ``/api/thread/{commenturl_id}`` body, written field by field.
+
+    The same text as ``json.dumps`` of the payload dict built in
+    ``tests/oracles/serve.py`` (``thread_payload``).  A comment row whose
+    ids and text are exact ``str`` and whose timestamp is an exact
+    ``int`` is written directly; any other row, and the page header, go
+    through the shared encoder as the dict they stand for.
+    """
+    head = encode_json({
+        "commenturl_id": commenturl_id,
+        "url": url.url,
+        "title": url.title,
+        "upvotes": url.upvotes,
+        "downvotes": url.downvotes,
+        "total_comments": len(comments),
+    })
+    rows = []
+    append = rows.append
+    for c in comments[:page_size]:
+        comment_id, author_id, text = c.comment_id, c.author_id, c.text
+        created = c.created_at_epoch
+        reply = bool(c.parent_comment_id)
+        if (type(comment_id) is str and type(author_id) is str
+                and type(text) is str and type(created) is int):
+            # An exact int formats as its repr, as the encoder writes it.
+            flag = "true" if reply else "false"
+            append(
+                f'{{"comment_id": {_escape(comment_id)}, '
+                f'"author_id": {_escape(author_id)}, '
+                f'"text": {_escape(text)}, '
+                f'"created_at": {created}, "reply": {flag}}}'
+            )
+        else:
+            append(encode_json({
+                "comment_id": comment_id,
+                "author_id": author_id,
+                "text": text,
+                "created_at": created,
+                "reply": reply,
+            }))
+    return head[:-1] + ', "comments": [' + ", ".join(rows) + "]}"
 
 
 class ServeApp(App):
@@ -213,20 +269,25 @@ class ServeApp(App):
     # ------------------------------------------------------------------
 
     def render(self, request: Request) -> Response:
-        if request.path == "/api/status":
+        parts = request.parts
+        method = request.method
+        path = parts.path or "/"
+        if path == "/api/status":
             # Live counters: caching would freeze them.
-            return super().render(request)
+            return self.route(request, method, path)
+        # A URL without a query (or with a bare "?") has the key an
+        # empty query parses to: most requests skip the parse.
         key = (
-            request.method,
-            request.path,
-            tuple(sorted(request.query.items())),
+            method,
+            path,
+            tuple(sorted(request.query.items())) if parts.query else (),
             self._manifest_hash,
         )
         master = self._cache.get(key)
         if master is not None:
             self._clock.advance(self.CACHE_HIT_COST)
             return self._shell(master, "HIT", request)
-        master = super().render(request)
+        master = self.route(request, method, path)
         self._clock.advance(
             self.RENDER_COST_BASE
             + self.RENDER_COST_PER_KB * len(master.body) / 1024.0
@@ -240,10 +301,11 @@ class ServeApp(App):
         """A per-request response around the shared cached body.
 
         The transport mutates ``.elapsed``/``.url`` on what it returns,
-        so cache entries must never be handed out directly.
+        so cache entries must never be handed out directly.  No handler
+        sets ``X-Cache``, so it is appended, not replaced.
         """
         headers = master.headers.copy()
-        headers.set("X-Cache", disposition)
+        headers.add("X-Cache", disposition)
         return Response(
             status=master.status,
             headers=headers,
@@ -282,26 +344,9 @@ class ServeApp(App):
         if url is None:
             return Response.json_response({"error": "unknown url id"}, 404)
         comments = self._corpus.comments_by_url().get(cid, [])
-        page = [
-            {
-                "comment_id": c.comment_id,
-                "author_id": c.author_id,
-                "text": c.text,
-                "created_at": c.created_at_epoch,
-                "reply": bool(c.parent_comment_id),
-            }
-            for c in comments[: self.THREAD_PAGE_SIZE]
-        ]
-        payload = {
-            "commenturl_id": cid,
-            "url": url.url,
-            "title": url.title,
-            "upvotes": url.upvotes,
-            "downvotes": url.downvotes,
-            "total_comments": len(comments),
-            "comments": page,
-        }
-        return Response.json_response(payload)
+        return Response.json_text(
+            thread_json(cid, url, comments, self.THREAD_PAGE_SIZE)
+        )
 
     def _url_lookup(self, request: Request, params: dict[str, str]) -> Response:
         target = request.query.get("url")

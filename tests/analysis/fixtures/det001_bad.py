@@ -1,4 +1,4 @@
-"""DET001 bad fixture: wall-clock reads outside net/clock.py."""
+"""DET001 bad fixture: wall-clock reads."""
 
 import time
 from datetime import datetime

@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from repro.analysis import analyze_paths
+from repro.analysis.engine import analyze_source
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -29,6 +30,13 @@ def test_det001_bad_flags_every_wall_clock_read():
 
 def test_det001_good_is_clean():
     assert run_fixture("det001_good.py") == []
+
+
+def test_det001_has_no_exempt_module():
+    """The clock module reads no host clock, so it gets no exemption."""
+    source = "import time\n\n\ndef now() -> float:\n    return time.monotonic()\n"
+    findings = analyze_source(source, "src/repro/net/clock.py")
+    assert [(f.code, f.line) for f in findings] == [("DET001", 5)]
 
 
 def test_det001_findings_carry_hint_and_message():

@@ -252,6 +252,17 @@ def test_json_dumps_is_a_sink_anywhere():
     assert [f.code for f in findings] == ["CONC102"]
 
 
+def test_clock_module_sources_are_tracked():
+    """A host-clock read in the clock module taints what it reaches."""
+    findings = project_from_source(
+        "import json, time\n"
+        "def stamp() -> str:\n"
+        "    return json.dumps({'at': time.monotonic()})\n",
+        path="src/repro/net/clock.py",
+    )
+    assert [f.code for f in findings] == ["DET101"]
+
+
 def test_fresh_stats_initialization_not_flagged():
     findings = project_from_source(
         "import threading\n"

@@ -11,6 +11,7 @@ matching endpoint serves.
 from __future__ import annotations
 
 from repro.core.scoring import ScoreStore
+from repro.crawler.records import CrawledComment, CrawledUrl
 from repro.serve.api import DEFAULT_ATTRIBUTE, _score_summary
 from repro.store import CorpusStore
 
@@ -55,17 +56,16 @@ def summary_user_payload(
 
 
 def thread_payload(
-    corpus: CorpusStore, commenturl_id: str, page_size: int
-) -> dict | None:
-    """``/api/thread/{commenturl_id}``'s payload as a dict (None: unknown).
+    commenturl_id: str,
+    url: CrawledUrl,
+    comments: list[CrawledComment],
+    page_size: int,
+) -> dict:
+    """``/api/thread/{commenturl_id}``'s payload, as the dict it once was.
 
-    The handler writes this payload's ``json.dumps`` bytes field by
-    field; this is the dict it used to build and encode.
+    ``repro.serve.api.thread_json`` writes this dict's ``json.dumps``
+    text field by field, from the same arguments.
     """
-    url = corpus.urls.get(commenturl_id)
-    if url is None:
-        return None
-    comments = corpus.comments_by_url().get(commenturl_id, [])
     page = [
         {
             "comment_id": c.comment_id,

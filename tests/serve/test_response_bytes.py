@@ -17,12 +17,15 @@ import hashlib
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.scoring import ScoreStore
 from repro.crawler.records import CrawledComment, CrawledUrl
 from repro.net.http import Request, Response
 from repro.perspective.models import PerspectiveModels
 from repro.serve import ServeApp
+from repro.serve.api import thread_json
 from repro.store import CorpusStore
 
 from tests.oracles.serve import thread_payload
@@ -237,9 +240,11 @@ def test_every_response_matches_pinned_digest(gate, odd_store):
 def test_thread_bodies_equal_the_oracle_payload(odd_store):
     store = odd_store
     _, transport, _ = mount(store)
-    for cid in store.urls:
+    by_url = store.comments_by_url()
+    for cid, url in store.urls.items():
         response = get(transport, f"{BASE}/api/thread/{cid}")
-        payload = thread_payload(store, cid, ServeApp.THREAD_PAGE_SIZE)
+        payload = thread_payload(cid, url, by_url.get(cid, []),
+                                 ServeApp.THREAD_PAGE_SIZE)
         assert response.body == json.dumps(payload).encode("utf-8")
     long_thread = json.loads(get(transport, f"{BASE}/api/thread/0101feed").body)
     assert len(long_thread["comments"]) == ServeApp.THREAD_PAGE_SIZE
@@ -281,3 +286,81 @@ class TestQueryKey:
         bare = get(transport, f"{BASE}/api/thread/0001feed?")
         assert bare.headers.get("X-Cache") == "HIT"
         assert len(app.cache) == 1
+
+
+# Text that exercises every escape: lone surrogates, C0 controls, DEL,
+# U+2028/U+2029, quotes and backslashes, non-BMP characters.
+_TEXT = st.text(
+    st.one_of(
+        st.characters(min_codepoint=0, max_codepoint=0x10FFFF),
+        st.sampled_from(["\ud800", "\udfff", "\x00", "\x1f", "\x7f", "\u2028",
+                         "\u2029", '"', "\\", "/", "é", "\U0001f600"]),
+    ),
+    max_size=20,
+)
+
+
+class _Label(str):
+    """A ``str`` subclass: not an exact ``str``, so never on the fast path."""
+
+
+class _Count(int):
+    """An ``int`` subclass, likewise."""
+
+
+# What a field may hold if a caller breaks the annotation: the dict
+# payload encoded (or refused) any of these, and the direct writer must
+# write the same text (or raise the same error).
+_ANY = st.one_of(
+    _TEXT,
+    _TEXT.map(_Label),
+    st.none(),
+    st.integers(),
+    st.integers(min_value=-(10**300), max_value=10**300),
+    st.integers().map(_Count),
+    st.booleans(),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.lists(st.integers(), max_size=3),
+    st.dictionaries(_TEXT, st.integers(), max_size=2),
+    st.just(b"bytes"),   # not JSON: both must raise the same error
+)
+_COMMENTS = st.lists(
+    st.builds(
+        CrawledComment,
+        comment_id=st.one_of(_TEXT, _ANY),
+        author_id=st.one_of(_TEXT, _ANY),
+        commenturl_id=_TEXT,
+        text=st.one_of(_TEXT, _ANY),
+        parent_comment_id=st.one_of(st.none(), _TEXT, st.integers()),
+        created_at_epoch=st.one_of(st.integers(), _ANY),
+        shadow_label=st.none(),
+    ),
+    max_size=8,
+)
+
+
+def _outcome(encode, *args):
+    try:
+        return encode(*args)
+    except (TypeError, ValueError) as exc:
+        return (type(exc).__name__,)
+
+
+@settings(max_examples=300)
+@given(
+    commenturl_id=_TEXT,
+    url=st.builds(CrawledUrl, commenturl_id=_TEXT, url=st.one_of(_TEXT, _ANY),
+                  title=st.one_of(_TEXT, _ANY), description=_TEXT,
+                  upvotes=_ANY, downvotes=st.one_of(st.integers(), _ANY)),
+    comments=_COMMENTS,
+    page_size=st.integers(min_value=0, max_value=10),
+)
+def test_thread_json_matches_the_dict_payload(
+    commenturl_id, url, comments, page_size
+):
+    assert _outcome(
+        thread_json, commenturl_id, url, comments, page_size
+    ) == _outcome(
+        lambda *args: json.dumps(thread_payload(*args)),
+        commenturl_id, url, comments, page_size,
+    )
