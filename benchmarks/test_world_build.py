@@ -2,16 +2,20 @@
 
 Every ``repro`` command builds a synthetic world before it crawls,
 scores or serves, and most of the build is per-word text generation.
-The generators draw each word through ``repro.platform.draws``, which
-makes the same bit-generator calls as ``Generator.choice`` without its
-per-call overhead.  This bench times ``build_world`` at scales 0.002 and
-0.01 and asserts both worlds' golden digests, so a faster build is only
-recorded if it builds byte-identical worlds.  It has no timing assert.
+The generators draw each word through ``repro.platform.draws``, whose
+kernel calls the bit generator's ``next_uint32``/``next_double`` and
+does numpy's arithmetic on the results, so it makes the same draws as
+the numpy calls it replaces without their per-call overhead.  This
+bench times ``build_world`` at scales 0.002 and 0.01 and asserts both
+worlds' golden digests, so a faster build is only recorded if it builds
+byte-identical worlds.  It has no timing assert.
 
-``PARENT_S`` holds the build times of the ``rng.choice``-per-word
-generators: the median over three runs of this bench on a 2-core x86-64
-VM (Python 3.11, numpy 2.4).  That host's speed swings by up to a
-quarter between runs, and a recorded ratio inherits that spread.
+``PARENT_S`` holds the build times with one numpy call per draw
+(``rng.integers``/``rng.random`` per word, numpy float64 word-class
+mixes): the median over three runs of this bench, interleaved with
+three runs of the kernel, on a 2-core x86-64 VM (Python 3.11, numpy
+2.4).  That host's speed swings by up to a quarter between runs, and a
+recorded ratio inherits that spread.
 """
 
 import os
@@ -31,8 +35,8 @@ GOLDEN = {
     0.01: "f00d19c87d75ce333539d2aded52ad9515e97fbc5ec64e9f965a5aa0cc3fd3cd",
 }
 
-#: scale -> best-of-REPEATS build seconds before the draw helpers.
-PARENT_S = {0.002: 5.86, 0.01: 12.52}
+#: scale -> best-of-REPEATS build seconds with one numpy call per draw.
+PARENT_S = {0.002: 1.76, 0.01: 4.07}
 
 
 def _best_build(scale: float) -> tuple[float, str]:
@@ -65,7 +69,7 @@ def test_world_build_time_and_digest():
     lines.append(row("world digests identical", "yes", "yes"))
     record(
         "world_build",
-        "R4 — seeded world build time (draw helpers vs rng.choice per word)",
+        "R4 — seeded world build time (draw kernel vs one numpy call per draw)",
         lines,
         context={"seed": SEED, "repeats": REPEATS, "cpus": os.cpu_count()},
     )

@@ -36,15 +36,6 @@ __all__ = [
     "parse_youtube_page",
 ]
 
-_DISPLAY_NAME_RE = re.compile(r'<h1 class="display-name">(.*?)</h1>', re.DOTALL)
-_USERNAME_RE = re.compile(r'<span class="username">@(.*?)</span>')
-_AUTHOR_ID_RE = re.compile(r'<meta name="author-id" content="([0-9a-f]{24})">')
-_BIO_RE = re.compile(r'<p class="bio">(.*?)</p>', re.DOTALL)
-_URL_ITEM_RE = re.compile(
-    r'<li class="commented-url"><a href="/discussion/([0-9a-f]{24})">'
-)
-
-
 class _PrefixedPattern:
     """A regex that starts with a literal prefix, searched by that prefix.
 
@@ -93,6 +84,19 @@ class _PrefixedPattern:
         return self.regex.finditer(body, start)
 
 
+# A Dissenter home page: the user's fields and commented-URL list.
+_DISPLAY_NAME_RE = _PrefixedPattern(
+    '<h1 class="display-name">', r"(.*?)</h1>", re.DOTALL
+)
+_USERNAME_RE = _PrefixedPattern('<span class="username">@', r"(.*?)</span>")
+_AUTHOR_ID_RE = _PrefixedPattern(
+    '<meta name="author-id" content="', r'([0-9a-f]{24})">'
+)
+_BIO_RE = _PrefixedPattern('<p class="bio">', r"(.*?)</p>", re.DOTALL)
+_URL_ITEM_RE = _PrefixedPattern(
+    '<li class="commented-url"><a href="/discussion/', r'([0-9a-f]{24})">'
+)
+
 # A discussion page: its URL-level fields and its comment blocks.
 _TITLE_RE = _PrefixedPattern('<h1 class="page-title">', r"(.*?)</h1>", re.DOTALL)
 _DESCRIPTION_RE = _PrefixedPattern(
@@ -135,7 +139,7 @@ def parse_user_page(body: str) -> CrawledUser | None:
         author_id=author_id.group(1),
         display_name=_unescape(display.group(1)) if display else "",
         bio=_unescape(bio.group(1)) if bio else "",
-        commented_url_ids=_URL_ITEM_RE.findall(body),
+        commented_url_ids=[m.group(1) for m in _URL_ITEM_RE.finditer(body)],
     )
 
 

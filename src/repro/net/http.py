@@ -155,14 +155,18 @@ def parse_delay_seconds(value: str) -> float | None:
 # fall exactly where urlsplit cuts: the netloc runs to the first of
 # "/?#", so a path is empty or starts with "/"; the path runs to the
 # first "?" or "#", the query to the first "#", and the fragment takes
-# the rest.
-_NOT_VISIBLE = r"\x00-\x20\x7f-\U0010ffff"
+# the rest.  Each class lists the visible ASCII range "!"-"~" (0x21-0x7e)
+# less the delimiters that end its part.
+_NETLOC = r'[!"$-.0->@-Z\\^-~]'      # no / ? # [ ]
+_PATH = r'[!-"$->@-~]'                # no ? #
+_QUERY = r'[!-"$-~]'                  # no #
+_FRAGMENT = r"[!-~]"
 _PLAIN_URL_RE = re.compile(
     r"(https?)://"
-    rf"([^{_NOT_VISIBLE}/?#\[\]]*)"
-    rf"((?:/[^{_NOT_VISIBLE}?#]*)?)"
-    rf"(?:\?([^{_NOT_VISIBLE}#]*))?"
-    rf"(?:#([^{_NOT_VISIBLE}]*))?\Z"
+    rf"({_NETLOC}*)"
+    rf"((?:/{_PATH}*)?)"
+    rf"(?:\?({_QUERY}*))?"
+    rf"(?:#({_FRAGMENT}*))?\Z"
 )
 
 

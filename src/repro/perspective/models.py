@@ -89,11 +89,16 @@ def _jitter(texts: Sequence[str], salt: str, width: float = 0.08) -> np.ndarray:
 
     Each value is the first 8 bytes of a blake2b digest of ``salt``,
     a unit separator and the text, read as an unsigned 64-bit fraction
-    of 2**64.
+    of 2**64.  The text is UTF-8 with ``surrogatepass``, as in
+    ``caps_ratio``: a lone surrogate (which ``json.loads`` yields from a
+    ``\\ud800`` escape) hashes instead of raising, and any other text
+    keeps its bytes.
     """
     prefix = (salt + "\x1f").encode("utf-8")
     digests = b"".join(
-        hashlib.blake2b(prefix + text.encode("utf-8"), digest_size=8).digest()
+        hashlib.blake2b(
+            prefix + text.encode("utf-8", "surrogatepass"), digest_size=8
+        ).digest()
         for text in texts
     )
     u = np.frombuffer(digests, dtype=">u8").astype(np.float64) / 2.0**64

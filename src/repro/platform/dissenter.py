@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.platform.config import WorldConfig
+from repro.platform.draws import Draws
 from repro.platform.entities import (
     Comment,
     CommentUrl,
@@ -330,16 +331,16 @@ def _build_comments(
 
     url_probs = urls.weights / urls.weights.sum()
     url_list = urls.urls
+    draws = Draws(rng)
 
     comments: list[Comment] = []
     for user in active:
         user.became_active = True
         count = max(1, int(user.activity_weight))
         url_picks = rng.choice(len(url_list), size=count, p=url_probs)
-        for pick in url_picks:
-            url = url_list[int(pick)]
+        for pick in url_picks.tolist():
             comments.append(_make_comment(
-                config, rng, user, url, urls, ids, textgen,
+                config, draws, user, url_list[pick], urls, ids, textgen,
             ))
 
     # --- thread structure: convert a fraction into replies ----------------
@@ -351,17 +352,17 @@ def _build_comments(
             continue
         ordered = sorted(indices, key=lambda i: comments[i].created_at)
         for position in range(1, len(ordered)):
-            if rng.random() < REPLY_FRACTION:
+            if draws.random() < REPLY_FRACTION:
                 child = comments[ordered[position]]
-                parent_pos = int(rng.integers(0, position))
+                parent_pos = draws.integers(0, position)
                 child.parent_comment_id = comments[ordered[parent_pos]].comment_id
 
     # --- the pathological mega-comment (§3.2) ------------------------------
     youtube_urls = [u for u in url_list if u.category == "youtube"]
     if youtube_urls and comments:
-        target_url = youtube_urls[int(rng.integers(0, len(youtube_urls)))]
-        author = active[int(rng.integers(0, len(active)))]
-        mega = _make_comment(config, rng, author, target_url, urls, ids, textgen)
+        target_url = draws.pick(youtube_urls)
+        author = draws.pick(active)
+        mega = _make_comment(config, draws, author, target_url, urls, ids, textgen)
         mega.text = "ha " * 45_000
         mega.nsfw = False
         mega.offensive = False
@@ -373,22 +374,23 @@ def _build_comments(
 
 def _make_comment(
     config: WorldConfig,
-    rng: np.random.Generator,
+    draws: Draws,
     user: DissenterUser,
     url: CommentUrl,
     urls: UrlUniverse,
     ids: ObjectIdFactory,
     textgen: CommentTextGenerator,
 ) -> Comment:
-    created = url.first_seen + rng.random() * max(
+    created = url.first_seen + draws.random() * max(
         60.0, config.crawl_time - url.first_seen - 60.0
     )
     created = max(created, user.created_at + 30.0)
 
-    roll = rng.random()
+    roll = draws.random()
     nsfw = roll < NSFW_COMMENT_RATE
     offensive = NSFW_COMMENT_RATE <= roll < NSFW_COMMENT_RATE + OFFENSIVE_COMMENT_RATE
 
+    rng = draws.rng
     if offensive:
         latent = sample_offensive_latent(rng)
     elif nsfw:

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.platform.config import WorldConfig
-from repro.platform.draws import pick
+from repro.platform.draws import Draws
 from repro.platform.entities import GabAccount
 
 __all__ = ["GabUniverse", "build_gab_universe"]
@@ -83,11 +83,11 @@ class GabUniverse:
         return [a for a in self.accounts if a.has_dissenter]
 
 
-def _make_username(rng: np.random.Generator, used: set[str]) -> str:
+def _make_username(draws: Draws, used: set[str]) -> str:
     while True:
-        name = pick(rng, _ADJECTIVES) + pick(rng, _NOUNS)
-        if rng.random() < 0.7:
-            name += str(int(rng.integers(1, 10_000)))
+        name = draws.pick(_ADJECTIVES) + draws.pick(_NOUNS)
+        if draws.random() < 0.7:
+            name += str(draws.integers(1, 10_000))
         if name not in used:
             used.add(name)
             return name
@@ -114,6 +114,7 @@ def build_gab_universe(
     """Generate the Gab account population."""
     count = config.n_gab_accounts
     times = _creation_times(config, rng, count)
+    draws = Draws(rng)
     paper = config.paper
 
     # Two reserved blocks whose IDs are assigned late (Fig. 2 anomalies).
@@ -161,7 +162,7 @@ def build_gab_universe(
         if special is not None:
             _, username, display_name = special
         else:
-            username = _make_username(rng, used_names)
+            username = _make_username(draws, used_names)
             display_name = username.capitalize()
 
         adoption_multiplier = (
@@ -169,7 +170,7 @@ def build_gab_universe(
         )
         has_dissenter = (
             created_at < config.crawl_time
-            and rng.random() < dissenter_fraction * adoption_multiplier
+            and draws.random() < dissenter_fraction * adoption_multiplier
         )
         # Founder accounts are Dissenter users (they hold the admin flags).
         if special is not None and gab_id in (2, 3):
@@ -177,14 +178,14 @@ def build_gab_universe(
 
         is_deleted = False
         if has_dissenter and special is None:
-            is_deleted = rng.random() < deleted_dissenter_fraction
+            is_deleted = draws.random() < deleted_dissenter_fraction
         elif not has_dissenter and special is None:
-            is_deleted = rng.random() < 0.005
+            is_deleted = draws.random() < 0.005
 
         # Roughly a third of accounts ever post on Gab proper — the gap
         # between prior work's 336k posted-user census and the 1.3M the
         # exhaustive ID enumeration uncovers (§3.1).
-        has_posted = bool(rng.random() < 0.35) and not is_deleted
+        has_posted = draws.random() < 0.35 and not is_deleted
         accounts.append(
             GabAccount(
                 gab_id=gab_id,

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.platform.draws import pick, pick_many
+from repro.platform.draws import Draws
 from repro.platform.gab import GabUniverse
 
 __all__ = ["SocialGraph", "build_social_graph"]
@@ -171,12 +171,13 @@ def build_social_graph(
     # Sprinkle in non-Dissenter Gab accounts so the induced-subgraph
     # filtering step of the analysis is real work.
     if non_dissenter_ids:
+        draws = Draws(rng)
         for gab_id in participants:
-            n_outside = int(rng.integers(0, 4))
-            for target in pick_many(rng, non_dissenter_ids, n_outside):
+            n_outside = draws.integers(0, 4)
+            for target in draws.pick_many(non_dissenter_ids, n_outside):
                 graph.add_edge(gab_id, target)
-            if rng.random() < 0.3:
-                graph.add_edge(pick(rng, non_dissenter_ids), gab_id)
+            if draws.random() < 0.3:
+                graph.add_edge(draws.pick(non_dissenter_ids), gab_id)
 
     # Plant the hateful-core component structure.
     for group in planted_core or []:

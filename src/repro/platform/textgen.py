@@ -17,6 +17,8 @@ real classification task.
 
 from __future__ import annotations
 
+from bisect import bisect_right
+
 import numpy as np
 
 from repro.nlp.langid import SEED_CORPORA
@@ -28,7 +30,7 @@ from repro.nlp.lexicons import (
     RUDE_VOCAB,
     hate_vocab,
 )
-from repro.platform.draws import WeightedPicker, pick, pick_many, weighted_indices
+from repro.platform.draws import Draws, WeightedPicker, checked_cdf
 from repro.platform.entities import CommentLatent
 
 __all__ = ["CommentTextGenerator", "EMISSION"]
@@ -83,6 +85,24 @@ _FOREIGN_VOCABS: dict[str, tuple[str, ...]] = {
 }
 
 
+def class_probs(latent: CommentLatent) -> list[float]:
+    """A comment's word-class mix: offensive, obscene, hate, rude, benign.
+
+    numpy adds fewer than eight float64 values left to right, as these
+    sums do, so the values have the bits of the float64 array expression
+    they replace (builtin ``sum()`` compensates on Python 3.12+).
+    """
+    p = [
+        EMISSION.offensive_rate(latent),
+        EMISSION.obscene_rate(latent),
+        EMISSION.hate_rate(latent),
+        EMISSION.rude_rate(latent),
+    ]
+    p.append(max(0.05, 1.0 - (p[0] + p[1] + p[2] + p[3])))
+    total = p[0] + p[1] + p[2] + p[3] + p[4]
+    return [value / total for value in p]
+
+
 class CommentTextGenerator:
     """Generates comment text from latent vectors.
 
@@ -93,7 +113,7 @@ class CommentTextGenerator:
     """
 
     def __init__(self, rng: np.random.Generator, mean_tokens: float = 16.0):
-        self._rng = rng
+        self._draws = Draws(rng)
         self._mean_tokens = mean_tokens
         # Zipfian benign-word frequencies: BENIGN_VOCAB is ordered
         # function-words-first, so rank weighting makes "the"/"is"/"and"
@@ -103,8 +123,8 @@ class CommentTextGenerator:
         benign_probs = (1.0 / (ranks + 4.0))
         benign_probs /= benign_probs.sum()
         self._benign_picker = WeightedPicker(BENIGN_VOCAB, benign_probs)
-        # Word-class pools in the order of the class probabilities below;
-        # class 4 (benign) is drawn Zipf-weighted, the rest uniformly.
+        # Word-class pools in the order of class_probs; class 4 (benign)
+        # is drawn Zipf-weighted, the rest uniformly.
         self._pools: tuple[tuple[str, ...], ...] = (
             OFFENSIVE_VOCAB, OBSCENE_VOCAB, tuple(hate_vocab()), RUDE_VOCAB,
         )
@@ -113,35 +133,33 @@ class CommentTextGenerator:
         """Emit one comment's text."""
         if language != "en":
             return self._generate_foreign(language)
-        rng = self._rng
+        draws = self._draws
+        rng = draws.rng
         length = max(3, int(rng.poisson(self._mean_tokens)))
 
-        rates = np.asarray([
-            EMISSION.offensive_rate(latent),
-            EMISSION.obscene_rate(latent),
-            EMISSION.hate_rate(latent),
-            EMISSION.rude_rate(latent),
-        ])
-        benign_rate = max(0.05, 1.0 - rates.sum())
-        probs = np.concatenate([rates, [benign_rate]])
-        probs = probs / probs.sum()
+        cdf = checked_cdf(class_probs(latent))
 
+        # All class draws come first, as one random(length) call (cheaper
+        # than length single draws), then one draw per word.
         pools = self._pools
         benign = self._benign_picker.pick
-        words = [
-            benign(rng) if c == 4 else pick(rng, pools[c])
-            for c in weighted_indices(rng, probs, length).tolist()
-        ]
+        pick = draws.pick
+        words = []
+        for u in rng.random(length).tolist():
+            c = bisect_right(cdf, u)
+            words.append(benign(draws) if c == 4 else pick(pools[c]))
 
         caps = EMISSION.caps_fraction(latent)
         if caps > 0:
-            mask = rng.random(length) < caps
-            words = [w.upper() if up else w for w, up in zip(words, mask)]
+            words = [
+                w.upper() if u < caps else w
+                for w, u in zip(words, rng.random(length).tolist())
+            ]
 
         text = " ".join(words)
         if EMISSION.fires_attack(latent):
-            phrase = pick(rng, ATTACK_PHRASES)
-            insult = pick(rng, OFFENSIVE_VOCAB)
+            phrase = pick(ATTACK_PHRASES)
+            insult = pick(OFFENSIVE_VOCAB)
             text = f"{phrase} {insult}. {text}"
         if latent.reject > 0.75:
             # Exclamation run length grows with rejection-worthiness: a
@@ -154,9 +172,9 @@ class CommentTextGenerator:
         vocab = _FOREIGN_VOCABS.get(language)
         if vocab is None:
             raise ValueError(f"no vocabulary for language {language!r}")
-        rng = self._rng
-        length = max(4, int(rng.poisson(self._mean_tokens)))
-        return " ".join(pick_many(rng, vocab, length))
+        draws = self._draws
+        length = max(4, int(draws.rng.poisson(self._mean_tokens)))
+        return " ".join(draws.pick_many(vocab, length))
 
     def generate_bio(self, mentions_censorship: bool) -> str:
         """A short profile biography.
@@ -164,14 +182,13 @@ class CommentTextGenerator:
         §2: "A full 25% of Dissenter users we examine in this study refer
         to 'censorship' in their profile's biography."
         """
-        rng = self._rng
-        words = pick_many(rng, BENIGN_VOCAB, int(rng.integers(4, 12)))
+        draws = self._draws
+        words = draws.pick_many(BENIGN_VOCAB, draws.integers(4, 12))
         if mentions_censorship:
-            position = int(rng.integers(0, len(words) + 1))
+            position = draws.integers(0, len(words) + 1)
             words.insert(position, "censorship")
         return " ".join(words)
 
     def generate_title(self, topic_words: int = 6) -> str:
         """A news-article-style title."""
-        rng = self._rng
-        return " ".join(pick_many(rng, BENIGN_VOCAB, topic_words)).capitalize()
+        return " ".join(self._draws.pick_many(BENIGN_VOCAB, topic_words)).capitalize()

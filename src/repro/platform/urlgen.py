@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.platform.config import WorldConfig
-from repro.platform.draws import WeightedPicker, pick, pick_many
+from repro.platform.draws import Draws, WeightedPicker
 from repro.platform.entities import CommentUrl
 from repro.platform.ids import ObjectIdFactory
 from repro.platform.textgen import CommentTextGenerator
@@ -136,19 +136,19 @@ class UrlUniverse:
         return {u.commenturl_id.hex: u for u in self.urls}
 
 
-def _random_slug(rng: np.random.Generator, n: int = 3) -> str:
-    return "-".join(pick(rng, _SYLLABLES) for _ in range(n))
+def _random_slug(draws: Draws, n: int = 3) -> str:
+    return "-".join([draws.pick(_SYLLABLES) for _ in range(n)])
 
 
-def _random_video_id(rng: np.random.Generator) -> str:
-    return "".join(pick_many(rng, _VIDEO_ID_ALPHABET, 11))
+def _random_video_id(draws: Draws) -> str:
+    return "".join(draws.pick_many(_VIDEO_ID_ALPHABET, 11))
 
 
-def _tail_domain(rng: np.random.Generator, used: set[str]) -> str:
+def _tail_domain(draws: Draws, used: set[str]) -> str:
     while True:
-        tld = _TLD_PICKER.pick(rng)
+        tld = _TLD_PICKER.pick(draws)
         name = "".join(
-            pick(rng, _SYLLABLES) for _ in range(int(rng.integers(2, 4)))
+            [draws.pick(_SYLLABLES) for _ in range(draws.integers(2, 4))]
         )
         domain = name + (".co.uk" if tld == ".uk" else tld)
         if domain not in used:
@@ -156,27 +156,27 @@ def _tail_domain(rng: np.random.Generator, used: set[str]) -> str:
             return domain
 
 
-def _path_for(rng: np.random.Generator, domain: str, category: str) -> str:
+def _path_for(draws: Draws, domain: str, category: str) -> str:
     if category == "youtube":
         if domain == "youtu.be":
-            return f"/{_random_video_id(rng)}"
-        roll = rng.random()
+            return f"/{_random_video_id(draws)}"
+        roll = draws.random()
         if roll < 0.976:
-            return f"/watch?v={_random_video_id(rng)}"
+            return f"/watch?v={_random_video_id(draws)}"
         if roll < 0.992:
-            return f"/channel/UC{_random_video_id(rng)}"
-        return f"/user/{_random_slug(rng, 1)}{int(rng.integers(1, 999))}"
+            return f"/channel/UC{_random_video_id(draws)}"
+        return f"/user/{_random_slug(draws, 1)}{draws.integers(1, 999)}"
     if domain == "twitter.com":
-        return f"/{_random_slug(rng, 1)}/status/{int(rng.integers(10**17, 10**18))}"
-    year = int(rng.integers(2018, 2021))
-    month = int(rng.integers(1, 13))
-    path = f"/{year}/{month:02d}/{_random_slug(rng)}"
+        return f"/{_random_slug(draws, 1)}/status/{draws.integers(10**17, 10**18)}"
+    year = draws.integers(2018, 2021)
+    month = draws.integers(1, 13)
+    path = f"/{year}/{month:02d}/{_random_slug(draws)}"
     # Many URLs carry multi-parameter GET queries (§4.2.1's over-counting
     # discussion).
-    if rng.random() < 0.12:
-        path += f"?utm_source={_random_slug(rng, 1)}&utm_medium=social"
-    elif rng.random() < 0.05:
-        path += f"?id={int(rng.integers(1, 10**6))}"
+    if draws.random() < 0.12:
+        path += f"?utm_source={_random_slug(draws, 1)}&utm_medium=social"
+    elif draws.random() < 0.05:
+        path += f"?id={draws.integers(1, 10**6)}"
     return path
 
 
@@ -186,14 +186,14 @@ def _bias_for(domain: str, category: str) -> str:
     return "not-ranked"
 
 
-def _draw_votes(rng: np.random.Generator) -> tuple[int, int]:
+def _draw_votes(draws: Draws) -> tuple[int, int]:
     """Vote counts per §4.3.2: ~71% of URLs have zero votes; 99% of net
     scores lie in (-10, 10); positive nets outnumber negative ~1.6:1."""
-    roll = rng.random()
+    roll = draws.random()
     if roll < 0.714:
         return 0, 0
-    magnitude = 1 + int(rng.geometric(0.45))
-    spread = int(rng.geometric(0.7)) - 1
+    magnitude = 1 + int(draws.rng.geometric(0.45))
+    spread = int(draws.rng.geometric(0.7)) - 1
     if roll < 0.823:  # negative-net URL (64k/588k)
         down = magnitude + max(0, spread)
         up = max(0, spread)
@@ -215,6 +215,7 @@ def build_url_universe(
     damped (their median comment volume is 1 in the paper) and the fringe
     domains boosted to the top of the per-URL volume ranking.
     """
+    draws = Draws(rng)
     n_urls = config.n_urls
     domains, fractions, categories = zip(*DOMAIN_MIX)
     fixed_fraction = float(np.sum(fractions))
@@ -226,7 +227,7 @@ def build_url_universe(
 
     def first_seen() -> float:
         # Growth-weighted: most URLs enter early (the platform's burst).
-        u = rng.random()
+        u = draws.random()
         return config.epoch_dissenter + (u ** 1.6) * (
             config.crawl_time - config.epoch_dissenter - 3600
         )
@@ -239,7 +240,7 @@ def build_url_universe(
             # minority go viral — which is how 22% of URLs carry 26% of
             # comments.
             w = 0.45
-            if rng.random() < 0.15:
+            if draws.random() < 0.15:
                 w += float(min(rng.pareto(0.8) * 3.0, 60.0))
             return w
         return float(min(rng.pareto(1.1) + 0.2, 25.0))
@@ -261,7 +262,7 @@ def build_url_universe(
             controversy=float(rng.beta(1.4, 4.0)),
         )
         record.first_seen = float(record.commenturl_id.timestamp)
-        record.upvotes, record.downvotes = _draw_votes(rng)
+        record.upvotes, record.downvotes = _draw_votes(draws)
         urls.append(record)
         weights.append(weight if weight is not None else base_weight(category))
         if language != "en":
@@ -274,8 +275,8 @@ def build_url_universe(
     picks = rng.choice(len(domains), size=n_fixed, p=fraction_arr)
     for domain_index in picks:
         domain, category = domains[domain_index], categories[domain_index]
-        path = _path_for(rng, domain, category)
-        scheme = "https" if rng.random() < 0.985 else "http"
+        path = _path_for(draws, domain, category)
+        scheme = "https" if draws.random() < 0.985 else "http"
         add_url(f"{scheme}://{domain}{path}", category, _bias_for(domain, category))
 
     # --- Fringe high-volume URLs -------------------------------------------
@@ -285,7 +286,7 @@ def build_url_universe(
     fringe_indices: list[int] = []
     for domain, language in FRINGE_DOMAINS:
         add_url(
-            f"https://{domain}/{_random_slug(rng)}",
+            f"https://{domain}/{_random_slug(draws)}",
             "other",
             "not-ranked",
             language=language,
@@ -298,22 +299,22 @@ def build_url_universe(
     # exist as thread anchors even though they were never fetchable (§6).
     for _ in range(config.scaled(13, minimum=1)):
         add_url(
-            f"file:///C:/Users/{_random_slug(rng, 1)}/Documents/{_random_slug(rng, 2)}.pdf",
+            f"file:///C:/Users/{_random_slug(draws, 1)}/Documents/{_random_slug(draws, 2)}.pdf",
             "file", "not-ranked", weight=0.05,
         )
     for _ in range(config.scaled(200, minimum=1)):
         add_url(
-            f"chrome://{pick(rng, _BROWSER_PAGES)}/",
+            f"chrome://{draws.pick(_BROWSER_PAGES)}/",
             "browser", "not-ranked", weight=0.05,
         )
 
     # --- Long tail -----------------------------------------------------------
     while len(urls) < n_urls:
-        domain = _tail_domain(rng, used_domains)
-        category = "news" if rng.random() < 0.7 else "other"
-        scheme = "https" if rng.random() < 0.97 else "http"
+        domain = _tail_domain(draws, used_domains)
+        category = "news" if draws.random() < 0.7 else "other"
+        scheme = "https" if draws.random() < 0.97 else "http"
         add_url(
-            f"{scheme}://{domain}{_path_for(rng, domain, category)}",
+            f"{scheme}://{domain}{_path_for(draws, domain, category)}",
             category,
             "not-ranked",
         )

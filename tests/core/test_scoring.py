@@ -70,6 +70,21 @@ class TestScoreStoreCache:
         store.score_many(TEXTS)
         assert store.models.calls == len(TEXTS)
 
+    def test_prime_scores_a_lone_surrogate(self):
+        # json.loads turns a "\\ud800" escape into a lone surrogate; the
+        # scoring pass must score such a text, not raise on encoding it,
+        # and every other text keeps the scores it has without it.
+        odd = ["bad \ud800 text", "\udfff", "mixed \ud83d\ude00 \udc00 end"]
+        store = ScoreStore()
+        assert store.prime(TEXTS + odd) == len(TEXTS) + len(odd)
+        for text in odd:
+            assert set(store.score(text)) == set(ATTRIBUTES)
+            assert all(0.0 <= v <= 1.0 for v in store.score(text).values())
+        clean = ScoreStore()
+        clean.prime(TEXTS)
+        for text in TEXTS:
+            assert store.score(text) == clean.score(text) == score_comment(text)
+
     def test_value_and_attribute_values(self):
         store = ScoreStore()
         values = store.attribute_values(TEXTS, "SEVERE_TOXICITY")

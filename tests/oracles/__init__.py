@@ -20,9 +20,9 @@ here, unchanged in behaviour, as the references for the parity tests:
 * :mod:`tests.oracles.codecs` — store line encoders built on
   ``JSONEncoder.encode`` of a dict, the reference for the field-by-field
   line encoders;
-* :mod:`tests.oracles.page_patterns` — the discussion-page regexes
-  searched over the whole page, the reference for the literal-prefix
-  seek;
+* :mod:`tests.oracles.page_patterns` — the discussion-page and
+  home-page regexes searched over the whole page, and the home-page
+  parser on them, the reference for the literal-prefix seek;
 * :mod:`tests.oracles.urls` — ``tld_of``/``second_level_domain`` and the
   projector's URL metadata with one ``urlsplit`` per question, the
   reference for the shared ``split_domains``.

@@ -95,7 +95,7 @@ def _clip01(value: float) -> float:
 def _jitter(text: str, salt: str, width: float = 0.08) -> float:
     """Deterministic pseudo-noise in [-width/2, +width/2]."""
     digest = hashlib.blake2b(
-        (salt + "\x1f" + text).encode("utf-8"), digest_size=8
+        (salt + "\x1f" + text).encode("utf-8", "surrogatepass"), digest_size=8
     ).digest()
     u = int.from_bytes(digest, "big") / 2**64
     return (u - 0.5) * width
