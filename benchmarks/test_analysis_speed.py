@@ -1,14 +1,11 @@
-"""Analysis-suite throughput: serial vs parallel, per-module vs project.
+"""Analysis-suite throughput: per-module catalog vs project pass.
 
 The lint suite gates every CI run, so its wall time is a tax on every
-change.  This bench times the per-module catalog serially and through
-the process pool (``--jobs``), asserts the two produce identical
-findings, and times the interprocedural ``--project`` pass on top so
-the cost of whole-program analysis is a recorded number rather than
-folklore.
+change.  This bench times the per-module catalog and the
+interprocedural ``--project`` pass on top, so the cost of whole-program
+analysis is a recorded number rather than folklore.
 """
 
-import os
 import time
 
 from benchmarks._report import record, row
@@ -23,19 +20,15 @@ def _timed(**kwargs) -> tuple[float, list]:
     return time.perf_counter() - t0, findings
 
 
-def test_analysis_speed_serial_vs_parallel():
-    jobs = os.cpu_count() or 1
+def test_analysis_speed_per_module_vs_project():
     modules = parse_modules([TREE])
 
     serial_seconds, serial_findings = _timed()
-    parallel_seconds, parallel_findings = _timed(jobs=jobs)
     project_seconds, project_findings = _timed(project=True)
 
     lines = [
         row("modules analyzed", "-", len(modules)),
-        row("per-module pass, serial", "-", f"{serial_seconds:.2f} s"),
-        row(f"per-module pass, --jobs {jobs}", "identical findings",
-            f"{parallel_seconds:.2f} s"),
+        row("per-module pass", "-", f"{serial_seconds:.2f} s"),
         row("project pass (taint + state machines)", "-",
             f"{project_seconds:.2f} s"),
         row("project-pass overhead", "-",
@@ -43,13 +36,11 @@ def test_analysis_speed_serial_vs_parallel():
     ]
     record(
         "analysis_speed",
-        "Analysis suite throughput: serial vs parallel vs --project",
+        "Analysis suite throughput: per-module vs --project",
         lines,
-        context={"jobs": jobs, "tree": TREE},
+        context={"tree": TREE},
     )
 
-    # The pool is an optimisation, never a semantic change.
-    assert parallel_findings == serial_findings
     # The project pass only ever adds findings on top of the catalog.
     assert {
         (f.code, f.path, f.line) for f in serial_findings

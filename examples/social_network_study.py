@@ -27,7 +27,11 @@ def main() -> None:
         scale=0.006, seed=5,
         planted_core_size=42, core_components=6, core_giant_size=32,
     ))
-    report = pipeline.run()
+    # The three stages of pipeline.run(), kept apart so the ablation
+    # below can reuse the crawled graph without crawling it again.
+    artifacts = pipeline.stage_crawl()
+    pipeline.stage_score(artifacts)
+    report = pipeline.stage_analyze(artifacts)
     social = report.social
 
     print("\n--- Figure 9a: degrees ---")
@@ -66,16 +70,12 @@ def main() -> None:
     print("\n--- criterion sensitivity (ablation) ---")
     # Rebuild per-user metrics (from the pipeline's pre-populated score
     # store — nothing is re-scored) and sweep the thresholds.
-    corpus = report.corpus
-    gab_ids = {a.username: a.gab_id for a in report.gab_enumeration.accounts}
     counts, toxicity = per_user_activity_toxicity(
-        corpus, gab_ids, pipeline.store
+        artifacts.corpus, artifacts.gab_ids, pipeline.store
     )
-    # Use the full crawled graph for the sweep.
-    full_graph, _, _ = pipeline.crawl_social(corpus, report.gab_enumeration)
     for min_comments, min_tox in ((50, 0.3), (100, 0.3), (100, 0.5), (200, 0.3)):
         swept = extract_hateful_core(
-            full_graph, counts, toxicity,
+            artifacts.graph, counts, toxicity,
             min_comments=min_comments, min_toxicity=min_tox,
         )
         print(f"  >= {min_comments:>3d} comments, median tox >= {min_tox}: "

@@ -1,9 +1,9 @@
 """Determinism & concurrency lint suite (``python -m repro.analysis``).
 
 The reproduction's headline guarantee — corpora, stats and checkpoints
-bit-identical across ``--connections 1/4/8``, across kill→resume chains
-and across ``--workers`` scoring — rests on code-level invariants that
-no runtime test can exhaustively cover:
+bit-identical across ``--connections 1/4/8``, across ``--shards`` and
+across kill→resume chains — rests on code-level invariants that no
+runtime test can exhaustively cover:
 
 * no module reads wall-clock time (everything paces itself on an
   injected :class:`~repro.net.clock.Clock`);
@@ -16,12 +16,11 @@ no runtime test can exhaustively cover:
 
 This package parses the tree with :mod:`ast` and mechanically enforces
 those invariants as a catalog of repo-specific checkers (see
-:data:`repro.analysis.checkers.CATALOG`).  Findings can be suppressed
-per line (``# repro: allow DET003 <reason>``) or accepted wholesale in a
-committed baseline file; anything new fails CI.
+:data:`repro.analysis.checkers.CATALOG`).  A finding is accepted only
+by a per-line suppression that states why (``# repro: allow DET003
+<reason>``); anything else fails CI.
 """
 
-from repro.analysis.baseline import Baseline
 from repro.analysis.checkers import CATALOG
 from repro.analysis.engine import (
     Finding,
@@ -32,7 +31,6 @@ from repro.analysis.engine import (
 )
 
 __all__ = [
-    "Baseline",
     "CATALOG",
     "Finding",
     "ParsedModule",

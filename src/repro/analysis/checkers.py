@@ -2,13 +2,12 @@
 
 Every checker targets one repo-specific invariant behind the
 bit-identity guarantee (corpus/stats/checkpoints identical across
-``--connections``, kill→resume chains and ``--workers``):
+``--connections``, ``--shards`` and kill→resume chains):
 
 ========  ==============================================================
 DET001    wall-clock access (components take an injected ``Clock``)
 DET002    unseeded randomness (stdlib ``random`` or numpy global state)
 DET003    iteration over an unordered ``set``/``frozenset``/``.keys()``
-DET004    set construction inside a serializer (checkpoint/report bytes)
 CONC001   stats-object writes outside the lock-guarded mutation APIs
 CONC002   multiprocess results collected in completion order, or
           worker-local ids (pid) reaching serialized payloads
@@ -19,9 +18,9 @@ SUP001    malformed suppression comments (engine-level)
 ========  ==============================================================
 
 Checkers are deliberately syntactic: they over-approximate, and the
-``# repro: allow <CODE> <reason>`` annotation plus the committed
-baseline absorb the sites a human has judged safe.  The catalog order
-is the report order for same-line findings.
+``# repro: allow <CODE> <reason>`` annotation absorbs the sites a human
+has judged safe.  The catalog order is the report order for same-line
+findings.
 """
 
 from __future__ import annotations
@@ -524,64 +523,13 @@ def _collect_set_attributes(cls: ast.ClassDef) -> set[str]:
 
 
 # ----------------------------------------------------------------------
-# DET004 — sets inside serializers.
+# Serializer names (CONC002 and CHK001 regions, dataflow sinks).
 # ----------------------------------------------------------------------
 
 _SERIALIZER_NAMES = frozenset({
     "to_payload", "to_dict", "to_state", "to_json",
     "result_to_payload", "dumps_result", "snapshot",
 })
-
-
-class SerializedSetChecker(Checker):
-    code = "DET004"
-    name = "set constructed in serializer"
-    rationale = (
-        "checkpoint and report payloads are compared byte-for-byte; a "
-        "set (or set comprehension) built inside a serializer reaches "
-        "JSON in hash order"
-    )
-    hint = (
-        "build a sorted list (sorted(..., key=...)) instead of a set in "
-        "serialization code"
-    )
-
-    def visit(self, module: ParsedModule) -> Iterator[Finding]:
-        for node in ast.walk(module.tree):
-            if (
-                isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-                and node.name in _SERIALIZER_NAMES
-            ):
-                yield from self._scan(module, node, f"serializer {node.name}()")
-            elif (
-                isinstance(node, ast.Call)
-                and _call_name(node.func) == "CrawlCheckpoint"
-            ):
-                for arg in [*node.args, *(kw.value for kw in node.keywords)]:
-                    yield from self._scan(
-                        module, arg, "CrawlCheckpoint(...) payload"
-                    )
-
-    def _scan(
-        self, module: ParsedModule, root: ast.AST, context: str
-    ) -> Iterator[Finding]:
-        for node in ast.walk(root):
-            if isinstance(node, (ast.Set, ast.SetComp)):
-                yield module.finding(
-                    self.code, node,
-                    f"set built inside {context} serializes in hash order",
-                    self.hint,
-                )
-            elif isinstance(node, ast.Call) and isinstance(
-                node.func, ast.Name
-            ):
-                if node.func.id in ("set", "frozenset"):
-                    yield module.finding(
-                        self.code, node,
-                        f"{node.func.id}(...) built inside {context} "
-                        "serializes in hash order",
-                        self.hint,
-                    )
 
 
 # ----------------------------------------------------------------------
@@ -1085,7 +1033,6 @@ CATALOG: tuple[Checker, ...] = (
     WallClockChecker(),
     UnseededRandomChecker(),
     UnorderedIterationChecker(),
-    SerializedSetChecker(),
     StatsWriteChecker(),
     ShardOrderChecker(),
 )

@@ -1,20 +1,19 @@
 """``python -m repro.analysis`` — the lint suite's command line.
 
-Exit codes follow CI conventions: 0 when the tree is clean (modulo the
-baseline), 1 when new findings exist, 2 on usage errors.
+Exit codes follow CI conventions: 0 when the tree is clean (modulo
+``# repro: allow`` suppressions), 1 when findings exist, 2 on usage
+errors.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
-from repro.analysis.baseline import DEFAULT_BASELINE_NAME, Baseline
 from repro.analysis.checkers import CATALOG, PROJECT_CATALOG
-from repro.analysis.engine import Finding, analyze_paths_report, parse_modules
+from repro.analysis.engine import Finding, analyze_paths, parse_modules
 
 __all__ = ["build_parser", "main"]
 
@@ -40,20 +39,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="output format (default: text)",
     )
     parser.add_argument(
-        "--baseline", type=Path, default=None,
-        help=f"baseline file (default: ./{DEFAULT_BASELINE_NAME} when it "
-             "exists)",
-    )
-    parser.add_argument(
-        "--no-baseline", action="store_true",
-        help="ignore any baseline file (report every finding)",
-    )
-    parser.add_argument(
-        "--write-baseline", action="store_true",
-        help="accept the current findings: write them to the baseline "
-             "file and exit 0",
-    )
-    parser.add_argument(
         "--select", default=None, metavar="CODES",
         help="comma-separated checker codes to report (default: all)",
     )
@@ -67,20 +52,10 @@ def build_parser() -> argparse.ArgumentParser:
              "nondeterminism taint, LOCK001/SEAL001)",
     )
     parser.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
-        help="run the per-module catalog with N worker processes "
-             "(0 = one per CPU; output is byte-identical to serial)",
-    )
-    parser.add_argument(
         "--dump-callgraph", type=Path, default=None, metavar="PATH",
         help="write the project call graph to PATH (Graphviz dot when "
              "PATH ends with .dot, JSON otherwise; '-' for stdout) "
              "and exit",
-    )
-    parser.add_argument(
-        "--prune-baseline", action="store_true",
-        help="rewrite the baseline keeping only entries that still "
-             "cover a finding, then exit 0",
     )
     return parser
 
@@ -103,16 +78,13 @@ def _list_checkers(stream) -> None:
         "code and reason",
         file=stream,
     )
-    print("SUP002  stale suppression or baseline entry", file=stream)
+    print("SUP002  stale suppression", file=stream)
     print(
-        "    why:  a suppression or baseline entry matching no finding "
-        "widens the accepted surface for free",
+        "    why:  a suppression matching no finding widens the accepted "
+        "surface for free",
         file=stream,
     )
-    print(
-        "    fix:  delete the comment, or run --prune-baseline",
-        file=stream,
-    )
+    print("    fix:  delete the comment", file=stream)
 
 
 def _default_paths() -> list[str]:
@@ -123,15 +95,6 @@ def _default_paths() -> list[str]:
         "no paths given and ./src/repro does not exist "
         "(run from the repo root or pass paths)"
     )
-
-
-def _resolve_baseline(args: argparse.Namespace) -> tuple[Baseline | None, Path]:
-    baseline_path = args.baseline or Path(DEFAULT_BASELINE_NAME)
-    if args.no_baseline:
-        return None, baseline_path
-    if baseline_path.exists():
-        return Baseline.load(baseline_path), baseline_path
-    return None, baseline_path
 
 
 def _emit(findings: list[Finding], fmt: str, stream) -> None:
@@ -148,7 +111,7 @@ def _emit(findings: list[Finding], fmt: str, stream) -> None:
     if findings:
         print(f"{len(findings)} finding(s)", file=stream)
     else:
-        print("clean: no new findings", file=stream)
+        print("clean: no findings", file=stream)
 
 
 def _dump_callgraph(paths: list[str], target: Path) -> int:
@@ -181,48 +144,13 @@ def main(argv: list[str] | None = None) -> int:
     paths = args.paths or _default_paths()
     if args.dump_callgraph is not None:
         return _dump_callgraph(paths, args.dump_callgraph)
-    baseline, baseline_path = _resolve_baseline(args)
-    if args.write_baseline:
-        # A fresh baseline accepts everything currently in the tree.
-        baseline = None
-    jobs = args.jobs if args.jobs > 0 else (os.cpu_count() or 1)
     try:
-        report = analyze_paths_report(
-            paths,
-            baseline=baseline,
-            project=args.project,
-            jobs=jobs,
-            baseline_path=(
-                str(baseline_path) if baseline is not None else None
-            ),
-        )
+        findings = analyze_paths(paths, project=args.project)
     except (FileNotFoundError, ValueError, SyntaxError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    findings = report.findings
-    if args.prune_baseline:
-        if baseline is None:
-            print("error: no baseline to prune", file=sys.stderr)
-            return EXIT_USAGE
-        Baseline(report.baseline_used).save(baseline_path)
-        print(
-            f"baseline pruned to {baseline_path} "
-            f"({len(report.baseline_used)} kept, "
-            f"{len(report.baseline_stale)} stale entr(ies) dropped)",
-        )
-        return EXIT_CLEAN
     if args.select:
         wanted = {code.strip() for code in args.select.split(",")}
         findings = [f for f in findings if f.code in wanted]
-    if args.write_baseline:
-        # SUP002 hygiene findings are deliberately not baselinable —
-        # the suppression surface may only shrink.
-        accepted = [f for f in findings if f.code != "SUP002"]
-        Baseline.from_findings(accepted).save(baseline_path)
-        print(
-            f"baseline written to {baseline_path} "
-            f"({len(accepted)} accepted finding(s))",
-        )
-        return EXIT_CLEAN
     _emit(findings, args.format, sys.stdout)
     return EXIT_FINDINGS if findings else EXIT_CLEAN

@@ -1,16 +1,15 @@
 """Analysis engine: parsing, suppression comments, and the run loop.
 
-A :class:`ParsedModule` bundles one file's source, AST and per-line
+A :class:`ParsedModule` bundles one file's path, AST and per-line
 suppressions; :func:`analyze_paths` parses every file once, runs each
 checker from the catalog over each module (plus the project-level pass
-over all modules together), applies suppressions and the baseline, and
-returns the surviving findings sorted by location.
+over all modules together), applies suppressions, and returns the
+surviving findings sorted by location.
 """
 
 from __future__ import annotations
 
 import ast
-import hashlib
 import io
 import re
 import tokenize
@@ -18,15 +17,11 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterator, Sequence
 
-from repro.analysis.baseline import Baseline, BaselineEntry
-
 __all__ = [
-    "AnalysisReport",
     "Finding",
     "ParsedModule",
     "Suppression",
     "analyze_paths",
-    "analyze_paths_report",
     "analyze_source",
     "iter_python_files",
     "parse_modules",
@@ -53,9 +48,6 @@ class Finding:
         col: 0-based column.
         message: what is wrong, specifically.
         hint: the checker's fix-it hint.
-        line_text: the stripped source line (baseline fingerprint).
-        context_hash: path-independent digest of the code plus the
-            surrounding stripped lines (baseline v2 fingerprint).
     """
 
     code: str
@@ -64,8 +56,6 @@ class Finding:
     col: int
     message: str
     hint: str
-    line_text: str = ""
-    context_hash: str = ""
 
     def render(self) -> str:
         return f"{self.path}:{self.line}:{self.col + 1} {self.code} {self.message}"
@@ -78,8 +68,6 @@ class Finding:
             "col": self.col,
             "message": self.message,
             "hint": self.hint,
-            "line_text": self.line_text,
-            "context_hash": self.context_hash,
         }
 
 
@@ -90,6 +78,8 @@ class Suppression:
     line: int
     codes: tuple[str, ...]
     reason: str
+    #: the comment is the whole line, so it also covers the next line
+    standalone: bool = False
     used: bool = False
 
 
@@ -98,44 +88,18 @@ class ParsedModule:
     """One parsed source file, ready for checkers."""
 
     path: str
-    source: str
     tree: ast.Module
-    lines: list[str] = field(default_factory=list)
     suppressions: list[Suppression] = field(default_factory=list)
 
     @classmethod
     def from_source(cls, source: str, path: str) -> "ParsedModule":
         """Parse source text; raises SyntaxError on unparsable input."""
         tree = ast.parse(source, filename=path)
-        module = cls(
+        return cls(
             path=path,
-            source=source,
             tree=tree,
-            lines=source.splitlines(),
+            suppressions=list(_parse_suppressions(source)),
         )
-        module.suppressions = list(_parse_suppressions(source))
-        return module
-
-    def line_text(self, line: int) -> str:
-        if 1 <= line <= len(self.lines):
-            return self.lines[line - 1].strip()
-        return ""
-
-    def context_hash(self, code: str, line: int) -> str:
-        """Baseline-v2 fingerprint: code + surrounding stripped lines.
-
-        Deliberately excludes the path so renames/moves keep their
-        accepted findings covered.
-        """
-        digest = hashlib.sha256(
-            "\n".join((
-                code,
-                self.line_text(line - 1),
-                self.line_text(line),
-                self.line_text(line + 1),
-            )).encode("utf-8")
-        )
-        return digest.hexdigest()[:16]
 
     def finding(
         self, code: str, node: ast.AST, message: str, hint: str
@@ -156,8 +120,6 @@ class ParsedModule:
             col=col,
             message=message,
             hint=hint,
-            line_text=self.line_text(line),
-            context_hash=self.context_hash(code, line),
         )
 
     def is_suppressed(self, finding: Finding) -> bool:
@@ -172,11 +134,10 @@ class ParsedModule:
                 continue
             if not suppression.reason:
                 continue   # reasonless suppressions never fire (SUP001)
-            if suppression.line == finding.line:
-                suppression.used = True
-                return True
-            own_line = self.line_text(suppression.line)
-            if own_line.startswith("#") and suppression.line + 1 == finding.line:
+            if suppression.line == finding.line or (
+                suppression.standalone
+                and suppression.line + 1 == finding.line
+            ):
                 suppression.used = True
                 return True
         return False
@@ -199,6 +160,7 @@ def _parse_suppressions(source: str) -> Iterator[Suppression]:
                 line=token.start[0],
                 codes=codes,
                 reason=match.group(2).strip(),
+                standalone=token.line.lstrip().startswith("#"),
             )
     except tokenize.TokenError:
         return
@@ -230,71 +192,16 @@ def _display_path(path: Path, root: Path | None) -> str:
         return path.as_posix()
 
 
-def _worker_check(payload: tuple[str, str]) -> list[dict]:
-    """Process-pool body: per-module catalog over one source text.
-
-    Takes/returns only picklable primitives.  Suppressions, project
-    checkers and sorting stay in the parent so parallel output is
-    byte-identical to serial.
-    """
-    source, path = payload
-    module = ParsedModule.from_source(source, path)
+def _module_findings(modules: list[ParsedModule]) -> list[Finding]:
+    """The per-module catalog plus SUP001, before suppression."""
     from repro.analysis.checkers import CATALOG
 
     findings: list[Finding] = []
-    for checker in CATALOG:
-        findings.extend(checker.check(module))
-    return [finding.to_dict() for finding in findings]
-
-
-def _per_module_findings(
-    modules: list[ParsedModule], jobs: int
-) -> list[Finding]:
-    from repro.analysis.checkers import CATALOG
-
-    if jobs > 1 and len(modules) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        findings: list[Finding] = []
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            payloads = [(module.source, module.path) for module in modules]
-            # map() preserves input order, so findings arrive in the
-            # same path-sorted order the serial loop produces.
-            for result in pool.map(_worker_check, payloads):
-                findings.extend(Finding(**item) for item in result)
-        return findings
-    findings = []
     for module in modules:
         for checker in CATALOG:
             findings.extend(checker.check(module))
-    return findings
-
-
-def _run_catalog(
-    modules: list[ParsedModule],
-    project: bool = False,
-    jobs: int = 1,
-) -> list[Finding]:
-    from repro.analysis.checkers import PROJECT_CATALOG
-
-    findings = _per_module_findings(modules, jobs)
-    for module in modules:
         findings.extend(_suppression_hygiene(module))
-    for checker in PROJECT_CATALOG:
-        findings.extend(checker.check_project(modules))
-    if project:
-        from repro.analysis.dataflow import analyze_project
-
-        findings.extend(analyze_project(modules))
-    kept = []
-    by_path = {module.path: module for module in modules}
-    for finding in findings:
-        module = by_path.get(finding.path)
-        if module is not None and module.is_suppressed(finding):
-            continue
-        kept.append(finding)
-    kept.sort(key=lambda f: (f.path, f.line, f.col, f.code))
-    return kept
+    return findings
 
 
 def _stale_suppressions(modules: list[ParsedModule]) -> list[Finding]:
@@ -363,12 +270,7 @@ def analyze_source(
     Project-level checkers (CHK001) need the whole tree and are skipped.
     """
     module = ParsedModule.from_source(source, path)
-    findings: list[Finding] = []
-    from repro.analysis.checkers import CATALOG
-
-    for checker in CATALOG:
-        findings.extend(checker.check(module))
-    findings.extend(_suppression_hygiene(module))
+    findings = _module_findings([module])
     kept = [f for f in findings if not module.is_suppressed(f)]
     kept.sort(key=lambda f: (f.line, f.col, f.code))
     return kept
@@ -396,89 +298,45 @@ def parse_modules(
     return modules
 
 
-@dataclass
-class AnalysisReport:
-    """Everything one run produced, for the CLI's extra surfaces."""
-
-    findings: list[Finding]
-    #: baseline entries that covered a finding (post-prune baseline)
-    baseline_used: list[BaselineEntry] = field(default_factory=list)
-    #: baseline entries that covered nothing (prune candidates)
-    baseline_stale: list[BaselineEntry] = field(default_factory=list)
-
-
-def analyze_paths_report(
+def analyze_paths(
     paths: Sequence[str | Path],
-    baseline: Baseline | None = None,
     root: str | Path | None = None,
     *,
     project: bool = False,
-    jobs: int = 1,
-    baseline_path: str | None = None,
-) -> AnalysisReport:
+) -> list[Finding]:
     """Parse and check every file under ``paths``.
 
     Args:
         paths: files and/or directories.
-        baseline: accepted pre-existing findings to subtract.
         root: base for relative finding paths (default: cwd).
         project: also run the interprocedural passes (symbol table,
             call graph, taint dataflow, LOCK001/SEAL001).
-        jobs: worker processes for the per-module catalog (1 = serial;
-            output is byte-identical either way).
-        baseline_path: label used to anchor SUP002 findings for stale
-            baseline entries (no SUP002 for them when ``None``).
 
     Returns:
-        An :class:`AnalysisReport`; ``findings`` holds new findings
-        (not suppressed, not baselined) plus SUP002 hygiene findings,
-        sorted by location.
+        The unsuppressed findings plus SUP002 hygiene findings, sorted
+        by location.
 
     Raises:
         SyntaxError: a file does not parse (the tree must at least
             compile before it can be linted).
     """
+    from repro.analysis.checkers import PROJECT_CATALOG
+
     modules = parse_modules(paths, root)
-    findings = _run_catalog(modules, project=project, jobs=jobs)
-    report = AnalysisReport(findings=findings)
-    if baseline is not None:
-        kept, stale, used = baseline.subtract_tracking(findings)
-        report.findings = kept
-        report.baseline_used = used
-        report.baseline_stale = stale
-        if baseline_path is not None:
-            for code, path, line_text, _context_hash in stale:
-                report.findings.append(Finding(
-                    code="SUP002",
-                    path=path,
-                    line=0,
-                    col=0,
-                    message=(
-                        f"baseline entry ({code}) {line_text!r} matches "
-                        f"no finding — prune it from {baseline_path}"
-                    ),
-                    hint=(
-                        "run with --prune-baseline to rewrite the "
-                        "baseline without dead entries"
-                    ),
-                    line_text=line_text,
-                ))
-    report.findings.extend(_stale_suppressions(modules))
-    report.findings.sort(key=lambda f: (f.path, f.line, f.col, f.code))
-    return report
+    findings = _module_findings(modules)
+    for checker in PROJECT_CATALOG:
+        findings.extend(checker.check_project(modules))
+    if project:
+        from repro.analysis.dataflow import analyze_project
 
-
-def analyze_paths(
-    paths: Sequence[str | Path],
-    baseline: Baseline | None = None,
-    root: str | Path | None = None,
-    *,
-    project: bool = False,
-    jobs: int = 1,
-    baseline_path: str | None = None,
-) -> list[Finding]:
-    """:func:`analyze_paths_report`, returning only the findings."""
-    return analyze_paths_report(
-        paths, baseline, root,
-        project=project, jobs=jobs, baseline_path=baseline_path,
-    ).findings
+        findings.extend(analyze_project(modules))
+    by_path = {module.path: module for module in modules}
+    kept = []
+    for finding in findings:
+        module = by_path.get(finding.path)
+        if module is not None and module.is_suppressed(finding):
+            continue
+        kept.append(finding)
+    kept.extend(_stale_suppressions(modules))
+    kept.sort(key=lambda f: (f.path, f.line, f.col, f.code))
+    return kept

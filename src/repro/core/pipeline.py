@@ -279,20 +279,6 @@ class ReproductionPipeline:
         report = validator.check_consistency(corpus)
         return validator.verify_shadow_sample(corpus, shadow, report=report)
 
-    def crawl_social(self, corpus: CorpusStore, gab_enum: GabEnumerationResult):
-        gab_ids = {
-            account.username: account.gab_id
-            for account in gab_enum.accounts
-        }
-        active_ids = [
-            gab_ids[u.username]
-            for u in corpus.active_users()
-            if u.username in gab_ids
-        ]
-        crawler = SocialGraphCrawler(self.client, floor_interval=0.0)
-        raw = crawler.crawl(active_ids, pool=self._pool_for("social"))
-        return induce_dissenter_graph(raw, active_ids), active_ids, gab_ids
-
     def match_reddit(self, corpus: CorpusStore) -> RedditMatchResult:
         matcher = RedditMatcher(self.client)
         return matcher.match(sorted(corpus.users))

@@ -23,32 +23,12 @@ objects:
    of shadow comments — the paper's §3.2 validation steps.
 """
 
+# Only the crawlers the examples take from the package itself: the
+# others pull in repro.stats (validation) and repro.graph
+# (social_crawl), which ``import repro.store`` must not pay for, since
+# it loads this package through ``repro.crawler.records``.
 from repro.crawler.dissenter_crawl import DissenterCrawler
-from repro.crawler.frontier import CrawlFrontier
 from repro.crawler.gab_enum import GabEnumerator
-from repro.crawler.records import (
-    CrawledComment,
-    CrawledGabAccount,
-    CrawledUrl,
-    CrawledUser,
-)
-from repro.crawler.reddit_crawl import RedditMatcher
 from repro.crawler.shadow import ShadowCrawler
-from repro.crawler.social_crawl import SocialGraphCrawler
-from repro.crawler.validation import CrawlValidator
-from repro.crawler.youtube_crawl import YouTubeCrawler
 
-__all__ = [
-    "CrawlFrontier",
-    "CrawlValidator",
-    "CrawledComment",
-    "CrawledGabAccount",
-    "CrawledUrl",
-    "CrawledUser",
-    "DissenterCrawler",
-    "GabEnumerator",
-    "RedditMatcher",
-    "ShadowCrawler",
-    "SocialGraphCrawler",
-    "YouTubeCrawler",
-]
+__all__ = ["DissenterCrawler", "GabEnumerator", "ShadowCrawler"]

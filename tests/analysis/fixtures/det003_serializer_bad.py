@@ -1,4 +1,4 @@
-"""DET004 bad fixture: sets constructed inside serializers."""
+"""DET003 bad fixture: sets built inside a serializer and iterated by list()."""
 
 from dataclasses import dataclass, field
 

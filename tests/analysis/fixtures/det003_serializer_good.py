@@ -1,4 +1,4 @@
-"""DET004 good fixture: serializers emit deterministically ordered lists."""
+"""DET003 good fixture: serializers emit deterministically ordered lists."""
 
 from dataclasses import dataclass, field
 

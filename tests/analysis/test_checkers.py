@@ -72,17 +72,15 @@ def test_det003_good_is_clean():
     assert run_fixture("det003_good.py") == []
 
 
-# ----------------------------------------------------------------------
-# DET004 — sets reaching serialized payloads.
-# ----------------------------------------------------------------------
-
-def test_det004_bad_flags_sets_inside_serializers():
-    findings = run_fixture("det004_bad.py")
-    assert lines_for(findings, "DET004") == [13, 14]
+def test_det003_flags_sets_built_inside_serializers():
+    findings = run_fixture("det003_serializer_bad.py")
+    assert [(f.line, f.col) for f in findings if f.code == "DET003"] == [
+        (13, 24), (14, 27),
+    ]
 
 
-def test_det004_good_is_clean():
-    assert run_fixture("det004_good.py") == []
+def test_det003_serializer_good_is_clean():
+    assert run_fixture("det003_serializer_good.py") == []
 
 
 # ----------------------------------------------------------------------
@@ -251,7 +249,7 @@ def test_catalog_codes_are_unique_and_documented():
         ("det001_bad.py", "det001_good.py"),
         ("det002_bad.py", "det002_good.py"),
         ("det003_bad.py", "det003_good.py"),
-        ("det004_bad.py", "det004_good.py"),
+        ("det003_serializer_bad.py", "det003_serializer_good.py"),
         ("conc001_bad.py", "conc001_good.py"),
         ("conc002_bad.py", "conc002_good.py"),
         ("chk001_bad.py", "chk001_good.py"),

@@ -1,4 +1,4 @@
-"""CLI behaviour: exit codes, formats, baseline workflow, live tree."""
+"""CLI behaviour: exit codes, formats, fixtures, live tree."""
 
 import json
 import os
@@ -28,14 +28,14 @@ def run_module(*args: str, cwd: Path = REPO_ROOT):
 # ----------------------------------------------------------------------
 
 def test_module_exits_nonzero_on_bad_fixture():
-    proc = run_module(str(FIXTURES / "det001_bad.py"), "--no-baseline")
+    proc = run_module(str(FIXTURES / "det001_bad.py"))
     assert proc.returncode == EXIT_FINDINGS
     assert "DET001" in proc.stdout
     assert "hint:" in proc.stdout
 
 
 def test_module_exits_zero_on_good_fixture():
-    proc = run_module(str(FIXTURES / "det001_good.py"), "--no-baseline")
+    proc = run_module(str(FIXTURES / "det001_good.py"))
     assert proc.returncode == EXIT_CLEAN
     assert "clean" in proc.stdout
 
@@ -46,7 +46,7 @@ def test_module_exits_usage_on_missing_path():
     assert "error:" in proc.stderr
 
 
-def test_live_tree_is_clean_modulo_committed_baseline():
+def test_live_tree_is_clean():
     """The acceptance gate: ``python -m repro.analysis src/repro`` == 0."""
     proc = run_module("src/repro")
     assert proc.returncode == EXIT_CLEAN, proc.stdout + proc.stderr
@@ -56,15 +56,6 @@ def test_live_tree_project_pass_is_clean():
     """The interprocedural gate: ``--project src/repro`` == 0."""
     proc = run_module("src/repro", "--project")
     assert proc.returncode == EXIT_CLEAN, proc.stdout + proc.stderr
-
-
-def test_parallel_output_is_byte_identical_to_serial():
-    serial = run_module("src/repro", "--no-baseline", "--format", "json")
-    parallel = run_module(
-        "src/repro", "--no-baseline", "--format", "json", "--jobs", "4"
-    )
-    assert serial.returncode == parallel.returncode
-    assert serial.stdout == parallel.stdout
 
 
 def test_dump_callgraph_json_and_dot(tmp_path):
@@ -89,12 +80,11 @@ def test_dump_callgraph_json_and_dot(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# In-process: formats, select, baseline workflow.
+# In-process: formats, select, the fixture gate.
 # ----------------------------------------------------------------------
 
 def test_json_format(capsys):
-    rc = main([str(FIXTURES / "det002_bad.py"), "--no-baseline",
-               "--format", "json"])
+    rc = main([str(FIXTURES / "det002_bad.py"), "--format", "json"])
     assert rc == EXIT_FINDINGS
     payload = json.loads(capsys.readouterr().out)
     assert payload["count"] == 4
@@ -103,120 +93,35 @@ def test_json_format(capsys):
 
 
 def test_select_filters_codes(capsys):
-    # det004_bad triggers both DET003 (list over a set) and DET004.
-    rc = main([str(FIXTURES / "det004_bad.py"), "--no-baseline",
-               "--select", "DET004", "--format", "json"])
+    # Under --project, det003_serializer_bad triggers both DET003 (list
+    # over a set) and DET103 (that order reaches to_payload()).
+    rc = main([str(FIXTURES / "det003_serializer_bad.py"), "--project",
+               "--select", "DET003", "--format", "json"])
     assert rc == EXIT_FINDINGS
     payload = json.loads(capsys.readouterr().out)
-    assert {f["code"] for f in payload["findings"]} == {"DET004"}
+    assert [f["code"] for f in payload["findings"]] == ["DET003", "DET003"]
 
 
 def test_list_checkers(capsys):
     rc = main(["--list-checkers"])
     assert rc == EXIT_CLEAN
     out = capsys.readouterr().out
-    for code in ("DET001", "DET002", "DET003", "DET004",
+    for code in ("DET001", "DET002", "DET003",
                  "CONC001", "CHK001", "SUP001",
                  "DET101", "DET103", "CONC102", "LOCK001", "SEAL001",
                  "SUP002"):
         assert code in out
 
 
-def test_new_bad_fixtures_exit_one_under_project(tmp_path):
-    """Each new checker's bad fixture fails the --project gate (the CI
-    probe contract), and its good twin stays clean."""
-    for name in ("det101", "det103", "conc102", "lock001", "seal001"):
-        bad = main([str(FIXTURES / f"{name}_bad.py"), "--no-baseline",
-                    "--project"])
-        assert bad == EXIT_FINDINGS, name
-        good = main([str(FIXTURES / f"{name}_good.py"), "--no-baseline",
-                     "--project"])
-        assert good == EXIT_CLEAN, name
-
-
-def test_write_baseline_then_clean(tmp_path, capsys, monkeypatch):
-    """--write-baseline accepts the tree; the next run is clean."""
-    bad = tmp_path / "module.py"
-    bad.write_text("import time\nt = time.time()\n")
-    baseline = tmp_path / "analysis-baseline.json"
-    monkeypatch.chdir(tmp_path)
-
-    assert main([str(bad), "--write-baseline"]) == EXIT_CLEAN
-    assert baseline.exists()
-    capsys.readouterr()
-
-    assert main([str(bad), "--baseline", str(baseline)]) == EXIT_CLEAN
-    assert "clean" in capsys.readouterr().out
-
-    # A *new* finding is still caught against that baseline.
-    bad.write_text("import time\nt = time.time()\nu = time.time_ns()\n")
-    assert main([str(bad), "--baseline", str(baseline)]) == EXIT_FINDINGS
-
-
-def test_prune_baseline_drops_stale_entries(tmp_path, capsys):
-    """Entries that stop matching are reported (SUP002) then pruned."""
-    bad = tmp_path / "module.py"
-    bad.write_text("import time\nt = time.time()\nu = time.time_ns()\n")
-    baseline = tmp_path / "analysis-baseline.json"
-
-    assert main([str(bad), "--baseline", str(baseline),
-                 "--write-baseline"]) == EXIT_CLEAN
-    capsys.readouterr()
-
-    # Fix one of the two accepted findings: its entry goes stale.
-    bad.write_text("import time\nt = time.time()\n")
-    rc = main([str(bad), "--baseline", str(baseline)])
-    out = capsys.readouterr().out
-    assert rc == EXIT_FINDINGS
-    assert "SUP002" in out and "matches no finding" in out
-
-    assert main([str(bad), "--baseline", str(baseline),
-                 "--prune-baseline"]) == EXIT_CLEAN
-    assert "1 stale" in capsys.readouterr().out
-    payload = json.loads(baseline.read_text())
-    assert payload["version"] == 2
-    assert len(payload["entries"]) == 1
-    assert payload["entries"][0]["line_text"] == "t = time.time()"
-    assert payload["entries"][0]["context_hash"]
-
-    # After pruning, the run is clean again.
-    assert main([str(bad), "--baseline", str(baseline)]) == EXIT_CLEAN
-
-
-def test_baseline_survives_file_rename(tmp_path, capsys):
-    """The v2 context hash keeps accepted findings across a move."""
-    old = tmp_path / "before.py"
-    old.write_text("import time\n\n\nt = time.time()\n")
-    baseline = tmp_path / "analysis-baseline.json"
-    assert main([str(old), "--baseline", str(baseline),
-                 "--write-baseline"]) == EXIT_CLEAN
-    capsys.readouterr()
-
-    new = tmp_path / "after.py"
-    new.write_text(old.read_text())
-    old.unlink()
-    assert main([str(new), "--baseline", str(baseline)]) == EXIT_CLEAN
-
-
-def test_v1_baseline_loads_transparently(tmp_path, capsys):
-    bad = tmp_path / "module.py"
-    bad.write_text("import time\nt = time.time()\n")
-    baseline = tmp_path / "analysis-baseline.json"
-    baseline.write_text(json.dumps({
-        "version": 1,
-        "entries": [{
-            "code": "DET001",
-            "path": str(bad),
-            "line_text": "t = time.time()",
-        }],
-    }))
-    assert main([str(bad), "--baseline", str(baseline)]) == EXIT_CLEAN
-    # Pruning rewrites it as a fully-hashed v2 document.
-    assert main([str(bad), "--baseline", str(baseline),
-                 "--prune-baseline"]) == EXIT_CLEAN
-    payload = json.loads(baseline.read_text())
-    assert payload["version"] == 2
-    assert payload["entries"][0]["context_hash"]
+def test_new_bad_fixtures_exit_one_under_project():
+    """Every bad fixture fails the --project gate, and its good twin
+    stays clean."""
+    bad_fixtures = sorted(FIXTURES.glob("*_bad.py"))
+    assert bad_fixtures
+    for bad in bad_fixtures:
+        good = bad.with_name(bad.name.replace("_bad.py", "_good.py"))
+        assert main([str(bad), "--project"]) == EXIT_FINDINGS, bad.name
+        assert main([str(good), "--project"]) == EXIT_CLEAN, good.name
 
 
 def test_repro_cli_forwards_analyze_subcommand():
@@ -225,7 +130,7 @@ def test_repro_cli_forwards_analyze_subcommand():
     env["PYTHONPATH"] = str(REPO_ROOT / "src")
     proc = subprocess.run(
         [sys.executable, "-m", "repro.cli", "analyze",
-         str(FIXTURES / "det001_bad.py"), "--no-baseline"],
+         str(FIXTURES / "det001_bad.py")],
         cwd=REPO_ROOT, env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == EXIT_FINDINGS
@@ -283,4 +188,4 @@ def test_injected_set_serialization_in_checkpoint_is_caught():
         "    return {\"ids\": list(set(ids))}\n"
     )
     findings = analyze_source(sabotaged, "src/repro/crawler/checkpoint.py")
-    assert "DET004" in {f.code for f in findings}
+    assert "DET003" in {f.code for f in findings}

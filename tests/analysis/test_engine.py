@@ -1,11 +1,10 @@
-"""Engine mechanics: suppressions, baseline round trips, output shapes."""
+"""Engine mechanics: suppressions, SUP001/SUP002, output shapes."""
 
-import json
 from pathlib import Path
 
 import pytest
 
-from repro.analysis import Baseline, analyze_source
+from repro.analysis import analyze_source
 from repro.analysis.engine import Finding, ParsedModule, iter_python_files
 
 
@@ -35,6 +34,15 @@ def test_suppression_does_not_reach_two_lines_down():
         "import time\n"
         "# repro: allow DET001 diagnostics only\n"
         "x = 1\n"
+        "t = time.time()\n"
+    )
+    assert [f.code for f in findings] == ["DET001"]
+
+
+def test_trailing_suppression_does_not_cover_next_line():
+    findings = analyze_source(
+        "import time\n"
+        "x = 1  # repro: allow DET001 diagnostics only\n"
         "t = time.time()\n"
     )
     assert [f.code for f in findings] == ["DET001"]
@@ -80,7 +88,7 @@ def test_unknown_code_suppression_reports_sup001():
 def test_finding_render_and_dict_round_trip():
     finding = Finding(
         code="DET001", path="a/b.py", line=3, col=4,
-        message="m", hint="h", line_text="t = time.time()",
+        message="m", hint="h",
     )
     assert finding.render() == "a/b.py:3:5 DET001 m"
     payload = finding.to_dict()
@@ -105,75 +113,15 @@ def test_findings_sorted_by_location():
 
 
 # ----------------------------------------------------------------------
-# Baseline semantics.
-# ----------------------------------------------------------------------
-
-def _finding(code="DET001", path="x.py", line=1, text="t = time.time()"):
-    return Finding(
-        code=code, path=path, line=line, col=0,
-        message="m", hint="h", line_text=text,
-    )
-
-
-def test_baseline_subtract_is_line_number_insensitive():
-    baseline = Baseline.from_findings([_finding(line=10)])
-    # Same code/path/text at a different line: still covered.
-    assert baseline.subtract([_finding(line=99)]) == []
-
-
-def test_baseline_subtract_is_multiset():
-    baseline = Baseline.from_findings([_finding(line=1)])
-    duplicates = [_finding(line=1), _finding(line=2)]
-    survivors = baseline.subtract(duplicates)
-    # One entry covers one occurrence; the second survives.
-    assert survivors == [_finding(line=2)]
-
-
-def test_baseline_does_not_cover_different_text_or_code():
-    baseline = Baseline.from_findings([_finding()])
-    assert baseline.subtract([_finding(code="DET002")]) == [
-        _finding(code="DET002")
-    ]
-    assert baseline.subtract([_finding(text="other line")]) == [
-        _finding(text="other line")
-    ]
-
-
-def test_baseline_save_load_round_trip(tmp_path: Path):
-    baseline = Baseline.from_findings(
-        [_finding(), _finding(), _finding(code="DET003", text="list(s)")]
-    )
-    target = tmp_path / "analysis-baseline.json"
-    baseline.save(target)
-    loaded = Baseline.load(target)
-    assert len(loaded) == 3
-    assert loaded.to_payload() == baseline.to_payload()
-    # The on-disk form is deterministic (sorted keys, trailing newline).
-    assert target.read_text().endswith("\n")
-    assert json.loads(target.read_text())["version"] == 2
-
-
-def test_baseline_rejects_bad_documents(tmp_path: Path):
-    with pytest.raises(ValueError):
-        Baseline.from_payload({"version": 99, "entries": []})
-    with pytest.raises(ValueError):
-        Baseline.from_payload({"version": 1, "entries": [{"code": "X"}]})
-    broken = tmp_path / "broken.json"
-    broken.write_text("{not json")
-    with pytest.raises(ValueError):
-        Baseline.load(broken)
-
-
-# ----------------------------------------------------------------------
 # SUP002 — the suppression surface may only shrink.
 # ----------------------------------------------------------------------
 
-def _analyze_file(tmp_path: Path, source: str, **kwargs):
+def _analyze_file(tmp_path: Path, source: str):
     from repro.analysis.engine import analyze_paths
 
     target = tmp_path / "module.py"
     target.write_text(source)
-    return analyze_paths([target], root=tmp_path, **kwargs)
+    return analyze_paths([target], root=tmp_path)
 
 
 def test_stale_suppression_reports_sup002(tmp_path: Path):
@@ -217,51 +165,6 @@ def test_analyze_source_does_not_report_sup002():
         "x = 1  # repro: allow DET001 left over from a removed call\n"
     )
     assert findings == []
-
-
-# ----------------------------------------------------------------------
-# Baseline v2: context hashes, stale tracking.
-# ----------------------------------------------------------------------
-
-def test_context_hash_is_path_independent():
-    source = "import time\nt = time.time()\n"
-    a = ParsedModule.from_source(source, "a/old.py")
-    b = ParsedModule.from_source(source, "b/new.py")
-    assert a.context_hash("DET001", 2) == b.context_hash("DET001", 2)
-    assert a.context_hash("DET001", 2) != a.context_hash("DET002", 2)
-
-
-def test_baseline_falls_back_to_context_hash_on_rename():
-    moved = _finding(path="y/renamed.py")
-    hashed = Finding(**{**moved.to_dict(), "context_hash": "abc123"})
-    original = Finding(
-        **{**_finding().to_dict(), "context_hash": "abc123"}
-    )
-    baseline = Baseline.from_findings([original])
-    assert baseline.subtract([hashed]) == []
-
-
-def test_baseline_subtract_tracking_reports_stale_and_used():
-    covered = _finding()
-    baseline = Baseline.from_findings(
-        [covered, _finding(code="DET002", text="gone = time.time()")]
-    )
-    kept, stale, used = baseline.subtract_tracking([covered])
-    assert kept == []
-    assert [entry[0] for entry in stale] == ["DET002"]
-    assert [entry[0] for entry in used] == ["DET001"]
-
-
-def test_baseline_v1_payload_still_loads():
-    baseline = Baseline.from_payload({
-        "version": 1,
-        "entries": [
-            {"code": "DET001", "path": "x.py", "line_text": "t = 1"}
-        ],
-    })
-    assert len(baseline) == 1
-    # Saving always writes v2.
-    assert baseline.to_payload()["version"] == 2
 
 
 # ----------------------------------------------------------------------

@@ -3,7 +3,7 @@
 Raw ``set`` iteration order for strings depends on PYTHONHASHSEED, so
 any set that leaks into a checkpoint or report byte-compares differently
 between two processes running the *same* crawl.  These tests pin the
-fixes at the three audited sites (DET003/DET004 sweep, PR 4).
+fixes at the three sites found by the DET003 set-ordering sweep.
 """
 
 import json

@@ -1,7 +1,8 @@
 """Stats objects must merge exactly when hammered from worker threads.
 
-The fetch engine keeps merges on the driving thread, but parse callbacks
-can run on a worker pool — so every shared counter goes through a lock.
+The fetch engine merges on the driving thread, but the stats objects are
+public and any caller may share one between threads — so every shared
+counter goes through a lock.
 These tests hammer the mutation APIs from many threads and assert the
 final counts are exact (a bare ``+=`` on a dataclass field loses updates
 under the GIL's bytecode-level interleaving).

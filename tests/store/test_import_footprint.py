@@ -1,7 +1,9 @@
-"""``import repro.store`` loads no world generator and no origin app.
+"""``import repro.store`` loads no world generator, origin app or scipy.
 
 A process that only reads a sealed corpus (a serve host, an analysis
-notebook) must not pay for the simulated platform.  A fresh interpreter
+notebook) must not pay for the simulated platform, nor for the stats
+and graph layers that only the crawl's validation and social stages
+use.  A fresh interpreter
 is the only place to see what an import pulls in.
 """
 
@@ -19,7 +21,8 @@ def test_store_import_leaves_the_platform_unloaded():
     env = dict(os.environ, PYTHONPATH=str(SRC))
     probe = (
         "import sys, repro.store; "
-        "print(sorted(m for m in sys.modules if m.startswith('repro.platform')))"
+        "print(sorted(m for m in sys.modules if m.startswith(("
+        "'repro.platform', 'repro.stats', 'repro.graph', 'scipy'))))"
     )
     result = subprocess.run(
         [sys.executable, "-c", probe],
