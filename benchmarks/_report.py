@@ -27,29 +27,17 @@ def record(
     title: str,
     lines: Iterable[str],
     context: dict | None = None,
-    workers: int | None = None,
-    shard_segments: Iterable[int] | None = None,
 ) -> None:
     """Write a bench's comparison block to disk and stdout.
 
     ``context`` holds run parameters the numbers depend on (segment
     count, column cache-hit counters, corpus size) so a result file is
-    interpretable on its own.  Sharded-crawl benches additionally pass
-    ``workers`` (process count) and ``shard_segments`` (sealed-segment
-    count per shard id, in shard order); both render on the context
-    line so a scaling number names the topology that produced it.
+    interpretable on its own.
     """
     RESULTS_DIR.mkdir(exist_ok=True)
     body_lines = [title, "=" * len(title), *lines]
-    merged = dict(context) if context else {}
-    if workers is not None:
-        merged["workers"] = workers
-    if shard_segments is not None:
-        merged["segments_by_shard"] = "/".join(
-            str(count) for count in shard_segments
-        )
-    if merged:
-        pairs = "  ".join(f"{key}={value}" for key, value in merged.items())
+    if context:
+        pairs = "  ".join(f"{key}={value}" for key, value in context.items())
         body_lines.append(f"context: {pairs}")
     body = "\n".join([*body_lines, ""])
     (RESULTS_DIR / f"{name}.txt").write_text(body, encoding="utf-8")

@@ -1,8 +1,8 @@
 """Determinism & concurrency lint suite (``python -m repro.analysis``).
 
 The reproduction's headline guarantee — corpora, stats and checkpoints
-bit-identical across ``--connections 1/4/8``, across ``--shards`` and
-across kill→resume chains — rests on code-level invariants that no
+bit-identical across ``--connections 1/4/8`` and across kill→resume
+chains — rests on code-level invariants that no
 runtime test can exhaustively cover:
 
 * no module reads wall-clock time (everything paces itself on an

@@ -2,7 +2,7 @@
 
 Every checker targets one repo-specific invariant behind the
 bit-identity guarantee (corpus/stats/checkpoints identical across
-``--connections``, ``--shards`` and kill→resume chains):
+``--connections`` and kill→resume chains):
 
 ========  ==============================================================
 DET001    wall-clock access (components take an injected ``Clock``)

@@ -22,6 +22,7 @@ import json
 import math
 import sys
 from pathlib import Path
+from typing import Any, Callable
 
 from repro.core.pipeline import ReproductionPipeline
 from repro.core.report import (
@@ -38,26 +39,51 @@ from repro.platform.config import WorldConfig
 
 __all__ = ["build_parser", "main"]
 
-EXIT_KILLED = 3   # the --die-after injector fired; state file holds progress
+EXIT_KILLED = 3   # the --die-after injector fired
 
 
-def _world_scale(text: str) -> float:
-    """argparse type for ``--scale``: a positive finite float."""
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
-    if not (value > 0 and math.isfinite(value)):
-        raise argparse.ArgumentTypeError(
-            f"must be a positive finite number, got {text!r}"
-        )
-    return value
+def _number(
+    kind: type, low: float | None = None, high: float | None = None,
+    *, above: bool = False,
+) -> Callable[[str], Any]:
+    """argparse type: a finite ``kind`` value in ``[low, high]``.
+
+    ``above`` makes the lower bound exclusive.  A bad value is a usage
+    error (exit 2) naming the flag, never a traceback further in.
+    """
+    wanted = f"finite {'integer' if kind is int else 'number'}"
+    if low == 0:
+        wanted = ("positive " if above else "non-negative ") + wanted
+    elif low is not None:
+        wanted += f" {'>' if above else '>='} {low:g}"
+    if high is not None:
+        wanted += f" <= {high:g}"
+
+    def parse(text: str) -> Any:
+        try:
+            value = kind(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid {kind.__name__} value: {text!r}"
+            ) from None
+        if not (
+            math.isfinite(value)
+            and (low is None or value > low or (value == low and not above))
+            and (high is None or value <= high)
+        ):
+            raise argparse.ArgumentTypeError(f"must be a {wanted}, got {text!r}")
+        return value
+
+    return parse
+
+
+_world_scale = _number(float, 0, above=True)
 
 
 def _add_crawl_engine_flags(parser: argparse.ArgumentParser) -> None:
     """Fetch-engine options shared by ``run`` and ``crawl``."""
     parser.add_argument(
-        "--connections", type=int, default=1, metavar="K",
+        "--connections", type=_number(int, 1), default=1, metavar="K",
         help="simulated concurrent connections for the crawl stages "
              "(default 1 = sequential; corpus, stats and checkpoints are "
              "bit-identical at any K — only the simulated crawl duration "
@@ -70,18 +96,18 @@ def _add_crawl_engine_flags(parser: argparse.ArgumentParser) -> None:
              "by the unsealed tail — corpus and report are bit-identical "
              "either way")
     parser.add_argument(
-        "--segment-records", type=int, default=4096, metavar="N",
+        "--segment-records", type=_number(int, 1), default=4096, metavar="N",
         help="records per sealed corpus segment (default 4096)")
 
 
 def _add_resume_flags(parser: argparse.ArgumentParser) -> None:
     """Checkpoint/resume options shared by ``run`` and ``crawl``."""
     parser.add_argument(
-        "--checkpoint-every", type=int, default=0, metavar="N",
+        "--checkpoint-every", type=_number(int, 0), default=0, metavar="N",
         help="write a resumable crawl checkpoint every N fetched pages "
              "(0 = only on --resume; checkpoints are atomic)")
     parser.add_argument(
-        "--checkpoint-seconds", type=float, default=0.0, metavar="M",
+        "--checkpoint-seconds", type=_number(float, 0), default=0.0, metavar="M",
         help="also checkpoint every M simulated seconds (0 = off)")
     parser.add_argument(
         "--resume", action="store_true",
@@ -90,7 +116,7 @@ def _add_resume_flags(parser: argparse.ArgumentParser) -> None:
         "--state", type=Path, default=None,
         help="runtime checkpoint file (default: <out/report>.state.json)")
     parser.add_argument(
-        "--die-after", type=int, default=None, metavar="K",
+        "--die-after", type=_number(int, 0), default=None, metavar="K",
         help="kill the crawl after K HTTP requests (crash-safety testing; "
              f"exits with status {EXIT_KILLED})")
 
@@ -123,6 +149,20 @@ def _build_runtime(args: argparse.Namespace, pipeline: ReproductionPipeline,
     if args.die_after is not None:
         pipeline.origins.transport.kill_after(args.die_after)
     return checkpointer, resume_payload
+
+
+def _report_kill(
+    killed: CrawlKilled, checkpointer: Checkpointer | None, state_path: Path
+) -> int:
+    """Report a --die-after kill, naming the state file only if one was written."""
+    if checkpointer is not None and state_path.exists():
+        hint = f"resume with --resume --state {state_path}"
+    else:
+        hint = ("no checkpoint was written; pass --checkpoint-every N "
+                "to make a killed crawl resumable")
+    print(f"crawl killed after {killed.requests_served} requests; {hint}",
+          file=sys.stderr)
+    return EXIT_KILLED
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -160,14 +200,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="checkpoint file to write")
     crawl.add_argument("--with-faults", action="store_true",
                        help="inject transport faults (exercises retries)")
-    crawl.add_argument(
-        "--shards", type=int, default=None, metavar="N",
-        help="run the corpus stages sharded over N worker processes "
-             "(linux fork); the parent merges per-shard logs so the "
-             "corpus, segments and manifest are byte-identical to the "
-             "unsharded run at any N (composes with --connections, "
-             "--resume and --die-after; rejects --with-faults; skips "
-             "the non-corpus YouTube/social/validation stages)")
     _add_crawl_engine_flags(crawl)
     _add_resume_flags(crawl)
 
@@ -208,14 +240,14 @@ def build_parser() -> argparse.ArgumentParser:
     loadgen.add_argument("--seed", type=int, default=42)
     loadgen.add_argument("--store-dir", type=Path, default=None,
                          help="spill directory for sealed corpus segments")
-    loadgen.add_argument("--users", type=int, default=500,
+    loadgen.add_argument("--users", type=_number(int, 1), default=500,
                          help="simulated client population")
-    loadgen.add_argument("--requests", type=int, default=2000,
+    loadgen.add_argument("--requests", type=_number(int, 0), default=2000,
                          help="total requests to issue")
     loadgen.add_argument("--load-seed", type=int, default=0,
                          help="load-schedule RNG seed (independent of the "
                               "world seed)")
-    loadgen.add_argument("--mean-gap", type=float, default=0.01,
+    loadgen.add_argument("--mean-gap", type=_number(float, 0), default=0.01,
                          help="mean virtual think time between requests")
     loadgen.add_argument("--out", type=Path, default=None,
                          help="also write the summary to this file")
@@ -228,14 +260,14 @@ def build_parser() -> argparse.ArgumentParser:
     diffuse.add_argument("--scale", type=_world_scale, default=0.002,
                          help="world scale (1.0 = the paper's sizes)")
     diffuse.add_argument("--seed", type=int, default=42, help="world seed")
-    diffuse.add_argument("--seeds", type=int, default=10, metavar="K",
+    diffuse.add_argument("--seeds", type=_number(int, 0), default=10, metavar="K",
                          help="seed-set size for the top-degree and random "
                               "strategies (default 10)")
-    diffuse.add_argument("--rounds", type=int, default=20,
+    diffuse.add_argument("--rounds", type=_number(int, 0), default=20,
                          help="cascade round cap (default 20)")
-    diffuse.add_argument("--base-p", type=float, default=0.05,
+    diffuse.add_argument("--base-p", type=_number(float, 0, 1), default=0.05,
                          help="base per-edge activation probability")
-    diffuse.add_argument("--tox-weight", type=float, default=0.25,
+    diffuse.add_argument("--tox-weight", type=_number(float), default=0.25,
                          help="weight of the source's median toxicity on "
                               "the edge activation probability")
     diffuse.add_argument("--diffusion-seed", type=int, default=0,
@@ -272,10 +304,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     try:
         report = pipeline.run(checkpointer=checkpointer, resume=resume_payload)
     except CrawlKilled as killed:
-        state_path = args.state or default_state
-        print(f"crawl killed after {killed.requests_served} requests; "
-              f"resume with --resume --state {state_path}", file=sys.stderr)
-        return EXIT_KILLED
+        return _report_kill(killed, checkpointer, args.state or default_state)
     except ValueError as exc:
         if resume_payload is None:
             raise
@@ -300,59 +329,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_crawl_sharded(args: argparse.Namespace) -> int:
-    """The --shards N path: multi-process corpus crawl + deterministic merge."""
-    from repro.crawler.shard import ShardEngine
-    from repro.platform.world import build_world
-
-    if args.with_faults:
-        raise SystemExit(
-            "--shards does not compose with --with-faults: fault injection "
-            "is seeded by global request order, which sharding re-partitions"
-        )
-    if args.shards < 1:
-        raise SystemExit("--shards must be >= 1")
-    world = build_world(_config(args))
-    print(f"world: {world.summary()}", file=sys.stderr)
-    state_path = args.state or Path(str(args.out) + ".state.json")
-    engine = ShardEngine(
-        world,
-        args.shards,
-        args.out,
-        connections=args.connections,
-        store_dir=str(args.store_dir) if args.store_dir is not None else None,
-        segment_records=args.segment_records,
-        checkpoint_every=args.checkpoint_every,
-        checkpoint_seconds=args.checkpoint_seconds,
-        die_after=args.die_after,
-        state_path=state_path,
-    )
-    if args.resume and not state_path.exists():
-        raise SystemExit(f"--resume: no checkpoint state at {state_path}")
-    try:
-        corpus = engine.run(
-            resume=load_state(state_path) if args.resume else None
-        )
-    except CrawlKilled as killed:
-        print(f"sharded crawl killed after {killed.requests_served} requests; "
-              f"resume with --resume --state {state_path}", file=sys.stderr)
-        return EXIT_KILLED
-    except ValueError as exc:
-        raise SystemExit(f"--shards: {exc}") from exc
-    corpus.seal()
-    dump_result(corpus, args.out)
-    engine.cleanup()
-    print(f"crawled {corpus.summary()} "
-          f"({engine.requests} HTTP requests over {args.shards} shard(s))")
-    print(f"simulated crawl duration: {engine.simulated_seconds:.1f}s "
-          f"over {args.shards} shard(s) x {args.connections} connection(s)")
-    print(f"checkpoint written to {args.out}")
-    return 0
-
-
 def _cmd_crawl(args: argparse.Namespace) -> int:
-    if args.shards is not None:
-        return _cmd_crawl_sharded(args)
     pipeline = ReproductionPipeline(
         _config(args),
         with_faults=args.with_faults,
@@ -367,10 +344,7 @@ def _cmd_crawl(args: argparse.Namespace) -> int:
             checkpointer=checkpointer, resume=resume_payload
         )
     except CrawlKilled as killed:
-        state_path = args.state or default_state
-        print(f"crawl killed after {killed.requests_served} requests; "
-              f"resume with --resume --state {state_path}", file=sys.stderr)
-        return EXIT_KILLED
+        return _report_kill(killed, checkpointer, args.state or default_state)
     except ValueError as exc:
         if resume_payload is None:
             raise

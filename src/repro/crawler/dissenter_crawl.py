@@ -19,7 +19,7 @@ Stages 2-4 are one method each (:meth:`DissenterCrawler.crawl_home_pages`,
 :meth:`~DissenterCrawler.crawl_comment_pages`,
 :meth:`~DissenterCrawler.crawl_metadata`) whose cursor lives in a
 caller-owned :class:`CrawlState`; :meth:`DissenterCrawler.crawl` runs
-them in order, and the sharded engine runs each over a shard's jobs.
+them in order.
 
 Every stage is **resumable**: given a :class:`~repro.crawler.runtime.
 Checkpointer` the crawler snapshots its frontier, partial result, stats,
@@ -45,8 +45,6 @@ from repro.crawler.parsing import (
 from repro.crawler.records import CrawledUser
 from repro.crawler.runtime import (
     Checkpointer,
-    LineHook,
-    count_lines,
     restore_store,
     resume_checkpointer,
     snapshot_store,
@@ -105,26 +103,6 @@ class CrawlStats:
         with self._lock:
             self.comment_pages_failed = list(commenturl_ids)
 
-    def merge(self, other: "CrawlStats") -> None:
-        """Fold another stats object into this one (sharded-crawl merge).
-
-        Commutative and associative: integer counters sum, and the
-        failed-pages lists are concatenated and sorted, so an N-way
-        merge yields the same value whatever the fold order.  The sorted
-        list is the order-independent set view: the sharded engine then
-        replaces it with the sequential failure order, rebuilt from each
-        page's global job index, before the recrawl loop runs.
-        """
-        with self._lock:
-            self.usernames_probed += other.usernames_probed
-            self.accounts_detected += other.accounts_detected
-            self.home_pages_parsed += other.home_pages_parsed
-            self.comment_pages_parsed += other.comment_pages_parsed
-            self.author_pages_visited += other.author_pages_visited
-            self.comment_pages_failed = sorted(
-                self.comment_pages_failed + other.comment_pages_failed
-            )
-
     def to_dict(self) -> dict:
         return {
             "usernames_probed": self.usernames_probed,
@@ -167,7 +145,7 @@ class CrawlState:
     """Where stages 2-4 stand.
 
     Owned by whoever runs the phase methods: :meth:`DissenterCrawler.
-    crawl` keeps one, and so does each sharded-crawl worker.
+    crawl` keeps one.
     """
 
     stage: str = "home_pages"          # the active stage, or "done"
@@ -380,8 +358,7 @@ class DissenterCrawler:
 
     # Each phase method runs one stage over an explicit job list, keeps
     # its cursor in the caller's ``state`` and advances ``state.stage``
-    # when done.  ``on_lines`` (see runtime.count_lines) hears how many
-    # corpus log lines each job appended.
+    # when done.
 
     def crawl_home_pages(
         self,
@@ -390,7 +367,6 @@ class DissenterCrawler:
         state: CrawlState,
         pool: FetchPool,
         checkpointer: Checkpointer | None = None,
-        on_lines: LineHook | None = None,
     ) -> None:
         """Stage 2: each user's home page, from ``state.index`` on.
 
@@ -421,10 +397,7 @@ class DissenterCrawler:
                     state.frontier.add_many(user.commented_url_ids)
             state.index = position + 1
 
-        pool.run(
-            plan, fetch, count_lines(store, process, on_lines),
-            checkpointer=checkpointer,
-        )
+        pool.run(plan, fetch, process, checkpointer=checkpointer)
         state.stage = "comment_pages"
 
     def crawl_comment_pages(
@@ -433,7 +406,6 @@ class DissenterCrawler:
         state: CrawlState,
         pool: FetchPool,
         checkpointer: Checkpointer | None = None,
-        on_lines: LineHook | None = None,
     ) -> None:
         """Stage 3: fetch every discussion page ``state.frontier`` holds.
 
@@ -471,7 +443,7 @@ class DissenterCrawler:
         pool.run(
             lambda capacity: frontier.peek(capacity),
             fetch,
-            count_lines(store, process, on_lines),
+            process,
             checkpointer=checkpointer,
         )
         state.stage = "metadata"
@@ -502,7 +474,6 @@ class DissenterCrawler:
         state: CrawlState,
         pool: FetchPool,
         checkpointer: Checkpointer | None = None,
-        on_lines: LineHook | None = None,
     ) -> None:
         """Stage 4: mine each job's commentAuthor blob into its user.
 
@@ -535,10 +506,7 @@ class DissenterCrawler:
             user.view_filters = dict(blob.get("filters", {}))
             store.touch_user(user)
 
-        pool.run(
-            plan, fetch, count_lines(store, process, on_lines),
-            checkpointer=checkpointer,
-        )
+        pool.run(plan, fetch, process, checkpointer=checkpointer)
         state.stage = "done"
 
     def _comment_page_outcome(

@@ -113,16 +113,6 @@ class CrawlFrontier(Generic[T]):
         while self._queue:
             yield self.pop()
 
-    def queued(self) -> list[T]:
-        """Every currently-enqueued item, in pop order (a copy).
-
-        The sharded engine replays the unsharded discovery pass through
-        a frontier and takes this as the global URL order — the order a
-        sequential stage-3 crawl would pop — before partitioning it
-        across workers by shard key.
-        """
-        return list(self._queue)
-
     # ------------------------------------------------------------------
     # Checkpointing (the resumable-crawl runtime serialises the frontier
     # mid-flight: queue order, the seen set, and per-item failure counts).

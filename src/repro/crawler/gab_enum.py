@@ -160,9 +160,8 @@ class GabEnumerator:
         checkpointer: Checkpointer | None = None,
         resume: CrawlCheckpoint | dict | None = None,
         pool: FetchPool | None = None,
-        start_id: int = 0,
     ) -> GabEnumerationResult:
-        """Sweep IDs from ``start_id + 1`` upward.
+        """Sweep IDs from 1 upward.
 
         Args:
             max_id: inclusive upper bound; when None, the sweep stops
@@ -174,13 +173,9 @@ class GabEnumerator:
                 re-requested.
             pool: fetch engine to issue probes through; a fresh
                 single-connection pool (sequential behavior) when omitted.
-            start_id: last ID considered already probed (default 0: the
-                full sweep from ID 1).  The sharded engine stripes the ID
-                space with this: worker *w* covers ``(start_id, max_id]``
-                and stripe results concatenate to the full sweep.
         """
         result = GabEnumerationResult()
-        gab_id = int(start_id)
+        gab_id = 0
         consecutive_misses = 0
         stage = "enumerate"
         if resume is not None:

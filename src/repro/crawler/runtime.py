@@ -37,7 +37,7 @@ import json
 import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Callable, Sequence, TypeVar
+from typing import TYPE_CHECKING, Callable, Sequence, TypeVar
 
 from repro.crawler.checkpoint import (
     STATE_SUFFIX,
@@ -58,8 +58,6 @@ if TYPE_CHECKING:   # the store's segment writer imports the checkpoint module
 
 __all__ = [
     "Checkpointer",
-    "LineHook",
-    "count_lines",
     "load_state",
     "restore_store",
     "resume_checkpointer",
@@ -67,10 +65,6 @@ __all__ = [
 ]
 
 T = TypeVar("T")
-
-#: A phase method's order-key hook: called after each job merges, with
-#: the job and the number of corpus log lines it appended.
-LineHook = Callable[[Any, int], None]
 
 
 @dataclass
@@ -399,27 +393,6 @@ def restore_store(
     ]
     restored["tail"] = checkpointer.open_journal(f"{key}.tail", payload.get("tail"))
     store.restore_payload(restored)
-
-
-def count_lines(
-    store: CorpusStore,
-    process: Callable[[Any, Any], None],
-    on_lines: LineHook | None,
-) -> Callable[[Any, Any], None]:
-    """``process``, also reporting each job's appended ``store`` lines to ``on_lines``.
-
-    The crawlers' phase methods wrap their merge step with this; the
-    sharded engine's hook turns the counts into per-line order keys.
-    """
-    if on_lines is None:
-        return process
-
-    def counted(job: Any, value: Any) -> None:
-        before = store.log_records
-        process(job, value)
-        on_lines(job, store.log_records - before)
-
-    return counted
 
 
 def load_state(path: str | Path) -> dict:

@@ -24,8 +24,6 @@ from repro.crawler.checkpoint import CrawlCheckpoint, coerce_checkpoint
 from repro.crawler.parsing import PageParseMemo
 from repro.crawler.runtime import (
     Checkpointer,
-    LineHook,
-    count_lines,
     restore_store,
     resume_checkpointer,
     snapshot_store,
@@ -105,7 +103,7 @@ class ShadowCrawler:
             way the paper's authors registered their own accounts and
             flipped the view settings.
         parse_memo: the crawl's discussion-page parse memo (a private
-            one when omitted, as in a sharded shadow worker).
+            one when omitted).
     """
 
     BASE = "https://dissenter.com"
@@ -232,16 +230,13 @@ class ShadowCrawler:
         state: ShadowState,
         pool: FetchPool,
         checkpointer: Checkpointer | None = None,
-        on_lines: LineHook | None = None,
     ) -> None:
         """Run the active pass (``state.stage``) from ``state.page_index`` on.
 
         Provisions the pass's authenticated session, labels and records
         the comments of each page absent from the baseline and from
         ``store``, then advances ``state`` to the next pass.  Jobs are
-        positions in ``state.url_ids``; ``on_lines`` (see
-        :func:`~repro.crawler.runtime.count_lines`) hears how many log
-        lines each appended.
+        positions in ``state.url_ids``.
         """
         label = state.stage
         token = self._app.create_session(**dict(SHADOW_PASSES)[label])
@@ -269,10 +264,7 @@ class ShadowCrawler:
                 state.found[label] += 1
             state.page_index = position + 1
 
-        pool.run(
-            plan, fetch, count_lines(store, process, on_lines),
-            checkpointer=checkpointer,
-        )
+        pool.run(plan, fetch, process, checkpointer=checkpointer)
         self._client.cookies.clear("dissenter.com")
         following = PASS_NAMES.index(label) + 1
         state.page_index = 0

@@ -65,30 +65,8 @@ class ClientStats:
                 self.status_counts.get(response.status, 0) + 1
             )
 
-    def merge(self, other: "ClientStats") -> None:
-        """Fold another stats object into this one (sharded-crawl merge).
-
-        Commutative and associative: counters sum, and ``status_counts``
-        is rebuilt with numerically sorted keys — insertion order would
-        otherwise depend on which worker's stats merged first, and a
-        serialized envelope would differ byte-for-byte between runs that
-        saw identical traffic.
-        """
-        with self._lock:
-            self.requests += other.requests
-            self.retries += other.retries
-            self.timeouts += other.timeouts
-            self.redirects_followed += other.redirects_followed
-            self.bytes_received += other.bytes_received
-            combined = dict(self.status_counts)
-            for status, count in other.status_counts.items():
-                combined[status] = combined.get(status, 0) + count
-            self.status_counts = {
-                status: combined[status] for status in sorted(combined)
-            }
-
     def to_dict(self) -> dict:
-        """JSON-ready snapshot (worker → parent transfer)."""
+        """JSON-ready snapshot, status codes in numeric order."""
         with self._lock:
             return {
                 "requests": self.requests,

@@ -1,8 +1,8 @@
 """HTTP origins for the synthetic world.
 
 :func:`build_origins` stands up every site the paper's crawl touched on a
-single loopback transport: dissenter.com, gab.com, trends.gab.com,
-youtube.com, youtu.be, api.pushshift.io, and reddit.com.
+single loopback transport: dissenter.com, gab.com, youtube.com,
+youtu.be, api.pushshift.io, and reddit.com.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ from repro.net.transport import FaultPlan, LoopbackTransport
 from repro.platform.apps.dissenter_app import DissenterApp
 from repro.platform.apps.gab_app import GabApp
 from repro.platform.apps.pushshift_app import PushshiftApp, RedditApp
-from repro.platform.apps.trends_app import TrendsApp
 from repro.platform.apps.youtube_app import YouTubeApp, YouTuBeApp
 from repro.platform.world import World
 
@@ -24,7 +23,6 @@ __all__ = [
     "Origins",
     "PushshiftApp",
     "RedditApp",
-    "TrendsApp",
     "YouTubeApp",
     "YouTuBeApp",
     "build_origins",
@@ -39,7 +37,6 @@ class Origins:
     clock: VirtualClock
     dissenter: DissenterApp
     gab: GabApp
-    trends: TrendsApp
     youtube: YouTubeApp
     youtu_be: YouTuBeApp
     pushshift: PushshiftApp
@@ -77,13 +74,12 @@ def build_origins(
 
     dissenter = DissenterApp(world.dissenter, clock, session_seed=world.config.seed)
     gab = GabApp(world.gab, world.social, clock)
-    trends = TrendsApp(world.dissenter)
     youtube = YouTubeApp(world.youtube)
     youtu_be = YouTuBeApp(world.youtube)
     pushshift = PushshiftApp(world.reddit, gab=world.gab)
     reddit = RedditApp(world.reddit)
 
-    for app in (dissenter, gab, trends, youtube, youtu_be, pushshift, reddit):
+    for app in (dissenter, gab, youtube, youtu_be, pushshift, reddit):
         transport.register(app)
 
     return Origins(
@@ -91,7 +87,6 @@ def build_origins(
         clock=clock,
         dissenter=dissenter,
         gab=gab,
-        trends=trends,
         youtube=youtube,
         youtu_be=youtu_be,
         pushshift=pushshift,

@@ -151,8 +151,7 @@ class ServeApp(App):
     """Read-only Dissenter API over a sealed corpus.
 
     Args:
-        corpus: the sealed, columns-enabled corpus to serve (never
-            mutated).
+        corpus: the sealed corpus to serve (never mutated).
         clock: the serving stack's virtual clock (shared with the
             transport; render costs advance it).
         score_store: shared score store for the toxicity summary
@@ -200,11 +199,6 @@ class ServeApp(App):
         super().__init__(self.HOST, deterministic_render=False)
         if not corpus.sealed:
             raise ValueError("ServeApp requires a sealed corpus")
-        if not corpus.columns:
-            raise ValueError(
-                "ServeApp requires a columns-enabled corpus "
-                "(got a columns=False store)"
-            )
         self._corpus = corpus
         self._clock = clock
         self._scores = score_store

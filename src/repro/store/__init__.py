@@ -33,7 +33,6 @@ from repro.store.corpus import (
     STORE_FORMAT_VERSION,
     CorpusStore,
     SealedCorpusError,
-    iter_snapshot_lines,
 )
 from repro.store.segments import (
     MANIFEST_NAME,
@@ -69,7 +68,6 @@ __all__ = [
     "encode_url",
     "encode_user",
     "hash_lines",
-    "iter_snapshot_lines",
     "load_manifest",
     "read_segment",
     "segment_name",

@@ -29,10 +29,9 @@ match the manifest.
 
 The columnar reductions are the only production path for the §4
 analyses.  They reach the view through :func:`columns_of`, which raises
-a ``ValueError`` naming the cause on an unsealed store or a
-``columns=False`` store.  The record-dict implementations they replaced
-live in ``tests/oracles/``, where the parity tests assert every columnar
-analysis bit-identical against them.
+a ``ValueError`` naming the cause on an unsealed store.  The record-dict
+implementations they replaced live in ``tests/oracles/``, where the
+parity tests assert every columnar analysis bit-identical against them.
 """
 
 from __future__ import annotations
@@ -571,10 +570,7 @@ class ColumnView:
     @property
     def tables(self) -> ColumnProjector:
         """The projector owning every intern table (read-only use)."""
-        projector = self._store.projector
-        if projector is None:
-            raise RuntimeError("store was built with columns=False")
-        return projector
+        return self._store.projector
 
     # -- log-level columns ---------------------------------------------
 
@@ -761,7 +757,6 @@ def columns_of(corpus: "CorpusStore") -> ColumnView:
     """The sealed store's column view (what every §4 analysis reads).
 
     Raises:
-        ValueError: the store is not sealed yet, or was built with
-            ``columns=False``.
+        ValueError: the store is not sealed yet.
     """
     return corpus.column_view()

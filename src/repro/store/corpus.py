@@ -28,9 +28,7 @@ methods, and adds:
   (``<name>.columns.npz``, sha256-manifested) and the sealed store
   exposes the :meth:`column_view` that the vectorized §4 analyses
   consume.  Column files are derived data, re-projected from the
-  verified JSONL when missing or corrupt.  Only the sharded crawl's
-  per-shard worker stores are built with ``columns=False``: the merge
-  replay projects the final store once.
+  verified JSONL when missing or corrupt.
 
 The store deliberately does *not* import :mod:`repro.crawler.checkpoint`
 payload helpers: checkpoint v3 carries the snapshot as a plain dict, and
@@ -70,7 +68,6 @@ __all__ = [
     "CorpusStore",
     "SealedCorpusError",
     "STORE_FORMAT_VERSION",
-    "iter_snapshot_lines",
 ]
 
 #: Version tag of the store snapshot payload (checkpoint format v3).
@@ -91,16 +88,12 @@ class CorpusStore:
         store_dir: spill directory for sealed segments; ``None`` keeps
             sealed segments inline (in memory and in checkpoints).
         segment_records: records per sealed segment (>= 1).
-        columns: project sealed segments into columnar ``.npz`` arrays.
-            ``False`` is for the sharded crawl's per-shard worker
-            stores only; such a store has no :meth:`column_view`.
     """
 
     def __init__(
         self,
         store_dir: str | Path | None = None,
         segment_records: int = DEFAULT_SEGMENT_RECORDS,
-        columns: bool = True,
     ) -> None:
         if segment_records < 1:
             raise ValueError("segment_records must be >= 1")
@@ -109,8 +102,7 @@ class CorpusStore:
         self.comments: dict[str, CrawledComment] = {}
         self.store_dir = Path(store_dir) if store_dir is not None else None
         self.segment_records = int(segment_records)
-        self.columns = bool(columns)
-        self._projector = ColumnProjector() if self.columns else None
+        self._projector = ColumnProjector()
         self._inline_columns: dict[str, dict] = {}
         #: columnar projection diagnostics (surfaced on report extras)
         self.column_counters = {
@@ -157,24 +149,21 @@ class CorpusStore:
         """Record (or upsert) one user; appends a log line."""
         self._guard()
         self.users[user.username] = user
-        if self._projector is not None:
-            self._projector.observe_user(user)
+        self._projector.observe_user(user)
         self._append(encode_user(user))
 
     def add_url(self, url: CrawledUrl) -> None:
         """Record (or upsert) one URL; appends a log line."""
         self._guard()
         self.urls[url.commenturl_id] = url
-        if self._projector is not None:
-            self._projector.observe_url(url)
+        self._projector.observe_url(url)
         self._append(encode_url(url))
 
     def add_comment(self, comment: CrawledComment) -> None:
         """Record (or upsert) one comment; appends a log line."""
         self._guard()
         self.comments[comment.comment_id] = comment
-        if self._projector is not None:
-            self._projector.observe_comment(comment)
+        self._projector.observe_comment(comment)
         self._append(encode_comment(comment))
 
     def touch_user(self, user: CrawledUser) -> None:
@@ -186,38 +175,20 @@ class CorpusStore:
         """
         self.add_user(user)
 
-    def replay_line(self, line: str) -> None:
-        """Append one already-encoded log line, upserting its record.
-
-        The sharded crawl engine's deterministic merge streams worker
-        log lines (in global record order) into the final store through
-        this: the original bytes pass through untouched, so the merged
-        segments hash identically to an unsharded run's, and the dict
-        upsert keeps first-insertion positions exactly as ``add_*``
-        would have.
-        """
-        self._guard()
-        self._apply_line(line)
-        self._append(line)
-
     def _seal_segment(self) -> None:
         lines, self._tail = self._tail, []
         name = segment_name(len(self._refs) + 1)
-        arrays = None
-        if self._projector is not None:
-            arrays = self._projector.take_segment(len(lines))
+        arrays = self._projector.take_segment(len(lines))
         if self.store_dir is not None:
             ref = write_segment(self.store_dir, name, lines)
-            if arrays is not None:
-                sha, reused = adopt_columns(self.store_dir, name, arrays)
-                ref = replace(ref, columns_sha256=sha)
-                self.column_counters["reused" if reused else "projected"] += 1
+            sha, reused = adopt_columns(self.store_dir, name, arrays)
+            ref = replace(ref, columns_sha256=sha)
+            self.column_counters["reused" if reused else "projected"] += 1
         else:
             ref = SegmentRef(name=name, count=len(lines), sha256=hash_lines(lines))
             self._inline_segments[name] = lines
-            if arrays is not None:
-                self._inline_columns[name] = arrays
-                self.column_counters["projected"] += 1
+            self._inline_columns[name] = arrays
+            self.column_counters["projected"] += 1
         self._refs.append(ref)
         if self.store_dir is not None:
             write_manifest(self.store_dir, self.segment_records, self._refs)
@@ -431,24 +402,18 @@ class CorpusStore:
                     )
             for line in lines:
                 self._apply_line(line)
-            arrays = None
-            if self._projector is not None:
-                arrays = self._projector.take_segment(ref.count)
+            arrays = self._projector.take_segment(ref.count)
             if self.store_dir is not None:
                 # Adopted by this store's directory (covers resuming an
                 # inline checkpoint into a --store-dir run).
                 write_segment(self.store_dir, ref.name, lines)
-                if arrays is not None:
-                    sha, reused = adopt_columns(self.store_dir, ref.name, arrays)
-                    ref = replace(ref, columns_sha256=sha)
-                    self.column_counters[
-                        "reused" if reused else "projected"
-                    ] += 1
+                sha, reused = adopt_columns(self.store_dir, ref.name, arrays)
+                ref = replace(ref, columns_sha256=sha)
+                self.column_counters["reused" if reused else "projected"] += 1
             else:
                 self._inline_segments[ref.name] = lines
-                if arrays is not None:
-                    self._inline_columns[ref.name] = arrays
-                    self.column_counters["projected"] += 1
+                self._inline_columns[ref.name] = arrays
+                self.column_counters["projected"] += 1
                 if ref.columns_sha256 is not None:
                     # Inline stores carry no column files; the hash
                     # would dangle in re-snapshots.
@@ -469,7 +434,7 @@ class CorpusStore:
         self._inline_segments = {}
         self._tail = []
         self._inline_columns = {}
-        self._projector = ColumnProjector() if self.columns else None
+        self._projector = ColumnProjector()
         self._memo_chunks = None
         self._memo_view = None
 
@@ -481,16 +446,15 @@ class CorpusStore:
             self.urls[record.commenturl_id] = record
         elif isinstance(record, CrawledComment):
             self.comments[record.comment_id] = record
-        if self._projector is not None:
-            self._projector.observe(kind, record)
+        self._projector.observe(kind, record)
 
     # ------------------------------------------------------------------
     # Columnar read surface.
     # ------------------------------------------------------------------
 
     @property
-    def projector(self) -> ColumnProjector | None:
-        """The column projector (None when built with ``columns=False``)."""
+    def projector(self) -> ColumnProjector:
+        """The column projector (owns every intern table)."""
         return self._projector
 
     def column_chunks(self) -> list[dict]:
@@ -503,8 +467,6 @@ class CorpusStore:
         store is sealed.
         """
         projector = self._projector
-        if projector is None:
-            raise RuntimeError("store was built with columns=False")
         if self._memo_chunks is not None:
             self.column_counters["view_cache_hits"] += 1
             return self._memo_chunks
@@ -542,14 +504,8 @@ class CorpusStore:
         """The columnar analysis surface of a sealed store.
 
         Raises:
-            ValueError: the store is not sealed yet, or was built with
-                ``columns=False``.
+            ValueError: the store is not sealed yet.
         """
-        if self._projector is None:
-            raise ValueError(
-                "corpus store was built with columns=False and has no "
-                "column view"
-            )
         if not self._sealed:
             raise ValueError(
                 "corpus store is not sealed; seal() it before the §4 "
@@ -564,53 +520,6 @@ class CorpusStore:
     def column_stats(self) -> dict:
         """Projection/cache counters for report extras and benchmarks."""
         return {
-            "enabled": self._projector is not None,
             "segments": len(self._refs),
             **self.column_counters,
         }
-
-
-def iter_snapshot_lines(payload: dict) -> Iterator[str]:
-    """Stream every log line of a :meth:`CorpusStore.snapshot` payload.
-
-    Sealed segments yield first (in seal order), then the unsealed
-    tail — i.e. exact log order.  Inline segments are hash-verified;
-    spilled segments are read (and verified) from the payload's ``dir``.
-    The sharded merge uses this to consume worker snapshots without
-    instantiating a store per shard.
-
-    Raises:
-        ValueError: malformed payload, count/hash mismatch, or a
-            spilled segment with no directory to read from.
-    """
-    if not isinstance(payload, dict):
-        raise ValueError(
-            f"store payload must be an object, got {type(payload).__name__}"
-        )
-    if payload.get("version") != STORE_FORMAT_VERSION:
-        raise ValueError(
-            f"unsupported store payload version {payload.get('version')!r}"
-        )
-    base = payload.get("dir")
-    for entry in payload.get("sealed") or []:
-        if not isinstance(entry, dict):
-            raise ValueError("sealed segment entry must be an object")
-        ref = SegmentRef.from_payload(entry)
-        raw_lines = entry.get("lines")
-        if raw_lines is None:
-            if base is None:
-                raise ValueError(
-                    f"segment {ref.name} has no inline lines and the "
-                    f"payload names no store directory"
-                )
-            lines = read_segment(Path(base), ref)
-        else:
-            lines = [str(line) for line in raw_lines]
-            if len(lines) != ref.count or hash_lines(lines) != ref.sha256:
-                raise ValueError(
-                    f"inline segment {ref.name} failed verification"
-                )
-        yield from lines
-    for raw in payload.get("tail") or []:
-        yield str(raw)
-

@@ -80,6 +80,43 @@ class TestCliParser:
         assert excinfo.value.code == 2
         assert "positive finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, flag, value", [
+        (command, flag, value)
+        for command in ("run", "crawl")
+        for flag, value in [
+            ("--connections", "0"),
+            ("--segment-records", "0"),
+            ("--die-after", "-1"),
+            ("--checkpoint-every", "-5"),
+            ("--checkpoint-seconds", "nan"),
+            ("--checkpoint-seconds", "-1"),
+        ]
+    ] + [
+        ("loadgen", "--users", "0"),
+        ("loadgen", "--requests", "-1"),
+        ("loadgen", "--mean-gap", "-1"),
+        ("loadgen", "--mean-gap", "nan"),
+        ("diffuse", "--seeds", "-1"),
+        ("diffuse", "--rounds", "-1"),
+        ("diffuse", "--base-p", "2"),
+        ("diffuse", "--base-p", "nan"),
+        ("diffuse", "--tox-weight", "inf"),
+    ])
+    def test_bad_numeric_flag_is_a_usage_error(self, command, flag, value, capsys):
+        extra = ["--out", "x.json"] if command == "crawl" else []
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args([command, *extra, flag, value])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}" in err
+        assert "Traceback" not in err
+
+    def test_crawl_has_no_shards_option(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(["crawl", "--out", "x.json", "--shards", "2"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --shards" in capsys.readouterr().err
+
     def test_scale_accepts_positive_floats(self):
         args = build_parser().parse_args(["run", "--scale", "1e-3"])
         assert args.scale == 0.001
@@ -135,17 +172,14 @@ class TestCliExecution:
         [],
         ["--connections", "4"],
         ["--store-dir", "{tmp}/segments", "--segment-records", "256"],
-        ["--shards", "4", "--connections", "2",
-         "--store-dir", "{tmp}/segments", "--segment-records", "256"],
-    ], ids=["default", "connections-4", "store-dir", "shards-4"])
+    ], ids=["default", "connections-4", "store-dir"])
     def test_crawl_kill_and_resume_round_trip(
         self, options, reference_dump, reference_segments, tmp_path, capsys
     ):
         """CLI crash-safety: crawl → die-after-K (exit 3) → crawl --resume
         must finish with a corpus dump byte-identical to an uninterrupted
-        sequential crawl's — over concurrent connections, with sealed
-        segments spilled to a store directory, and sharded across worker
-        processes too."""
+        sequential crawl's — over concurrent connections and with sealed
+        segments spilled to a store directory too."""
         from repro.cli import EXIT_KILLED
 
         options = [opt.format(tmp=tmp_path) for opt in options]
@@ -158,6 +192,7 @@ class TestCliExecution:
         ])
         assert exit_code == EXIT_KILLED
         assert state_file.exists()
+        assert f"--resume --state {state_file}" in capsys.readouterr().err
         assert not out_file.exists()
 
         exit_code = main([
@@ -169,8 +204,6 @@ class TestCliExecution:
         # ...together with every sidecar and journal it referenced.
         assert not list(tmp_path.glob("*.state.json*"))
         assert out_file.read_bytes() == reference_dump
-        # No worker scratch of a sharded crawl survives either.
-        assert not (tmp_path / "crawl.json.shards").exists()
         if "--store-dir" in options:
             # Every segment (JSONL, manifest, column files) matches too.
             segments = tmp_path / "segments"
@@ -178,6 +211,26 @@ class TestCliExecution:
             assert {
                 f.name: f.read_bytes() for f in segments.iterdir()
             } == reference_segments
+
+    @pytest.mark.parametrize("command", ["crawl", "run"])
+    def test_kill_without_checkpoints_names_no_state_file(
+        self, command, tmp_path, capsys
+    ):
+        """A --die-after kill with no checkpoint cadence writes no state,
+        so the hint must not send the user to a --resume that fails."""
+        from repro.cli import EXIT_KILLED
+
+        target = ["--out"] if command == "crawl" else ["--report"]
+        exit_code = main([
+            command, "--scale", "0.001", "--seed", "3",
+            *target, str(tmp_path / "out"), "--die-after", "50",
+        ])
+        assert exit_code == EXIT_KILLED
+        err = capsys.readouterr().err
+        assert "no checkpoint was written" in err
+        assert "--checkpoint-every" in err
+        assert "--resume" not in err
+        assert not list(tmp_path.glob("*.state.json*"))
 
     def test_crawl_resume_without_state_fails(self, tmp_path):
         with pytest.raises(SystemExit):

@@ -1,54 +1,20 @@
-"""Gab Trends crawling tests plus HTML round-trip fuzzing.
+"""HTML round-trip fuzzing between the Dissenter origin and the parser.
 
-The fuzz tests are the load-bearing ones: whatever bytes a user put in a
-comment, the origin must escape them into valid HTML and the crawler's
-parser must recover them exactly.  A mismatch would silently corrupt the
-toxicity analyses downstream.
+Whatever bytes a user put in a comment or bio, the origin must escape
+them into valid HTML and the crawler's parser must recover them exactly.
+A mismatch would silently corrupt the toxicity analyses downstream.
 """
 
 import numpy as np
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.crawler.parsing import parse_comment_page, parse_user_page
-from repro.crawler.trends_crawl import TrendsCrawler
 from repro.net import HttpClient, LoopbackTransport, VirtualClock
 from repro.platform.apps.dissenter_app import DissenterApp
 from repro.platform.dissenter import DissenterState
 from repro.platform.entities import Comment, CommentUrl, DissenterUser
 from repro.platform.ids import ObjectIdFactory
 from repro.platform.urlgen import UrlUniverse
-
-
-class TestTrendsCrawler:
-    @pytest.fixture()
-    def crawler(self, small_origins):
-        return TrendsCrawler(HttpClient(small_origins.transport))
-
-    def test_front_page_parsed(self, crawler):
-        front = crawler.front_page()
-        assert front.articles
-        for cid, title, count in front.articles:
-            assert len(cid) == 24
-            assert count >= 0
-
-    def test_thread_identity_property(self, crawler):
-        """§2.1: the thread behind a Trends link is the overlay's thread."""
-        front = crawler.front_page()
-        outcomes = crawler.verify_thread_identity(front)
-        assert outcomes
-        assert all(outcomes.values())
-
-    def test_submit_known_url_lands_on_discussion(self, crawler, small_world):
-        record = small_world.urls.urls[0]
-        final = crawler.submit_url(record.url)
-        assert final is not None
-        assert f"/discussion/{record.commenturl_id.hex}" in final
-
-    def test_submit_unknown_url_lands_on_empty_page(self, crawler):
-        final = crawler.submit_url("https://never-seen.example/x")
-        assert final is not None
-        assert "discussion/begin" in final
 
 
 def _single_comment_state(text: str, bio: str) -> DissenterState:

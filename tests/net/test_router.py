@@ -175,7 +175,7 @@ class TestAppLifetime:
 
         assert _freed_without_gc(make)
 
-    @pytest.mark.parametrize("name", ["dissenter", "gab", "trends", "youtube",
+    @pytest.mark.parametrize("name", ["dissenter", "gab", "youtube",
                                       "youtu_be", "pushshift", "reddit"])
     def test_dropped_platform_origin_is_freed(self, name, tiny_world):
         def make():

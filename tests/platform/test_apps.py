@@ -236,21 +236,3 @@ class TestRedditPushshiftOrigins:
         _, client = world_and_client
         response = client.get("https://api.pushshift.io/reddit/search/comment/")
         assert response.status == 400
-
-
-class TestTrendsOrigin:
-    def test_homepage_links_to_dissenter_threads(self, world_and_client):
-        _, client = world_and_client
-        page = client.get("https://trends.gab.com/").text
-        assert "https://dissenter.com/discussion/" in page
-
-    def test_submit_redirects_to_begin_flow(self, world_and_client):
-        world, client = world_and_client
-        record = world.urls.urls[0]
-        response = client.get(
-            "https://trends.gab.com/submit",
-            params={"url": record.url},
-            follow_redirects=False,
-        )
-        assert response.status == 302
-        assert "dissenter.com/discussion/begin" in response.headers.get("Location")

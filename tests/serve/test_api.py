@@ -96,16 +96,6 @@ class TestConstruction:
         with pytest.raises(ValueError, match="sealed"):
             ServeApp(store, VirtualClock())
 
-    def test_rejects_columns_false_corpus(self):
-        store = CorpusStore(columns=False)
-        store.add_user(CrawledUser(
-            username="u", author_id="a", display_name="U",
-            permissions={}, view_filters={},
-        ))
-        store.seal()
-        with pytest.raises(ValueError, match="columns=False"):
-            ServeApp(store, VirtualClock())
-
     def test_status_has_no_columns_field(self, synthetic_store):
         _, transport, _ = mount(synthetic_store)
         payload = _json(get(transport, f"{BASE}/api/status"))

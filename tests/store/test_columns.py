@@ -4,8 +4,8 @@ Covers seal-time projection into hash-manifested ``.npz`` files, the
 memory-mapped ``ColumnView`` read surface and its revision-aware dedup,
 the corruption/missing-file fallback that re-projects from the verified
 segment JSONL (healing the file on disk), restore-time file reuse, the
-inline (no ``store_dir``) mode, and the view contract (``columns=False``
-and unsealed stores raise ``ValueError`` naming the cause).
+inline (no ``store_dir``) mode, and the view contract (an unsealed
+store raises ``ValueError`` naming the cause).
 """
 
 import hashlib
@@ -222,16 +222,6 @@ class TestFallbacks:
 
 
 class TestDispatch:
-    def test_columns_false_has_no_view(self):
-        store = _fill(CorpusStore(columns=False))
-        store.seal()
-        with pytest.raises(ValueError, match="columns=False"):
-            store.column_view()
-        with pytest.raises(ValueError, match="columns=False"):
-            columns_of(store)
-        with pytest.raises(RuntimeError):
-            store.column_chunks()
-
     def test_unsealed_store_has_no_view(self):
         store = _fill(CorpusStore())
         with pytest.raises(ValueError, match="not sealed"):

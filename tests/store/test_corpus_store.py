@@ -25,7 +25,6 @@ from repro.store import (
     decode_line,
     encode_record,
     encode_user,
-    iter_snapshot_lines,
     load_manifest,
     segment_path,
 )
@@ -303,7 +302,7 @@ class TestMutateThenReAdd:
         expected.append(oracle.encode_comment(comment))
 
         assert len(set(expected)) == len(expected)
-        assert list(iter_snapshot_lines(store.snapshot())) == expected
+        assert store.snapshot()["tail"] == expected[3:]
         (ref,) = store.segment_refs
         body = "".join(line + "\n" for line in expected[:3]).encode("utf-8")
         assert ref.sha256 == hashlib.sha256(body).hexdigest()
