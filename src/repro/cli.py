@@ -79,6 +79,24 @@ def _number(
 
 _world_scale = _number(float, 0, above=True)
 
+#: Page cadence of any checkpointing that --checkpoint-every leaves at 0.
+_DEFAULT_CHECKPOINT_PAGES = 25
+
+
+def _out_file(text: str) -> Path:
+    """argparse type: a file path whose directory exists.
+
+    Checked when the flag is parsed, so a bad path is a usage error
+    (exit 2) naming the flag, not a traceback after the crawl.  ``-``
+    (stdout, where a flag allows it) passes: its directory is ``.``.
+    """
+    path = Path(text)
+    if not path.parent.is_dir():
+        raise argparse.ArgumentTypeError(
+            f"directory {str(path.parent)!r} does not exist"
+        )
+    return path
+
 
 def _add_crawl_engine_flags(parser: argparse.ArgumentParser) -> None:
     """Fetch-engine options shared by ``run`` and ``crawl``."""
@@ -105,15 +123,20 @@ def _add_resume_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--checkpoint-every", type=_number(int, 0), default=0, metavar="N",
         help="write a resumable crawl checkpoint every N fetched pages "
-             "(0 = only on --resume; checkpoints are atomic)")
+             f"(0 = every {_DEFAULT_CHECKPOINT_PAGES} pages if "
+             "--checkpoint-seconds or --resume is given, else none; "
+             "checkpoints are atomic)")
     parser.add_argument(
         "--checkpoint-seconds", type=_number(float, 0), default=0.0, metavar="M",
-        help="also checkpoint every M simulated seconds (0 = off)")
+        help="also checkpoint every M simulated seconds (0 = off); the "
+             "page cadence still applies, every "
+             f"{_DEFAULT_CHECKPOINT_PAGES} pages unless --checkpoint-every "
+             "is given")
     parser.add_argument(
         "--resume", action="store_true",
         help="resume the crawl from the --state file's last checkpoint")
     parser.add_argument(
-        "--state", type=Path, default=None,
+        "--state", type=_out_file, default=None,
         help="runtime checkpoint file (default: <out/report>.state.json)")
     parser.add_argument(
         "--die-after", type=_number(int, 0), default=None, metavar="K",
@@ -132,7 +155,7 @@ def _build_runtime(args: argparse.Namespace, pipeline: ReproductionPipeline,
     if wants_checkpoints:
         checkpointer = Checkpointer(
             state_path,
-            every_pages=args.checkpoint_every if args.checkpoint_every > 0 else 25,
+            every_pages=args.checkpoint_every or _DEFAULT_CHECKPOINT_PAGES,
             every_seconds=args.checkpoint_seconds,
             clock=pipeline.origins.clock,
         )
@@ -181,11 +204,11 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--seed", type=int, default=42, help="world seed")
     run.add_argument("--core", action="store_true",
                      help="plant the 42-user hateful core")
-    run.add_argument("--checkpoint", type=Path, default=None,
+    run.add_argument("--checkpoint", type=_out_file, default=None,
                      help="write the crawl corpus to this JSON file")
-    run.add_argument("--report", type=Path, default=None,
+    run.add_argument("--report", type=_out_file, default=None,
                      help="write the text report to this file")
-    run.add_argument("--report-json", type=Path, default=None,
+    run.add_argument("--report-json", type=_out_file, default=None,
                      help="write the full analysis payload as JSON (stable "
                           "across runs of the same world; extras excluded)")
     run.add_argument("--with-faults", action="store_true",
@@ -196,7 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
     crawl = sub.add_parser("crawl", help="collection stages only")
     crawl.add_argument("--scale", type=_world_scale, default=0.005)
     crawl.add_argument("--seed", type=int, default=42)
-    crawl.add_argument("--out", type=Path, required=True,
+    crawl.add_argument("--out", type=_out_file, required=True,
                        help="checkpoint file to write")
     crawl.add_argument("--with-faults", action="store_true",
                        help="inject transport faults (exercises retries)")
@@ -249,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
                               "world seed)")
     loadgen.add_argument("--mean-gap", type=_number(float, 0), default=0.01,
                          help="mean virtual think time between requests")
-    loadgen.add_argument("--out", type=Path, default=None,
+    loadgen.add_argument("--out", type=_out_file, default=None,
                          help="also write the summary to this file")
 
     diffuse = sub.add_parser(
@@ -273,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     diffuse.add_argument("--diffusion-seed", type=int, default=0,
                          help="cascade RNG seed (independent of the world "
                               "seed; the report is a pure function of both)")
-    diffuse.add_argument("--json", type=Path, default=None, metavar="FILE",
+    diffuse.add_argument("--json", type=_out_file, default=None, metavar="FILE",
                          help="write the full diffusion report as JSON "
                               "('-' for stdout)")
     return parser

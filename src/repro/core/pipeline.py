@@ -78,6 +78,7 @@ from repro.crawler.youtube_crawl import (
 )
 from repro.graph.csr import CSRGraph
 from repro.net.client import HttpClient
+from repro.net.cookies import CookieJar
 from repro.net.pool import FetchPool
 from repro.perspective.models import PerspectiveModels
 from repro.platform.apps import Origins, build_origins
@@ -106,7 +107,8 @@ PIPELINE_STAGES = (
     "tail",
 )
 
-_PIPELINE_CHECKPOINT_VERSION = 4
+# The state file's one format version (the v5 envelope of stage_crawl).
+_PIPELINE_CHECKPOINT_VERSION = 5
 
 # The artifact key each completed stage leaves in a pipeline checkpoint
 # (the shadow stage rewrites the corpus it extends).
@@ -295,26 +297,28 @@ class ReproductionPipeline:
         """Stage 1: every §3 collection stage; nothing is scored yet.
 
         Args:
-            checkpointer: write a composite pipeline checkpoint
-                periodically — it records which §3 stage is active, a
-                sidecar reference to each completed stage's artifact, and
-                the active crawler's own v3 checkpoint (frontier, cursor,
-                partial corpus, cookies).  Writes are atomic; an
-                artifact is written once, when its stage completes.
+            checkpointer: write a pipeline checkpoint periodically — a v5
+                envelope recording which §3 stage is active, a sidecar
+                reference to each completed stage's artifact, the
+                client's cookies, and the active crawler's own fields
+                (sub-stage, cursor and, per crawler, partial corpus,
+                frontier, stats).  Writes are atomic; an artifact is
+                written once, when its stage completes.
             resume: a pipeline checkpoint payload previously written to
                 ``checkpointer``'s state file (which must be given too:
                 it reads the sidecars and journals the payload
                 references); completed stages are restored from their
-                artifacts without issuing a single request, and the
-                active stage continues from its crawler checkpoint.
+                artifacts without issuing a single request, the cookie
+                jar is restored, and the active stage continues from its
+                crawler's fields.
         """
         world = self.world
         stage = PIPELINE_STAGES[0]
         artifacts: dict = {}
         active: dict | None = None
         if resume is not None:
-            if not isinstance(resume, dict) or resume.get("kind") != "pipeline":
-                raise ValueError("not a pipeline checkpoint payload")
+            if not isinstance(resume, dict):
+                raise ValueError("pipeline checkpoint must be an object")
             if resume.get("version") != _PIPELINE_CHECKPOINT_VERSION:
                 raise ValueError(
                     f"unsupported pipeline checkpoint version "
@@ -341,15 +345,16 @@ class ReproductionPipeline:
                     f"pipeline checkpoint at stage {stage!r} lacks the "
                     f"artifacts {missing}"
                 )
+            self.client.cookies = CookieJar.from_state(resume.get("cookies"))
             active = resume.get("active")
 
         if checkpointer is not None:
             checkpointer.set_wrapper(
                 lambda inner: {
                     "version": _PIPELINE_CHECKPOINT_VERSION,
-                    "kind": "pipeline",
                     "stage": stage,
                     "artifacts": {key: checkpointer.ref(key) for key in artifacts},
+                    "cookies": self.client.cookies.to_state(),
                     "active": inner,
                 }
             )

@@ -1,19 +1,20 @@
 """Crawl checkpointing.
 
 The paper's crawl ran for weeks against a live service; resumability was
-survival.  Two formats live here:
+survival.  Two documents live here:
 
-* **v1** — a finished corpus serialised to a single JSON document
-  (:func:`dumps_result` / :func:`loads_result`).  This is the corpus
-  interchange format; loading one fills an unsealed
+* the **corpus dump** — a finished corpus serialised to a single JSON
+  document (:func:`dumps_result` / :func:`loads_result`, version 1).
+  This is the corpus interchange format; loading one fills an unsealed
   :class:`~repro.store.CorpusStore`.
-* **v3** — a :class:`CrawlCheckpoint` whose partial corpus travels as a
-  :meth:`~repro.store.CorpusStore.snapshot` payload: sealed-segment
-  references (name + count + sha256, the bytes on disk under
-  ``--store-dir``) plus only the unsealed tail.  It is the only runtime
-  format read: a v2 document (whose corpus was a full
-  ``result_to_payload`` body) is rejected with a ``ValueError`` naming
-  its version.
+* the **state set** of a checkpointed crawl.  Its state file is the
+  pipeline's v5 envelope (:meth:`~repro.core.pipeline.
+  ReproductionPipeline.stage_crawl`): the active stage, references to
+  completed stages' artifacts, the shared client's cookies, and the
+  active crawler's own fields — sub-stage, cursor and, per crawler, a
+  partial corpus, frontier and stats.  :func:`active_cursor`,
+  :func:`cursor_count` and :func:`cursor_strings` validate those
+  fields when a crawler resumes.
 
 A state file does not carry everything itself.  Values that stop
 changing — a completed stage's artifact, the shadow crawler's baseline
@@ -47,7 +48,6 @@ import hashlib
 import json
 import os
 import re
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -57,13 +57,13 @@ if TYPE_CHECKING:   # the store's segment writer imports this module
     from repro.store.corpus import CorpusStore
 
 __all__ = [
-    "CrawlCheckpoint",
     "STATE_SUFFIX",
+    "active_cursor",
     "atomic_write_bytes",
     "atomic_write_json",
     "atomic_write_text",
-    "coerce_checkpoint",
-    "dump_checkpoint",
+    "cursor_count",
+    "cursor_strings",
     "dump_result",
     "dumps_result",
     "encode_json",
@@ -71,7 +71,6 @@ __all__ = [
     "is_count",
     "journal_path",
     "journal_record",
-    "load_checkpoint",
     "load_result",
     "loads_result",
     "read_journal",
@@ -82,7 +81,6 @@ __all__ = [
 ]
 
 _FORMAT_VERSION = 1
-_RUNTIME_FORMAT_VERSION = 3
 
 
 def result_to_payload(result: CorpusStore) -> dict:
@@ -417,153 +415,65 @@ def read_journal(
 
 
 # ----------------------------------------------------------------------
-# Checkpoint format v3: in-progress crawler state.
+# The active crawler's fields.
 # ----------------------------------------------------------------------
 
 
-@dataclass
-class CrawlCheckpoint:
-    """One crawler's resumable state at a point in time.
+def active_cursor(active: object, stages: tuple[str, ...]) -> tuple[str, dict]:
+    """The (sub-stage, cursor) of an active crawler's checkpoint fields.
 
-    Attributes:
-        crawler: which crawler wrote this ("dissenter", "gab_enum",
-            "shadow", "youtube", "social").
-        stage: the crawler-specific stage that was active.
-        cursor: crawler-specific progress (indices, partial collections)
-            — everything in it must be JSON-serialisable.
-        store: the partial corpus, when the crawler builds one, as a
-            :meth:`repro.store.CorpusStore.snapshot` payload.  Kept as
-            an opaque dict here;
-            :meth:`repro.store.CorpusStore.restore_payload` reads it.
-        frontier: a :meth:`CrawlFrontier.to_state` snapshot, when the
-            active stage drains a frontier.
-        stats: serialised per-stage progress counters.
-        cookies: a :meth:`CookieJar.to_state` snapshot of the client's
-            jar (authenticated shadow sessions live here).
-    """
-
-    crawler: str
-    stage: str
-    cursor: dict = field(default_factory=dict)
-    store: dict | None = None
-    frontier: dict | None = None
-    stats: dict | None = None
-    cookies: list | None = None
-
-    def to_payload(self) -> dict:
-        return {
-            "version": _RUNTIME_FORMAT_VERSION,
-            "crawler": self.crawler,
-            "stage": self.stage,
-            "cursor": self.cursor,
-            "store": self.store,
-            "frontier": self.frontier,
-            "stats": self.stats,
-            "cookies": self.cookies,
-        }
-
-    @classmethod
-    def from_payload(cls, payload: dict) -> "CrawlCheckpoint":
-        """Parse a v3 payload.
-
-        Raises:
-            ValueError: wrong version (a v2 document included) or
-                malformed document.
-        """
-        if not isinstance(payload, dict):
-            raise ValueError(
-                f"runtime checkpoint must be an object, "
-                f"got {type(payload).__name__}"
-            )
-        version = payload.get("version")
-        if version != _RUNTIME_FORMAT_VERSION:
-            raise ValueError(
-                f"unsupported runtime checkpoint version {version!r} "
-                f"(only v{_RUNTIME_FORMAT_VERSION} is read)"
-            )
-        raw_store = payload.get("store")
-        if raw_store is not None and not isinstance(raw_store, dict):
-            raise ValueError(
-                f"malformed runtime checkpoint: corpus payload must be "
-                f"an object, got {type(raw_store).__name__}"
-            )
-        try:
-            return cls(
-                crawler=payload["crawler"],
-                stage=payload["stage"],
-                cursor=dict(payload.get("cursor") or {}),
-                store=raw_store,
-                frontier=payload.get("frontier"),
-                stats=payload.get("stats"),
-                cookies=payload.get("cookies"),
-            )
-        except (KeyError, TypeError) as exc:
-            raise ValueError(f"malformed runtime checkpoint: {exc!r}") from exc
-
-    def count(self, key: str) -> int:
-        """``cursor[key]`` (0 when absent), checked to be a count.
-
-        Raises:
-            ValueError: it is not a non-negative integer.
-        """
-        value = self.cursor.get(key, 0)
-        if not is_count(value):
-            raise ValueError(
-                f"{self.crawler} checkpoint cursor {key!r} must be a "
-                f"non-negative integer, got {value!r}"
-            )
-        return int(value)
-
-    def strings(self, key: str) -> list[str]:
-        """``cursor[key]`` (empty when absent), checked to be a list of strings.
-
-        Raises:
-            ValueError: it is anything else.
-        """
-        value = self.cursor.get(key, [])
-        if not isinstance(value, list) or not all(
-            isinstance(item, str) for item in value
-        ):
-            raise ValueError(
-                f"{self.crawler} checkpoint cursor {key!r} must be a list "
-                f"of strings"
-            )
-        return list(value)
-
-
-def coerce_checkpoint(resume: "CrawlCheckpoint | dict", crawler: str) -> "CrawlCheckpoint":
-    """Accept either a parsed checkpoint or its payload; validate ownership.
+    ``active`` is what a crawler's provider returned: its ``stage``, one
+    of ``stages``, its ``cursor`` and, per crawler, ``store``,
+    ``frontier`` and ``stats``.
 
     Raises:
-        ValueError: the checkpoint belongs to a different crawler or is
-            malformed.
+        ValueError: ``active`` is not an object, its stage is not one of
+            ``stages``, or its cursor is not an object.
     """
-    checkpoint = (
-        resume
-        if isinstance(resume, CrawlCheckpoint)
-        else CrawlCheckpoint.from_payload(resume)
-    )
-    if checkpoint.crawler != crawler:
+    if not isinstance(active, dict):
         raise ValueError(
-            f"checkpoint belongs to crawler {checkpoint.crawler!r}, "
-            f"cannot resume {crawler!r}"
+            f"active crawler checkpoint must be an object, "
+            f"got {type(active).__name__}"
         )
-    return checkpoint
+    stage = active.get("stage")
+    if stage not in stages:
+        raise ValueError(
+            f"cannot resume from crawler stage {stage!r} "
+            f"(expected one of {list(stages)})"
+        )
+    cursor = active.get("cursor", {})
+    if not isinstance(cursor, dict):
+        raise ValueError(
+            f"{stage} checkpoint cursor must be an object, "
+            f"got {type(cursor).__name__}"
+        )
+    return stage, cursor
 
 
-def dump_checkpoint(checkpoint: CrawlCheckpoint, path: str | Path) -> None:
-    """Write a runtime (v3) checkpoint file atomically."""
-    atomic_write_json(path, checkpoint.to_payload())
-
-
-def load_checkpoint(path: str | Path) -> CrawlCheckpoint:
-    """Read a runtime (v3) checkpoint file.
+def cursor_count(cursor: dict, key: str) -> int:
+    """``cursor[key]`` (0 when absent), checked to be a count.
 
     Raises:
-        ValueError: malformed or wrong-version file.
+        ValueError: it is not a non-negative integer.
     """
-    try:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"checkpoint is not valid JSON: {exc}") from exc
-    return CrawlCheckpoint.from_payload(payload)
+    value = cursor.get(key, 0)
+    if not is_count(value):
+        raise ValueError(
+            f"checkpoint cursor {key!r} must be a non-negative integer, "
+            f"got {value!r}"
+        )
+    return int(value)
+
+
+def cursor_strings(cursor: dict, key: str) -> list[str]:
+    """``cursor[key]`` (empty when absent), checked to be a list of strings.
+
+    Raises:
+        ValueError: it is anything else.
+    """
+    value = cursor.get(key, [])
+    if not isinstance(value, list) or not all(
+        isinstance(item, str) for item in value
+    ):
+        raise ValueError(f"checkpoint cursor {key!r} must be a list of strings")
+    return list(value)

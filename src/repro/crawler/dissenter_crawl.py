@@ -22,9 +22,9 @@ caller-owned :class:`CrawlState`; :meth:`DissenterCrawler.crawl` runs
 them in order.
 
 Every stage is **resumable**: given a :class:`~repro.crawler.runtime.
-Checkpointer` the crawler snapshots its frontier, partial result, stats,
-cookie jar and stage cursor periodically; given a prior checkpoint it
-skips all already-fetched work and continues from the cursor.
+Checkpointer` the crawler snapshots its frontier, partial result, stats
+and stage cursor periodically; given those fields back it skips all
+already-fetched work and continues from the cursor.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, Sequence
 
-from repro.crawler.checkpoint import CrawlCheckpoint, coerce_checkpoint
+from repro.crawler.checkpoint import active_cursor, cursor_count, cursor_strings
 from repro.crawler.frontier import CrawlFrontier
 from repro.crawler.parsing import (
     PageParseMemo,
@@ -50,7 +50,6 @@ from repro.crawler.runtime import (
     snapshot_store,
 )
 from repro.net.client import HttpClient
-from repro.net.cookies import CookieJar
 from repro.net.http import Response
 from repro.net.pool import FetchPool
 
@@ -171,43 +170,34 @@ class DissenterCrawler:
         self.stats = CrawlStats()
         self.parse_memo = parse_memo if parse_memo is not None else PageParseMemo()
 
-    def _restore_client_cookies(self, cookies: list | None) -> None:
-        if cookies is not None:
-            self._client.cookies = CookieJar.from_state(cookies)
-
     # ------------------------------------------------------------------
     # Stage 1: account detection by response size.
     # ------------------------------------------------------------------
 
-    def restore_detect(self, resume: CrawlCheckpoint | dict) -> tuple[int, list[str]]:
-        """Load a "detect" checkpoint: (probe index, accounts detected so far).
+    def restore_detect(self, resume: dict) -> tuple[int, list[str]]:
+        """Load "detect" checkpoint fields: (probe index, accounts detected so far).
 
         Raises:
-            ValueError: a malformed payload.
+            ValueError: malformed fields.
         """
-        checkpoint = coerce_checkpoint(resume, "dissenter")
-        if checkpoint.stage != "detect":
-            raise ValueError(
-                f"cannot resume detect_accounts from stage {checkpoint.stage!r}"
-            )
-        index = checkpoint.count("index")
-        detected = checkpoint.strings("detected")
-        if checkpoint.stats is not None:
-            self.stats = CrawlStats.from_dict(checkpoint.stats)
-        self._restore_client_cookies(checkpoint.cookies)
+        _, cursor = active_cursor(resume, ("detect",))
+        index = cursor_count(cursor, "index")
+        detected = cursor_strings(cursor, "detected")
+        if resume.get("stats") is not None:
+            self.stats = CrawlStats.from_dict(resume["stats"])
         return index, detected
 
     def detect_accounts(
         self,
         usernames: Iterable[str],
         checkpointer: Checkpointer | None = None,
-        resume: CrawlCheckpoint | dict | None = None,
+        resume: dict | None = None,
         pool: FetchPool | None = None,
     ) -> list[str]:
         """Return the subset of usernames that have Dissenter accounts.
 
         With a ``checkpointer``, progress is snapshotted periodically;
-        with ``resume`` (a prior "detect" checkpoint) probing continues
+        with ``resume`` (its "detect" checkpoint fields) probing continues
         from the saved index — already-probed usernames are never
         re-requested.
         """
@@ -219,13 +209,11 @@ class DissenterCrawler:
 
         if checkpointer is not None:
             checkpointer.set_provider(
-                lambda: CrawlCheckpoint(
-                    crawler="dissenter",
-                    stage="detect",
-                    cursor={"index": index, "detected": list(detected)},
-                    stats=self.stats.to_dict(),
-                    cookies=self._client.cookies.to_state(),
-                ).to_payload()
+                lambda: {
+                    "stage": "detect",
+                    "cursor": {"index": index, "detected": list(detected)},
+                    "stats": self.stats.to_dict(),
+                }
             )
 
         if pool is None:
@@ -258,7 +246,7 @@ class DissenterCrawler:
         self,
         usernames: Sequence[str],
         checkpointer: Checkpointer | None = None,
-        resume: CrawlCheckpoint | dict | None = None,
+        resume: dict | None = None,
         pool: FetchPool | None = None,
         store: CorpusStore | None = None,
     ) -> CorpusStore:
@@ -307,53 +295,46 @@ class DissenterCrawler:
     def checkpoint(
         self, state: CrawlState, store: CorpusStore, checkpointer: Checkpointer
     ) -> dict:
-        """The v3 checkpoint payload of stages 2-4 (a provider's value)."""
-        return CrawlCheckpoint(
-            crawler="dissenter",
-            stage=state.stage,
-            cursor={
+        """The checkpoint fields of stages 2-4 (a provider's value)."""
+        return {
+            "stage": state.stage,
+            "cursor": {
                 "index": state.index,
                 "meta_index": state.meta_index,
                 "visited_authors": sorted(state.visited_authors),
             },
-            store=snapshot_store(checkpointer, _STORE_KEY, store),
-            frontier=state.frontier.to_state(),
-            stats=self.stats.to_dict(),
-            cookies=self._client.cookies.to_state(),
-        ).to_payload()
+            "store": snapshot_store(checkpointer, _STORE_KEY, store),
+            "frontier": state.frontier.to_state(),
+            "stats": self.stats.to_dict(),
+        }
 
     def restore(
         self,
-        resume: CrawlCheckpoint | dict,
+        resume: dict,
         store: CorpusStore,
         checkpointer: Checkpointer | None,
     ) -> CrawlState:
-        """Load a :meth:`checkpoint` payload into ``store`` and this crawler.
+        """Load :meth:`checkpoint` fields into ``store`` and this crawler.
 
         Raises:
-            ValueError: a malformed payload.
+            ValueError: malformed fields.
         """
-        checkpoint = coerce_checkpoint(resume, "dissenter")
-        if checkpoint.stage not in _CRAWL_STAGES:
-            raise ValueError(
-                f"cannot resume crawl from stage {checkpoint.stage!r}"
-            )
+        stage, cursor = active_cursor(resume, _CRAWL_STAGES)
         state = CrawlState(
-            stage=checkpoint.stage,
-            index=checkpoint.count("index"),
-            meta_index=checkpoint.count("meta_index"),
-            visited_authors=set(checkpoint.strings("visited_authors")),
+            stage=stage,
+            index=cursor_count(cursor, "index"),
+            meta_index=cursor_count(cursor, "meta_index"),
+            visited_authors=set(cursor_strings(cursor, "visited_authors")),
         )
-        if checkpoint.store is not None:
+        if resume.get("store") is not None:
             restore_store(
                 resume_checkpointer(checkpointer, "dissenter"),
-                _STORE_KEY, store, checkpoint.store,
+                _STORE_KEY, store, resume["store"],
             )
-        if checkpoint.frontier is not None:
-            state.frontier = CrawlFrontier.from_state(checkpoint.frontier)
-        if checkpoint.stats is not None:
-            self.stats = CrawlStats.from_dict(checkpoint.stats)
-        self._restore_client_cookies(checkpoint.cookies)
+        if resume.get("frontier") is not None:
+            state.frontier = CrawlFrontier.from_state(resume["frontier"])
+        if resume.get("stats") is not None:
+            self.stats = CrawlStats.from_dict(resume["stats"])
         return state
 
     # Each phase method runs one stage over an explicit job list, keeps

@@ -8,7 +8,7 @@ what keeps the per-URL rate limit from ever binding, §3.2).
 from __future__ import annotations
 
 from collections import deque
-from typing import Generic, Hashable, Iterable, Iterator, TypeVar
+from typing import Generic, Hashable, Iterable, TypeVar
 
 __all__ = ["CrawlFrontier"]
 
@@ -107,11 +107,6 @@ class CrawlFrontier(Generic[T]):
             for item, count in self._failures.items()
             if count > self._max_retries
         ]
-
-    def drain(self) -> Iterator[T]:
-        """Iterate until the frontier is empty (items may be added during)."""
-        while self._queue:
-            yield self.pop()
 
     # ------------------------------------------------------------------
     # Checkpointing (the resumable-crawl runtime serialises the frontier

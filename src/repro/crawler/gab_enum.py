@@ -14,12 +14,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.crawler.checkpoint import CrawlCheckpoint, coerce_checkpoint
+from repro.crawler.checkpoint import active_cursor, cursor_count
 from repro.crawler.parsing import parse_gab_account
 from repro.crawler.records import CrawledGabAccount
 from repro.crawler.runtime import Checkpointer, resume_checkpointer
 from repro.net.client import HttpClient
-from repro.net.cookies import CookieJar
 from repro.net.pool import FetchPool
 from repro.net.ratelimit import HeaderRateLimiter
 
@@ -131,18 +130,17 @@ class GabEnumerator:
         return parse_gab_account(response.text)
 
     def restore(
-        self, resume: CrawlCheckpoint | dict, checkpointer: Checkpointer | None
+        self, resume: dict, checkpointer: Checkpointer | None
     ) -> tuple[int, int, GabEnumerationResult]:
-        """Load a "gab_enum" checkpoint: (last probed ID, consecutive misses, result).
+        """Load checkpoint fields: (last probed ID, consecutive misses, result).
 
         Raises:
-            ValueError: a malformed payload or accounts journal.
+            ValueError: malformed fields or accounts journal.
         """
-        checkpoint = coerce_checkpoint(resume, "gab_enum")
+        _, cursor = active_cursor(resume, ("enumerate", "done"))
         checkpointer = resume_checkpointer(checkpointer, "gab_enum")
-        cursor = checkpoint.cursor
-        gab_id = checkpoint.count("gab_id")
-        consecutive_misses = checkpoint.count("consecutive_misses")
+        gab_id = cursor_count(cursor, "gab_id")
+        consecutive_misses = cursor_count(cursor, "consecutive_misses")
         result = GabEnumerationResult.from_dict({
             "accounts": checkpointer.open_journal(
                 ACCOUNTS_JOURNAL, cursor.get("accounts")
@@ -150,15 +148,13 @@ class GabEnumerator:
             "ids_probed": cursor.get("ids_probed", 0),
             "misses": cursor.get("misses", 0),
         })
-        if checkpoint.cookies is not None:
-            self._client.cookies = CookieJar.from_state(checkpoint.cookies)
         return gab_id, consecutive_misses, result
 
     def enumerate(
         self,
         max_id: int | None = None,
         checkpointer: Checkpointer | None = None,
-        resume: CrawlCheckpoint | dict | None = None,
+        resume: dict | None = None,
         pool: FetchPool | None = None,
     ) -> GabEnumerationResult:
         """Sweep IDs from 1 upward.
@@ -168,7 +164,7 @@ class GabEnumerator:
                 after ``stop_after_misses`` consecutive misses beyond the
                 last allocated ID.
             checkpointer: snapshot progress periodically.
-            resume: a prior "gab_enum" checkpoint; the sweep continues
+            resume: the sweep's checkpoint fields; it continues
                 from the saved ID — already-probed IDs are never
                 re-requested.
             pool: fetch engine to issue probes through; a fresh
@@ -185,10 +181,9 @@ class GabEnumerator:
             # The account list only grows: each tick appends the accounts
             # found since the last one to a journal.
             checkpointer.set_provider(
-                lambda: CrawlCheckpoint(
-                    crawler="gab_enum",
-                    stage=stage,
-                    cursor={
+                lambda: {
+                    "stage": stage,
+                    "cursor": {
                         "gab_id": gab_id,
                         "consecutive_misses": consecutive_misses,
                         "ids_probed": result.ids_probed,
@@ -197,8 +192,7 @@ class GabEnumerator:
                             ACCOUNTS_JOURNAL, result.accounts, _account_payload
                         ),
                     },
-                    cookies=self._client.cookies.to_state(),
-                ).to_payload()
+                }
             )
 
         if pool is None:

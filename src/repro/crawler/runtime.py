@@ -12,12 +12,13 @@ the new one — never a torn file.
 Layering:
 
 * a crawler calls :meth:`Checkpointer.set_provider` with a zero-argument
-  callable returning its current :class:`~repro.crawler.checkpoint.
-  CrawlCheckpoint` payload, then calls :meth:`Checkpointer.tick` once per
-  fetched page;
-* the pipeline optionally wraps every crawler payload via
-  :meth:`Checkpointer.set_wrapper` so the file also records *which* §3
-  stage is active plus references to the artifacts of completed stages.
+  callable returning its current fields (sub-stage, cursor and, per
+  crawler, partial corpus, frontier and stats), then calls
+  :meth:`Checkpointer.tick` once per fetched page;
+* the pipeline wraps those fields via :meth:`Checkpointer.set_wrapper`
+  in its v5 envelope, which also records *which* §3 stage is active,
+  references to the artifacts of completed stages and the shared
+  client's cookies.
 
 A tick writes only what changed.  The checkpointer also owns the state
 file's sidecars (a value written once, :meth:`Checkpointer.sidecar`) and
@@ -146,7 +147,7 @@ class Checkpointer:
     def set_wrapper(
         self, wrapper: Callable[[dict | None], dict | None] | None
     ) -> None:
-        """Install a payload wrapper (the pipeline's composite envelope)."""
+        """Install a payload wrapper (the pipeline's envelope)."""
         self._wrapper = wrapper
 
     def _payload(self) -> dict | None:
@@ -379,6 +380,10 @@ def restore_store(
         ValueError: a malformed payload, or a sidecar or journal that is
             missing or fails verification.
     """
+    if not isinstance(payload, dict):
+        raise ValueError(
+            f"store payload must be an object, got {type(payload).__name__}"
+        )
     sealed = payload.get("sealed") or []
     if not isinstance(sealed, list) or not all(
         isinstance(entry, dict) for entry in sealed

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from repro.crawler.checkpoint import CrawlCheckpoint, coerce_checkpoint
+from repro.crawler.checkpoint import active_cursor, cursor_count
 from repro.crawler.parsing import PageParseMemo
 from repro.crawler.runtime import (
     Checkpointer,
@@ -29,7 +29,6 @@ from repro.crawler.runtime import (
     snapshot_store,
 )
 from repro.net.client import HttpClient
-from repro.net.cookies import CookieJar
 from repro.net.http import Response
 from repro.net.pool import FetchPool
 
@@ -122,7 +121,7 @@ class ShadowCrawler:
         self,
         result: CorpusStore,
         checkpointer: Checkpointer | None = None,
-        resume: CrawlCheckpoint | dict | None = None,
+        resume: dict | None = None,
         pool: FetchPool | None = None,
     ) -> ShadowCrawlReport:
         """Run the NSFW and offensive passes over the baseline result.
@@ -162,7 +161,7 @@ class ShadowCrawler:
     def checkpoint(
         self, state: ShadowState, store: CorpusStore, checkpointer: Checkpointer
     ) -> dict:
-        """The v3 checkpoint payload of the passes (a provider's value).
+        """The checkpoint fields of the passes (a provider's value).
 
         Both id lists are fixed for the whole stage: they are written
         once, as sidecars.
@@ -170,39 +169,31 @@ class ShadowCrawler:
         if _BASELINE_SIDECAR not in checkpointer:
             checkpointer.sidecar(_BASELINE_SIDECAR, sorted(state.baseline_ids))
             checkpointer.sidecar(_URLS_SIDECAR, state.url_ids)
-        return CrawlCheckpoint(
-            crawler="shadow",
-            stage=state.stage,
-            cursor={
+        return {
+            "stage": state.stage,
+            "cursor": {
                 "page_index": state.page_index,
                 "baseline_ids": checkpointer.ref(_BASELINE_SIDECAR),
                 "url_ids": checkpointer.ref(_URLS_SIDECAR),
                 "found": dict(state.found),
             },
-            store=snapshot_store(checkpointer, _STORE_KEY, store),
-            cookies=self._client.cookies.to_state(),
-        ).to_payload()
+            "store": snapshot_store(checkpointer, _STORE_KEY, store),
+        }
 
     def restore(
         self,
-        resume: CrawlCheckpoint | dict,
+        resume: dict,
         store: CorpusStore,
         checkpointer: Checkpointer | None,
     ) -> ShadowState:
-        """Load a :meth:`checkpoint` payload: its corpus replaces the
-        contents of ``store`` in place, its cookies go to the client;
-        returns its state.
+        """Load :meth:`checkpoint` fields: their corpus replaces the
+        contents of ``store`` in place; returns their state.
 
         Raises:
-            ValueError: the payload or its sidecars are malformed.
+            ValueError: the fields or their sidecars are malformed.
         """
-        checkpoint = coerce_checkpoint(resume, "shadow")
-        if checkpoint.stage not in (*PASS_NAMES, "done"):
-            raise ValueError(
-                f"cannot resume shadow crawl from stage {checkpoint.stage!r}"
-            )
+        stage, cursor = active_cursor(resume, (*PASS_NAMES, "done"))
         checkpointer = resume_checkpointer(checkpointer, "shadow")
-        cursor = checkpoint.cursor
         baseline = checkpointer.read_sidecar(
             _BASELINE_SIDECAR, cursor.get("baseline_ids")
         )
@@ -215,13 +206,11 @@ class ShadowCrawler:
         ):
             raise ValueError("shadow checkpoint found counts must be integers")
         state = ShadowState(
-            urls, set(baseline), checkpoint.stage, checkpoint.count("page_index")
+            urls, set(baseline), stage, cursor_count(cursor, "page_index")
         )
         state.found.update(found)
-        if checkpoint.store is not None:
-            restore_store(checkpointer, _STORE_KEY, store, checkpoint.store)
-        if checkpoint.cookies is not None:
-            self._client.cookies = CookieJar.from_state(checkpoint.cookies)
+        if resume.get("store") is not None:
+            restore_store(checkpointer, _STORE_KEY, store, resume["store"])
         return state
 
     def run_pass(

@@ -17,12 +17,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from repro.crawler.checkpoint import CrawlCheckpoint, coerce_checkpoint
+from repro.crawler.checkpoint import active_cursor, cursor_count
 from repro.crawler.parsing import parse_account_ids
 from repro.crawler.runtime import Checkpointer
 from repro.graph.csr import CSRGraph, csr_from_follow_records
 from repro.net.client import HttpClient
-from repro.net.cookies import CookieJar
 from repro.net.pool import FetchPool
 from repro.net.ratelimit import HeaderRateLimiter
 
@@ -113,7 +112,7 @@ class SocialGraphCrawler:
         self,
         gab_ids: Iterable[int],
         checkpointer: Checkpointer | None = None,
-        resume: CrawlCheckpoint | dict | None = None,
+        resume: dict | None = None,
         pool: FetchPool | None = None,
     ) -> SocialCrawlResult:
         """Gather both relationship directions for every given account.
@@ -133,23 +132,18 @@ class SocialGraphCrawler:
         index = 0
         stage = "relations"
         if resume is not None:
-            checkpoint = coerce_checkpoint(resume, "social")
-            index = checkpoint.count("index")
-            result = SocialCrawlResult.from_dict(
-                checkpoint.cursor.get("result") or {}
-            )
-            if checkpoint.cookies is not None:
-                self._client.cookies = CookieJar.from_state(checkpoint.cookies)
+            _, cursor = active_cursor(resume, ("relations", "done"))
+            index = cursor_count(cursor, "index")
+            result = SocialCrawlResult.from_dict(cursor.get("result") or {})
         prior_requests = result.requests_made
         prior_waited = result.seconds_waited
         before = self._client.stats.requests
 
         if checkpointer is not None:
             checkpointer.set_provider(
-                lambda: CrawlCheckpoint(
-                    crawler="social",
-                    stage=stage,
-                    cursor={
+                lambda: {
+                    "stage": stage,
+                    "cursor": {
                         "index": index,
                         "result": {
                             **result.to_dict(),
@@ -159,8 +153,7 @@ class SocialGraphCrawler:
                             + self._limiter.total_waited,
                         },
                     },
-                    cookies=self._client.cookies.to_state(),
-                ).to_payload()
+                }
             )
 
         if pool is None:

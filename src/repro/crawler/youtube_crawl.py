@@ -14,12 +14,11 @@ from dataclasses import dataclass, field
 from typing import Iterable
 from urllib.parse import urlsplit
 
-from repro.crawler.checkpoint import CrawlCheckpoint, coerce_checkpoint
+from repro.crawler.checkpoint import active_cursor, cursor_count
 from repro.crawler.parsing import parse_youtube_page
 from repro.crawler.records import CrawledYouTubeItem
 from repro.crawler.runtime import Checkpointer
 from repro.net.client import HttpClient
-from repro.net.cookies import CookieJar
 from repro.net.http import Response
 from repro.net.pool import FetchPool
 
@@ -119,7 +118,7 @@ class YouTubeCrawler:
         self,
         urls: Iterable[str],
         checkpointer: Checkpointer | None = None,
-        resume: CrawlCheckpoint | dict | None = None,
+        resume: dict | None = None,
         pool: FetchPool | None = None,
     ) -> YouTubeCrawlResult:
         """Render every YouTube URL in the iterable.
@@ -134,22 +133,16 @@ class YouTubeCrawler:
         index = 0
         stage = "render"
         if resume is not None:
-            checkpoint = coerce_checkpoint(resume, "youtube")
-            index = checkpoint.count("index")
-            result = YouTubeCrawlResult.from_dict(
-                checkpoint.cursor.get("result") or {}
-            )
-            if checkpoint.cookies is not None:
-                self._client.cookies = CookieJar.from_state(checkpoint.cookies)
+            _, cursor = active_cursor(resume, ("render", "done"))
+            index = cursor_count(cursor, "index")
+            result = YouTubeCrawlResult.from_dict(cursor.get("result") or {})
 
         if checkpointer is not None:
             checkpointer.set_provider(
-                lambda: CrawlCheckpoint(
-                    crawler="youtube",
-                    stage=stage,
-                    cursor={"index": index, "result": result.to_dict()},
-                    cookies=self._client.cookies.to_state(),
-                ).to_payload()
+                lambda: {
+                    "stage": stage,
+                    "cursor": {"index": index, "result": result.to_dict()},
+                }
             )
 
         if pool is None:

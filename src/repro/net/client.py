@@ -65,48 +65,6 @@ class ClientStats:
                 self.status_counts.get(response.status, 0) + 1
             )
 
-    def to_dict(self) -> dict:
-        """JSON-ready snapshot, status codes in numeric order."""
-        with self._lock:
-            return {
-                "requests": self.requests,
-                "retries": self.retries,
-                "timeouts": self.timeouts,
-                "redirects_followed": self.redirects_followed,
-                "bytes_received": self.bytes_received,
-                "status_counts": {
-                    str(status): self.status_counts[status]
-                    for status in sorted(self.status_counts)
-                },
-            }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "ClientStats":
-        """Rebuild stats from :meth:`to_dict` output.
-
-        Raises:
-            ValueError: the payload is malformed.
-        """
-        if not isinstance(payload, dict):
-            raise ValueError("client stats must be an object")
-        status_counts = payload.get("status_counts") or {}
-        if not isinstance(status_counts, dict):
-            raise ValueError("client stats status_counts must be an object")
-        try:
-            return cls(
-                requests=int(payload.get("requests", 0)),
-                retries=int(payload.get("retries", 0)),
-                timeouts=int(payload.get("timeouts", 0)),
-                redirects_followed=int(payload.get("redirects_followed", 0)),
-                bytes_received=int(payload.get("bytes_received", 0)),
-                status_counts={
-                    int(status): int(count)
-                    for status, count in status_counts.items()
-                },
-            )
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"malformed client stats: {exc!r}") from exc
-
 
 class HttpClient:
     """A synchronous HTTP client over a :class:`Transport`.

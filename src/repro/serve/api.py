@@ -62,12 +62,11 @@ def corpus_manifest_hash(corpus: CorpusStore) -> str:
     """A stable identity hash for a corpus's contents.
 
     The store's snapshot payload is hashed — sealed segment references
-    (name, count, sha256, columns hash) plus the unsealed tail — with the
-    host-specific spill directory excluded, so the same corpus hashes
-    identically wherever its segments live.
+    (name, count, sha256, columns hash) plus the unsealed tail.  It names
+    no directory, so the same corpus hashes identically wherever its
+    segments live.
     """
     payload = corpus.snapshot()
-    payload.pop("dir", None)   # host path, not corpus identity
     data = json.dumps(payload, sort_keys=True).encode("utf-8")
     return hashlib.sha256(data).hexdigest()
 

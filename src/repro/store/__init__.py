@@ -4,7 +4,7 @@ Public surface:
 
 * :class:`CorpusStore` — the crawl/score/analyze corpus interface
   (append log, size-bounded segments, optional spill-to-disk, memoised
-  post-seal indexes, streaming views, checkpoint-v3 snapshots).
+  post-seal indexes, streaming views, checkpoint snapshots).
 * the columnar projection (:class:`ColumnView`, :func:`columns_of`,
   :data:`PROJECTION_SPEC`) that the vectorized §4 analyses read.
 * the canonical JSONL codecs and segment/manifest helpers.

@@ -31,8 +31,8 @@ methods, and adds:
   verified JSONL when missing or corrupt.
 
 The store deliberately does *not* import :mod:`repro.crawler.checkpoint`
-payload helpers: checkpoint v3 carries the snapshot as a plain dict, and
-:meth:`restore_payload` reads only that v3 shape.
+payload helpers: a state file carries the snapshot as a plain dict, and
+:meth:`restore_payload` reads only the ``STORE_FORMAT_VERSION`` shape.
 """
 
 from __future__ import annotations
@@ -70,7 +70,7 @@ __all__ = [
     "STORE_FORMAT_VERSION",
 ]
 
-#: Version tag of the store snapshot payload (checkpoint format v3).
+#: Version tag of the store snapshot payload.
 STORE_FORMAT_VERSION = 3
 
 #: Default records per sealed segment.
@@ -212,11 +212,6 @@ class CorpusStore:
         return list(self._refs)
 
     @property
-    def log_records(self) -> int:
-        """Total log lines written (sealed + unsealed tail)."""
-        return sum(ref.count for ref in self._refs) + len(self._tail)
-
-    @property
     def tail_records(self) -> int:
         """Unsealed lines currently buffered (the per-tick checkpoint cost)."""
         return len(self._tail)
@@ -308,15 +303,16 @@ class CorpusStore:
         }
 
     # ------------------------------------------------------------------
-    # Checkpoint snapshot / restore (format v3).
+    # Checkpoint snapshot / restore.
     # ------------------------------------------------------------------
 
     def snapshot(self) -> dict:
-        """The store's checkpoint-v3 payload.
+        """The store's checkpoint payload (``STORE_FORMAT_VERSION``).
 
-        Sealed segments appear as references only when they live on
-        disk; inline segments carry their lines (the data must live
-        somewhere).  The unsealed tail always rides along, so with a
+        It names no directory: a state file is the same wherever the
+        crawl ran.  Sealed segments appear as references only when they
+        live on disk; inline segments carry their lines (the data must
+        live somewhere).  The unsealed tail always rides along, so with a
         ``store_dir`` the store's share of a checkpoint tick is bounded
         by ``segment_records``, not corpus size.  Checkpointing crawlers
         go one step further through
@@ -335,17 +331,20 @@ class CorpusStore:
         return {
             "version": STORE_FORMAT_VERSION,
             "segment_records": self.segment_records,
-            "dir": str(self.store_dir) if self.store_dir is not None else None,
             "sealed": sealed,
             "tail": list(self._tail),
         }
 
     def restore_payload(self, payload: dict) -> None:
-        """Load a v3 :meth:`snapshot` payload into this (empty, unsealed) store.
+        """Load a :meth:`snapshot` payload into this (empty, unsealed) store.
+
+        Segments without inline lines are read from this store's own
+        directory.
 
         Raises:
             ValueError: malformed payload, unknown version, a bare
-                ``result_to_payload`` corpus document, or a sealed
+                ``result_to_payload`` corpus document, a segment on disk
+                but no ``store_dir`` to read it from, or a sealed
                 segment that fails its count/hash verification.
         """
         if self._sealed:
@@ -374,20 +373,18 @@ class CorpusStore:
         # kill→resume legs must seal at the same record boundaries as
         # the uninterrupted run, whatever the current CLI flag says.
         self.segment_records = int(payload.get("segment_records", self.segment_records))
-        payload_dir = payload.get("dir")
         for entry in payload.get("sealed") or []:
             if not isinstance(entry, dict):
                 raise ValueError("sealed segment entry must be an object")
             ref = SegmentRef.from_payload(entry)
             raw_lines = entry.get("lines")
             if raw_lines is None:
-                base = self.store_dir if self.store_dir is not None else payload_dir
-                if base is None:
+                if self.store_dir is None:
                     raise ValueError(
-                        f"segment {ref.name} has no inline lines and the "
-                        f"payload names no store directory"
+                        f"segment {ref.name} lives in a store directory; "
+                        f"restore into a store with one (--store-dir)"
                     )
-                lines = read_segment(Path(base), ref)
+                lines = read_segment(self.store_dir, ref)
             else:
                 lines = [str(line) for line in raw_lines]
                 if len(lines) != ref.count:

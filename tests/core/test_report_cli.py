@@ -111,6 +111,31 @@ class TestCliParser:
         assert f"argument {flag}" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command, flag", [
+        ("run", "--checkpoint"),
+        ("run", "--report"),
+        ("run", "--report-json"),
+        ("run", "--state"),
+        ("crawl", "--out"),
+        ("crawl", "--state"),
+        ("loadgen", "--out"),
+        ("diffuse", "--json"),
+    ])
+    def test_output_file_in_a_missing_directory_is_a_usage_error(
+        self, command, flag, tmp_path, capsys
+    ):
+        extra = ["--out", str(tmp_path / "c.json")] if command == "crawl" else []
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, *extra, flag, str(tmp_path / "nodir" / "f.json")])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}: directory" in err
+        assert "nodir" in err
+        assert "Traceback" not in err
+
+    def test_diffuse_json_dash_is_stdout(self):
+        assert str(build_parser().parse_args(["diffuse", "--json", "-"]).json) == "-"
+
     def test_crawl_has_no_shards_option(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             build_parser().parse_args(["crawl", "--out", "x.json", "--shards", "2"])

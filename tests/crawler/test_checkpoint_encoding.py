@@ -96,6 +96,17 @@ class TestCheckpointedCrawlBytes:
         assert second.written == first.written
         assert second.state_sets == first.state_sets
 
+    def test_state_sets_do_not_depend_on_the_checkout_path(
+        self, world, tmp_path
+    ):
+        """The store payload names no directory, so the same crawl run
+        from directories whose paths differ in length writes the same
+        bytes."""
+        short = self._crawl(world, tmp_path / "a")
+        longer = self._crawl(world, tmp_path / "a-checkout-with-a-longer-path")
+        assert longer.written == short.written
+        assert longer.state_sets == short.state_sets
+
     def test_killed_and_resumed_chain_reaches_the_same_final_state_set(
         self, world, tmp_path
     ):

@@ -105,7 +105,12 @@ class TestStateSetNames:
     ):
         state = killed_states[SHADOW_KILL] / "c.state.json"
         envelope = load_state(state)
-        assert envelope["version"] == 4 and envelope["stage"] == "shadow"
+        assert envelope["version"] == 5 and envelope["stage"] == "shadow"
+        assert list(envelope) == [
+            "version", "stage", "artifacts", "cookies", "active"
+        ]
+        # The active crawler's own fields carry no version of their own.
+        assert list(envelope["active"]) == ["stage", "cursor", "store"]
         assert set(envelope["artifacts"]) == {"gab_enum", "detected", "corpus"}
         for ref in envelope["artifacts"].values():
             assert set(ref) == {"sha256", "bytes"}
@@ -234,16 +239,61 @@ class TestJournals:
 
 
 class TestEnvelopeVersion:
+    def _resume_as(self, world, killed_states, tmp_path, version):
+        state = _copy_state(killed_states, SHADOW_KILL, tmp_path)
+        envelope = load_state(state)
+        envelope["version"] = version
+        pipeline = ReproductionPipeline(world=world)
+        with pytest.raises(
+            ValueError, match=f"pipeline checkpoint version {version} "
+        ):
+            pipeline.stage_crawl(
+                checkpointer=Checkpointer(state, 5), resume=envelope
+            )
+        assert pipeline.origins.transport.requests_attempted == 0
+
     def test_v3_pipeline_envelope_raises_value_error(
         self, world, killed_states, tmp_path
     ):
+        self._resume_as(world, killed_states, tmp_path, 3)
+
+    def test_v4_pipeline_envelope_raises_value_error(
+        self, world, killed_states, tmp_path
+    ):
+        self._resume_as(world, killed_states, tmp_path, 4)
+
+
+class TestCookies:
+    def test_a_boundary_resume_gets_the_jar_back(
+        self, world, killed_states, reference, tmp_path
+    ):
+        """The envelope carries the shared client's jar, so a resume with
+        no active crawler (a stage boundary) restores it too."""
         state = _copy_state(killed_states, SHADOW_KILL, tmp_path)
         envelope = load_state(state)
-        envelope["version"] = 3
+        cookie = {"name": "pref", "value": "1", "domain": "gab.com", "path": "/"}
+        envelope["active"] = None          # the dissenter_crawl -> shadow boundary
+        envelope["cookies"] = [cookie]
         pipeline = ReproductionPipeline(world=world)
-        with pytest.raises(ValueError, match="pipeline checkpoint version 3"):
+        artifacts = pipeline.stage_crawl(
+            checkpointer=Checkpointer(state, 5), resume=envelope
+        )
+        assert cookie in pipeline.client.cookies.to_state()
+        assert dumps_result(artifacts.corpus) == reference
+
+    @pytest.mark.parametrize("cookies", [None, "jar", [{"name": "x"}]], ids=repr)
+    def test_malformed_cookies_raise_value_error(
+        self, world, killed_states, cookies
+    ):
+        envelope = load_state(killed_states[SHADOW_KILL] / "c.state.json")
+        envelope["cookies"] = cookies
+        pipeline = ReproductionPipeline(world=world)
+        with pytest.raises(ValueError, match="cookie-jar state"):
             pipeline.stage_crawl(
-                checkpointer=Checkpointer(state, 5), resume=envelope
+                checkpointer=Checkpointer(
+                    killed_states[SHADOW_KILL] / "c.state.json", 5
+                ),
+                resume=envelope,
             )
         assert pipeline.origins.transport.requests_attempted == 0
 
@@ -280,10 +330,13 @@ class TestCleanup:
 # ----------------------------------------------------------------------
 
 
-def _damage_v3(state):
-    envelope = load_state(state)
-    envelope["version"] = 3
-    state.write_text(json.dumps(envelope), encoding="utf-8")
+def _set_version(version):
+    def damage(state):
+        envelope = load_state(state)
+        envelope["version"] = version
+        state.write_text(json.dumps(envelope), encoding="utf-8")
+
+    return damage
 
 
 _CLI_CASES = {
@@ -311,7 +364,10 @@ _CLI_CASES = {
         "fails the sha256 check",
     ),
     "v3-envelope": (
-        SHADOW_KILL, _damage_v3, "pipeline checkpoint version 3",
+        SHADOW_KILL, _set_version(3), "pipeline checkpoint version 3",
+    ),
+    "v4-envelope": (
+        SHADOW_KILL, _set_version(4), "pipeline checkpoint version 4",
     ),
 }
 

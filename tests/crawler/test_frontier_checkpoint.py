@@ -37,7 +37,8 @@ class TestFrontier:
     def test_drain_with_mid_flight_additions(self):
         frontier = CrawlFrontier(["seed"])
         seen = []
-        for item in frontier.drain():
+        while frontier:
+            item = frontier.pop()
             seen.append(item)
             if item == "seed":
                 frontier.add("discovered")
@@ -93,7 +94,7 @@ class TestFrontier:
     @given(st.lists(st.integers(0, 30), max_size=60))
     def test_each_item_processed_once(self, items):
         frontier = CrawlFrontier(items)
-        drained = list(frontier.drain())
+        drained = [frontier.pop() for _ in range(len(frontier))]
         assert sorted(drained) == sorted(set(items))
 
 

@@ -15,7 +15,7 @@ import random
 import pytest
 
 from repro.core.pipeline import ReproductionPipeline
-from repro.crawler.checkpoint import CrawlCheckpoint, result_to_payload
+from repro.crawler.checkpoint import result_to_payload
 from repro.crawler.dissenter_crawl import CrawlState, DissenterCrawler
 from repro.crawler.frontier import CrawlFrontier
 from repro.crawler.runtime import Checkpointer, load_state
@@ -355,9 +355,7 @@ class TestV2StateIsRejected:
 )
 def test_malformed_index_cursor_raises_value_error(crawler, crawler_cls, index):
     client = HttpClient(LoopbackTransport())
-    resume = CrawlCheckpoint(
-        crawler=crawler, stage="render", cursor={"index": index}
-    ).to_payload()
+    resume = {"stage": "done", "cursor": {"index": index}}
     with pytest.raises(ValueError, match="'index'"):
         crawler_cls(client).crawl([], resume=resume)
     assert client.stats.requests == 0

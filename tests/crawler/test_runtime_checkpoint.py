@@ -1,11 +1,10 @@
-"""Unit tests for the resumable-crawl runtime and checkpoint format v3.
+"""Unit tests for the resumable-crawl runtime and the active crawler's fields.
 
 Covers the :class:`Checkpointer` cadence (page and simulated-seconds
-triggers), atomic-write behaviour, the v3 payload round trip, v2
-rejection (documents written before the segmented store raise a
-``ValueError`` naming their version), the error contract (malformed
-documents always raise ``ValueError``), and the frontier / cookie-jar
-state snapshots the crawlers serialise.
+triggers), atomic-write behaviour, a crawler's checkpoint fields round
+trip, the error contract (malformed fields and documents always raise
+``ValueError``), and the frontier / cookie-jar state snapshots the
+checkpoints serialise.
 """
 
 import json
@@ -13,15 +12,14 @@ import json
 import pytest
 
 from repro.crawler.checkpoint import (
-    CrawlCheckpoint,
+    active_cursor,
     atomic_write_json,
-    coerce_checkpoint,
-    dump_checkpoint,
+    cursor_count,
+    cursor_strings,
     dumps_result,
-    load_checkpoint,
     loads_result,
-    result_to_payload,
 )
+from repro.crawler.dissenter_crawl import CrawlState, DissenterCrawler
 from repro.crawler.frontier import CrawlFrontier
 from repro.crawler.records import CrawledComment, CrawledUrl
 from repro.crawler.runtime import Checkpointer, load_state
@@ -120,94 +118,65 @@ def _sample_store() -> CorpusStore:
     return store
 
 
-class TestV3Roundtrip:
-    def _checkpoint(self) -> CrawlCheckpoint:
+class TestActiveFields:
+    def test_dissenter_fields_round_trip(self, tmp_path):
         frontier = CrawlFrontier(["u1", "u2"])
         frontier.pop()
-        jar = CookieJar()
-        jar.set_simple("session", "tok", "dissenter.com")
-        return CrawlCheckpoint(
-            crawler="dissenter",
-            stage="comment_pages",
-            cursor={"index": 4, "visited_authors": ["a1"]},
-            store=_sample_store().snapshot(),
-            frontier=frontier.to_state(),
-            stats={"comment_pages_parsed": 1},
-            cookies=jar.to_state(),
+        state = CrawlState(
+            "comment_pages", index=4, frontier=frontier,
+            visited_authors={"a1"},
         )
+        crawler = DissenterCrawler(client=None)
+        crawler.stats.bump("comment_pages_parsed")
+        state_path = tmp_path / "c.state.json"
+        fields = json.loads(json.dumps(
+            crawler.checkpoint(state, _sample_store(), Checkpointer(state_path))
+        ))
+        assert set(fields) == {"stage", "cursor", "store", "frontier", "stats"}
 
-    def test_payload_roundtrip(self):
-        checkpoint = self._checkpoint()
-        payload = checkpoint.to_payload()
-        assert payload["version"] == 3
-        restored = CrawlCheckpoint.from_payload(payload)
-        assert restored.crawler == "dissenter"
+        resumed = DissenterCrawler(client=None)
+        store = CorpusStore()
+        restored = resumed.restore(fields, store, Checkpointer(state_path))
         assert restored.stage == "comment_pages"
-        assert restored.cursor == checkpoint.cursor
-        assert restored.frontier == checkpoint.frontier
-        assert restored.stats == checkpoint.stats
-        assert restored.cookies == checkpoint.cookies
-        assert restored.store == checkpoint.store
-        replayed = CorpusStore()
-        replayed.restore_payload(restored.store)
-        assert replayed.snapshot() == _sample_store().snapshot()
-
-    def test_file_roundtrip_survives_json(self, tmp_path):
-        path = tmp_path / "ckpt.json"
-        checkpoint = self._checkpoint()
-        dump_checkpoint(checkpoint, path)
-        restored = load_checkpoint(path)
-        assert restored.to_payload() == checkpoint.to_payload()
-
-    def test_v2_document_still_parses_and_replays(self):
-        """A pre-store (v2) file no longer resumes: it is rejected with a
-        ``ValueError`` naming its version, never mis-read."""
-        result = CorpusStore()
-        result.add_url(CrawledUrl(
-            commenturl_id="u1", url="https://example.com", title="t",
-            description="d", upvotes=1, downvotes=0,
-        ))
-        result.add_comment(CrawledComment(
-            comment_id="c1", author_id="a1", commenturl_id="u1",
-            text="hello", parent_comment_id=None, created_at_epoch=123,
-            shadow_label="nsfw",
-        ))
-        v2_payload = {
-            "version": 2,
-            "crawler": "dissenter",
-            "stage": "comment_pages",
-            "cursor": {"index": 4},
-            "result": result_to_payload(result),
-            "frontier": None,
-            "stats": None,
-            "cookies": None,
-        }
-        with pytest.raises(ValueError, match="version 2"):
-            CrawlCheckpoint.from_payload(v2_payload)
-
-    def test_coerce_accepts_payload_or_object(self):
-        checkpoint = self._checkpoint()
-        assert coerce_checkpoint(checkpoint, "dissenter") is checkpoint
-        parsed = coerce_checkpoint(checkpoint.to_payload(), "dissenter")
-        assert parsed.stage == "comment_pages"
-
-    def test_coerce_rejects_foreign_crawler(self):
-        checkpoint = self._checkpoint()
-        with pytest.raises(ValueError, match="belongs to crawler"):
-            coerce_checkpoint(checkpoint, "youtube")
+        assert restored.index == 4
+        assert restored.visited_authors == {"a1"}
+        assert restored.frontier.to_state() == frontier.to_state()
+        assert resumed.stats.to_dict() == crawler.stats.to_dict()
+        assert store.snapshot() == _sample_store().snapshot()
 
     @pytest.mark.parametrize(
-        "payload",
+        "active, match",
         [
-            "not a dict",
-            {"version": 1, "crawler": "dissenter", "stage": "x"},
-            {"version": 2},
-            {"version": 2, "crawler": "dissenter"},
+            ("not a dict", "must be an object"),
+            ({"cursor": {}}, "crawler stage None"),
+            ({"stage": "x"}, "crawler stage 'x'"),
+            ({"stage": "home_pages", "cursor": [1]}, "cursor must be an object"),
+            ({"stage": "home_pages", "cursor": {"index": -1}}, "'index'"),
+            ({"stage": "home_pages", "cursor": {"visited_authors": [1]}},
+             "'visited_authors'"),
+            ({"stage": "home_pages", "store": [1]}, "store payload"),
         ],
     )
-    def test_malformed_payloads_raise_value_error(self, payload):
-        with pytest.raises(ValueError):
-            CrawlCheckpoint.from_payload(payload)
+    def test_malformed_fields_raise_value_error(self, active, match, tmp_path):
+        with pytest.raises(ValueError, match=match):
+            DissenterCrawler(client=None).restore(
+                active, CorpusStore(), Checkpointer(tmp_path / "c.state.json")
+            )
+
+    def test_cursor_validators(self):
+        stage, cursor = active_cursor(
+            {"stage": "a", "cursor": {"n": 3, "names": ["x"]}}, ("a",)
+        )
+        assert stage == "a"
+        assert cursor_count(cursor, "n") == 3
+        assert cursor_count(cursor, "absent") == 0
+        assert cursor_strings(cursor, "names") == ["x"]
+        assert cursor_strings(cursor, "absent") == []
+        for bad in (True, 1.5, "3", None):
+            with pytest.raises(ValueError, match="'n'"):
+                cursor_count({"n": bad}, "n")
+        with pytest.raises(ValueError, match="'names'"):
+            cursor_strings({"names": "x"}, "names")
 
 
 class TestLoadsResultErrorContract:
@@ -256,7 +225,7 @@ class TestFrontierState:
         popped = frontier.pop()
         frontier.fail(popped)          # re-enqueued at the back
         restored = CrawlFrontier.from_state(frontier.to_state())
-        assert list(restored.drain()) == ["b", "c", "a"]
+        assert [restored.pop() for _ in range(len(restored))] == ["b", "c", "a"]
         assert restored.to_state()["failures"] == [["a", 1]]
 
     def test_restored_frontier_dedupes_against_seen(self):

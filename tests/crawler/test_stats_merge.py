@@ -1,15 +1,13 @@
-"""Malformed CrawlStats / ClientStats payloads raise ValueError.
+"""Malformed CrawlStats payloads raise ValueError.
 
 ``CrawlStats`` rides in every Dissenter crawl checkpoint, so a damaged
 payload must end in a ``ValueError``, never a traceback deeper in the
-resume path; ``ClientStats.from_dict`` keeps the same contract.
+resume path.
 """
 
 import pytest
 
-from repro.crawler.checkpoint import CrawlCheckpoint
 from repro.crawler.dissenter_crawl import CrawlStats, DissenterCrawler
-from repro.net.client import ClientStats
 
 
 @pytest.mark.parametrize("payload", [
@@ -24,22 +22,10 @@ def test_crawl_stats_from_dict_rejects_malformed_payloads(payload):
         CrawlStats.from_dict(payload)
 
 
-@pytest.mark.parametrize("payload", [
-    [1], "stats", 7, None,
-    {"status_counts": [200, 1]},
-    {"status_counts": "200"},
-    {"status_counts": {"ok": 1}},
-    {"requests": "many"},
-])
-def test_client_stats_from_dict_rejects_malformed_payloads(payload):
-    with pytest.raises(ValueError):
-        ClientStats.from_dict(payload)
-
-
 def test_restore_detect_rejects_non_mapping_stats():
-    payload = CrawlCheckpoint(
-        crawler="dissenter", stage="detect",
-        cursor={"index": 0, "detected": []}, stats=[1],
-    ).to_payload()
+    fields = {
+        "stage": "detect", "cursor": {"index": 0, "detected": []},
+        "stats": [1],
+    }
     with pytest.raises(ValueError):
-        DissenterCrawler(client=None).restore_detect(payload)
+        DissenterCrawler(client=None).restore_detect(fields)

@@ -100,7 +100,6 @@ class TestWritePath:
 
     def test_log_counts_sealed_plus_tail(self):
         store = _fill(CorpusStore(segment_records=5))
-        assert store.log_records == 17
         assert store.tail_records == 2
         assert [ref.count for ref in store.segment_refs] == [5, 5, 5]
 
@@ -219,7 +218,7 @@ class TestSnapshotRestore:
         with pytest.raises(ValueError, match="result_to_payload"):
             store.restore_payload(result_to_payload(legacy))
         assert not store.users and not store.comments
-        assert store.log_records == 0
+        assert store.tail_records == 0 and not store.segment_refs
 
     def test_unknown_version_raises(self):
         with pytest.raises(ValueError, match="version"):
@@ -309,7 +308,12 @@ class TestMutateThenReAdd:
         if spilled:
             assert segment_path(tmp_path, ref.name).read_bytes() == body
         assert store.comments[comment.comment_id].shadow_label == "offensive"
-        restored = CorpusStore()
+        # The snapshot names no directory: a spilled segment is read from
+        # the restoring store's own, and a store without one cannot.
+        restored = CorpusStore(store_dir=tmp_path if spilled else None)
         restored.restore_payload(store.snapshot())
         assert restored.users == {user.username: user}
         assert restored.comments == {comment.comment_id: comment}
+        if spilled:
+            with pytest.raises(ValueError, match="--store-dir"):
+                CorpusStore().restore_payload(store.snapshot())
