@@ -70,6 +70,16 @@ class TestScoreStoreCache:
         store.score_many(TEXTS)
         assert store.models.calls == len(TEXTS)
 
+    def test_repeated_text_reaches_the_models_once(self):
+        # The store is the only text memo: a text asked for again, one at
+        # a time, in a batch or through prime, is not scored again.
+        store = ScoreStore()
+        first = store.score("same text")
+        assert store.score("same text") is first
+        store.score_many(["same text", "same text"])
+        store.prime(["same text"] * 3)
+        assert store.models.calls == 1
+
     def test_prime_scores_a_lone_surrogate(self):
         # json.loads turns a "\\ud800" escape into a lone surrogate; the
         # scoring pass must score such a text, not raise on encoding it,

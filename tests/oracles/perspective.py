@@ -4,9 +4,11 @@ This is the scoring path production used before features were computed
 for a chunk of texts at once: tokenise one comment, stem every token
 occurrence, test it against each stemmed vocabulary set, then run the
 four attribute estimators and the blake2b jitter on Python floats,
-with the regex caps ratio.  The bodies are unchanged; only the
-vocabulary sets, the tokenizer and the constants are imported from
-production, so a change to any of those moves both paths alike.
+with the regex caps ratio, and the per-text ``clean_text``/``tokenize``
+with three regex subs, a ``lower()`` and a ``findall`` per comment.  The
+bodies are unchanged; only the vocabulary sets, the stemmer and the
+constants are imported from production, so a change to any of those
+moves both paths alike.
 
 ``tests/perspective/test_batch_parity.py`` requires
 :meth:`repro.perspective.models.PerspectiveModels.score_many` and
@@ -21,7 +23,6 @@ import re
 from typing import Callable, Iterable
 
 from repro.nlp.lexicons import ATTACK_PHRASES
-from repro.nlp.tokenize import tokenize
 from repro.perspective.lexicon import _STEMMER, CommentFeatures, _stemmed_sets
 from repro.perspective.models import (
     _CAPS_GAIN,
@@ -35,10 +36,40 @@ from repro.perspective.models import (
     ATTRIBUTES,
 )
 
-__all__ = ["caps_ratio", "extract_features", "score_comment"]
+__all__ = [
+    "caps_ratio",
+    "clean_text",
+    "extract_features",
+    "score_comment",
+    "tokenize",
+]
 
 _ALPHA_RE = re.compile(r"[A-Za-z]")
 _UPPER_RE = re.compile(r"[A-Z]")
+_URL_RE = re.compile(r"https?://\S+|www\.\S+", re.IGNORECASE)
+_MENTION_RE = re.compile(r"@\w+")
+_HTML_ENTITY_RE = re.compile(r"&[a-z]+;|&#\d+;", re.IGNORECASE)
+_TOKEN_RE = re.compile(r"[a-z0-9']+")
+
+
+def clean_text(text: str) -> str:
+    """Strip URLs, @-mentions and HTML entities, lower-case, and
+    collapse whitespace."""
+    text = _URL_RE.sub(" ", text)
+    text = _MENTION_RE.sub(" ", text)
+    text = _HTML_ENTITY_RE.sub(" ", text)
+    text = text.lower()
+    return " ".join(text.split())
+
+
+def tokenize(text: str) -> list[str]:
+    """Lowercase word tokens of the cleaned text, bare apostrophes
+    stripped."""
+    text = clean_text(text)
+    tokens = _TOKEN_RE.findall(text)
+    if "'" not in text:
+        return tokens
+    return [tok.strip("'") for tok in tokens if tok.strip("'")]
 
 
 def caps_ratio(text: str) -> float:

@@ -4,6 +4,12 @@ Production featurizes a chunk of texts at once (a token class table,
 numpy columns, array estimators); ``tests/oracles/perspective.py`` keeps
 the per-text, per-token-occurrence path it replaced.  Scores are
 compared by ``float.hex``, so a difference in the last bit fails.
+
+Texts are scored next to each other in one chunk, so the chunk cases
+put what one text ends with (half a URL, a bare ``@``, an unterminated
+entity, an apostrophe, a cased letter before a final sigma) next to what
+the following text begins with, and put whitespace and control
+characters, case folds and lone surrogates inside texts.
 """
 
 from __future__ import annotations
@@ -26,7 +32,7 @@ from repro.nlp.lexicons import (
     RUDE_VOCAB,
     hate_vocab,
 )
-from repro.nlp.tokenize import caps_ratio, tokenize
+from repro.nlp.tokenize import caps_ratio, clean_text, tokenize
 from repro.perspective.lexicon import (
     TABLE_ENTRIES,
     _stemmed_sets,
@@ -172,6 +178,148 @@ class TestScoresMatchOracle:
         assert score_comment("you idiot", ()) == {}
         with pytest.raises(KeyError):
             score_comment("text", attributes=("NOT_A_MODEL",))
+
+
+# What a text can end with, and what its neighbour can begin with, that
+# a pattern or ``lower()`` context would join if nothing separated them.
+ENDINGS = [
+    "see http://",
+    "see https://",
+    "HTTP://",
+    "httpſ://",
+    "go to www.",
+    "WWW.",
+    "wWw.",
+    "ping @",
+    "a &amp",
+    "a &#3",
+    "a &",
+    "it'",
+    "ΑΣ",
+    "ΟΔΟΣ",
+    "İ",
+    "\u212a",
+    "the author",
+    "wow!!",
+    "SHOUTING",
+    "",
+    "\ud800",
+]
+BEGINNINGS = [
+    "example.com/page idiot",
+    "someone what gives",
+    ";",
+    "9; b moron",
+    "'s fault",
+    "'",
+    "Σ",
+    "B",
+    "is a clown",
+    "!!!",
+    "ill them",
+    "",
+    "\udc00 lone",
+]
+# Whitespace, control and separator characters that may sit inside texts.
+HAZARDS = ["\x00", "\x1c", "\x1d", "\x1e", "\x1f", "\x85", "\u2028", "\u3000"]
+HAZARD_TEXTS = [
+    template.format(c)
+    for c in HAZARDS
+    for template in (
+        "{}",
+        "http://a{}b idiot",
+        "www.a{}b moron",
+        "@x{}y scum",
+        "&amp{}; trash",
+        "&#39{}; trash",
+        "it'{}'s",
+        "the author{}is a clown",
+        "The Author Is A{} fraud",
+        "wow!{}!!",
+        "ΑΣ{}B",
+        "{0}idiot{0}",
+    )
+]
+FOLD_TEXTS = [
+    "httpſ://x.com idiot",
+    "HtTpS://X.COM/a moron",
+    "wWw.Example.com scum",
+    "&\u212a; kill",
+    "&İ; &ı; &ſ; trash",
+    "\u212aILL \u212aill",
+    "İDİOT İdiot",
+    "ΟΔΟΣ ΑΣ Σ ΣΑ",
+    "ΑΣ\u0301 idiot",
+    "\ud800\udc00 \udfff idiot",
+]
+CHUNK_TEXTS = (
+    [end + begin for end in ENDINGS for begin in BEGINNINGS]
+    + ENDINGS
+    + BEGINNINGS
+    + HAZARD_TEXTS
+    + FOLD_TEXTS
+)
+
+
+def _neighbour_pairs() -> list[list[str]]:
+    return [[end, begin] for end in ENDINGS for begin in BEGINNINGS]
+
+
+class TestChunkNeighbours:
+    def test_tokenize_and_clean_text_match_the_oracle(self):
+        for text in CHUNK_TEXTS:
+            assert tokenize(text) == oracle.tokenize(text), text
+            assert clean_text(text) == oracle.clean_text(text), text
+
+    def test_every_neighbour_pair_scores_like_the_oracle(self):
+        models = PerspectiveModels()
+        for pair in _neighbour_pairs():
+            _assert_oracle_identical(pair, models)
+
+    def test_whole_chunk_scores_like_the_oracle(self):
+        _assert_oracle_identical(ENDINGS + BEGINNINGS)
+        _assert_oracle_identical(BEGINNINGS + ENDINGS)
+        _assert_oracle_identical(HAZARD_TEXTS)
+        _assert_oracle_identical(FOLD_TEXTS)
+        _assert_oracle_identical(CHUNK_TEXTS)
+
+    def test_chunk_features_match_the_oracle(self):
+        batch = extract_features_many(CHUNK_TEXTS, {})
+        for i, text in enumerate(CHUNK_TEXTS):
+            assert _hex_features(batch.row(i)) == _hex_features(
+                oracle.extract_features(text)
+            ), text
+
+    def test_prime_chunk_sizes_give_oracle_scores(self):
+        stream = CHUNK_TEXTS + ENDINGS[::-1]
+        outcomes = []
+        for chunk_size in (1, 2, 7, 4096):
+            store = ScoreStore()
+            assert store.prime(stream, chunk_size=chunk_size) == len(stream)
+            assert store.models.calls == len(set(stream))
+            outcomes.append(
+                {text: _hex(store.score(text)) for text in CHUNK_TEXTS}
+            )
+        assert all(outcome == outcomes[0] for outcome in outcomes)
+        assert outcomes[0] == {
+            text: _hex(oracle.score_comment(text)) for text in CHUNK_TEXTS
+        }
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(
+            st.lists(
+                st.sampled_from(ENDINGS + BEGINNINGS + HAZARDS + FOLD_TEXTS)
+                | _piece,
+                max_size=4,
+            ).map("".join),
+            max_size=8,
+        )
+    )
+    def test_hypothesis_hazard_chunks(self, texts):
+        _assert_oracle_identical(texts)
+        for text in texts:
+            assert tokenize(text) == oracle.tokenize(text)
 
 
 class TestNoCrossTextState:
