@@ -6,6 +6,7 @@ exactly once and reuses those scores across every §4 analysis.  The
 oriented layer over the Perspective models (plus the dictionary and SVM
 channels used by the A2 ablation) that guarantees each unique text is
 scored at most once per process, no matter how many analyses ask for it.
+The models keep no text memo of their own: this store is the only one.
 
 Contracts:
 

@@ -11,13 +11,18 @@ classified once: :func:`extract_features_many` keeps a caller-owned
 stems only the tokens the table has not seen, and returns the chunk's
 features as numpy columns (:class:`FeatureBatch`).  The table stops
 growing at :data:`TABLE_ENTRIES`; later new tokens are classified once
-per chunk and not kept.  :func:`extract_features` is the one-row view.
+per call and not kept.  :func:`extract_features` is the one-row view.
+
+Every feature comes from one pass over the chunk's joined text
+(:class:`~repro.nlp.tokenize.TextChunk`): one token pass, whose
+:data:`~repro.nlp.tokenize.TOKEN_BREAK` tokens mark where each text's
+tokens end, one ``find`` loop per attack phrase, and byte counts for the
+caps ratio and the ``!`` runs.
 """
 
 from __future__ import annotations
 
-import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
 from typing import Sequence
 
@@ -32,7 +37,7 @@ from repro.nlp.lexicons import (
     hate_vocab,
 )
 from repro.nlp.stem import PorterStemmer
-from repro.nlp.tokenize import caps_ratio, tokenize
+from repro.nlp.tokenize import TOKEN_BREAK, TextChunk, text_chunks
 
 __all__ = [
     "CommentFeatures",
@@ -44,12 +49,13 @@ __all__ = [
 
 _STEMMER = PorterStemmer()
 
-#: Entries a token class table may hold (the bound of the models' text
-#: cache, too).
+#: Entries a token class table may hold.
 TABLE_ENTRIES = 100_000
 
-_BANG_RE = re.compile(r"!+")
-_ATTACK_RE = re.compile("|".join(map(re.escape, ATTACK_PHRASES)))
+_ATTACK_BYTES = tuple(phrase.encode("ascii") for phrase in ATTACK_PHRASES)
+# The class mask a TOKEN_BREAK token reads as: column 16 of the per-text
+# histogram, which is dropped.
+_BREAK_MASK = 16
 
 # Row ``mask`` holds that mask's four class bits (offensive, obscene,
 # rude, hate) as 0/1 columns.
@@ -138,58 +144,67 @@ class FeatureBatch:
         )
 
 
-def _bang_run(text: str) -> int:
-    """Length of the longest run of consecutive ``!``."""
-    if "!" not in text:
-        return 0
-    return max(map(len, _BANG_RE.findall(text)))
+def _class_masks(
+    tokens: list[str], table: dict[str, int], lookup: dict[str, int]
+) -> np.ndarray:
+    """Each token's class mask, classifying new tokens on first sighting.
 
-
-def _mask_of(token: str, table: dict[str, int], overflow: dict[str, int]) -> int:
-    """A token's class mask, classifying it on its first sighting.
-
-    New tokens go into ``table`` until it holds :data:`TABLE_ENTRIES`;
-    later ones into the caller's per-chunk ``overflow`` dict.
+    ``lookup`` is ``table`` plus :data:`TOKEN_BREAK` and the new tokens
+    ``table`` had no room for.  New tokens go into ``table`` until it
+    holds :data:`TABLE_ENTRIES`, and into ``lookup`` always.
     """
-    mask = table.get(token)
-    if mask is None:
-        mask = overflow.get(token)
-    if mask is None:
-        mask = _token_class_mask(token)
+    try:
+        return np.fromiter(
+            map(lookup.__getitem__, tokens), dtype=np.int64, count=len(tokens)
+        )
+    except KeyError:
+        pass
+    for token in sorted(set(tokens).difference(lookup)):
+        lookup[token] = mask = _token_class_mask(token)
         if len(table) < TABLE_ENTRIES:
             table[token] = mask
-        else:
-            overflow[token] = mask
-    return mask
+    return np.fromiter(
+        map(lookup.__getitem__, tokens), dtype=np.int64, count=len(tokens)
+    )
 
 
-def extract_features_many(texts: Sequence[str], table: dict[str, int]) -> FeatureBatch:
-    """Compute the features of a chunk of texts as numpy columns.
+def _attack_flags(chunk: TextChunk) -> np.ndarray:
+    """Whether each lower-cased text contains an attack phrase."""
+    view = chunk.lowered
+    positions = []
+    for phrase in _ATTACK_BYTES:
+        at = view.find(phrase)
+        while at >= 0:
+            positions.append(at)
+            at = view.find(phrase, at + len(phrase))
+    flags = np.zeros(len(chunk.texts), dtype=bool)
+    flags[chunk.owners(view, np.array(positions, dtype=np.int64))] = True
+    return flags
 
-    ``table`` is the caller's ``token -> class mask`` memo; it is read
-    and filled (up to :data:`TABLE_ENTRIES` entries) but never changes a
-    result, so rows do not depend on what else is in the chunk or what
-    was scored before.
-    """
-    size = len(texts)
-    lengths: list[int] = []
-    masks: list[int] = []
-    overflow: dict[str, int] = {}
-    for text in texts:
-        tokens = tokenize(text)
-        found = list(map(table.get, tokens))
-        if None in found:
-            found = [
-                _mask_of(token, table, overflow) if mask is None else mask
-                for token, mask in zip(tokens, found)
-            ]
-        lengths.append(len(tokens))
-        masks.extend(found)
-    n = np.array(lengths, dtype=np.int64)
-    owner = np.repeat(np.arange(size, dtype=np.int64), n)
-    # Per-text histogram over the 16 masks, then per-class counts.
-    codes = owner * 16 + np.array(masks, dtype=np.int64)
-    per_mask = np.bincount(codes, minlength=16 * size).reshape(size, 16)
+
+def _bang_runs(chunk: TextChunk) -> np.ndarray:
+    """Per text, the length of the longest run of consecutive ``!``."""
+    runs = np.zeros(len(chunk.texts), dtype=np.int64)
+    if b"!" not in chunk.raw:
+        return runs
+    bang = np.frombuffer(chunk.raw, dtype=np.uint8) == ord("!")
+    edges = np.flatnonzero(np.diff(bang, prepend=False, append=False))
+    starts, ends = edges[0::2], edges[1::2]
+    np.maximum.at(runs, chunk.owners(chunk.raw, starts), ends - starts)
+    return runs
+
+
+def _chunk_features(
+    chunk: TextChunk, table: dict[str, int], lookup: dict[str, int]
+) -> FeatureBatch:
+    size = len(chunk.texts)
+    masks = _class_masks(chunk.tokens(), table, lookup)
+    # Text i's tokens follow i TOKEN_BREAKs; a histogram over 17 masks
+    # per text, then per-class counts from the 16 real ones.
+    owner = np.cumsum(masks == _BREAK_MASK)
+    per_mask = np.bincount(owner * 17 + masks, minlength=17 * size)
+    per_mask = per_mask.reshape(size, 17)[:, :16]
+    n = per_mask.sum(axis=1)
     counts = per_mask @ _MASK_BITS
     union = n - per_mask[:, 0]
 
@@ -203,14 +218,30 @@ def extract_features_many(texts: Sequence[str], table: dict[str, int]) -> Featur
         rude_rate=rate(counts[:, 2]),
         hate_rate=rate(counts[:, 3]),
         union_rate=rate(union),
-        caps=np.fromiter(map(caps_ratio, texts), dtype=np.float64, count=size),
-        has_attack_phrase=np.fromiter(
-            (_ATTACK_RE.search(text.lower()) is not None for text in texts),
-            dtype=bool,
-            count=size,
-        ),
-        bang_run=np.fromiter(map(_bang_run, texts), dtype=np.int64, count=size),
+        caps=chunk.caps_ratios(),
+        has_attack_phrase=_attack_flags(chunk),
+        bang_run=_bang_runs(chunk),
     )
+
+
+def extract_features_many(texts: Sequence[str], table: dict[str, int]) -> FeatureBatch:
+    """Compute the features of a chunk of texts as numpy columns.
+
+    ``table`` is the caller's ``token -> class mask`` memo; it is read
+    and filled (up to :data:`TABLE_ENTRIES` entries) but never changes a
+    result, so rows do not depend on what else is in the chunk or what
+    was scored before.
+    """
+    lookup = {**table, TOKEN_BREAK: _BREAK_MASK}
+    batches = [
+        _chunk_features(chunk, table, lookup) for chunk in text_chunks(texts)
+    ]
+    if len(batches) == 1:
+        return batches[0]
+    return FeatureBatch(*(
+        np.concatenate([getattr(batch, field.name) for batch in batches])
+        for field in fields(FeatureBatch)
+    ))
 
 
 def extract_features(text: str) -> CommentFeatures:

@@ -29,11 +29,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from repro.perspective.lexicon import (
-    TABLE_ENTRIES,
-    FeatureBatch,
-    extract_features_many,
-)
+from repro.perspective.lexicon import FeatureBatch, extract_features_many
 
 __all__ = [
     "ATTRIBUTES",
@@ -84,24 +80,24 @@ def _clip01(value: np.ndarray) -> np.ndarray:
     return _min(1.0, _max(0.0, value))
 
 
-def _jitter(texts: Sequence[str], salt: str, width: float = 0.08) -> np.ndarray:
+def _jitter(encoded: Sequence[bytes], salt: str, width: float = 0.08) -> np.ndarray:
     """Deterministic pseudo-noise in [-width/2, +width/2], one per text.
 
     Each value is the first 8 bytes of a blake2b digest of ``salt``,
     a unit separator and the text, read as an unsigned 64-bit fraction
-    of 2**64.  The text is UTF-8 with ``surrogatepass``, as in
-    ``caps_ratio``: a lone surrogate (which ``json.loads`` yields from a
-    ``\\ud800`` escape) hashes instead of raising, and any other text
-    keeps its bytes.
+    of 2**64.  ``encoded`` holds the texts as UTF-8 with
+    ``surrogatepass``: a lone surrogate (which ``json.loads`` yields
+    from a ``\\ud800`` escape) hashes instead of raising, and any other
+    text keeps its bytes.  Each digest continues
+    a copy of the hash of the salt and separator.
     """
-    prefix = (salt + "\x1f").encode("utf-8")
-    digests = b"".join(
-        hashlib.blake2b(
-            prefix + text.encode("utf-8", "surrogatepass"), digest_size=8
-        ).digest()
-        for text in texts
-    )
-    u = np.frombuffer(digests, dtype=">u8").astype(np.float64) / 2.0**64
+    salted = hashlib.blake2b((salt + "\x1f").encode("utf-8"), digest_size=8)
+    digests = []
+    for data in encoded:
+        digest = salted.copy()
+        digest.update(data)
+        digests.append(digest.digest())
+    u = np.frombuffer(b"".join(digests), dtype=">u8").astype(np.float64) / 2.0**64
     return (u - 0.5) * width
 
 
@@ -198,15 +194,22 @@ def _score_rows(
     table: dict[str, int],
     attributes: Iterable[str] = ATTRIBUTES,
 ) -> list[dict[str, float]]:
-    """One score dict per text, from one batch featurization."""
+    """One score dict per text, from one batch featurization.
+
+    Each text is encoded once for every attribute's jitter, and each row
+    is built once from the attribute columns.
+    """
     scorers = [(attribute, _SCORERS[attribute]) for attribute in attributes]
+    if not scorers:
+        return [{} for _ in texts]
     features = extract_features_many(texts, table)
-    rows: list[dict[str, float]] = [{} for _ in texts]
-    for attribute, scorer in scorers:
-        column = _clip01(scorer(features) + _jitter(texts, attribute)).tolist()
-        for row, value in zip(rows, column):
-            row[attribute] = value
-    return rows
+    encoded = [text.encode("utf-8", "surrogatepass") for text in texts]
+    columns = [
+        _clip01(scorer(features) + _jitter(encoded, attribute))
+        for attribute, scorer in scorers
+    ]
+    names = [attribute for attribute, _ in scorers]
+    return [dict(zip(names, row)) for row in np.column_stack(columns).tolist()]
 
 
 def score_comment(
@@ -221,22 +224,21 @@ def score_comment(
 
 
 class PerspectiveModels:
-    """Batch scoring facade with a tiny cache.
+    """Batch scoring facade.
 
-    The cache matters because the crawler and several analyses score
-    overlapping comment sets; the real API would bill each call.  The
-    models also own the token class table their featurizer fills, so a
-    token is stemmed once per models instance.
+    The models own the token class table their featurizer fills, so a
+    token is stemmed once per models instance.  They keep no text memo:
+    every call scores its texts, and
+    :class:`~repro.core.scoring.ScoreStore` is what scores a text once
+    however many analyses ask for it.
     """
 
-    def __init__(self, cache_size: int = TABLE_ENTRIES):
-        self._cache: dict[str, dict[str, float]] = {}
-        self._cache_size = cache_size
+    def __init__(self):
         self._token_classes: dict[str, int] = {}
         self.calls = 0
 
     def score(self, text: str) -> dict[str, float]:
-        """All-attribute scores for one comment (cached)."""
+        """All-attribute scores for one comment."""
         return self.score_many([text])[0]
 
     def score_many(
@@ -244,25 +246,15 @@ class PerspectiveModels:
     ) -> list[dict[str, float]]:
         """Scores for a batch of comments, in input order.
 
-        The batch is deduplicated first, and its uncached texts are
-        scored in one batch call, each at most once even when the cache
-        is cold or full; every returned row is an independent dict.
+        The batch is deduplicated and scored in one batch call, each
+        distinct text once; ``calls`` counts the texts scored.  Equal
+        texts share one row.
         """
         batch = list(texts)
-        fresh = [text for text in dict.fromkeys(batch) if text not in self._cache]
-        computed: dict[str, dict[str, float]] = {}
-        if fresh:
-            computed = dict(zip(fresh, _score_rows(fresh, self._token_classes)))
-        self.calls += len(fresh)
-        for text, scores in computed.items():
-            if len(self._cache) >= self._cache_size:
-                break
-            self._cache[text] = scores
-        rows: list[dict[str, float]] = []
-        for text in batch:
-            scores = computed.get(text)
-            rows.append(dict(self._cache[text] if scores is None else scores))
-        return rows
+        unique = list(dict.fromkeys(batch))
+        self.calls += len(unique)
+        by_text = dict(zip(unique, _score_rows(unique, self._token_classes)))
+        return [by_text[text] for text in batch]
 
     def attribute_values(
         self, texts: Iterable[str], attribute: str

@@ -4,7 +4,16 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.nlp.ngrams import char_ngrams, extract_ngrams, ngram_counts
-from repro.nlp.tokenize import caps_ratio, clean_text, sentence_count, tokenize
+from repro.nlp.tokenize import (
+    _LOWER_TO_ASCII,
+    TOKEN_BREAK,
+    TextChunk,
+    caps_ratio,
+    clean_text,
+    sentence_count,
+    text_chunks,
+    tokenize,
+)
 
 
 class TestCleanText:
@@ -41,6 +50,45 @@ class TestTokenize:
         for token in tokenize(text):
             assert token
             assert all(c.islower() or c.isdigit() or c == "'" for c in token)
+
+
+class TestTextChunk:
+    def test_tokens_are_each_texts_tokens_between_breaks(self):
+        texts = ["Free speech!", "", "it's 'quoted'", "a|b", "x"]
+        expected = []
+        for i, text in enumerate(texts):
+            if i:
+                expected.append(TOKEN_BREAK)
+            expected.extend(tokenize(text))
+        assert TextChunk(texts).tokens() == expected
+        assert TextChunk([]).tokens() == []
+        assert tokenize("a|b \x1e c") == ["a", "b", "c"]
+
+    def test_a_text_holding_the_separator_is_a_chunk_of_one(self):
+        texts = ["a", "b", "c\x1ed", "e", "\x1e", "f", "g"]
+        chunks = text_chunks(texts)
+        assert [list(chunk.texts) for chunk in chunks] == [
+            ["a", "b"], ["c\x1ed"], ["e"], ["\x1e"], ["f", "g"]
+        ]
+        assert [len(text_chunks(["x", "y"]))] == [1]
+        with pytest.raises(ValueError):
+            TextChunk(["a", "b\x1e"])
+
+    def test_caps_ratios_per_text(self):
+        texts = ["SHOUT", "", "Half HALF", "12345 !!!", "A\ud800b", "ÉA b"]
+        ratios = TextChunk(texts).caps_ratios()
+        assert ratios.tolist() == [caps_ratio(text) for text in texts]
+        assert ratios.tolist() == [1.0, 0.0, 5 / 8, 0.0, 0.5, 0.5]
+
+    def test_lower_to_ascii_lists_every_such_character(self):
+        # The chunk lower-cases ASCII bytes alone unless one of these is
+        # present, so the list must be complete for this interpreter.
+        found = tuple(
+            chr(code)
+            for code in range(128, 0x110000)
+            if any(ord(char) < 128 for char in chr(code).lower())
+        )
+        assert found == _LOWER_TO_ASCII
 
 
 class TestSurfaceFeatures:

@@ -32,7 +32,7 @@ from repro.nlp.lexicons import (
     RUDE_VOCAB,
     hate_vocab,
 )
-from repro.nlp.tokenize import caps_ratio, clean_text, tokenize
+from repro.nlp.tokenize import caps_ratio, clean_text, text_chunks, tokenize
 from repro.perspective.lexicon import (
     TABLE_ENTRIES,
     _stemmed_sets,
@@ -261,10 +261,6 @@ CHUNK_TEXTS = (
 )
 
 
-def _neighbour_pairs() -> list[list[str]]:
-    return [[end, begin] for end in ENDINGS for begin in BEGINNINGS]
-
-
 class TestChunkNeighbours:
     def test_tokenize_and_clean_text_match_the_oracle(self):
         for text in CHUNK_TEXTS:
@@ -273,8 +269,17 @@ class TestChunkNeighbours:
 
     def test_every_neighbour_pair_scores_like_the_oracle(self):
         models = PerspectiveModels()
-        for pair in _neighbour_pairs():
-            _assert_oracle_identical(pair, models)
+        for end in ENDINGS:
+            for begin in BEGINNINGS:
+                _assert_oracle_identical([end, begin], models)
+
+    def test_a_batch_of_many_chunks_scores_like_the_oracle(self):
+        texts = [
+            f"{i} {text}"
+            for i, text in enumerate(GENERATED * 3 + HAZARD_TEXTS)
+        ]
+        assert len(text_chunks(texts)) > 3
+        _assert_oracle_identical(texts)
 
     def test_whole_chunk_scores_like_the_oracle(self):
         _assert_oracle_identical(ENDINGS + BEGINNINGS)
@@ -289,21 +294,6 @@ class TestChunkNeighbours:
             assert _hex_features(batch.row(i)) == _hex_features(
                 oracle.extract_features(text)
             ), text
-
-    def test_prime_chunk_sizes_give_oracle_scores(self):
-        stream = CHUNK_TEXTS + ENDINGS[::-1]
-        outcomes = []
-        for chunk_size in (1, 2, 7, 4096):
-            store = ScoreStore()
-            assert store.prime(stream, chunk_size=chunk_size) == len(stream)
-            assert store.models.calls == len(set(stream))
-            outcomes.append(
-                {text: _hex(store.score(text)) for text in CHUNK_TEXTS}
-            )
-        assert all(outcome == outcomes[0] for outcome in outcomes)
-        assert outcomes[0] == {
-            text: _hex(oracle.score_comment(text)) for text in CHUNK_TEXTS
-        }
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -334,24 +324,23 @@ class TestNoCrossTextState:
         ]
 
     def test_prime_chunk_size_does_not_change_scores_or_counters(self):
-        stream = ALL_TEXTS + GENERATED[::3] + EDGE_TEXTS
+        checked = ALL_TEXTS + CHUNK_TEXTS
+        stream = checked + GENERATED[::3] + EDGE_TEXTS + ENDINGS[::-1]
         outcomes = []
-        for chunk_size in (1, 7, 4096):
+        for chunk_size in (1, 2, 7, 4096):
             store = ScoreStore()
             assert store.prime(stream, chunk_size=chunk_size) == len(stream)
-            scores = {text: _hex(store.score(text)) for text in ALL_TEXTS}
+            scores = {text: _hex(store.score(text)) for text in checked}
             counters = store.counters.as_dict()
             outcomes.append((scores, counters))
             assert store.models.calls == len(set(stream))
-        assert outcomes[0] == outcomes[1] == outcomes[2]
+        assert all(outcome == outcomes[0] for outcome in outcomes)
         scores, counters = outcomes[0]
         assert scores == {
-            text: _hex(oracle.score_comment(text)) for text in ALL_TEXTS
+            text: _hex(oracle.score_comment(text)) for text in checked
         }
         assert counters["misses"] == len(set(stream))
-        assert counters["hits"] == len(stream) - len(set(stream)) + len(
-            ALL_TEXTS
-        )
+        assert counters["hits"] == len(stream) - len(set(stream)) + len(checked)
 
 
 class TestFeatures:

@@ -8,7 +8,6 @@ from repro.perspective import (
     ATTRIBUTES,
     AnalyzeRequest,
     PerspectiveClient,
-    PerspectiveModels,
     QuotaExceeded,
     score_comment,
 )
@@ -156,9 +155,3 @@ class TestPerspectiveClient:
         assert [
             r.score("SEVERE_TOXICITY") for r in responses
         ] == pytest.approx(direct)
-
-    def test_models_cache_hits(self):
-        models = PerspectiveModels()
-        models.score("same text")
-        models.score("same text")
-        assert models.calls == 1
