@@ -6,8 +6,8 @@ K virtual connections in flight.  The win shows up on two axes:
 * **Simulated seconds** (``VirtualClock.total_slept``): the crawl's
   modelled duration collapses from the serial sum of waits to the
   makespan over K lanes — the acceptance bar is ≥3× at K=4.
-* **Wall seconds**: render memoisation and the crawl-wide parse memo
-  shave real CPU; the corpus must stay bit-identical.
+* **Wall seconds**: the crawl-wide parse memo shaves real CPU; the
+  corpus must stay bit-identical.
 """
 
 import time
@@ -28,14 +28,11 @@ CONNECTIONS = (2, 4, 8)
 
 
 def _crawl(config, world, connections, memoise=True):
-    # memoise=False is the pre-engine wall-clock baseline: every request
-    # re-renders and every discussion page fetched is parsed afresh.
+    # memoise=False is the wall-clock baseline: every discussion page
+    # fetched is parsed afresh.
     pipeline = ReproductionPipeline(
         config, world=world, connections=connections
     )
-    if not memoise:
-        for origin in pipeline.origins.transport._origins.values():
-            origin.app.deterministic_render = False
     with pytest.MonkeyPatch.context() as patch:
         if not memoise:
             patch.setattr(pipeline_mod, "PageParseMemo", NeverHitParseMemo)
@@ -44,24 +41,21 @@ def _crawl(config, world, connections, memoise=True):
         wall = time.perf_counter() - t0
     simulated = pipeline.client.clock.total_slept
     requests = pipeline.origins.transport.requests_attempted
-    hits = pipeline.origins.transport.render_hits
-    return artifacts, wall, simulated, requests, hits
+    return artifacts, wall, simulated, requests
 
 
 def test_crawl_throughput_across_connections():
     config = WorldConfig(scale=SCALE, seed=SEED)
     world = build_world(config)
 
-    # Pre-engine wall-clock baseline: render + parse memoisation
-    # off (how every request rendered before this PR).  Corpus must match
+    # Wall-clock baseline: the parse memo never hits.  Corpus must match
     # regardless; best-of-3 walls keep the comparison out of scheduler
     # noise.
-    plain_artifacts, plain_wall, _, _, plain_hits = _crawl(
+    plain_artifacts, plain_wall, _, _ = _crawl(
         config, world, connections=1, memoise=False
     )
-    assert plain_hits == 0
 
-    base_artifacts, base_wall, base_sim, base_requests, base_hits = _crawl(
+    base_artifacts, base_wall, base_sim, base_requests = _crawl(
         config, world, connections=1
     )
     base_payload = result_to_payload(base_artifacts.corpus)
@@ -78,17 +72,16 @@ def test_crawl_throughput_across_connections():
             f"{base_sim:.0f} s"),
         row("sequential simulated rate", "~1 req/s",
             f"{base_requests / base_sim:.2f} req/s"),
-        row("wall time, memoisation off (pre-PR)", "-",
+        row("wall time, parse memo off", "-",
             f"{plain_wall:.2f} s"),
-        row("sequential wall time", "< pre-PR",
-            f"{base_wall:.2f} s ({plain_wall / base_wall:.2f}x, "
-            f"{base_hits} render hits)"),
+        row("sequential wall time", "< memo off",
+            f"{base_wall:.2f} s ({plain_wall / base_wall:.2f}x)"),
     ]
 
     speedups = {}
     walls = {1: base_wall}
     for connections in CONNECTIONS:
-        artifacts, wall, simulated, requests, _ = _crawl(
+        artifacts, wall, simulated, requests = _crawl(
             config, world, connections
         )
         assert requests == base_requests
@@ -112,9 +105,9 @@ def test_crawl_throughput_across_connections():
     assert speedups[4] >= 3.0
     # More lanes never hurt.
     assert speedups[8] >= speedups[4] >= speedups[2] > 1.0
-    # The wall-clock win comes from render memoisation (the shadow
-    # passes re-request ~20% of all pages; unchanged ones render once)
-    # plus the crawl-wide parse memo.  It is a 5-10% win at this scale --
-    # per-request client machinery dominates -- so the guard allows
-    # scheduler noise while the record shows the best-of-3 ratio.
+    # The wall-clock win comes from the crawl-wide parse memo (the
+    # shadow passes re-request ~20% of all pages; unchanged ones parse
+    # once).  It is a small win at this scale -- per-request client
+    # machinery dominates -- so the guard allows scheduler noise while
+    # the record shows the best-of-3 ratio.
     assert base_wall <= plain_wall * 1.05

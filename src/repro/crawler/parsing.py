@@ -200,8 +200,8 @@ class PageParseMemo:
     The baseline comment-page phase, the §3.2 re-request loop and both
     shadow passes fetch the same discussion pages, and most of those
     fetches return bytes already parsed earlier in the crawl.  The memo
-    is keyed by body *value*, so it still hits after the transport's
-    render cache has evicted a page and re-rendered equal bytes.
+    is keyed by body *value*: the transport renders every request
+    afresh, and equal bytes share one parse.
 
     A memo hit hands back the same record objects as the first parse,
     so callers must not mutate records that are already in their store.

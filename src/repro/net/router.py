@@ -90,14 +90,8 @@ class App:
             return Response.html(...)
     """
 
-    def __init__(self, host: str, deterministic_render: bool = False) -> None:
+    def __init__(self, host: str) -> None:
         self.host = host.lower()
-        # True promises that route dispatch (render) is a pure function of
-        # the request — no mutable server state, no clock reads — so the
-        # transport may memoise rendered responses.  Middleware (prepare)
-        # carries the stateful parts (rate-limit windows, session checks)
-        # and always runs.
-        self.deterministic_render = deterministic_render
         self._routes: list[Route] = []
         self._middleware: list[tuple[Callable[..., Response | None], bool]] = []
 
@@ -148,23 +142,8 @@ class App:
                 return early
         return None
 
-    def render_cookie_key(self, request: Request) -> object:
-        """Cookie-derived component of the transport's render-memo key.
-
-        Defaults to the raw Cookie header.  Apps whose renders depend on
-        the cookie only through coarser state (e.g. which view filters a
-        session enables) may override this so sessions that would see
-        identical bytes share one cache entry.  Must be hashable and a
-        pure function of the request.
-        """
-        return request.cookie_header()
-
     def render(self, request: Request) -> Response:
-        """Run the routing half of dispatch (no middleware).
-
-        When ``deterministic_render`` is set this must be pure in the
-        request, which lets the transport cache the result.
-        """
+        """Run the routing half of dispatch (no middleware)."""
         return self.route(request, request.method, request.path)
 
     def route(self, request: Request, method: str, path: str) -> Response:

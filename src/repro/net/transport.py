@@ -10,9 +10,8 @@ crawler's retry logic is genuinely exercised.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, NamedTuple, Protocol
+from typing import TYPE_CHECKING, Protocol
 
 import numpy as np
 
@@ -31,20 +30,6 @@ class Transport(Protocol):
 
     def send(self, request: Request, timeout: float) -> Response:
         ...
-
-
-class _Origin(NamedTuple):
-    """One registered origin with its dispatch hooks, looked up once.
-
-    ``render`` is the app's ``handle`` when it has no ``prepare``/
-    ``render`` split (test fakes); ``cookie_key`` is its
-    ``render_cookie_key``, or the raw Cookie header.
-    """
-
-    app: App
-    prepare: Callable[[Request], Response | None] | None
-    render: Callable[[Request], Response]
-    cookie_key: Callable[[Request], object]
 
 
 @dataclass(frozen=True)
@@ -82,8 +67,6 @@ class LoopbackTransport:
         seed: RNG seed for fault injection.
     """
 
-    RENDER_CACHE_SIZE = 4096
-
     def __init__(
         self,
         clock: VirtualClock | None = None,
@@ -95,30 +78,22 @@ class LoopbackTransport:
         self._latency = latency
         self._faults = faults or FaultPlan()
         self._rng = np.random.default_rng(seed)
-        self._origins: dict[str, _Origin] = {}
+        self._origins: dict[str, App] = {}
         self._fault_counts: dict[str, int] = {}
         self._kill_remaining: int | None = None
-        self._render_cache: OrderedDict[tuple, Response] = OrderedDict()
         self.requests_served = 0
         self.requests_attempted = 0
-        self.render_hits = 0
-        self.render_misses = 0
         self.faults_injected = 0
 
     def register(self, app: App) -> None:
         """Register an origin App; its ``host`` becomes routable.
 
-        Its hooks are looked up here, once, not per request; only
-        ``deterministic_render`` is read per request, so it may still be
-        switched after registration.
+        ``send`` reads only ``host`` and ``handle``, and looks ``handle``
+        up per request, so a class-level wrapper installed after
+        registration (perfbench's spans on ``App.prepare``/
+        ``App.render``) still sees every request.
         """
-        prepare = getattr(app, "prepare", None)
-        self._origins[app.host] = _Origin(
-            app,
-            prepare,
-            app.render if prepare is not None else app.handle,
-            getattr(app, "render_cookie_key", None) or Request.cookie_header,
-        )
+        self._origins[app.host] = app
 
     def kill_after(self, remaining: int | None) -> None:
         """Arm the die-after-K injector (None disarms).
@@ -178,56 +153,9 @@ class LoopbackTransport:
             return faulted
         start = self.clock.now()
         self.clock.sleep(self._latency)
-        response = self._dispatch(origin, request)
+        response = origin.handle(request)
         response.elapsed = self.clock.now() - start
         if not response.url:
             response.url = request.url
         self.requests_served += 1
-        return response
-
-    def _dispatch(self, origin: _Origin, request: Request) -> Response:
-        """Run an origin app, memoising pure renders.
-
-        Apps that declare ``deterministic_render`` promise their route
-        dispatch is a pure function of (method, url, cookie, body); their
-        stateful middleware still runs every time via ``prepare``, but
-        identical renders are served from a bounded LRU — the dominant
-        CPU cost of a simulated fetch.  Apps without the split (test
-        fakes) fall back to ``handle``.
-        """
-        app, prepare, render, cookie_key = origin
-        if prepare is None:
-            return render(request)
-        early = prepare(request)
-        if early is not None:
-            return early
-        if not getattr(app, "deterministic_render", False):
-            return render(request)
-        key = (
-            app.host,
-            request.method,
-            request.url,
-            cookie_key(request),
-            request.body,
-        )
-        cached = self._render_cache.get(key)
-        if cached is not None:
-            self._render_cache.move_to_end(key)
-            self.render_hits += 1
-            # send() mutates .elapsed on what it returns; hand hits a
-            # per-request shell around the shared body.
-            return Response(
-                status=cached.status,
-                headers=cached.headers.copy(),
-                body=cached.body,
-                url=cached.url,
-            )
-        response = render(request)
-        self._render_cache[key] = response
-        self.render_misses += 1
-        if len(self._render_cache) > self.RENDER_CACHE_SIZE:
-            self._render_cache.popitem(last=False)
-        # The live object doubles as the cache entry: send()'s own
-        # .elapsed/.url writes are the only post-render mutations, and
-        # both are identical for every request mapping to this key.
         return response

@@ -30,7 +30,6 @@ __all__ = [
     "TextChunk",
     "caps_ratio",
     "clean_text",
-    "sentence_count",
     "text_chunks",
     "tokenize",
 ]
@@ -48,7 +47,6 @@ _CHUNK_CHARS = 1 << 16
 _URL_RE = re.compile(r"https?://\S+|www\.\S+", re.IGNORECASE)
 _MENTION_RE = re.compile(r"@\w+")
 _HTML_ENTITY_RE = re.compile(r"&[a-z]+;|&#\d+;", re.IGNORECASE)
-_SENTENCE_RE = re.compile(r"[.!?]+")
 
 # The only characters outside ASCII whose lower case holds an ASCII
 # character (U+0130 lowers to "i" and a combining dot, U+212A to "k");
@@ -251,12 +249,6 @@ def tokenize(text: str) -> list[str]:
         stripped.
     """
     return TextChunk([text]).tokens()
-
-
-def sentence_count(text: str) -> int:
-    """Rough sentence count (used as a Perspective-model feature)."""
-    parts = [p for p in _SENTENCE_RE.split(text) if p.strip()]
-    return max(1, len(parts))
 
 
 def caps_ratio(text: str) -> float:

@@ -27,12 +27,13 @@ from __future__ import annotations
 
 import json
 import random
+from html import escape
 
 from repro.net.clock import Clock
 from repro.net.http import Request, Response
 from repro.net.ratelimit import KeyedRateLimiter
 from repro.net.router import App
-from repro.platform.apps.html import escape, page, tiny_error
+from repro.platform.apps.html import page, tiny_error
 from repro.platform.dissenter import DissenterState
 from repro.platform.entities import Comment
 
@@ -45,11 +46,7 @@ class DissenterApp(App):
     """HTTP application over a :class:`DissenterState`."""
 
     def __init__(self, state: DissenterState, clock: Clock, session_seed: int = 0):
-        # Route handlers read immutable state; sessions enter the render
-        # only through the request's Cookie header (part of the memo key)
-        # and no handler emits Set-Cookie — so renders are memoisable.
-        # The per-URL rate limiter stays in prepare() and always runs.
-        super().__init__("dissenter.com", deterministic_render=True)
+        super().__init__("dissenter.com")
         self._state = state
         self._clock = clock
         self._sessions: dict[str, tuple[bool, bool]] = {}
@@ -58,16 +55,6 @@ class DissenterApp(App):
         self._session_rng = random.Random(session_seed)
         self._urls_by_id = state.urls.by_id()
         self._comment_index = {c.comment_id.hex: c for c in state.comments}
-        # Per-URL "does any comment carry this flag" index, so the
-        # render-memo key can drop view filters that cannot change the
-        # page (see render_cookie_key).
-        self._url_flags: dict[str, tuple[bool, bool]] = {}
-        for comment in state.comments:
-            url_id = comment.commenturl_id.hex
-            has_nsfw, has_off = self._url_flags.get(url_id, (False, False))
-            self._url_flags[url_id] = (
-                has_nsfw or comment.nsfw, has_off or comment.offensive
-            )
         self._limiter = KeyedRateLimiter(
             rate=RATE_LIMIT_PER_URL, capacity=10, clock=clock
         )
@@ -95,34 +82,6 @@ class DissenterApp(App):
             if name == "session" and value in self._sessions:
                 return self._sessions[value]
         return (False, False)
-
-    def render_cookie_key(self, request: Request) -> tuple[bool, bool]:
-        """What a render actually reads from the cookie: view filters,
-        restricted to the flags the requested page contains.
-
-        Visibility filters act purely per-comment, so a filter a page has
-        no flagged comments for cannot change its bytes — the §2.2 shadow
-        passes (baseline / NSFW / offensive sessions over the same pages)
-        then share one memo entry for every page without hidden content.
-        """
-        nsfw, offensive = self._view_prefs(request)
-        if not (nsfw or offensive):
-            return (False, False)
-        path = request.path
-        url_id = None
-        if path.startswith("/discussion/") and path != "/discussion/begin":
-            url_id = path.rsplit("/", 1)[-1]
-        elif path.startswith("/comment/"):
-            comment = self._comment_index.get(path.rsplit("/", 1)[-1])
-            if comment is None:
-                return (False, False)   # 404 is filter-independent
-            url_id = comment.commenturl_id.hex
-        elif path.startswith("/user/") or path == "/discussion/begin":
-            return (False, False)       # handlers never read the filters
-        if url_id is None:
-            return (nsfw, offensive)
-        has_nsfw, has_offensive = self._url_flags.get(url_id, (False, False))
-        return (nsfw and has_nsfw, offensive and has_offensive)
 
     # ------------------------------------------------------------------
     # Middleware

@@ -10,9 +10,9 @@ negative response.
 
 from __future__ import annotations
 
-import html as _html
+from html import escape
 
-__all__ = ["PAGE_SIZE_THRESHOLD", "escape", "page", "tiny_error"]
+__all__ = ["PAGE_SIZE_THRESHOLD", "page", "tiny_error"]
 
 PAGE_SIZE_THRESHOLD = 10_240   # bytes; the paper's ">= 10 kB" detector
 
@@ -25,11 +25,6 @@ _FILLER_RULES = "\n".join(
     for i in range(200)
 )
 _STYLE_BLOCK = f"<style>\n{_FILLER_RULES}\n</style>"
-
-
-def escape(text: str) -> str:
-    """HTML-escape text content."""
-    return _html.escape(text, quote=True)
 
 
 def page(title: str, body: str, pad: bool = True) -> str:

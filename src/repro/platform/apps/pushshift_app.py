@@ -30,7 +30,7 @@ class PushshiftApp(App):
     """
 
     def __init__(self, reddit: RedditUniverse, gab=None):
-        super().__init__("api.pushshift.io", deterministic_render=True)
+        super().__init__("api.pushshift.io")
         self._reddit = reddit
         self._gab_authors: list[str] = []
         if gab is not None:
@@ -88,7 +88,7 @@ class RedditApp(App):
     """The reddit.com origin (existence probes only)."""
 
     def __init__(self, reddit: RedditUniverse):
-        super().__init__("reddit.com", deterministic_render=True)
+        super().__init__("reddit.com")
         self._reddit = reddit
         self.get("/user/{username}/about.json")(self._about)
 

@@ -62,7 +62,7 @@ class YouTubeApp(App):
     """The youtube.com origin."""
 
     def __init__(self, youtube: YouTubeUniverse):
-        super().__init__("youtube.com", deterministic_render=True)
+        super().__init__("youtube.com")
         self._items = youtube.items
         # Index by path+query so lookups ignore the scheme variants the
         # URL universe contains.
@@ -99,7 +99,7 @@ class YouTuBeApp(App):
     """The youtu.be short-link origin: redirects to youtube.com."""
 
     def __init__(self, youtube: YouTubeUniverse):
-        super().__init__("youtu.be", deterministic_render=True)
+        super().__init__("youtu.be")
         self._by_code: dict[str, str] = {}
         for url in youtube.items:
             parts = urlsplit(url)

@@ -195,7 +195,7 @@ class ServeApp(App):
         capacity: float = 20.0,
         max_clients: int = KeyedRateLimiter.DEFAULT_MAX_KEYS,
     ) -> None:
-        super().__init__(self.HOST, deterministic_render=False)
+        super().__init__(self.HOST)
         if not corpus.sealed:
             raise ValueError("ServeApp requires a sealed corpus")
         self._corpus = corpus

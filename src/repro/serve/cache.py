@@ -4,9 +4,9 @@ The serve app caches rendered response bodies keyed on (endpoint, params,
 corpus manifest hash): a sealed corpus never changes, so a rendered read
 is valid for the lifetime of the corpus and the manifest-hash component
 only exists to invalidate entries if an app is ever rebound to a
-different corpus.  The cache is deliberately not the transport's render
-memo — the serve app owns its counters (hit rate is a headline benchmark
-number) and charges different virtual costs for hits and misses.
+different corpus.  The serve app owns its counters (hit rate is a
+headline benchmark number) and charges different virtual costs for hits
+and misses.
 """
 
 from __future__ import annotations

@@ -328,33 +328,47 @@ class TestRetryAfterDegradesToBackoff:
 
 
 class TestHooksResolvedAtRegister:
-    """``register`` looks an origin's hooks up once; the render memo's
-    switch and class-level wrappers installed before registration are
-    still honoured."""
+    """``send`` calls the origin's ``handle`` per request, so an origin
+    needs only ``host`` and ``handle``, and class-level wrappers apply
+    whether they are installed before or after registration."""
 
-    def _counting_app(self):
-        app = App("memo.example", deterministic_render=True)
-        renders = []
+    def test_host_and_handle_are_enough(self):
+        class Bare:
+            host = "bare.example"
+
+            def handle(self, request):
+                return Response.html(f"<p>{request.path}</p>")
+
+        transport = LoopbackTransport(clock=VirtualClock(), latency=0.0)
+        transport.register(Bare())
+        response = HttpClient(transport).get("https://bare.example/a/b")
+        assert response.status == 200
+        assert response.text == "<p>/a/b</p>"
+        assert response.url == "https://bare.example/a/b"
+
+    def test_class_level_wrapper_installed_after_register(self, monkeypatch):
+        class Origin(App):
+            pass
+
+        app = Origin("late.example")
 
         @app.get("/page")
         def page(request, params):
-            renders.append(request.url)
             return Response.html("<p>page</p>")
 
-        return app, renders
-
-    def test_deterministic_render_switched_after_register(self):
-        app, renders = self._counting_app()
         transport = LoopbackTransport(clock=VirtualClock(), latency=0.0)
         transport.register(app)
+        calls = []
+
+        def wrapped_render(self, request):
+            calls.append(request.url)
+            return App.render(self, request)
+
+        monkeypatch.setattr(Origin, "render", wrapped_render)
         client = HttpClient(transport)
-        client.get("https://memo.example/page")
-        client.get("https://memo.example/page")
-        assert len(renders) == 1          # memoised
-        app.deterministic_render = False
-        client.get("https://memo.example/page")
-        client.get("https://memo.example/page")
-        assert len(renders) == 3          # every request renders again
+        for _ in range(3):
+            assert client.get("https://late.example/page").status == 200
+        assert calls == ["https://late.example/page"] * 3
 
     def test_class_level_wrapper_installed_before_register(self, monkeypatch):
         calls = []

@@ -10,7 +10,6 @@ from repro.nlp.tokenize import (
     TextChunk,
     caps_ratio,
     clean_text,
-    sentence_count,
     text_chunks,
     tokenize,
 )
@@ -92,10 +91,6 @@ class TestTextChunk:
 
 
 class TestSurfaceFeatures:
-    def test_sentence_count(self):
-        assert sentence_count("One. Two! Three?") == 3
-        assert sentence_count("no punctuation") == 1
-
     def test_caps_ratio(self):
         assert caps_ratio("SHOUTING") == 1.0
         assert caps_ratio("quiet words") == 0.0
