@@ -9,8 +9,6 @@ DET001    wall-clock access (components take an injected ``Clock``)
 DET002    unseeded randomness (stdlib ``random`` or numpy global state)
 DET003    iteration over an unordered ``set``/``frozenset``/``.keys()``
 CONC001   stats-object writes outside the lock-guarded mutation APIs
-CONC002   multiprocess results collected in completion order, or
-          worker-local ids (pid) reaching serialized payloads
 CHK001    checkpointed dataclass field missing from its schema
 CHK002    store-persisted dataclass field missing from its JSONL codec
 CHK003    column projection reads a field absent from the store codec
@@ -523,7 +521,7 @@ def _collect_set_attributes(cls: ast.ClassDef) -> set[str]:
 
 
 # ----------------------------------------------------------------------
-# Serializer names (CONC002 and CHK001 regions, dataflow sinks).
+# Serializer names (CHK001 regions, dataflow sinks).
 # ----------------------------------------------------------------------
 
 _SERIALIZER_NAMES = frozenset({
@@ -637,96 +635,6 @@ def _mentions_lock(node: ast.With) -> bool:
             if isinstance(sub, ast.Name) and "lock" in sub.id.lower():
                 return True
     return False
-
-
-# ----------------------------------------------------------------------
-# CONC002 — scheduling-ordered merges / worker-local payload values.
-# ----------------------------------------------------------------------
-
-#: call origins that yield multiprocess results in *completion* order.
-_UNORDERED_COLLECTORS = frozenset({
-    "concurrent.futures.as_completed",
-    "multiprocessing.connection.wait",
-})
-
-#: call origins whose value identifies the worker *process*, not the shard.
-_WORKER_LOCAL_ORIGINS = frozenset({
-    "os.getpid",
-    "multiprocessing.current_process",
-})
-
-_JSON_DUMPERS = frozenset({"json.dump", "json.dumps"})
-
-
-class ShardOrderChecker(Checker):
-    code = "CONC002"
-    name = "scheduling-ordered shard merge"
-    rationale = (
-        "the sharded crawl is byte-identical only because the parent "
-        "consumes worker results in shard-id order and payloads are "
-        "keyed by shard id; collecting in completion order or "
-        "serializing process ids makes the merged corpus depend on OS "
-        "scheduling"
-    )
-    hint = (
-        "join/collect workers in shard-id order (never as_completed / "
-        "imap_unordered) and key payloads by shard id instead of "
-        "os.getpid()/multiprocessing.current_process()"
-    )
-
-    def visit(self, module: ParsedModule) -> Iterator[Finding]:
-        imports = _import_map(module.tree)
-        serialized = self._serialized_regions(module.tree, imports)
-        for node in ast.walk(module.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            resolved = _resolve(node.func, imports)
-            if resolved in _UNORDERED_COLLECTORS:
-                yield module.finding(
-                    self.code, node,
-                    f"{resolved}(...) yields worker results in completion "
-                    "order, not shard order",
-                    self.hint,
-                )
-            elif (
-                isinstance(node.func, ast.Attribute)
-                and node.func.attr == "imap_unordered"
-            ):
-                yield module.finding(
-                    self.code, node,
-                    ".imap_unordered(...) yields worker results in "
-                    "completion order, not shard order",
-                    self.hint,
-                )
-            elif resolved in _WORKER_LOCAL_ORIGINS and id(node) in serialized:
-                yield module.finding(
-                    self.code, node,
-                    f"worker-local {resolved}() reaches a serialized "
-                    "payload; bytes differ between processes",
-                    self.hint,
-                )
-
-    @staticmethod
-    def _serialized_regions(
-        tree: ast.Module, imports: dict[str, str]
-    ) -> set[int]:
-        """Node ids inside serializer bodies or json.dump(s) arguments."""
-        regions: set[int] = set()
-        for node in ast.walk(tree):
-            if (
-                isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-                and node.name in _SERIALIZER_NAMES
-            ):
-                for inner in ast.walk(node):
-                    regions.add(id(inner))
-            elif (
-                isinstance(node, ast.Call)
-                and _resolve(node.func, imports) in _JSON_DUMPERS
-            ):
-                for arg in [*node.args, *(kw.value for kw in node.keywords)]:
-                    for inner in ast.walk(arg):
-                        regions.add(id(inner))
-        return regions
 
 
 # ----------------------------------------------------------------------
@@ -1034,7 +942,6 @@ CATALOG: tuple[Checker, ...] = (
     UnseededRandomChecker(),
     UnorderedIterationChecker(),
     StatsWriteChecker(),
-    ShardOrderChecker(),
 )
 
 PROJECT_CATALOG: tuple[ProjectChecker, ...] = (

@@ -2,19 +2,18 @@
 
 The per-file checkers flag nondeterminism *at its source site*; this
 pass flags it *where it escapes*: a value derived from the wall clock,
-an unseeded RNG, set iteration order, or a worker-local process id that
-flows — through calls, returns, assignments, attribute/container writes
-— into a serialization sink (checkpoint/codec/``to_*`` serializers and
+an unseeded RNG, set iteration order, or a process id that flows —
+through calls, returns, assignments, attribute/container writes — into
+a serialization sink (checkpoint/codec/``to_*`` serializers and
 ``json.dump(s)`` payloads, which is where corpus log lines, checkpoint
 bytes and report bytes are born).
 
 Taint kinds map onto the flow-aware finding codes:
 
 ========  ==============================================================
-DET101    wall-clock or unseeded-RNG value reaches serialized bytes
+DET101    wall-clock, unseeded-RNG or process-id (os.getpid /
+          current_process) value reaches serialized bytes
 DET103    set-iteration order reaches serialized bytes
-CONC102   worker-local id (os.getpid / current_process) reaches
-          serialized bytes
 LOCK001   a ``ClientStats``/``CrawlStats`` mutation not dominated by the
           lock-guarded APIs, found through receiver *types* rather than
           the ``.stats`` spelling (closes CONC001's wrapper blind spot)
@@ -44,7 +43,6 @@ from repro.analysis.checkers import (
     _ORDER_SENSITIVE_METHODS,
     _SERIALIZER_NAMES,
     _STATS_CLASSES,
-    _WORKER_LOCAL_ORIGINS,
     UnseededRandomChecker,
     WallClockChecker,
 )
@@ -65,7 +63,7 @@ __all__ = [
 KIND_WALL = "wall-clock"
 KIND_RNG = "unseeded-rng"
 KIND_SET = "set-order"
-KIND_PID = "worker-id"
+KIND_PID = "process-id"
 
 #: a *callable* value that would produce the kind when called
 _FN = "fn:"
@@ -76,14 +74,14 @@ _KIND_CODE = {
     KIND_WALL: "DET101",
     KIND_RNG: "DET101",
     KIND_SET: "DET103",
-    KIND_PID: "CONC102",
+    KIND_PID: "DET101",
 }
 
 _KIND_NOUN = {
     KIND_WALL: "wall-clock value",
     KIND_RNG: "unseeded-RNG value",
     KIND_SET: "set-iteration order",
-    KIND_PID: "worker-local id",
+    KIND_PID: "process id",
 }
 
 _MAX_CHAIN = 8
@@ -109,7 +107,12 @@ _JSON_DUMPERS = frozenset({"json.dump", "json.dumps"})
 _WALL_CALLS = WallClockChecker._WALL
 _ARGLESS_WALL_CALLS = WallClockChecker._ARGLESS_WALL
 _NUMPY_GLOBAL = UnseededRandomChecker._NUMPY_GLOBAL
-_WORKER_LOCAL = _WORKER_LOCAL_ORIGINS
+
+#: call origins whose value identifies the running *process*
+_WORKER_LOCAL_ORIGINS = frozenset({
+    "os.getpid",
+    "multiprocessing.current_process",
+})
 
 
 @dataclass(frozen=True, order=True)
@@ -204,7 +207,7 @@ def _classify_call(dotted: str, has_args: bool) -> tuple[str, str] | None:
         and dotted.rsplit(".", 1)[1] in _NUMPY_GLOBAL
     ):
         return KIND_RNG, f"{dotted}()"
-    if dotted in _WORKER_LOCAL:
+    if dotted in _WORKER_LOCAL_ORIGINS:
         return KIND_PID, f"{dotted}()"
     return None
 
@@ -225,7 +228,7 @@ def _classify_reference(dotted: str) -> tuple[str, str] | None:
         and dotted.rsplit(".", 1)[1] in _NUMPY_GLOBAL
     ):
         return _FN + KIND_RNG, dotted
-    if dotted in _WORKER_LOCAL:
+    if dotted in _WORKER_LOCAL_ORIGINS:
         return _FN + KIND_PID, dotted
     return None
 
@@ -1124,11 +1127,14 @@ FLOW_CATALOG: tuple[FlowCheckerInfo, ...] = (
             "their source line; laundering the value through a helper, "
             "an alias (x = time.time) or a dataclass field hides the "
             "source from per-file checks while the bytes still diverge "
-            "between runs"
+            "between runs.  A process id (os.getpid(), "
+            "multiprocessing.current_process()) differs on every run "
+            "the same way"
         ),
         hint=(
             "thread the value from the injected Clock / seeded "
-            "generator instead; the finding's chain lists every hop "
+            "generator instead, and key payloads by a stable id rather "
+            "than the process id; the finding's chain lists every hop "
             "from source to sink"
         ),
     ),
@@ -1144,20 +1150,6 @@ FLOW_CATALOG: tuple[FlowCheckerInfo, ...] = (
         hint=(
             "sort at the materialization site (sorted(..., key=...)); "
             "the chain shows where order entered and where it escapes"
-        ),
-    ),
-    FlowCheckerInfo(
-        code="CONC102",
-        name="worker-local id reaches serialized bytes (flow)",
-        rationale=(
-            "CONC002 flags os.getpid()/current_process() only inside "
-            "serializer bodies; a pid stashed in a variable or field "
-            "and serialized later still makes shard payloads differ "
-            "between processes"
-        ),
-        hint=(
-            "key payloads by shard id; the chain shows the pid's path "
-            "into the serialized bytes"
         ),
     ),
     FlowCheckerInfo(

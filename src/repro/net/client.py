@@ -245,12 +245,3 @@ class HttpClient:
             return self.get(url, **kwargs)
         except NetworkError:
             return None
-
-    def post(
-        self,
-        url: str,
-        body: bytes = b"",
-        headers: Mapping[str, str] | None = None,
-    ) -> Response:
-        """POST a body to a URL."""
-        return self.request("POST", url, headers=headers, body=body)

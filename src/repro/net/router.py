@@ -114,13 +114,6 @@ class App:
             return handler
         return register
 
-    def post(self, pattern: str) -> Callable[[RouteHandler], RouteHandler]:
-        """Decorator registering a POST route."""
-        def register(handler: RouteHandler) -> RouteHandler:
-            self.add_route("POST", pattern, handler)
-            return handler
-        return register
-
     def use(self, middleware: Callable[[Request], Response | None]) -> None:
         """Register middleware that may short-circuit a request.
 

@@ -107,9 +107,6 @@ class LoopbackTransport:
             raise ValueError("remaining must be >= 0")
         self._kill_remaining = remaining
 
-    def hosts(self) -> list[str]:
-        return sorted(self._origins)
-
     def _maybe_fault(self, request: Request, timeout: float) -> Response | None:
         plan = self._faults
         if plan.timeout_rate == 0.0 and plan.error_rate == 0.0:

@@ -1,8 +1,9 @@
-"""Simulated Google Perspective API (§3.5.2).
+"""Local stand-in for Google's Perspective API (§3.5.2).
 
-The real Perspective API is a closed network service; this package provides
-a local equivalent with the same contract: text in, per-attribute scores in
-[0, 1] out, behind a client that batches requests and accounts for quota.
+The real Perspective API is a closed network service; this package scores
+comments locally with the same contract: text in, per-attribute scores in
+[0, 1] out.  The score stage calls :class:`PerspectiveModels` through
+:class:`~repro.core.scoring.ScoreStore`, which memoises each text's scores.
 
 The scoring models are pure functions of the text (deterministic, like the
 real API): they extract lexical features — rates of the offensive, obscene,
@@ -13,12 +14,6 @@ an opaque black-box scorer and analyses score *distributions*; our models
 play the same role with a realistic amount of recovery noise.
 """
 
-from repro.perspective.api import (
-    AnalyzeRequest,
-    AnalyzeResponse,
-    PerspectiveClient,
-    QuotaExceeded,
-)
 from repro.perspective.models import (
     ATTRIBUTES,
     AttributeScorer,
@@ -28,11 +23,7 @@ from repro.perspective.models import (
 
 __all__ = [
     "ATTRIBUTES",
-    "AnalyzeRequest",
-    "AnalyzeResponse",
     "AttributeScorer",
-    "PerspectiveClient",
     "PerspectiveModels",
-    "QuotaExceeded",
     "score_comment",
 ]

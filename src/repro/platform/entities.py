@@ -129,10 +129,6 @@ class CommentUrl:
     def net_votes(self) -> int:
         return self.upvotes - self.downvotes
 
-    @property
-    def comment_page_path(self) -> str:
-        return f"/discussion/{self.commenturl_id.hex}"
-
 
 @dataclass
 class Comment:
@@ -157,10 +153,6 @@ class Comment:
     def hidden(self) -> bool:
         """Hidden from unauthenticated / non-opted-in viewers (§2.2)."""
         return self.nsfw or self.offensive
-
-    @property
-    def comment_page_path(self) -> str:
-        return f"/comment/{self.comment_id.hex}"
 
 
 @dataclass

@@ -1,8 +1,8 @@
-"""CONC102 bad fixture: a pid parked in a dataclass field, then serialized.
+"""DET101 bad fixture: a pid parked in a dataclass field, then serialized.
 
-CONC002 only sees ``os.getpid()`` inside serializer bodies; here the
-pid is stashed in ``ShardState.owner`` during setup (line 15) and only
-serialized later (line 19).
+No per-file checker sees ``os.getpid()``; here the pid is stashed in
+``ShardState.owner`` during setup (line 18) and only serialized later
+(line 22), so the bytes differ on every run.
 """
 
 import os

@@ -1,4 +1,4 @@
-"""CONC102 good fixture: shard payloads keyed by stable shard id."""
+"""DET101 good twin of det101_pid_bad: payloads keyed by a stable shard id."""
 
 from dataclasses import dataclass
 

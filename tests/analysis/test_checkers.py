@@ -97,27 +97,6 @@ def test_conc001_good_is_clean():
 
 
 # ----------------------------------------------------------------------
-# CONC002 — scheduling-ordered merges / worker-local payload values.
-# ----------------------------------------------------------------------
-
-def test_conc002_bad_flags_unordered_collection_and_pids():
-    findings = run_fixture("conc002_bad.py")
-    assert lines_for(findings, "CONC002") == [13, 19, 23, 33, 42]
-
-
-def test_conc002_messages_name_the_offender():
-    findings = [f for f in run_fixture("conc002_bad.py") if f.code == "CONC002"]
-    assert "as_completed" in findings[0].message
-    assert "imap_unordered" in findings[1].message
-    assert "os.getpid" in findings[3].message
-    assert "shard id" in findings[0].hint
-
-
-def test_conc002_good_is_clean():
-    assert run_fixture("conc002_good.py") == []
-
-
-# ----------------------------------------------------------------------
 # CHK001 — checkpoint schema drift (project-level pass).
 # ----------------------------------------------------------------------
 
@@ -251,7 +230,6 @@ def test_catalog_codes_are_unique_and_documented():
         ("det003_bad.py", "det003_good.py"),
         ("det003_serializer_bad.py", "det003_serializer_good.py"),
         ("conc001_bad.py", "conc001_good.py"),
-        ("conc002_bad.py", "conc002_good.py"),
         ("chk001_bad.py", "chk001_good.py"),
         ("chk002_bad.py", "chk002_good.py"),
         ("chk003_bad.py", "chk003_good.py"),

@@ -7,6 +7,7 @@ import sys
 from pathlib import Path
 
 from repro.analysis import analyze_source
+from repro.analysis.checkers import known_codes
 from repro.analysis.cli import EXIT_CLEAN, EXIT_FINDINGS, EXIT_USAGE, main
 
 REPO_ROOT = Path(__file__).parents[2]
@@ -108,20 +109,29 @@ def test_list_checkers(capsys):
     out = capsys.readouterr().out
     for code in ("DET001", "DET002", "DET003",
                  "CONC001", "CHK001", "SUP001",
-                 "DET101", "DET103", "CONC102", "LOCK001", "SEAL001",
+                 "DET101", "DET103", "LOCK001", "SEAL001",
                  "SUP002"):
         assert code in out
 
 
 def test_new_bad_fixtures_exit_one_under_project():
     """Every bad fixture fails the --project gate, and its good twin
-    stays clean."""
+    stays clean.  Fixtures and the catalog cannot drift apart: each
+    fixture is named after a live code, and each code but the
+    suppression ones has a bad fixture."""
+    codes = known_codes()
     bad_fixtures = sorted(FIXTURES.glob("*_bad.py"))
     assert bad_fixtures
+    covered = set()
     for bad in bad_fixtures:
+        code = bad.name.split("_", 1)[0].upper()
+        assert code in codes, bad.name
+        covered.add(code)
         good = bad.with_name(bad.name.replace("_bad.py", "_good.py"))
+        assert good.exists(), good.name
         assert main([str(bad), "--project"]) == EXIT_FINDINGS, bad.name
         assert main([str(good), "--project"]) == EXIT_CLEAN, good.name
+    assert codes - covered - {"SUP001", "SUP002"} == set()
 
 
 def test_repro_cli_forwards_analyze_subcommand():

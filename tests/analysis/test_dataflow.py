@@ -46,12 +46,12 @@ def test_det103_good_fixture_clean():
 
 
 def test_conc102_bad_fixture_flags_sink():
-    findings = run_project_fixture("conc102_bad.py")
-    assert flow_codes(findings) == [("CONC102", 22)]
+    findings = run_project_fixture("det101_pid_bad.py")
+    assert flow_codes(findings) == [("DET101", 22)]
 
 
 def test_conc102_good_fixture_clean():
-    assert run_project_fixture("conc102_good.py") == []
+    assert run_project_fixture("det101_pid_good.py") == []
 
 
 def test_lock001_bad_fixture_flags_typed_write():
@@ -102,8 +102,8 @@ def test_flow_finding_chain_renders_every_hop():
 
 def test_dataclass_field_laundering_is_caught():
     """Taint through a dataclass field (not just a call chain)."""
-    findings = run_project_fixture("conc102_bad.py")
-    assert [f.code for f in findings] == ["CONC102"]
+    findings = run_project_fixture("det101_pid_bad.py")
+    assert [f.code for f in findings] == ["DET101"]
     assert "os.getpid" in findings[0].message
 
 
@@ -249,7 +249,7 @@ def test_json_dumps_is_a_sink_anywhere():
         "def banner() -> str:\n"
         "    return json.dumps({'pid': os.getpid()})\n"
     )
-    assert [f.code for f in findings] == ["CONC102"]
+    assert [f.code for f in findings] == ["DET101"]
 
 
 def test_clock_module_sources_are_tracked():

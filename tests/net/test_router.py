@@ -5,10 +5,8 @@ import weakref
 
 import pytest
 
-from repro.net.clock import VirtualClock
 from repro.net.http import Request, Response
 from repro.net.router import App, Route, _compile_pattern
-from repro.perspective.http_api import ANALYZE_PATH, API_HOST, PerspectiveHttpApp
 from repro.platform import WorldConfig, build_world
 from repro.platform.apps import build_origins
 from tests.serve.conftest import build_synthetic_store, get, mount
@@ -68,9 +66,10 @@ class TestAppDispatch:
             calls.append(("catch", params))
             return Response.html("catch")
 
-        @app.post("/submit")
         def submit(request, params):
             return Response.html(request.body.decode())
+
+        app.add_route("POST", "/submit", submit)
 
         return app, calls
 
@@ -162,15 +161,6 @@ class TestAppLifetime:
             _, transport, app = mount(store)
             response = get(transport, "https://serve.dissenter.local/api/status")
             assert response.status == 200
-            return weakref.ref(app)
-
-        assert _freed_without_gc(make)
-
-    def test_dropped_perspective_app_is_freed(self):
-        def make():
-            app = PerspectiveHttpApp(daily_quota=5, clock=VirtualClock())
-            request = Request("POST", f"https://{API_HOST}{ANALYZE_PATH}")
-            app.handle(request)
             return weakref.ref(app)
 
         assert _freed_without_gc(make)

@@ -51,9 +51,10 @@ def _make_app() -> App:
     def jump(request, params):
         return Response.redirect("/landing")
 
-    @app.post("/submit")
     def submit(request, params):
         return Response.redirect("/landing")
+
+    app.add_route("POST", "/submit", submit)
 
     @app.get("/landing")
     def landing(request, params):
@@ -131,7 +132,8 @@ class TestRedirects:
 
     def test_post_redirect_becomes_get(self, stack):
         _, _, client = stack
-        r = client.post(
+        r = client.request(
+            "POST",
             "https://test.example/submit",
             body=b"payload",
             headers={"Content-Type": "application/json"},

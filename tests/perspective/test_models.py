@@ -4,13 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.perspective import (
-    ATTRIBUTES,
-    AnalyzeRequest,
-    PerspectiveClient,
-    QuotaExceeded,
-    score_comment,
-)
+from repro.perspective import ATTRIBUTES, score_comment
 from repro.perspective.lexicon import extract_features
 from repro.platform.entities import CommentLatent
 from repro.platform.textgen import CommentTextGenerator
@@ -124,34 +118,3 @@ class TestFeatureExtraction:
     def test_attack_phrase_flag(self):
         f = extract_features("honestly the author is a total fraud")
         assert f.has_attack_phrase
-
-
-class TestPerspectiveClient:
-    def test_analyze_contract(self):
-        client = PerspectiveClient()
-        response = client.analyze(
-            AnalyzeRequest("hello", requested_attributes=("OBSCENE",))
-        )
-        assert set(response.attribute_scores) == {"OBSCENE"}
-        assert client.requests_made == 1
-
-    def test_invalid_attribute_in_request(self):
-        with pytest.raises(ValueError):
-            AnalyzeRequest("x", requested_attributes=("BOGUS",))
-
-    def test_quota_enforced(self):
-        client = PerspectiveClient(quota=2)
-        client.analyze(AnalyzeRequest("a"))
-        client.analyze(AnalyzeRequest("b"))
-        assert client.remaining_quota == 0
-        with pytest.raises(QuotaExceeded):
-            client.analyze(AnalyzeRequest("c"))
-
-    def test_batch_order_preserved(self):
-        client = PerspectiveClient()
-        texts = ["first text", "second text", "third text"]
-        responses = client.analyze_batch(texts)
-        direct = [score_comment(t)["SEVERE_TOXICITY"] for t in texts]
-        assert [
-            r.score("SEVERE_TOXICITY") for r in responses
-        ] == pytest.approx(direct)
