@@ -1,4 +1,4 @@
-"""Determinism & concurrency lint suite (``python -m repro.analysis``).
+"""Determinism lint suite (``python -m repro.analysis``).
 
 The reproduction's headline guarantee — corpora, stats and checkpoints
 bit-identical across ``--connections 1/4/8`` and across kill→resume
@@ -7,10 +7,10 @@ runtime test can exhaustively cover:
 
 * no module reads wall-clock time (everything paces itself on an
   injected :class:`~repro.net.clock.Clock`);
-* no unseeded randomness (every generator descends from the world seed);
+* no unseeded randomness or OS entropy (every generator descends from
+  the world seed);
 * no unordered ``set``/``frozenset`` iteration on a path that reaches
   corpus, checkpoint, or report bytes;
-* shared stats objects are only mutated through their lock-guarded APIs;
 * every field of a checkpointed dataclass is registered in its
   serialization schema (silent resume drift otherwise).
 

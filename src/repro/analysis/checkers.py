@@ -6,9 +6,9 @@ bit-identity guarantee (corpus/stats/checkpoints identical across
 
 ========  ==============================================================
 DET001    wall-clock access (components take an injected ``Clock``)
-DET002    unseeded randomness (stdlib ``random`` or numpy global state)
+DET002    unseeded randomness or OS entropy (``random``, ``secrets``,
+          numpy global state, ``uuid``, ``os.urandom``)
 DET003    iteration over an unordered ``set``/``frozenset``/``.keys()``
-CONC001   stats-object writes outside the lock-guarded mutation APIs
 CHK001    checkpointed dataclass field missing from its schema
 CHK002    store-persisted dataclass field missing from its JSONL codec
 CHK003    column projection reads a field absent from the store codec
@@ -146,6 +146,66 @@ class WallClockChecker(Checker):
 
 
 # ----------------------------------------------------------------------
+# Entropy sources: DET002 flags the RNG calls, DET101 follows every value.
+# ----------------------------------------------------------------------
+
+KIND_RNG = "unseeded-rng"
+KIND_PID = "process-id"
+
+#: generator constructors that draw OS entropy only when given no seed
+_SEEDABLE = frozenset({
+    "random.Random", "numpy.random.default_rng", "numpy.random.Generator",
+    "numpy.random.SeedSequence",
+})
+#: calls that draw OS entropy whatever their arguments
+_OS_ENTROPY_CALLS = frozenset({
+    "random.SystemRandom", "uuid.uuid1", "uuid.uuid4", "os.urandom",
+})
+#: modules whose every function draws from a hidden RNG
+_RNG_MODULES = {
+    "random": "the process-global stdlib RNG",
+    "secrets": "OS entropy",
+}
+#: numpy.random module-level calls that touch the hidden global state
+_NUMPY_GLOBAL = frozenset({
+    "seed", "rand", "randn", "randint", "random", "random_sample",
+    "ranf", "sample", "choice", "shuffle", "permutation", "bytes",
+    "uniform", "normal", "standard_normal", "beta", "binomial",
+    "poisson", "exponential", "gamma", "lognormal", "pareto", "zipf",
+})
+#: calls whose value identifies the running process
+_PROCESS_ID_CALLS = frozenset({
+    "os.getpid", "os.getppid", "multiprocessing.current_process",
+})
+
+
+def entropy_source(
+    dotted: str, has_args: bool | None
+) -> tuple[str, str] | None:
+    """``(kind, reason)`` when a call to ``dotted`` differs on every run.
+
+    ``kind`` is :data:`KIND_RNG` or :data:`KIND_PID`.  A seedable
+    constructor is a source only when called without arguments, so a
+    bare reference (``has_args`` None: the call's arguments are unknown)
+    to one is not.
+    """
+    if dotted in _PROCESS_ID_CALLS:
+        return KIND_PID, f"{dotted}() identifies the running process"
+    if dotted in _SEEDABLE:
+        if has_args is not False:
+            return None
+        return KIND_RNG, f"{dotted}() without a seed draws OS entropy"
+    if dotted in _OS_ENTROPY_CALLS:
+        return KIND_RNG, f"{dotted}() draws OS entropy"
+    module, _, name = dotted.rpartition(".")
+    if module in _RNG_MODULES:
+        return KIND_RNG, f"{dotted}() draws {_RNG_MODULES[module]}"
+    if module == "numpy.random" and name in _NUMPY_GLOBAL:
+        return KIND_RNG, f"{dotted}() uses numpy's hidden global RNG state"
+    return None
+
+
+# ----------------------------------------------------------------------
 # DET002 — unseeded randomness.
 # ----------------------------------------------------------------------
 
@@ -156,20 +216,13 @@ class UnseededRandomChecker(Checker):
     rationale = (
         "all randomness must descend from the world seed "
         "(np.random.SeedSequence(config.seed) in platform/world.py); "
-        "module-level RNG state breaks run-to-run bit-identity"
+        "module-level RNG state and OS entropy (uuid4, os.urandom, "
+        "secrets) break run-to-run bit-identity"
     )
     hint = (
         "thread an np.random.Generator parameter down from the world's "
         "seeded streams (see platform/latent.py), or pass an explicit seed"
     )
-
-    # numpy.random module-level calls that touch the hidden global state.
-    _NUMPY_GLOBAL = frozenset({
-        "seed", "rand", "randn", "randint", "random", "random_sample",
-        "ranf", "sample", "choice", "shuffle", "permutation", "bytes",
-        "uniform", "normal", "standard_normal", "beta", "binomial",
-        "poisson", "exponential", "gamma", "lognormal", "pareto", "zipf",
-    })
 
     def visit(self, module: ParsedModule) -> Iterator[Finding]:
         imports = _import_map(module.tree)
@@ -179,48 +232,10 @@ class UnseededRandomChecker(Checker):
             target = _resolve(node.func, imports)
             if target is None:
                 continue
-            yield from self._check_call(module, node, target)
-
-    def _check_call(
-        self, module: ParsedModule, node: ast.Call, target: str
-    ) -> Iterator[Finding]:
-        has_args = bool(node.args or node.keywords)
-        if target == "random.Random":
-            if not has_args:
-                yield module.finding(
-                    self.code, node,
-                    "random.Random() constructed without a seed",
-                    "pass an explicit seed derived from the world seed",
-                )
-        elif target == "random.SystemRandom":
-            yield module.finding(
-                self.code, node,
-                "random.SystemRandom draws OS entropy (never reproducible)",
-                self.hint,
-            )
-        elif target.startswith("random.") and target.count(".") == 1:
-            yield module.finding(
-                self.code, node,
-                f"{target}() uses the process-global stdlib RNG",
-                self.hint,
-            )
-        elif target in ("numpy.random.default_rng", "numpy.random.Generator",
-                        "numpy.random.SeedSequence"):
-            if not has_args:
-                yield module.finding(
-                    self.code, node,
-                    f"{target}() without a seed draws OS entropy",
-                    "pass a seed or a spawned SeedSequence stream",
-                )
-        elif (
-            target.startswith("numpy.random.")
-            and target.rsplit(".", 1)[1] in self._NUMPY_GLOBAL
-        ):
-            yield module.finding(
-                self.code, node,
-                f"{target}() uses numpy's hidden global RNG state",
-                self.hint,
-            )
+            source = entropy_source(target, bool(node.args or node.keywords))
+            # Process ids are reported where they escape (DET101).
+            if source is not None and source[0] == KIND_RNG:
+                yield module.finding(self.code, node, source[1], self.hint)
 
 
 # ----------------------------------------------------------------------
@@ -531,113 +546,6 @@ _SERIALIZER_NAMES = frozenset({
 
 
 # ----------------------------------------------------------------------
-# CONC001 — stats writes outside the lock.
-# ----------------------------------------------------------------------
-
-_STATS_CLASSES = frozenset({"ClientStats", "CrawlStats"})
-_INIT_METHODS = frozenset({"__init__", "__post_init__"})
-
-
-class StatsWriteChecker(Checker):
-    code = "CONC001"
-    name = "unguarded stats write"
-    rationale = (
-        "ClientStats/CrawlStats are the public crawl counters and may be "
-        "shared between threads by any caller; a bare read-modify-write "
-        "races and loses counts (the lock-guarded bump()/record_*() APIs "
-        "exist for this)"
-    )
-    hint = (
-        "go through the stats object's lock-guarded mutation methods, or "
-        "add one holding self._lock"
-    )
-
-    def visit(self, module: ParsedModule) -> Iterator[Finding]:
-        stats_classes = [
-            node for node in ast.walk(module.tree)
-            if isinstance(node, ast.ClassDef) and node.name in _STATS_CLASSES
-        ]
-        inside: set[int] = set()
-        for cls in stats_classes:
-            for node in ast.walk(cls):
-                inside.add(id(node))
-            yield from self._scan_stats_class(module, cls)
-        for node in ast.walk(module.tree):
-            if id(node) in inside:
-                continue
-            if isinstance(node, (ast.Assign, ast.AugAssign)):
-                yield from self._scan_external_write(module, node)
-
-    def _scan_external_write(
-        self, module: ParsedModule, node: ast.Assign | ast.AugAssign
-    ) -> Iterator[Finding]:
-        targets = (
-            node.targets if isinstance(node, ast.Assign) else [node.target]
-        )
-        for target in targets:
-            if not isinstance(target, ast.Attribute):
-                continue
-            owner = target.value
-            # Only attribute chains ending in `.stats` (self.stats.x,
-            # client.stats.x): a bare local named `stats` is usually a
-            # single-threaded result object (e.g. UrlTableStats).
-            if isinstance(owner, ast.Attribute) and owner.attr == "stats":
-                yield module.finding(
-                    self.code, node,
-                    f"direct write to stats attribute "
-                    f"'{target.attr}' bypasses the stats lock",
-                    self.hint,
-                )
-
-    def _scan_stats_class(
-        self, module: ParsedModule, cls: ast.ClassDef
-    ) -> Iterator[Finding]:
-        for method in cls.body:
-            if not isinstance(method, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            if method.name in _INIT_METHODS:
-                continue
-            locked: set[int] = set()
-            for node in ast.walk(method):
-                if isinstance(node, ast.With) and _mentions_lock(node):
-                    for inner in ast.walk(node):
-                        locked.add(id(inner))
-            for node in ast.walk(method):
-                if id(node) in locked:
-                    continue
-                if not isinstance(node, (ast.Assign, ast.AugAssign)):
-                    continue
-                targets = (
-                    node.targets
-                    if isinstance(node, ast.Assign)
-                    else [node.target]
-                )
-                for target in targets:
-                    if (
-                        isinstance(target, ast.Attribute)
-                        and isinstance(target.value, ast.Name)
-                        and target.value.id == "self"
-                        and not target.attr.startswith("_")
-                    ):
-                        yield module.finding(
-                            self.code, node,
-                            f"{cls.name}.{method.name} writes self."
-                            f"{target.attr} outside 'with self._lock'",
-                            self.hint,
-                        )
-
-
-def _mentions_lock(node: ast.With) -> bool:
-    for item in node.items:
-        for sub in ast.walk(item.context_expr):
-            if isinstance(sub, ast.Attribute) and "lock" in sub.attr.lower():
-                return True
-            if isinstance(sub, ast.Name) and "lock" in sub.id.lower():
-                return True
-    return False
-
-
-# ----------------------------------------------------------------------
 # CHK001 — checkpoint schema drift (project-level).
 # ----------------------------------------------------------------------
 
@@ -941,7 +849,6 @@ CATALOG: tuple[Checker, ...] = (
     WallClockChecker(),
     UnseededRandomChecker(),
     UnorderedIterationChecker(),
-    StatsWriteChecker(),
 )
 
 PROJECT_CATALOG: tuple[ProjectChecker, ...] = (

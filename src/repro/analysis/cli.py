@@ -26,7 +26,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis",
         description=(
-            "AST-based determinism & concurrency lint suite enforcing the "
+            "AST-based determinism lint suite enforcing the "
             "reproduction's bit-identity invariants."
         ),
     )
@@ -49,7 +49,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--project", action="store_true",
         help="also run the interprocedural passes (call graph, "
-             "nondeterminism taint, LOCK001/SEAL001)",
+             "nondeterminism taint, SEAL001)",
     )
     parser.add_argument(
         "--dump-callgraph", type=Path, default=None, metavar="PATH",

@@ -1,4 +1,4 @@
-"""Interprocedural taint dataflow and the lock/seal state machines.
+"""Interprocedural taint dataflow and the seal state machine.
 
 The per-file checkers flag nondeterminism *at its source site*; this
 pass flags it *where it escapes*: a value derived from the wall clock,
@@ -11,12 +11,10 @@ bytes and report bytes are born).
 Taint kinds map onto the flow-aware finding codes:
 
 ========  ==============================================================
-DET101    wall-clock, unseeded-RNG or process-id (os.getpid /
-          current_process) value reaches serialized bytes
+DET101    wall-clock, unseeded-RNG/OS-entropy or process-id value
+          reaches serialized bytes (sources: DET001's tables and
+          ``checkers.entropy_source``)
 DET103    set-iteration order reaches serialized bytes
-LOCK001   a ``ClientStats``/``CrawlStats`` mutation not dominated by the
-          lock-guarded APIs, found through receiver *types* rather than
-          the ``.stats`` spelling (closes CONC001's wrapper blind spot)
 SEAL001   a store-mutating method reachable from a post-``seal()``
           context without a ``SealedCorpusError`` guard
 ========  ==============================================================
@@ -42,9 +40,10 @@ from repro.analysis.checkers import (
     _ORDER_SENSITIVE_CALLS,
     _ORDER_SENSITIVE_METHODS,
     _SERIALIZER_NAMES,
-    _STATS_CLASSES,
-    UnseededRandomChecker,
+    KIND_PID,
+    KIND_RNG,
     WallClockChecker,
+    entropy_source,
 )
 from repro.analysis.engine import Finding, ParsedModule
 from repro.analysis.symbols import FunctionInfo, SymbolTable
@@ -61,9 +60,7 @@ __all__ = [
 # ----------------------------------------------------------------------
 
 KIND_WALL = "wall-clock"
-KIND_RNG = "unseeded-rng"
 KIND_SET = "set-order"
-KIND_PID = "process-id"
 
 #: a *callable* value that would produce the kind when called
 _FN = "fn:"
@@ -106,13 +103,6 @@ _JSON_DUMPERS = frozenset({"json.dump", "json.dumps"})
 
 _WALL_CALLS = WallClockChecker._WALL
 _ARGLESS_WALL_CALLS = WallClockChecker._ARGLESS_WALL
-_NUMPY_GLOBAL = UnseededRandomChecker._NUMPY_GLOBAL
-
-#: call origins whose value identifies the running *process*
-_WORKER_LOCAL_ORIGINS = frozenset({
-    "os.getpid",
-    "multiprocessing.current_process",
-})
 
 
 @dataclass(frozen=True, order=True)
@@ -183,32 +173,18 @@ def _symbolic(taints: Sequence[Taint]) -> TaintSet:
 # ----------------------------------------------------------------------
 
 
-def _classify_call(dotted: str, has_args: bool) -> tuple[str, str] | None:
-    """(kind, label) when a resolved call is a nondeterminism source."""
-    if dotted in _WALL_CALLS:
-        return KIND_WALL, f"{dotted}()"
-    if dotted in _ARGLESS_WALL_CALLS and not has_args:
-        return KIND_WALL, f"{dotted}()"
-    if dotted == "random.Random" and not has_args:
-        return KIND_RNG, "random.Random()"
-    if dotted == "random.SystemRandom":
-        return KIND_RNG, "random.SystemRandom()"
-    if dotted.startswith("random.") and dotted.count(".") == 1:
-        return KIND_RNG, f"{dotted}()"
-    if dotted in (
-        "numpy.random.default_rng", "numpy.random.Generator",
-        "numpy.random.SeedSequence",
+def _classify_call(
+    dotted: str, has_args: bool | None
+) -> tuple[str, str] | None:
+    """(kind, label) when a resolved call is a nondeterminism source
+    (``has_args`` None: a bare reference, see :func:`entropy_source`)."""
+    if dotted in _WALL_CALLS or (
+        dotted in _ARGLESS_WALL_CALLS and not has_args
     ):
-        if not has_args:
-            return KIND_RNG, f"{dotted}()"
-        return None
-    if (
-        dotted.startswith("numpy.random.")
-        and dotted.rsplit(".", 1)[1] in _NUMPY_GLOBAL
-    ):
-        return KIND_RNG, f"{dotted}()"
-    if dotted in _WORKER_LOCAL_ORIGINS:
-        return KIND_PID, f"{dotted}()"
+        return KIND_WALL, f"{dotted}()"
+    source = entropy_source(dotted, has_args)
+    if source is not None:
+        return source[0], f"{dotted}()"
     return None
 
 
@@ -219,18 +195,10 @@ def _classify_reference(dotted: str) -> tuple[str, str] | None:
     taint pass marks the alias as a wall-clock *function value* and
     converts it to a wall-clock *value* wherever it is finally called.
     """
-    if dotted in _WALL_CALLS or dotted in _ARGLESS_WALL_CALLS:
-        return _FN + KIND_WALL, dotted
-    if dotted.startswith("random.") and dotted.count(".") == 1:
-        return _FN + KIND_RNG, dotted
-    if (
-        dotted.startswith("numpy.random.")
-        and dotted.rsplit(".", 1)[1] in _NUMPY_GLOBAL
-    ):
-        return _FN + KIND_RNG, dotted
-    if dotted in _WORKER_LOCAL_ORIGINS:
-        return _FN + KIND_PID, dotted
-    return None
+    classified = _classify_call(dotted, has_args=None)
+    if classified is None:
+        return None
+    return _FN + classified[0], dotted
 
 
 # ----------------------------------------------------------------------
@@ -849,68 +817,6 @@ class _FunctionTaint:
 
 
 # ----------------------------------------------------------------------
-# LOCK001 — typed stats writes outside the lock-guarded APIs.
-# ----------------------------------------------------------------------
-
-
-def _lock_findings(
-    table: SymbolTable, graph: CallGraph, engine: TaintEngine
-) -> Iterator[tuple[str, str, int, str]]:
-    for function in table.iter_functions():
-        if function.class_name in _STATS_CLASSES:
-            continue   # in-class writes are CONC001's domain
-        resolver = engine.resolver_for(function)
-        fresh: set[str] = set()
-        for sub in ast.walk(function.node):
-            if isinstance(sub, ast.Assign) and len(sub.targets) == 1:
-                target = sub.targets[0]
-                value = sub.value
-                if (
-                    isinstance(target, ast.Name)
-                    and isinstance(value, ast.Call)
-                    and isinstance(value.func, ast.Name)
-                    and value.func.id in _STATS_CLASSES
-                ):
-                    # A stats object constructed in this frame is not
-                    # yet shared; writing its fields is initialization.
-                    fresh.add(target.id)
-        for sub in ast.walk(function.node):
-            if not isinstance(sub, (ast.Assign, ast.AugAssign)):
-                continue
-            targets = (
-                sub.targets if isinstance(sub, ast.Assign) else [sub.target]
-            )
-            for target in targets:
-                if not isinstance(target, ast.Attribute):
-                    continue
-                owner = target.value
-                if isinstance(owner, ast.Attribute) and owner.attr == "stats":
-                    continue   # the per-file CONC001 already flags these
-                if isinstance(owner, ast.Name) and owner.id in fresh:
-                    continue
-                owner_type = resolver.infer_type(owner)
-                if owner_type not in _STATS_CLASSES:
-                    continue
-                chain = graph.shortest_caller_chain(function.qname)
-                reached = " -> ".join(
-                    f"{site.caller.split(':', 1)[1]}()"
-                    f" ({site.path}:{site.line})"
-                    for site in chain
-                )
-                via = f"; reached via {reached}" if reached else ""
-                yield (
-                    "LOCK001",
-                    function.path,
-                    sub.lineno,
-                    f"{owner_type}.{target.attr} written outside the "
-                    f"lock-guarded APIs in {function.name}() — the "
-                    f"receiver's type makes this a shared-stats "
-                    f"mutation even though it is not spelled "
-                    f"'.stats.'{via}",
-                )
-
-
-# ----------------------------------------------------------------------
 # SEAL001 — mutation reachable from a post-seal context.
 # ----------------------------------------------------------------------
 
@@ -1123,11 +1029,11 @@ FLOW_CATALOG: tuple[FlowCheckerInfo, ...] = (
         code="DET101",
         name="nondeterministic value reaches serialized bytes (flow)",
         rationale=(
-            "DET001/DET002 flag wall-clock and unseeded-RNG calls at "
-            "their source line; laundering the value through a helper, "
-            "an alias (x = time.time) or a dataclass field hides the "
-            "source from per-file checks while the bytes still diverge "
-            "between runs.  A process id (os.getpid(), "
+            "DET001/DET002 flag wall-clock, unseeded-RNG and OS-entropy "
+            "calls at their source line; laundering the value through a "
+            "helper, an alias (x = time.time) or a dataclass field hides "
+            "the source from per-file checks while the bytes still "
+            "diverge between runs.  A process id (os.getpid(), os.getppid(), "
             "multiprocessing.current_process()) differs on every run "
             "the same way"
         ),
@@ -1150,20 +1056,6 @@ FLOW_CATALOG: tuple[FlowCheckerInfo, ...] = (
         hint=(
             "sort at the materialization site (sorted(..., key=...)); "
             "the chain shows where order entered and where it escapes"
-        ),
-    ),
-    FlowCheckerInfo(
-        code="LOCK001",
-        name="stats mutation not dominated by the lock-guarded APIs",
-        rationale=(
-            "CONC001 matches the '.stats.' spelling, so a wrapper "
-            "taking a ClientStats/CrawlStats parameter (or an "
-            "attribute not named 'stats') can mutate shared counters "
-            "unguarded; receiver-type inference closes that blind spot"
-        ),
-        hint=(
-            "route the write through the stats object's bump()/"
-            "record_*() APIs (they hold the lock)"
         ),
     ),
     FlowCheckerInfo(
@@ -1191,12 +1083,10 @@ def project_callgraph(modules: Sequence[ParsedModule]) -> CallGraph:
 def analyze_project(modules: Sequence[ParsedModule]) -> list[Finding]:
     """Run every interprocedural checker; returns unsorted findings."""
     table = SymbolTable.build(modules)
-    graph = build_callgraph(table)
     engine = TaintEngine(table)
     engine.run()
 
     raw: list[tuple[str, str, int, str]] = list(engine.findings)
-    raw.extend(_lock_findings(table, graph, engine))
     raw.extend(_seal_findings(table, engine))
 
     by_code = {info.code: info for info in FLOW_CATALOG}

@@ -310,7 +310,7 @@ def analyze_paths(
         paths: files and/or directories.
         root: base for relative finding paths (default: cwd).
         project: also run the interprocedural passes (symbol table,
-            call graph, taint dataflow, LOCK001/SEAL001).
+            call graph, taint dataflow, SEAL001).
 
     Returns:
         The unsuppressed findings plus SUP002 hygiene findings, sorted

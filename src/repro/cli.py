@@ -233,7 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
     # intercepts it before parsing); registered here for --help only.
     sub.add_parser(
         "analyze",
-        help="run the determinism & concurrency lint suite "
+        help="run the determinism lint suite "
              "(all arguments forwarded to python -m repro.analysis)",
         add_help=False,
     )

@@ -29,7 +29,6 @@ already-fetched work and continues from the cursor.
 
 from __future__ import annotations
 
-import threading
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, Sequence
@@ -71,9 +70,7 @@ _STORE_KEY = "dissenter.store"
 class CrawlStats:
     """Progress counters for one crawl.
 
-    Increment through :meth:`bump`/:meth:`record_failed` — they hold a
-    lock so counters stay exact for a caller that shares one crawler's
-    stats between threads; the crawl itself is single-threaded.
+    Plain attributes, written by the one thread that drives the crawl.
     """
 
     usernames_probed: int = 0
@@ -82,25 +79,6 @@ class CrawlStats:
     comment_pages_parsed: int = 0
     comment_pages_failed: list[str] = field(default_factory=list)
     author_pages_visited: int = 0
-
-    def __post_init__(self) -> None:
-        # Not a dataclass field: locks aren't comparable or serialisable.
-        self._lock = threading.Lock()
-
-    def bump(self, counter: str, amount: int = 1) -> None:
-        """Atomically increment one of the integer counters by name."""
-        with self._lock:
-            setattr(self, counter, getattr(self, counter) + amount)
-
-    def record_failed(self, commenturl_id: str) -> None:
-        """Atomically append to the failed-pages list."""
-        with self._lock:
-            self.comment_pages_failed.append(commenturl_id)
-
-    def replace_failed(self, commenturl_ids: list[str]) -> None:
-        """Atomically replace the failed-pages list (recrawl bookkeeping)."""
-        with self._lock:
-            self.comment_pages_failed = list(commenturl_ids)
 
     def to_dict(self) -> dict:
         return {
@@ -229,10 +207,10 @@ class DissenterCrawler:
 
         def process(position: int, response: Response | None) -> None:
             nonlocal index
-            self.stats.bump("usernames_probed")
+            self.stats.usernames_probed += 1
             if response is not None and response.size >= SIZE_THRESHOLD:
                 detected.append(usernames[position])
-                self.stats.bump("accounts_detected")
+                self.stats.accounts_detected += 1
             index = position + 1
 
         pool.run(plan, fetch, process, checkpointer=checkpointer)
@@ -373,7 +351,7 @@ class DissenterCrawler:
             ):
                 user = parse_user_page(response.text)
                 if user is not None:
-                    self.stats.bump("home_pages_parsed")
+                    self.stats.home_pages_parsed += 1
                     store.add_user(user)
                     state.frontier.add_many(user.commented_url_ids)
             state.index = position + 1
@@ -414,11 +392,11 @@ class DissenterCrawler:
                 # accounted as failed, or recrawl_failures() and the
                 # validation report would undercount missing pages.
                 if not frontier.fail(commenturl_id):
-                    self.stats.record_failed(commenturl_id)
+                    self.stats.comment_pages_failed.append(commenturl_id)
             elif kind == "failed":
-                self.stats.record_failed(commenturl_id)
+                self.stats.comment_pages_failed.append(commenturl_id)
             else:
-                self.stats.bump("comment_pages_parsed")
+                self.stats.comment_pages_parsed += 1
                 self._add_page(store, page)
 
         pool.run(
@@ -478,7 +456,7 @@ class DissenterCrawler:
             state.meta_index = position + 1
             if response is None or response.status != 200:
                 return
-            self.stats.bump("author_pages_visited")
+            self.stats.author_pages_visited += 1
             blob = parse_comment_author_blob(response.text)
             if blob is None:
                 return
@@ -531,5 +509,5 @@ class DissenterCrawler:
                 continue
             self._add_page(result, page)
             recovered += 1
-        self.stats.replace_failed(still_failed)
+        self.stats.comment_pages_failed = still_failed
         return recovered

@@ -9,7 +9,6 @@ the NSFW/offensive shadow crawl.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 from typing import Any, Mapping
 
@@ -34,10 +33,9 @@ _RETRYABLE_STATUSES = frozenset({429, 500, 502, 503})
 class ClientStats:
     """Counters a crawl report can cite.
 
-    Mutations go through the ``record_*``/``bump`` methods, which hold a
-    lock: the crawl is single-threaded, but a caller that shares one
-    client between threads would otherwise lose updates to the
-    read-modify-write increments here.
+    Plain attributes, written by the one thread that drives the crawl
+    (``src/repro`` starts no thread; ``tests/test_single_threaded.py``
+    keeps it that way).
     """
 
     requests: int = 0
@@ -47,23 +45,13 @@ class ClientStats:
     bytes_received: int = 0
     status_counts: dict[int, int] = field(default_factory=dict)
 
-    def __post_init__(self) -> None:
-        # Not a dataclass field: locks aren't comparable or serialisable.
-        self._lock = threading.Lock()
-
-    def bump(self, counter: str, amount: int = 1) -> None:
-        """Atomically increment one of the integer counters by name."""
-        with self._lock:
-            setattr(self, counter, getattr(self, counter) + amount)
-
     def record_response(self, response: Response) -> None:
         """Count one answered request: the request, its bytes, its status."""
-        with self._lock:
-            self.requests += 1
-            self.bytes_received += response.size
-            self.status_counts[response.status] = (
-                self.status_counts.get(response.status, 0) + 1
-            )
+        self.requests += 1
+        self.bytes_received += response.size
+        self.status_counts[response.status] = (
+            self.status_counts.get(response.status, 0) + 1
+        )
 
 
 class HttpClient:
@@ -140,7 +128,7 @@ class HttpClient:
             response = self._transport.send(request, timeout=self._timeout)
         except BaseException:
             # A request that got no response (timeout, kill) still counts.
-            self.stats.bump("requests")
+            self.stats.requests += 1
             raise
         self.stats.record_response(response)
         set_cookies = response.headers.get_all("Set-Cookie")
@@ -178,7 +166,7 @@ class HttpClient:
             try:
                 response = self._send_once(request)
             except TimeoutError:
-                self.stats.bump("timeouts")
+                self.stats.timeouts += 1
                 if attempt >= self._max_retries:
                     raise
             else:
@@ -187,7 +175,7 @@ class HttpClient:
                 if attempt >= self._max_retries:
                     return response
             attempt += 1
-            self.stats.bump("retries")
+            self.stats.retries += 1
             self.clock.sleep(max(0.0, self._retry_delay(response, attempt)))
 
     def request(
@@ -213,7 +201,7 @@ class HttpClient:
             redirects += 1
             if redirects > self._max_redirects:
                 raise TooManyRedirects(url, self._max_redirects)
-            self.stats.bump("redirects_followed")
+            self.stats.redirects_followed += 1
             target = response.redirect_target()
             # A redirect-followed request is a *fresh* GET: replaying the
             # caller's original headers would leak request-specific fields

@@ -122,15 +122,14 @@ class FetchPool:
         self._seq += 1
         free_at, _, lane = heapq.heappop(self._lanes)
         busy = sum(1 for entry in self._lanes if entry[0] > free_at)
-        # repro: allow CONC001 per-pool counters, written by the calling thread
         self.stats.high_watermark = max(self.stats.high_watermark, busy + 1)
         end = free_at + duration
         heapq.heappush(self._lanes, (end, seq, lane))
         previous = self._makespan
         self._makespan = max(self._makespan, end)
-        self.stats.jobs += 1        # repro: allow CONC001 per-pool counter
-        self.stats.busy_seconds += duration   # repro: allow CONC001 per-pool counter
-        self.stats.makespan_seconds = self._makespan   # repro: allow CONC001 per-pool counter
+        self.stats.jobs += 1
+        self.stats.busy_seconds += duration
+        self.stats.makespan_seconds = self._makespan
         return self._makespan - previous
 
     def _end_flight(self) -> None:
@@ -191,7 +190,7 @@ class FetchPool:
                     f"plan returned {len(jobs)} jobs for a "
                     f"{self.connections}-connection window"
                 )
-            self.stats.windows += 1   # repro: allow CONC001 per-pool counter
+            self.stats.windows += 1
             fetched: list[tuple[J, R]] = []
             failure: BaseException | None = None
             for job in jobs:

@@ -17,6 +17,7 @@ paper's; only the vocabulary is synthetic.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -29,6 +30,7 @@ __all__ = [
     "HATEBASE_SIZE",
     "HateDictionary",
     "build_synthetic_hatebase",
+    "hate_vocab",
 ]
 
 HATEBASE_SIZE = 1027
@@ -125,6 +127,16 @@ def build_synthetic_hatebase(seed: int = 1027) -> list[str]:
     return terms
 
 
+@cache
+def _default_hatebase() -> tuple[str, ...]:
+    return tuple(build_synthetic_hatebase())
+
+
+def hate_vocab() -> list[str]:
+    """The synthetic hate lexicon (cached; deterministic)."""
+    return list(_default_hatebase())
+
+
 @dataclass(frozen=True)
 class DictionaryScore:
     """Per-comment dictionary scoring result."""
@@ -159,7 +171,7 @@ class HateDictionary:
         substring_matching: bool = False,
     ):
         self._stemmer = PorterStemmer()
-        raw_terms = list(terms) if terms is not None else build_synthetic_hatebase()
+        raw_terms = list(terms) if terms is not None else _default_hatebase()
         self._raw_terms = frozenset(t.lower() for t in raw_terms)
         # Stems shorter than 3 characters would turn stopwords like "to"
         # into dictionary hits (e.g. the stem of a term ending in "s"), so

@@ -15,7 +15,7 @@ docstring for the substitution rationale).
 
 from __future__ import annotations
 
-from repro.nlp.dictionary import build_synthetic_hatebase
+from repro.nlp.dictionary import hate_vocab
 
 __all__ = [
     "ATTACK_PHRASES",
@@ -85,13 +85,3 @@ ATTACK_PHRASES: tuple[str, ...] = (
     "the author should be ashamed",
     "written by a complete",
 )
-
-_HATE_CACHE: list[str] | None = None
-
-
-def hate_vocab() -> list[str]:
-    """The synthetic hate lexicon (cached; deterministic)."""
-    global _HATE_CACHE
-    if _HATE_CACHE is None:
-        _HATE_CACHE = build_synthetic_hatebase()
-    return list(_HATE_CACHE)

@@ -1,6 +1,7 @@
 """DET002 good fixture: every generator descends from an explicit seed."""
 
 import random
+import uuid
 
 import numpy as np
 
@@ -20,3 +21,7 @@ def spawn_streams(seed: int, n: int) -> list[np.random.Generator]:
 
 def draw(rng: np.random.Generator) -> float:
     return float(rng.uniform())
+
+
+def stable_id(url: str) -> str:
+    return str(uuid.uuid5(uuid.NAMESPACE_URL, url))   # name-based: no entropy

@@ -52,7 +52,7 @@ def test_det001_findings_carry_hint_and_message():
 
 def test_det002_bad_flags_every_unseeded_rng():
     findings = run_fixture("det002_bad.py")
-    assert lines_for(findings, "DET002") == [9, 13, 17, 21]
+    assert lines_for(findings, "DET002") == [12, 16, 20, 24, 28, 32, 36, 40]
 
 
 def test_det002_good_is_clean():
@@ -81,19 +81,6 @@ def test_det003_flags_sets_built_inside_serializers():
 
 def test_det003_serializer_good_is_clean():
     assert run_fixture("det003_serializer_good.py") == []
-
-
-# ----------------------------------------------------------------------
-# CONC001 — unguarded stats writes.
-# ----------------------------------------------------------------------
-
-def test_conc001_bad_flags_unguarded_writes():
-    findings = run_fixture("conc001_bad.py")
-    assert lines_for(findings, "CONC001") == [13, 16, 24]
-
-
-def test_conc001_good_is_clean():
-    assert run_fixture("conc001_good.py") == []
 
 
 # ----------------------------------------------------------------------
@@ -229,7 +216,6 @@ def test_catalog_codes_are_unique_and_documented():
         ("det002_bad.py", "det002_good.py"),
         ("det003_bad.py", "det003_good.py"),
         ("det003_serializer_bad.py", "det003_serializer_good.py"),
-        ("conc001_bad.py", "conc001_good.py"),
         ("chk001_bad.py", "chk001_good.py"),
         ("chk002_bad.py", "chk002_good.py"),
         ("chk003_bad.py", "chk003_good.py"),

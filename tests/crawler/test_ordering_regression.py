@@ -13,7 +13,6 @@ import sys
 import textwrap
 from pathlib import Path
 
-from repro.crawler.dissenter_crawl import CrawlStats
 from repro.crawler.frontier import CrawlFrontier
 from repro.crawler.social_crawl import SocialCrawlResult, induce_dissenter_graph
 
@@ -83,15 +82,3 @@ def test_dissenter_graph_node_order_ignores_insertion_order():
     assert node_lists.count(node_lists[0]) == len(node_lists)
     edge_sets = [set(g.edges) for g in graphs]
     assert edge_sets.count(edge_sets[0]) == len(edge_sets)
-
-
-def test_crawl_stats_replace_failed_swaps_list_atomically():
-    stats = CrawlStats()
-    stats.record_failed("p1")
-    stats.record_failed("p2")
-    still_failed = ["p2"]
-    stats.replace_failed(still_failed)
-    assert stats.comment_pages_failed == ["p2"]
-    # Defensive copy: later mutation of the caller's list doesn't leak in.
-    still_failed.append("p3")
-    assert stats.comment_pages_failed == ["p2"]

@@ -127,7 +127,7 @@ class TestActiveFields:
             visited_authors={"a1"},
         )
         crawler = DissenterCrawler(client=None)
-        crawler.stats.bump("comment_pages_parsed")
+        crawler.stats.comment_pages_parsed += 1
         state_path = tmp_path / "c.state.json"
         fields = json.loads(json.dumps(
             crawler.checkpoint(state, _sample_store(), Checkpointer(state_path))

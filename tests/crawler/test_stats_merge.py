@@ -29,3 +29,12 @@ def test_restore_detect_rejects_non_mapping_stats():
     }
     with pytest.raises(ValueError):
         DissenterCrawler(client=None).restore_detect(fields)
+
+
+def test_crawl_stats_round_trip():
+    stats = CrawlStats(usernames_probed=7, accounts_detected=3)
+    stats.comment_pages_failed.append("abc")
+    clone = CrawlStats.from_dict(stats.to_dict())
+    assert clone.to_dict() == stats.to_dict()
+    clone.usernames_probed += 1
+    assert clone.usernames_probed == 8
