@@ -18,7 +18,8 @@ another's heap, and records per row:
 The counting hooks stay on in every row: each 200 discussion body is
 hashed once by the hook, and each ``_evict`` call is timed.  The report
 and corpus dump digests are asserted against the pinned values for
-every scale that has one; there is no timing assert.
+every scale that has one, and the parse count against the distinct
+bodies; there is no timing assert.
 
 Rows are kept in ``benchmarks/results/scale_curve.txt`` under a label
 (``SCALE_CURVE_LABEL``, default the short git revision): a new run
@@ -222,14 +223,17 @@ def _label() -> str:
 
 
 def _cell(key: str, value: object) -> str:
-    if isinstance(value, float) and key != "scale":
-        if key.endswith("_s"):
-            return f"{value:.3f}" if key == "evict_s" else f"{value:.2f}"
-        return f"{value:.0f}" if key.endswith("_mb") or key.startswith("us_") \
-            else f"{value:.1f}"
+    if key in ("label", "scale"):
+        return str(value)
     if isinstance(value, int):
         return f"{value:,}"
-    return str(value)
+    if key == "evict_s":
+        return f"{value:.3f}"
+    if key.endswith("_s"):
+        return f"{value:.2f}"
+    if key.endswith("_mb") or key == "us_per_comment":
+        return f"{value:.0f}"
+    return f"{value:.1f}"
 
 
 def _ledger_rows() -> list[list[str]]:
@@ -274,6 +278,8 @@ def test_scale_curve():
         row = _run_fresh(scale)
         row["label"] = label
         rows.append(row)
+        # The crawl-wide parse memo parses each distinct page once.
+        assert row["parses"] == row["distinct_bodies"], f"parses at {scale}"
         if scale in DIGESTS:
             report_sha, dump_sha = DIGESTS[scale]
             assert row["report_sha256"] == report_sha, f"report at {scale}"

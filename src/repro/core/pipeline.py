@@ -26,6 +26,7 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass, field
+from typing import Callable
 
 from repro.core.bias import BiasAnalysis, analyze_bias
 from repro.core.language import LanguageAnalysis, analyze_languages
@@ -359,14 +360,19 @@ class ReproductionPipeline:
                 }
             )
 
-        def advance(next_stage: str, value: object) -> None:
-            """Record the completed stage's artifact and move to the next."""
+        def advance(next_stage: str, payload: Callable[[], object]) -> None:
+            """Move to the next stage; checkpoint the completed one's artifact.
+
+            ``payload`` builds the artifact.  It is called only when a
+            checkpointer is given: the artifact is read back only on
+            resume, from that checkpointer's sidecar.
+            """
             nonlocal stage, active
             key = _STAGE_ARTIFACTS[stage]
-            artifacts[key] = value
             stage = next_stage
             active = None
             if checkpointer is not None:
+                artifacts[key] = value = payload()
                 checkpointer.sidecar(key, value)
                 checkpointer.set_provider(None)
                 checkpointer.flush()
@@ -374,7 +380,7 @@ class ReproductionPipeline:
         # ---- §3.1: Gab ID-space enumeration -------------------------
         if stage == "gab_enum":
             gab_enum = self.enumerate_gab(checkpointer=checkpointer, resume=active)
-            advance("dissenter_detect", gab_enum.to_dict())
+            advance("dissenter_detect", gab_enum.to_dict)
         else:
             gab_enum = GabEnumerationResult.from_dict(artifacts["gab_enum"])
 
@@ -391,7 +397,7 @@ class ReproductionPipeline:
                 resume=active,
                 pool=self._pool_for("dissenter_detect"),
             )
-            advance("dissenter_crawl", detected)
+            advance("dissenter_crawl", lambda: detected)
         elif _stage_done(stage, "dissenter_detect"):
             detected = list(artifacts["detected"])
 
@@ -409,7 +415,7 @@ class ReproductionPipeline:
             while crawler.stats.comment_pages_failed:
                 if crawler.recrawl_failures(corpus) == 0:
                     break
-            advance("shadow", corpus.snapshot())
+            advance("shadow", corpus.snapshot)
         elif _stage_done(stage, "dissenter_crawl"):
             corpus = self._new_store()
             corpus.restore_payload(artifacts["corpus"])
@@ -425,7 +431,7 @@ class ReproductionPipeline:
                 resume=active,
                 pool=self._pool_for("shadow"),
             )
-            advance("youtube", corpus.snapshot())
+            advance("youtube", corpus.snapshot)
         parse_memo.clear()   # no later stage parses a discussion page
 
         # The corpus is complete: freeze it so the secondary indexes
@@ -443,7 +449,7 @@ class ReproductionPipeline:
                 resume=active,
                 pool=self._pool_for("youtube"),
             )
-            advance("social", youtube_crawl.to_dict())
+            advance("social", youtube_crawl.to_dict)
         elif _stage_done(stage, "youtube"):
             youtube_crawl = YouTubeCrawlResult.from_dict(artifacts["youtube"])
 
@@ -464,7 +470,7 @@ class ReproductionPipeline:
                 resume=active,
                 pool=self._pool_for("social"),
             )
-            advance("tail", raw_social.to_dict())
+            advance("tail", raw_social.to_dict)
         elif _stage_done(stage, "social"):
             raw_social = SocialCrawlResult.from_dict(artifacts["social"])
         graph = induce_dissenter_graph(raw_social, active_ids)

@@ -7,6 +7,7 @@ the crawler's validation pass re-requests anything that failed to parse.
 
 from __future__ import annotations
 
+import hashlib
 import html as _html
 import json
 import re
@@ -84,23 +85,36 @@ class _PrefixedPattern:
         return self.regex.finditer(body, start)
 
 
+def _text_until(close: str) -> str:
+    """A group of all text up to the first ``close`` tag, then the tag.
+
+    The same match as DOTALL ``(.*?)`` + ``close``, unrolled: runs of
+    characters other than ``<``, and each ``<`` that does not start
+    ``close``, taken greedily.  The lazy loop tries the closer after
+    every character; this form scans each run between ``<`` in one
+    charset step.  ``[^<]`` also matches newlines, so no DOTALL is
+    needed.
+    """
+    return f"([^<]*(?:<(?!{re.escape(close[1:])})[^<]*)*){re.escape(close)}"
+
+
 # A Dissenter home page: the user's fields and commented-URL list.
 _DISPLAY_NAME_RE = _PrefixedPattern(
-    '<h1 class="display-name">', r"(.*?)</h1>", re.DOTALL
+    '<h1 class="display-name">', _text_until("</h1>")
 )
 _USERNAME_RE = _PrefixedPattern('<span class="username">@', r"(.*?)</span>")
 _AUTHOR_ID_RE = _PrefixedPattern(
     '<meta name="author-id" content="', r'([0-9a-f]{24})">'
 )
-_BIO_RE = _PrefixedPattern('<p class="bio">', r"(.*?)</p>", re.DOTALL)
+_BIO_RE = _PrefixedPattern('<p class="bio">', _text_until("</p>"))
 _URL_ITEM_RE = _PrefixedPattern(
     '<li class="commented-url"><a href="/discussion/', r'([0-9a-f]{24})">'
 )
 
 # A discussion page: its URL-level fields and its comment blocks.
-_TITLE_RE = _PrefixedPattern('<h1 class="page-title">', r"(.*?)</h1>", re.DOTALL)
+_TITLE_RE = _PrefixedPattern('<h1 class="page-title">', _text_until("</h1>"))
 _DESCRIPTION_RE = _PrefixedPattern(
-    '<p class="page-description">', r"(.*?)</p>", re.DOTALL
+    '<p class="page-description">', _text_until("</p>")
 )
 _COMMENTURL_ID_RE = _PrefixedPattern(
     '<meta name="commenturl-id" content="', r'([0-9a-f]{24})">'
@@ -115,8 +129,7 @@ _COMMENT_RE = _PrefixedPattern(
     r'data-author-id="([0-9a-f]{24})" '
     r'data-parent-id="([0-9a-f]{24})?" '
     r'data-created="(\d+)">\s*'
-    r'<p class="comment-text">(.*?)</p>',
-    re.DOTALL,
+    r'<p class="comment-text">' + _text_until("</p>"),
 )
 _COMMENT_AUTHOR_RE = re.compile(r"// var commentAuthor = (\[.*?\]);", re.DOTALL)
 _YT_BLOB_RE = re.compile(r"var ytInitialData = (\{.*?\});</script>", re.DOTALL)
@@ -143,22 +156,23 @@ def parse_user_page(body: str) -> CrawledUser | None:
     )
 
 
-def parse_comments(body: str) -> list[CrawledComment]:
-    """Extract every comment block from a page."""
-    comments: list[CrawledComment] = []
-    for match in _COMMENT_RE.finditer(body):
-        comment_id, author_id, parent_id, created, text = match.groups()
-        comments.append(
-            CrawledComment(
-                comment_id=comment_id,
-                author_id=author_id,
-                commenturl_id="",          # attached by the caller
-                text=_unescape(text),
-                parent_comment_id=parent_id or None,
-                created_at_epoch=int(created),
-            )
+def parse_comments(body: str, commenturl_id: str) -> list[CrawledComment]:
+    """Extract every comment block from a page, on URL ``commenturl_id``.
+
+    Positional ``CrawledComment`` fields: comment, author and URL ids,
+    text, parent id, creation epoch.  Most texts hold no ``&``, and
+    ``html.unescape`` would return them unchanged.
+    """
+    unescape = _html.unescape
+    return [
+        CrawledComment(
+            comment_id, author_id, commenturl_id,
+            unescape(text) if "&" in text else text,
+            parent_id or None, int(created),
         )
-    return comments
+        for comment_id, author_id, parent_id, created, text
+        in map(re.Match.groups, _COMMENT_RE.finditer(body))
+    ]
 
 
 def parse_comment_page(
@@ -180,37 +194,35 @@ def parse_comment_page(
         upvotes=int(votes.group(1)) if votes else 0,
         downvotes=int(votes.group(2)) if votes else 0,
     )
-    comments = parse_comments(body)
-    for comment in comments:
-        comment.commenturl_id = url.commenturl_id
-    return url, comments
+    return url, parse_comments(body, url.commenturl_id)
 
 
 class ParsedPage(NamedTuple):
-    """One 200 discussion page's body and its :func:`parse_comment_page`."""
+    """One 200 discussion page's :func:`parse_comment_page`."""
 
-    body: bytes
     url: CrawledUrl | None
     comments: list[CrawledComment]
 
 
 class PageParseMemo:
-    """Body-keyed memo of discussion-page parses, for one crawl.
+    """Digest-keyed memo of discussion-page parses, for one crawl.
 
     The baseline comment-page phase, the §3.2 re-request loop and both
     shadow passes fetch the same discussion pages, and most of those
     fetches return bytes already parsed earlier in the crawl.  The memo
     is keyed by body *value*: the transport renders every request
-    afresh, and equal bytes share one parse.
+    afresh, and equal bytes share one parse.  The key is the body's
+    length and SHA-256 digest, so an entry holds no page body, only the
+    parse's records; the memo grows by one entry per distinct 200 body
+    and has no size bound of its own (``stage_crawl`` clears it once
+    the last discussion page is parsed).
 
     A memo hit hands back the same record objects as the first parse,
     so callers must not mutate records that are already in their store.
     """
 
-    MAX_PAGES = 8192   # cleared wholesale when full
-
     def __init__(self) -> None:
-        self._pages: dict[bytes, ParsedPage] = {}
+        self._pages: dict[tuple[int, bytes], ParsedPage] = {}
 
     def __len__(self) -> int:
         return len(self._pages)
@@ -219,12 +231,11 @@ class PageParseMemo:
         """The parse of a 200 response (memoised), else None."""
         if response is None or response.status != 200:
             return None
-        page = self._pages.get(response.body)
+        body = response.body
+        key = (len(body), hashlib.sha256(body).digest())
+        page = self._pages.get(key)
         if page is None:
-            page = ParsedPage(response.body, *parse_comment_page(response.text))
-            if len(self._pages) >= self.MAX_PAGES:
-                self._pages.clear()
-            self._pages[page.body] = page
+            page = self._pages[key] = ParsedPage(*parse_comment_page(response.text))
         return page
 
     def clear(self) -> None:

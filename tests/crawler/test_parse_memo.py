@@ -1,11 +1,16 @@
 """The crawl-wide discussion-page parse memo (§3 crawl, DESIGN §8).
 
-``stage_crawl`` shares one body-keyed memo between the baseline
-comment-page phase, the re-request loop and both shadow passes, so each
-distinct 200 discussion body is parsed once per crawl.  The memo must be
-invisible in the output: the dump, the spilled segments and the manifest
-match a crawl whose memo never hits, at any connection count.
+``stage_crawl`` shares one memo between the baseline comment-page
+phase, the re-request loop and both shadow passes, so each distinct 200
+discussion body is parsed once per crawl.  The memo is keyed by the
+body's length and SHA-256 digest and holds no body, and it has no size
+bound: a crawl that cycles through more pages than any fixed table
+would hold still parses each page once.  The memo must be invisible in
+the output: the dump, the spilled segments and the manifest match a
+crawl whose memo never hits, at any connection count.
 """
+
+import dataclasses
 
 import pytest
 
@@ -15,7 +20,10 @@ from repro.core.pipeline import ReproductionPipeline
 from repro.crawler.checkpoint import dumps_result
 from repro.crawler.parsing import PageParseMemo
 from repro.crawler.shadow import ShadowCrawler
+from repro.net import HttpClient
+from repro.net.http import Response
 from repro.net.transport import LoopbackTransport
+from repro.platform.apps import build_origins
 from repro.platform.config import WorldConfig
 from repro.platform.world import build_world
 from tests.oracles.parse_memo import NeverHitParseMemo
@@ -142,3 +150,72 @@ def test_connections_keep_bytes_and_parse_count(
     assert run["dump"] == memo_run["dump"]
     assert run["files"] == memo_run["files"]
     assert len(run["parsed"]) == DISTINCT_200_BODIES
+
+
+def _synthetic_page(n: int) -> Response:
+    """A small, distinct 200 discussion page with one comment."""
+    url_id = f"{n:024x}"
+    body = (
+        f'<meta name="commenturl-id" content="{url_id}">'
+        f'<h1 class="page-title">Page {n}</h1>'
+        f'<div class="comment" data-comment-id="{n + 1:024x}" '
+        f'data-author-id="{n + 2:024x}" data-parent-id="" '
+        f'data-created="{n}">\n<p class="comment-text">text {n} &amp; more</p>'
+    )
+    return Response(status=200, body=body.encode("utf-8"))
+
+
+def test_a_cyclic_scan_parses_each_page_once(monkeypatch):
+    # Two passes over more distinct pages than a table cleared wholesale
+    # at 8,192 entries would hold: such a table is emptied during the
+    # first pass and never hits in the second (20,000 parses).
+    pages = [_synthetic_page(n) for n in range(10_000)]
+    parsed = []
+    real_parse = parsing.parse_comment_page
+
+    def counted_parse(text):
+        parsed.append(text)
+        return real_parse(text)
+
+    monkeypatch.setattr(parsing, "parse_comment_page", counted_parse)
+    memo = PageParseMemo()
+    first = [memo.parse(page) for page in pages]
+    second = [memo.parse(page) for page in pages]
+    assert len(parsed) == 10_000
+    assert len(memo) == 10_000
+    assert all(a is b for a, b in zip(first, second))
+    assert first[7].url.commenturl_id == f"{7:024x}"
+    assert first[7].comments[0].text == "text 7 & more"
+
+
+def _bytes_in(value):
+    """Every ``bytes`` object reachable from ``value``'s containers."""
+    if isinstance(value, bytes):
+        yield value
+    elif isinstance(value, (tuple, list)):
+        for item in value:
+            yield from _bytes_in(item)
+    elif dataclasses.is_dataclass(value):
+        for item in dataclasses.fields(value):
+            yield from _bytes_in(getattr(value, item.name))
+
+
+def test_memo_holds_no_page_body(world_0002):
+    _config, world = world_0002
+    client = HttpClient(build_origins(world).transport)
+    memo = PageParseMemo()
+    bodies = []
+    for record in world.dissenter.urls.urls[:200]:
+        response = client.get(
+            f"https://dissenter.com/discussion/{record.commenturl_id.hex}"
+        )
+        if response.status == 200:
+            bodies.append(response.body)
+            memo.parse(response)
+    assert len(memo) == len(set(bodies)) > 100
+    for key, page in memo._pages.items():
+        held = [*_bytes_in(key), *_bytes_in(page)]
+        # The key's one bytes object is the 32-byte digest; the parse
+        # holds none.
+        assert [len(item) for item in held] == [32]
+        assert not any(item in bodies for item in held)

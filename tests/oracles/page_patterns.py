@@ -3,7 +3,10 @@
 ``repro.crawler.parsing`` finds the discussion-page and home-page fields
 by literal prefix (``_PrefixedPattern``); ``search``/``finditer`` on the
 regexes below, which walk the whole page, must give the same matches.
-Keyed by the name of the production pattern each one mirrors.
+Keyed by the name of the production pattern each one mirrors.  The
+title, description, display-name, bio and comment-text groups here are
+the lazy DOTALL ``(.*?)`` before the close tag, the reference for the
+unrolled groups production reads them with.
 :func:`parse_user_page` is the home-page parser on the plain regexes.
 """
 

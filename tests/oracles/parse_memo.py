@@ -22,6 +22,4 @@ class NeverHitParseMemo(PageParseMemo):
             return None
         # Through the module, so a patched parse_comment_page sees
         # every call.
-        return ParsedPage(
-            response.body, *parsing.parse_comment_page(response.text)
-        )
+        return ParsedPage(*parsing.parse_comment_page(response.text))
