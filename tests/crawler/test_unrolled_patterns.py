@@ -25,9 +25,9 @@ COMMENT_HEAD = (
 # other tags, newlines and non-ASCII.
 NEAR_CLOSERS = [
     "<", "</", "</p", "</p>", "</h", "</h1", "</h1>", "</p >", "</h1 x",
-    "<</p>", "<</h1>",
-    "<//p>", "</</p>>", "<p>", "</h2>", "</span>", "p>", "/p>", "h1>",
-    ">", "/", "\n", "\r\n", " ", "x", "é", "日本", " ", "&amp;",
+    "<</p>", "<</h1>", "<//p>", "</</p>>", "<p>", "</h2>", "</span>",
+    "p>", "/p>", "h1>", ">", "/", "\n", "\r\n", " ", "x", "é", "日本",
+    "\u2028", "\u00a0", "&amp;",
 ]
 
 
