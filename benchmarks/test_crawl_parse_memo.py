@@ -21,12 +21,11 @@ import time
 import pytest
 
 import repro.core.pipeline as pipeline_mod
-import repro.crawler.parsing as parsing
+from benchmarks._counting import count_discussion_parses
 from benchmarks._report import record, row
 from repro.core.pipeline import ReproductionPipeline
 from repro.crawler.checkpoint import dumps_result
 from repro.crawler.parsing import PageParseMemo
-from repro.net.transport import LoopbackTransport
 from repro.platform.config import WorldConfig
 from repro.platform.world import build_world
 from tests.oracles.parse_memo import NeverHitParseMemo
@@ -67,34 +66,17 @@ def _crawl(config, world, store_dir, memo_cls):
 
     ``distinct`` counts the distinct 200 discussion bodies served.
     """
-    parses = [0]
-    real_parse = parsing.parse_comment_page
-
-    def counted_parse(text):
-        parses[0] += 1
-        return real_parse(text)
-
-    bodies = set()
-    real_send = LoopbackTransport.send
-
-    def recording_send(transport, request, *args, **kwargs):
-        response = real_send(transport, request, *args, **kwargs)
-        if response.status == 200 and request.path.startswith("/discussion/"):
-            bodies.add((len(response.body), hash(response.body)))
-        return response
-
     pipeline = ReproductionPipeline(
         config, world=world, store_dir=str(store_dir), segment_records=256
     )
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(pipeline_mod, "PageParseMemo", memo_cls)
-        patch.setattr(parsing, "parse_comment_page", counted_parse)
-        patch.setattr(LoopbackTransport, "send", recording_send)
-        t0 = time.perf_counter()
-        artifacts = pipeline.stage_crawl()
-        wall = time.perf_counter() - t0
-    return (dumps_result(artifacts.corpus), _tree(store_dir), parses[0],
-            len(bodies), wall)
+        with count_discussion_parses() as count:
+            t0 = time.perf_counter()
+            artifacts = pipeline.stage_crawl()
+            wall = time.perf_counter() - t0
+    return (dumps_result(artifacts.corpus), _tree(store_dir), count.parses,
+            count.distinct, wall)
 
 
 def test_parse_memo_counts_and_byte_identity(tmp_path):

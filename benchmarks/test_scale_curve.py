@@ -21,14 +21,15 @@ and corpus dump digests are asserted against the pinned values for
 every scale that has one, and the parse count against the distinct
 bodies; there is no timing assert.
 
-Rows are kept in ``benchmarks/results/scale_curve.txt`` under a label
-(``SCALE_CURVE_LABEL``, default the short git revision): a new run
-replaces only the rows with its own label and scale, so the ledger keeps
-the rows of earlier code next to the new ones.  ``SCALE_CURVE_SCALES``
-is a comma-separated list of scales (default ``0.002``)::
+A run prints its rows.  With ``SCALE_CURVE_LABEL`` set it also keeps
+them in ``benchmarks/results/scale_curve.txt`` under that label,
+replacing only the rows with the same label and scale, so the ledger
+holds the rows of earlier code next to the new ones.
+``SCALE_CURVE_SCALES`` is a comma-separated list of scales (default
+``0.002``)::
 
-    SCALE_CURVE_SCALES=0.002,0.01,0.04 PYTHONPATH=src \\
-        python -m pytest -q -s benchmarks/test_scale_curve.py
+    SCALE_CURVE_LABEL=my-change SCALE_CURVE_SCALES=0.002,0.01,0.04 \\
+        PYTHONPATH=src python -m pytest -q -s benchmarks/test_scale_curve.py
 
 One process per scale can also be run on its own; it prints its row as
 one JSON line::
@@ -46,6 +47,8 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+
+from benchmarks._report import record
 
 SEED = 0
 BASELINE_CAP = 1000
@@ -65,38 +68,38 @@ DIGESTS = {
           "5ce51d6684192f638ba86067ed0da9cf5a1a5ad069aaeb540b5f51a41fbae420"),
 }
 
+#: (row key, column title, cell format)
 COLUMNS = (
-    ("label", "label"),
-    ("scale", "scale"),
-    ("build_s", "build s"),
-    ("origins_s", "origins s"),
-    ("crawl_s", "crawl s"),
-    ("score_s", "score s"),
-    ("analyze_s", "analyze s"),
-    ("requests", "requests"),
-    ("comments", "comments"),
-    ("crawl_us_per_request", "crawl µs/req"),
-    ("us_per_comment", "µs/comment"),
-    ("parses", "parses"),
-    ("distinct_bodies", "distinct 200 bodies"),
-    ("evict_calls", "_evict calls"),
-    ("evict_s", "_evict s"),
-    ("gc_objects", "GC objects after build"),
-    ("rss_build_mb", "RSS build"),
-    ("rss_crawl_mb", "RSS crawl"),
-    ("rss_score_mb", "RSS score"),
-    ("rss_analyze_mb", "RSS analyze"),
-    ("peak_rss_mb", "peak RSS"),
+    ("label", "label", "{}"),
+    ("scale", "scale", "{}"),
+    ("build_s", "build s", "{:.2f}"),
+    ("origins_s", "origins s", "{:.2f}"),
+    ("crawl_s", "crawl s", "{:.2f}"),
+    ("score_s", "score s", "{:.2f}"),
+    ("analyze_s", "analyze s", "{:.2f}"),
+    ("requests", "requests", "{:,}"),
+    ("comments", "comments", "{:,}"),
+    ("crawl_us_per_request", "crawl µs/req", "{:.1f}"),
+    ("us_per_comment", "µs/comment", "{:.0f}"),
+    ("parses", "parses", "{:,}"),
+    ("distinct_bodies", "distinct 200 bodies", "{:,}"),
+    ("evict_calls", "_evict calls", "{:,}"),
+    ("evict_s", "_evict s", "{:.3f}"),
+    ("gc_objects", "GC objects after build", "{:,}"),
+    ("rss_build_mb", "RSS build", "{:.0f}"),
+    ("rss_crawl_mb", "RSS crawl", "{:.0f}"),
+    ("rss_score_mb", "RSS score", "{:.0f}"),
+    ("rss_analyze_mb", "RSS analyze", "{:.0f}"),
+    ("peak_rss_mb", "peak RSS", "{:.0f}"),
 )
 
-HEADER = """\
-Scale curve — full pipeline per scale, one fresh process each
-=============================================================
+TITLE = "Scale curve — full pipeline per scale, one fresh process each"
+NOTES = """\
 Seed 0, baseline cap 1000, inline corpus (no store_dir), one connection.
 Host seconds per stage; RSS and peak RSS in MB from /proc/self/status
 (VmRSS, VmHWM).  "parses" counts parse_comment_page calls; "distinct 200
 bodies" counts the distinct 200 discussion bodies the transport served.
-Rows are labelled by the code they measured (short git revision).
+Rows are labelled by the code they measured (SCALE_CURVE_LABEL).
 """
 
 
@@ -110,12 +113,11 @@ def _rss_mb(field: str) -> float:
 
 def measure(scale: float) -> dict:
     """One scale's row, measured in this process."""
-    import repro.crawler.parsing as parsing
+    from benchmarks._counting import count_discussion_parses
     from repro.core.pipeline import ReproductionPipeline
     from repro.core.report import report_to_payload
     from repro.crawler.checkpoint import dumps_result
     from repro.net.ratelimit import KeyedRateLimiter
-    from repro.net.transport import LoopbackTransport
     from repro.platform.config import WorldConfig
     from repro.platform.world import build_world
 
@@ -132,22 +134,6 @@ def measure(scale: float) -> dict:
     pipeline = ReproductionPipeline(config, world=world)
     row["origins_s"] = clock() - t0
 
-    parses = [0]
-    real_parse = parsing.parse_comment_page
-
-    def counted_parse(text):
-        parses[0] += 1
-        return real_parse(text)
-
-    bodies: set[tuple[int, int]] = set()
-    real_send = LoopbackTransport.send
-
-    def recording_send(transport, request, *args, **kwargs):
-        response = real_send(transport, request, *args, **kwargs)
-        if response.status == 200 and request.path.startswith("/discussion/"):
-            bodies.add((len(response.body), hash(response.body)))
-        return response
-
     evicts = [0, 0.0]
     real_evict = KeyedRateLimiter._evict
 
@@ -157,16 +143,15 @@ def measure(scale: float) -> dict:
         evicts[0] += 1
         evicts[1] += clock() - t
 
-    parsing.parse_comment_page = counted_parse
-    LoopbackTransport.send = recording_send
     KeyedRateLimiter._evict = timed_evict
-    t0 = clock()
-    artifacts = pipeline.stage_crawl()
-    row["crawl_s"] = clock() - t0
+    try:
+        with count_discussion_parses() as count:
+            t0 = clock()
+            artifacts = pipeline.stage_crawl()
+            row["crawl_s"] = clock() - t0
+    finally:
+        KeyedRateLimiter._evict = real_evict
     row["rss_crawl_mb"] = _rss_mb("VmRSS")
-    parsing.parse_comment_page = real_parse
-    LoopbackTransport.send = real_send
-    KeyedRateLimiter._evict = real_evict
 
     t0 = clock()
     pipeline.stage_score(artifacts)
@@ -186,8 +171,8 @@ def measure(scale: float) -> dict:
     row["us_per_comment"] = (
         (row["crawl_s"] + row["score_s"] + row["analyze_s"]) / comments * 1e6
     )
-    row["parses"] = parses[0]
-    row["distinct_bodies"] = len(bodies)
+    row["parses"] = count.parses
+    row["distinct_bodies"] = count.distinct
     row["evict_calls"] = evicts[0]
     row["evict_s"] = evicts[1]
     payload = json.dumps(report_to_payload(report), sort_keys=True)
@@ -209,62 +194,32 @@ def _run_fresh(scale: float) -> dict:
     return json.loads(out.splitlines()[-1])
 
 
-def _label() -> str:
-    label = os.environ.get("SCALE_CURVE_LABEL")
-    if label:
-        return label
-    try:
-        return subprocess.run(
-            ["git", "rev-parse", "--short", "HEAD"], cwd=REPO,
-            check=True, capture_output=True, text=True,
-        ).stdout.strip()
-    except (OSError, subprocess.CalledProcessError):
-        return "unknown"
+def _cells(row: dict) -> str:
+    return "| " + " | ".join(fmt.format(row[key]) for key, _, fmt in COLUMNS) + " |"
 
 
-def _cell(key: str, value: object) -> str:
-    if key in ("label", "scale"):
-        return str(value)
-    if isinstance(value, int):
-        return f"{value:,}"
-    if key == "evict_s":
-        return f"{value:.3f}"
-    if key.endswith("_s"):
-        return f"{value:.2f}"
-    if key.endswith("_mb") or key == "us_per_comment":
-        return f"{value:.0f}"
-    return f"{value:.1f}"
+def _ledger_key(line: str) -> tuple[str, float]:
+    label, scale = line.split("|")[1:3]
+    return label.strip(), float(scale)
 
 
-def _ledger_rows() -> list[list[str]]:
-    """The table rows already in the ledger, as cell lists."""
-    if not LEDGER.exists():
-        return []
-    rows = []
-    for line in LEDGER.read_text(encoding="utf-8").splitlines():
-        cells = [cell.strip() for cell in line.strip().strip("|").split("|")]
-        if line.startswith("|") and len(cells) == len(COLUMNS) \
-                and cells[0] not in ("label", "---"):
-            rows.append(cells)
-    return rows
-
-
-def _write_ledger(new_rows: list[dict]) -> str:
-    fresh = [[_cell(key, row[key]) for key, _ in COLUMNS] for row in new_rows]
-    replaced = {(cells[0], cells[1]) for cells in fresh}
-    rows = [r for r in _ledger_rows() if (r[0], r[1]) not in replaced] + fresh
-    order = {label: n for n, label in enumerate(dict.fromkeys(r[0] for r in rows))}
-    rows.sort(key=lambda r: (float(r[1]), order[r[0]]))
-    lines = [
-        HEADER,
-        "| " + " | ".join(title for _, title in COLUMNS) + " |",
-        "|" + "---|" * len(COLUMNS),
-        *("| " + " | ".join(cells) + " |" for cells in rows),
+def _write_ledger(rows: list[dict]) -> None:
+    """Put ``rows`` in the ledger in place of its rows of the same label and scale."""
+    old = LEDGER.read_text(encoding="utf-8").splitlines() if LEDGER.exists() else []
+    table = {
+        _ledger_key(line): line for line in old
+        if line.startswith("| ") and not line.startswith("| label ")
+    }
+    table.update((_ledger_key(line), line) for line in map(_cells, rows))
+    labels = list(dict.fromkeys(label for label, _ in table))
+    order = sorted(table, key=lambda key: (key[1], labels.index(key[0])))
+    record("scale_curve", TITLE, [
+        *NOTES.splitlines(),
         "",
-    ]
-    text = "\n".join(lines)
-    LEDGER.write_text(text, encoding="utf-8")
-    return text
+        "| " + " | ".join(title for _, title, _ in COLUMNS) + " |",
+        "|" + "---|" * len(COLUMNS),
+        *(table[key] for key in order),
+    ])
 
 
 def test_scale_curve():
@@ -272,21 +227,21 @@ def test_scale_curve():
         float(s) for s in
         os.environ.get("SCALE_CURVE_SCALES", "0.002").split(",") if s.strip()
     ]
-    label = _label()
+    label = os.environ.get("SCALE_CURVE_LABEL")
     rows = []
     for scale in scales:
         row = _run_fresh(scale)
-        row["label"] = label
+        row["label"] = label or "this run"
         rows.append(row)
+        print(_cells(row), row["report_sha256"], row["dump_sha256"])
         # The crawl-wide parse memo parses each distinct page once.
         assert row["parses"] == row["distinct_bodies"], f"parses at {scale}"
         if scale in DIGESTS:
             report_sha, dump_sha = DIGESTS[scale]
             assert row["report_sha256"] == report_sha, f"report at {scale}"
             assert row["dump_sha256"] == dump_sha, f"dump at {scale}"
-    print("\n" + _write_ledger(rows))
-    for row in rows:
-        print(row["scale"], row["report_sha256"], row["dump_sha256"])
+    if label:
+        _write_ledger(rows)
 
 
 if __name__ == "__main__":

@@ -54,9 +54,9 @@ class _PrefixedPattern:
 
     __slots__ = ("prefix", "regex", "_quote_at")
 
-    def __init__(self, prefix: str, rest: str, flags: int = 0) -> None:
+    def __init__(self, prefix: str, rest: str) -> None:
         self.prefix = prefix
-        self.regex = re.compile(re.escape(prefix) + rest, flags)
+        self.regex = re.compile(re.escape(prefix) + rest)
         self._quote_at = prefix.index('"')
 
     def _first(self, body: str) -> int:

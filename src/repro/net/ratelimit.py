@@ -164,26 +164,9 @@ class KeyedRateLimiter:
         # ``max_keys`` in steady state, so sweeping the whole dict here
         # made every new key an O(max_keys) operation (quadratic over a
         # crawl that touches millions of distinct URLs).
-        #
-        # Each bucket's fill test is ``is_full()`` inline, with one clock
-        # read per sweep instead of two method calls and a clock read per
-        # bucket: a bucket is full once ``rate`` times the time since its
-        # last refill covers ``capacity - tokens``.  The refill is written
-        # back as ``is_full()`` wrote it: a bucket passed over untouched
-        # would reach its next balance by a different float rounding
-        # path, which a later ``Retry-After`` would show.
-        now = self._clock.now()
-        capacity, rate = self._capacity, self._rate
         victims = []
         for k, b in self._buckets.items():
-            if k == protect:
-                continue
-            tokens = b._tokens
-            elapsed = now - b._updated
-            if elapsed > 0:
-                b._tokens = tokens = min(capacity, tokens + elapsed * rate)
-                b._updated = now
-            if tokens >= capacity:
+            if k != protect and b.is_full():
                 victims.append(k)
                 if len(victims) >= over:
                     break

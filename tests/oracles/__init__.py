@@ -15,9 +15,6 @@ here, unchanged in behaviour, as the references for the parity tests:
   identification with a left-to-right log-likelihood sum;
 * :mod:`tests.oracles.parse_memo` — a discussion-page parse memo that
   never hits, the reference for the crawl-wide memo;
-* :mod:`tests.oracles.ratelimit` — the keyed limiter's eviction sweep
-  with one ``is_full()`` call per bucket, the reference for the inline
-  fill test;
 * :mod:`tests.oracles.headers` — the list-scan header map, the
   reference for ``Headers``' lower-cased name index;
 * :mod:`tests.oracles.codecs` — store line encoders built on
