@@ -1,8 +1,8 @@
 """Columnar §4 analytics vs the dict-path oracle at 1M+ comments.
 
 The columnar layer projects sealed segments into typed numpy arrays at
-seal time; the §4 analyses then run as vectorized reductions over the
-memory-mapped columns.  This bench builds a synthetic corpus above the
+seal time; the §4 analyses then run as vectorized reductions over
+those columns.  This bench builds a synthetic corpus above the
 paper's scale (~1.05M comments), runs the growth / concentration /
 flag-table group down both paths, asserts the results are identical,
 and requires the columnar group to be at least 5x faster than the

@@ -754,9 +754,9 @@ class ColumnSchemaChecker(ProjectChecker):
     rationale = (
         "a field the column projector reads but the JSONL codec does not "
         "persist would project correctly during the crawl yet re-project "
-        "differently (or crash) from the sealed segment log — the "
-        "columnar fallback path would silently diverge from the freshly "
-        "projected arrays"
+        "differently (or crash) when a restore replays the sealed segment "
+        "log — a resumed run's columns would silently diverge from an "
+        "uninterrupted run's"
     )
     hint = (
         "project only fields the store codec round-trips "

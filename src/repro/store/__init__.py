@@ -27,7 +27,6 @@ from repro.store.columns import (
     ColumnProjector,
     ColumnView,
     columns_of,
-    load_columns,
 )
 from repro.store.corpus import (
     STORE_FORMAT_VERSION,
@@ -58,7 +57,6 @@ __all__ = [
     "SegmentRef",
     "columns_of",
     "columns_path",
-    "load_columns",
     "decode_comment",
     "decode_line",
     "decode_url",

@@ -1,31 +1,29 @@
 """Columnar projection of sealed segments (§4 analytics layer).
 
-Every sealed segment gets a derived, typed column file: at seal time the
+Every sealed segment gets typed column arrays: at seal time the
 :class:`ColumnProjector` — which has observed every log line exactly once
-— drains its row buffer into fixed-order numpy arrays that are written
-next to the segment JSONL as ``<name>.columns.npz``.  The file's SHA-256
-joins the segment's manifest entry (``columns_sha256``), so column bytes
-are covered by the same determinism contract as the log itself: byte-
-identical across PYTHONHASHSEED values and kill→resume chains.
+— drains its row buffer into fixed-order numpy arrays.  The store keeps
+them in memory, read-only, for its :class:`ColumnView`.  A spilled store
+also writes them next to the segment JSONL as ``<name>.columns.npz``;
+the file's SHA-256 joins the segment's manifest entry
+(``columns_sha256``), so column bytes are covered by the same
+determinism contract as the log itself: byte-identical across
+PYTHONHASHSEED values and kill→resume chains.  Nothing in ``repro``
+reads the files back; like the dump, they are an output of a
+``--store-dir`` run.
 
 Strings never ride in the hot columns.  Identifiers (comment ids, author
 ids, URL ids, URL strings, usernames) are interned into append-only
 :class:`StringTable`\\ s whose ordinals *are* the column values; the
 small derived vocabularies (TLDs, domains, schemes, permission-flag and
 view-filter names, shadow labels) additionally spill per-segment deltas
-into the ``.npz`` so the ordinal space is reconstructable from column
-files alone.  Interning order is first log appearance, which makes
+into the ``.npz``, so each file is self-describing for a reader outside
+``repro``.  Interning order is first log appearance, which makes
 ordinals a pure function of the log — the property every bit-identity
 guarantee below leans on.
 
-Reads go through :class:`ColumnView`: per-segment arrays are loaded with
-zero-copy memory maps into the npz members (falling back to an eager
-``np.load`` if the zip layout is surprising), verified against the
-manifested hash first, and concatenated lazily per column.  A column
-file that is missing or fails verification is *re-projected* from the
-hash-verified segment JSONL — lookup-only interning reproduces the
-original ordinals — and healed back to disk when the recomputed bytes
-match the manifest.
+Reads go through :class:`ColumnView`, which concatenates the store's
+per-segment arrays and the unsealed tail lazily, per column.
 
 The columnar reductions are the only production path for the §4
 analyses.  They reach the view through :func:`columns_of`, which raises
@@ -39,7 +37,6 @@ from __future__ import annotations
 import hashlib
 import io
 import os
-import zipfile
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Any
@@ -48,8 +45,7 @@ import numpy as np
 
 from repro.crawler.records import CrawledComment, CrawledUrl, CrawledUser
 from repro.net.http import split_domains, split_url
-from repro.store.codecs import decode_line
-from repro.store.segments import SegmentRef, columns_path
+from repro.store.segments import columns_path
 
 if TYPE_CHECKING:
     from repro.store.corpus import CorpusStore
@@ -62,8 +58,6 @@ __all__ = [
     "StringTable",
     "adopt_columns",
     "columns_of",
-    "heal_columns",
-    "load_columns",
     "serialize_columns",
 ]
 
@@ -162,10 +156,8 @@ class ColumnProjector:
 
     The projector's buffer mirrors the store's unsealed tail: the store
     calls :meth:`observe` for each appended line and :meth:`take_segment`
-    when the tail seals, so rows land in exactly one segment.  Per-
-    segment watermarks into the delta vocabularies are recorded at every
-    seal, which is what lets :meth:`project_lines` re-project a sealed
-    segment byte-for-byte long after later segments grew the tables.
+    when the tail seals, so rows land in exactly one segment, together
+    with the delta vocabulary entries interned since the previous seal.
     """
 
     def __init__(self) -> None:
@@ -187,8 +179,6 @@ class ColumnProjector:
         self._buffers = _empty_buffers()
         self._pending = 0
         self._marks = {table: 0 for table in _DELTA_TABLES}
-        #: per-segment (start, end) vocabulary watermarks, in seal order
-        self.segment_marks: list[dict[str, tuple[int, int]]] = []
 
     # ------------------------------------------------------------------
     # Observation (write path).
@@ -291,7 +281,6 @@ class ColumnProjector:
             end = len(getattr(self, table))
             marks[table] = (start, end)
             self._marks[table] = end
-        self.segment_marks.append(marks)
         arrays.update(self._delta_arrays(marks))
         self._buffers = _empty_buffers()
         self._pending = 0
@@ -305,29 +294,6 @@ class ColumnProjector:
             for table in _DELTA_TABLES
         }
         arrays.update(self._delta_arrays(marks))
-        return arrays
-
-    def project_lines(
-        self, lines: list[str], segment_index: int
-    ) -> dict[str, np.ndarray]:
-        """Re-project one sealed segment from its verified JSONL.
-
-        Every string in a sealed segment is already interned (the
-        projector replayed the whole log), so observation here is
-        lookup-only and reproduces the original ordinals — and the
-        recorded watermarks reproduce the original vocabulary deltas —
-        byte-for-byte.
-        """
-        saved_buffers, saved_pending = self._buffers, self._pending
-        self._buffers, self._pending = _empty_buffers(), 0
-        try:
-            for line in lines:
-                kind, record = decode_line(line)
-                self.observe(kind, record)
-            arrays = self._record_arrays(self._buffers)
-        finally:
-            self._buffers, self._pending = saved_buffers, saved_pending
-        arrays.update(self._delta_arrays(self.segment_marks[segment_index]))
         return arrays
 
     def _record_arrays(self, buffers: dict[str, list]) -> dict[str, np.ndarray]:
@@ -363,12 +329,6 @@ def serialize_columns(arrays: dict[str, np.ndarray]) -> bytes:
     return buffer.getvalue()
 
 
-def _atomic_write_bytes(path: Path, data: bytes) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_bytes(data)
-    os.replace(tmp, path)
-
-
 def adopt_columns(
     store_dir: Path, name: str, arrays: dict[str, np.ndarray]
 ) -> tuple[str, bool]:
@@ -388,103 +348,10 @@ def adopt_columns(
     if existing == data:
         return digest, True
     store_dir.mkdir(parents=True, exist_ok=True)
-    _atomic_write_bytes(path, data)
+    tmp = path.with_name(path.name + ".tmp")
+    tmp.write_bytes(data)
+    os.replace(tmp, path)
     return digest, False
-
-
-def heal_columns(
-    store_dir: Path,
-    name: str,
-    arrays: dict[str, np.ndarray],
-    expected_sha: str,
-) -> bool:
-    """Rewrite a failed column file from re-projected arrays.
-
-    Returns True when the recomputed bytes match the manifested hash
-    (the heal is then durable); False leaves the bad file untouched so
-    the mismatch stays visible.
-    """
-    data = serialize_columns(arrays)
-    if hashlib.sha256(data).hexdigest() != expected_sha:
-        return False
-    _atomic_write_bytes(columns_path(Path(store_dir), name), data)
-    return True
-
-
-def load_columns(
-    store_dir: Path, ref: SegmentRef
-) -> dict[str, np.ndarray] | None:
-    """Load one segment's verified column arrays, or None.
-
-    The file's bytes are hashed against ``ref.columns_sha256`` before
-    anything is parsed; a missing, unmanifested, or corrupt file returns
-    None so the caller can fall back to re-projection from the JSONL.
-    Members are memory-mapped in place when the zip layout allows it.
-    """
-    if ref.columns_sha256 is None:
-        return None
-    path = columns_path(Path(store_dir), ref.name)
-    digest = hashlib.sha256()
-    try:
-        with open(path, "rb") as handle:
-            while chunk := handle.read(1 << 20):
-                digest.update(chunk)
-    except OSError:
-        return None
-    if digest.hexdigest() != ref.columns_sha256:
-        return None
-    try:
-        arrays = _mmap_members(path)
-    except Exception:
-        # Unexpected zip layout (compressed members, fortran order, …):
-        # the bytes are verified, so an eager load is still correct.
-        try:
-            with np.load(path) as bundle:
-                arrays = {key: bundle[key] for key in bundle.files}
-        except Exception:
-            return None
-    if any(key not in arrays for key in COLUMN_KEYS):
-        return None
-    return arrays
-
-
-def _mmap_members(path: Path) -> dict[str, np.ndarray]:
-    """Zero-copy views into an uncompressed npz's members."""
-    from numpy.lib import format as npformat
-
-    out: dict[str, np.ndarray] = {}
-    with zipfile.ZipFile(path) as bundle, open(path, "rb") as raw:
-        for info in bundle.infolist():
-            if info.compress_type != zipfile.ZIP_STORED:
-                raise ValueError("compressed npz member")
-            with bundle.open(info) as member:
-                version = npformat.read_magic(member)
-                if version == (1, 0):
-                    shape, fortran, dtype = npformat.read_array_header_1_0(member)
-                elif version == (2, 0):
-                    shape, fortran, dtype = npformat.read_array_header_2_0(member)
-                else:
-                    raise ValueError(f"unsupported npy version {version}")
-                consumed = member.tell()
-            if fortran or len(shape) != 1:
-                raise ValueError("unexpected member layout")
-            # The zip local header precedes the member payload; its name
-            # and extra-field lengths live at fixed offsets 26 and 28.
-            raw.seek(info.header_offset)
-            local = raw.read(30)
-            if local[:4] != b"PK\x03\x04":
-                raise ValueError("bad local file header")
-            name_len = int.from_bytes(local[26:28], "little")
-            extra_len = int.from_bytes(local[28:30], "little")
-            offset = info.header_offset + 30 + name_len + extra_len + consumed
-            key = info.filename.removesuffix(".npy")
-            if shape[0] == 0:
-                out[key] = np.empty(shape, dtype=dtype)
-            else:
-                out[key] = np.memmap(
-                    path, dtype=dtype, mode="r", offset=offset, shape=shape
-                )
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -545,8 +412,8 @@ class UserColumns:
 class ColumnView:
     """Lazy, memoised columnar read surface over a sealed store.
 
-    Log-level columns concatenate per-segment (memory-mapped) arrays
-    plus the unsealed tail on first touch, per column.  Record-level
+    Log-level columns concatenate the store's per-segment arrays plus
+    the unsealed tail on first touch, per column.  Record-level
     views (:attr:`comments` / :attr:`urls` / :attr:`users`) deduplicate
     revision re-appends: for each key ordinal the *last* log row wins
     (final field values) while rows are ordered by *first* appearance,
@@ -584,7 +451,7 @@ class ColumnView:
             if not parts:
                 arr = np.asarray([], dtype=_RECORD_DTYPES.get(key, np.str_))
             elif len(parts) == 1:
-                arr = np.asarray(parts[0])
+                arr = parts[0]
             else:
                 arr = np.concatenate(parts)
             self._columns[key] = arr

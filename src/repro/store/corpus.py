@@ -24,11 +24,11 @@ methods, and adds:
 * **streaming read views** (:meth:`iter_comments`, :meth:`texts`) so
   scoring no longer materializes every comment text into a list.
 * a **columnar projection** (:mod:`repro.store.columns`): every sealed
-  segment also spills typed numpy column arrays
-  (``<name>.columns.npz``, sha256-manifested) and the sealed store
-  exposes the :meth:`column_view` that the vectorized §4 analyses
-  consume.  Column files are derived data, re-projected from the
-  verified JSONL when missing or corrupt.
+  segment keeps typed, read-only numpy column arrays in memory, and the
+  sealed store exposes the :meth:`column_view` that the vectorized §4
+  analyses consume.  With a ``store_dir`` each segment's arrays are also
+  written as ``<name>.columns.npz`` (sha256-manifested); nothing reads
+  those files back.
 
 The store deliberately does *not* import :mod:`repro.crawler.checkpoint`
 payload helpers: a state file carries the snapshot as a plain dict, and
@@ -48,13 +48,7 @@ from repro.store.codecs import (
     encode_url,
     encode_user,
 )
-from repro.store.columns import (
-    ColumnProjector,
-    ColumnView,
-    adopt_columns,
-    heal_columns,
-    load_columns,
-)
+from repro.store.columns import ColumnProjector, ColumnView, adopt_columns
 from repro.store.segments import (
     SegmentRef,
     hash_lines,
@@ -103,15 +97,14 @@ class CorpusStore:
         self.store_dir = Path(store_dir) if store_dir is not None else None
         self.segment_records = int(segment_records)
         self._projector = ColumnProjector()
-        self._inline_columns: dict[str, dict] = {}
+        #: every sealed segment's column arrays, by segment name
+        self._columns: dict[str, dict] = {}
         #: columnar projection diagnostics (surfaced on report extras)
         self.column_counters = {
             "projected": 0,          # segments projected at seal
             "reused": 0,             # identical file already on disk
-            "loads": 0,              # verified .npz loads into a view
-            "fallbacks": 0,          # missing/corrupt file re-projected
-            "hash_mismatches": 0,    # re-projection disagreed with manifest
-            "view_cache_hits": 0,    # memoised view/chunks served again
+            "fallbacks": 0,          # always 0; perfbench still reads it
+            "view_cache_hits": 0,    # memoised view served again
         }
         self._refs: list[SegmentRef] = []
         self._inline_segments: dict[str, list[str]] = {}
@@ -124,7 +117,6 @@ class CorpusStore:
         self._memo_by_author: dict[str, list[CrawledComment]] | None = None
         self._memo_active_ids: set[str] | None = None
         self._memo_active_users: list[CrawledUser] | None = None
-        self._memo_chunks: list[dict] | None = None
         self._memo_view: ColumnView | None = None
 
     # ------------------------------------------------------------------
@@ -175,10 +167,18 @@ class CorpusStore:
         """
         self.add_user(user)
 
+    def _take_columns(self, name: str, count: int) -> dict:
+        """Drain the projector into segment ``name``'s kept, read-only arrays."""
+        arrays = self._projector.take_segment(count)
+        for array in arrays.values():
+            array.flags.writeable = False
+        self._columns[name] = arrays
+        return arrays
+
     def _seal_segment(self) -> None:
         lines, self._tail = self._tail, []
         name = segment_name(len(self._refs) + 1)
-        arrays = self._projector.take_segment(len(lines))
+        arrays = self._take_columns(name, len(lines))
         if self.store_dir is not None:
             ref = write_segment(self.store_dir, name, lines)
             sha, reused = adopt_columns(self.store_dir, name, arrays)
@@ -187,7 +187,6 @@ class CorpusStore:
         else:
             ref = SegmentRef(name=name, count=len(lines), sha256=hash_lines(lines))
             self._inline_segments[name] = lines
-            self._inline_columns[name] = arrays
             self.column_counters["projected"] += 1
         self._refs.append(ref)
         if self.store_dir is not None:
@@ -339,7 +338,7 @@ class CorpusStore:
         """Load a :meth:`snapshot` payload into this (empty, unsealed) store.
 
         Segments without inline lines are read from this store's own
-        directory.
+        directory and verified there; their files are not rewritten.
 
         Raises:
             ValueError: malformed payload, unknown version, a bare
@@ -399,17 +398,18 @@ class CorpusStore:
                     )
             for line in lines:
                 self._apply_line(line)
-            arrays = self._projector.take_segment(ref.count)
+            arrays = self._take_columns(ref.name, ref.count)
             if self.store_dir is not None:
-                # Adopted by this store's directory (covers resuming an
-                # inline checkpoint into a --store-dir run).
-                write_segment(self.store_dir, ref.name, lines)
+                if raw_lines is not None:
+                    # An inline checkpoint resumed into a --store-dir run:
+                    # this store's directory adopts the segment.  A segment
+                    # read from that directory was just verified there.
+                    write_segment(self.store_dir, ref.name, lines)
                 sha, reused = adopt_columns(self.store_dir, ref.name, arrays)
                 ref = replace(ref, columns_sha256=sha)
                 self.column_counters["reused" if reused else "projected"] += 1
             else:
                 self._inline_segments[ref.name] = lines
-                self._inline_columns[ref.name] = arrays
                 self.column_counters["projected"] += 1
                 if ref.columns_sha256 is not None:
                     # Inline stores carry no column files; the hash
@@ -430,9 +430,8 @@ class CorpusStore:
         self._refs = []
         self._inline_segments = {}
         self._tail = []
-        self._inline_columns = {}
+        self._columns = {}
         self._projector = ColumnProjector()
-        self._memo_chunks = None
         self._memo_view = None
 
     def _apply_line(self, line: str) -> None:
@@ -455,46 +454,9 @@ class CorpusStore:
         return self._projector
 
     def column_chunks(self) -> list[dict]:
-        """Per-segment column arrays plus the unsealed tail.
-
-        Spilled segments are hash-verified and memory-mapped; a missing
-        or corrupt column file falls back to re-projection from the
-        (itself hash-verified) segment JSONL, healing the file on disk
-        when the recomputed bytes match the manifest.  Memoised once the
-        store is sealed.
-        """
-        projector = self._projector
-        if self._memo_chunks is not None:
-            self.column_counters["view_cache_hits"] += 1
-            return self._memo_chunks
-        chunks: list[dict] = []
-        for index, ref in enumerate(self._refs):
-            arrays = self._inline_columns.get(ref.name)
-            if arrays is None and self.store_dir is not None:
-                arrays = load_columns(self.store_dir, ref)
-                if arrays is not None:
-                    self.column_counters["loads"] += 1
-            if arrays is None:
-                lines = self._inline_segments.get(ref.name)
-                if lines is None:
-                    if self.store_dir is None:
-                        raise RuntimeError(
-                            f"segment {ref.name} has neither inline lines "
-                            f"nor a store directory to read from"
-                        )
-                    lines = read_segment(self.store_dir, ref)
-                arrays = projector.project_lines(lines, index)
-                self.column_counters["fallbacks"] += 1
-                if self.store_dir is not None and ref.columns_sha256 is not None:
-                    healed = heal_columns(
-                        self.store_dir, ref.name, arrays, ref.columns_sha256
-                    )
-                    if not healed:
-                        self.column_counters["hash_mismatches"] += 1
-            chunks.append(arrays)
-        chunks.append(projector.peek_tail())
-        if self._sealed:
-            self._memo_chunks = chunks
+        """Every sealed segment's kept column arrays, plus the unsealed tail's."""
+        chunks = [self._columns[ref.name] for ref in self._refs]
+        chunks.append(self._projector.peek_tail())
         return chunks
 
     def column_view(self) -> ColumnView:

@@ -6,12 +6,11 @@ lists every sealed segment in order.  Checkpoint format v3 records only
 these (name, count, hash) references plus the unsealed tail, so the
 store's share of a checkpoint tick is bounded by the tail, not the corpus.
 
-A segment may additionally carry a columnar projection — a ``.npz``
+A spilled segment also carries a columnar projection — a ``.npz``
 sibling file (:mod:`repro.store.columns`) whose SHA-256 travels in the
-same reference as ``columns_sha256``.  The column file is derived data:
-when it is missing or fails verification the store re-projects it from
-the hash-verified JSONL, so older manifests without the field stay
-loadable.
+same reference as ``columns_sha256``.  The column file is write-only
+output: the store keeps the arrays it wrote in memory and never reads
+the file back, so a manifest without the field stays loadable.
 """
 
 from __future__ import annotations
@@ -77,8 +76,7 @@ class SegmentRef:
 
     ``columns_sha256`` covers the segment's derived ``.npz`` column file
     when one has been spilled to disk; ``None`` means no columnar
-    projection is manifested (inline store, columns disabled, or a
-    pre-columnar manifest).
+    projection is manifested (inline store, or a pre-columnar manifest).
     """
 
     name: str

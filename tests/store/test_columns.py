@@ -1,11 +1,11 @@
 """Unit tests for the columnar projection layer (:mod:`repro.store.columns`).
 
 Covers seal-time projection into hash-manifested ``.npz`` files, the
-memory-mapped ``ColumnView`` read surface and its revision-aware dedup,
-the corruption/missing-file fallback that re-projects from the verified
-segment JSONL (healing the file on disk), restore-time file reuse, the
-inline (no ``store_dir``) mode, and the view contract (an unsealed
-store raises ``ValueError`` naming the cause).
+``ColumnView`` read surface and its revision-aware dedup, the kept
+arrays being read-only in every store, the ``.npz`` files being
+write-only (a spilled store's view never reads them back), restore-time
+file reuse, the inline (no ``store_dir``) mode, and the view contract
+(an unsealed store raises ``ValueError`` naming the cause).
 """
 
 import hashlib
@@ -29,7 +29,6 @@ from repro.store import (
     CorpusStore,
     columns_of,
     columns_path,
-    load_columns,
     load_manifest,
 )
 from repro.store.columns import COLUMN_KEYS
@@ -91,21 +90,6 @@ class TestSealTimeProjection:
             assert path.exists()
             digest = hashlib.sha256(path.read_bytes()).hexdigest()
             assert digest == ref.columns_sha256
-
-    def test_load_columns_returns_all_keys_memory_mapped(self, tmp_path):
-        store = _fill(CorpusStore(store_dir=tmp_path, segment_records=8))
-        store.seal()
-        mapped = 0
-        for ref in load_manifest(tmp_path)["segments"]:
-            arrays = load_columns(tmp_path, ref)
-            assert arrays is not None
-            assert set(arrays) == set(COLUMN_KEYS)
-            # Empty columns load as plain empty arrays (a zero-length
-            # memmap is invalid); every populated one is mapped.
-            mapped += sum(
-                isinstance(array, np.memmap) for array in arrays.values()
-            )
-        assert mapped > 0
 
     def test_projection_spec_matches_produced_columns(self):
         # The spec is the lint contract (CHK003); the record columns it
@@ -185,31 +169,41 @@ class TestColumnView:
         assert store.column_stats()["view_cache_hits"] == 1
 
 
+class TestColumnFiles:
+    def test_view_never_reads_column_files(self, tmp_path):
+        # The .npz files are output only: with every one gone, a spilled
+        # store's view still equals its inline twin's, and none reappears.
+        spilled = _fill(CorpusStore(store_dir=tmp_path, segment_records=8))
+        spilled.seal()
+        inline = _fill(CorpusStore(segment_records=8))
+        inline.seal()
+        files = sorted(tmp_path.glob("*.columns.npz"))
+        assert len(files) == len(spilled.segment_refs) > 0
+        for path in files:
+            path.unlink()
+        got, want = spilled.column_view(), inline.column_view()
+        for table in ("comments", "urls", "users"):
+            got_cols, want_cols = getattr(got, table), getattr(want, table)
+            for field in vars(want_cols):
+                np.testing.assert_array_equal(
+                    getattr(got_cols, field), getattr(want_cols, field)
+                )
+        assert list(tmp_path.glob("*.columns.npz")) == []
+
+    def test_sealed_segment_arrays_are_read_only(self, tmp_path):
+        for store in (
+            CorpusStore(segment_records=8),
+            CorpusStore(store_dir=tmp_path, segment_records=8),
+        ):
+            _fill(store).seal()
+            sealed = store.column_chunks()[:-1]
+            assert len(sealed) == len(store.segment_refs) > 0
+            for arrays in sealed:
+                for key, array in arrays.items():
+                    assert not array.flags.writeable, key
+
+
 class TestFallbacks:
-    def test_corrupt_column_file_falls_back_and_heals(self, tmp_path):
-        store = _fill(CorpusStore(store_dir=tmp_path, segment_records=8))
-        store.seal()
-        ref = load_manifest(tmp_path)["segments"][0]
-        path = columns_path(tmp_path, ref.name)
-        original = path.read_bytes()
-        path.write_bytes(b"garbage" + original[7:])
-        view = store.column_view()
-        assert view.comments.n == len(store.comments)
-        stats = store.column_stats()
-        assert stats["fallbacks"] == 1
-        assert stats["hash_mismatches"] == 0
-        # The re-projection healed the file back to the manifested bytes.
-        assert path.read_bytes() == original
-
-    def test_missing_column_file_falls_back(self, tmp_path):
-        store = _fill(CorpusStore(store_dir=tmp_path, segment_records=8))
-        store.seal()
-        ref = load_manifest(tmp_path)["segments"][0]
-        columns_path(tmp_path, ref.name).unlink()
-        view = store.column_view()
-        assert view.urls.n == len(store.urls)
-        assert store.column_stats()["fallbacks"] == 1
-
     def test_restore_reuses_identical_files(self, tmp_path):
         store = _fill(CorpusStore(store_dir=tmp_path, segment_records=8))
         store.seal()

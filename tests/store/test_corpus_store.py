@@ -182,6 +182,22 @@ class TestSnapshotRestore:
         restored.restore_payload(snapshot)
         assert result_to_payload(restored) == result_to_payload(store)
 
+    def test_restore_leaves_verified_segments_untouched(self, tmp_path):
+        # A segment read back from the store's own directory has just
+        # been verified there; rewriting it would only churn the disk.
+        store = _fill(CorpusStore(store_dir=tmp_path / "a", segment_records=4))
+        snapshot = store.snapshot()
+        paths = [
+            segment_path(tmp_path / "a", entry["name"])
+            for entry in snapshot["sealed"]
+        ]
+        assert len(paths) == 4
+        before = [(p.stat().st_ino, p.stat().st_mtime_ns) for p in paths]
+        restored = CorpusStore(store_dir=tmp_path / "a")
+        restored.restore_payload(snapshot)
+        assert [(p.stat().st_ino, p.stat().st_mtime_ns) for p in paths] == before
+        assert restored.snapshot() == snapshot
+
     def test_corrupted_segment_is_detected(self, tmp_path):
         store = _fill(CorpusStore(store_dir=tmp_path / "a", segment_records=4))
         snapshot = store.snapshot()
