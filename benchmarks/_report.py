@@ -27,18 +27,21 @@ def record(
     title: str,
     lines: Iterable[str],
     context: dict | None = None,
+    write: bool = True,
 ) -> None:
     """Write a bench's comparison block to disk and stdout.
 
     ``context`` holds run parameters the numbers depend on (segment
     count, column cache-hit counters, corpus size) so a result file is
-    interpretable on its own.
+    interpretable on its own.  ``write=False`` only prints the block: a
+    shrunk smoke run must not replace the full-size record.
     """
-    RESULTS_DIR.mkdir(exist_ok=True)
     body_lines = [title, "=" * len(title), *lines]
     if context:
         pairs = "  ".join(f"{key}={value}" for key, value in context.items())
         body_lines.append(f"context: {pairs}")
     body = "\n".join([*body_lines, ""])
-    (RESULTS_DIR / f"{name}.txt").write_text(body, encoding="utf-8")
+    if write:
+        RESULTS_DIR.mkdir(exist_ok=True)
+        (RESULTS_DIR / f"{name}.txt").write_text(body, encoding="utf-8")
     print("\n" + body)

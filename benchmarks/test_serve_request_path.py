@@ -36,7 +36,8 @@ timing assert; the host's speed drifts by tens of percent, so each
 figure is the best of ``ROUNDS`` interleaved rounds.
 
 ``SERVE_PATH_SHRINK=10`` divides the store and the request count by ten
-(the CI smoke size, with its own pinned digest).
+(the CI smoke size, with its own pinned digest); a shrunk run prints its
+rows and leaves ``benchmarks/results/serve_request_path.txt`` alone.
 
 ``BEFORE_US`` holds this bench's figures for the request path before
 the query-free cache key, the shared encoder, the direct thread encoder
@@ -302,4 +303,5 @@ def test_serve_request_path_per_stage_costs():
         context={"users": USERS, "urls": URLS, "comments": COMMENTS,
                  "requests": REQUESTS, "sim_users": SIM_USERS,
                  "rounds": ROUNDS, "cpus": os.cpu_count()},
+        write=SHRINK == 1,
     )

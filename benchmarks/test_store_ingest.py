@@ -26,7 +26,8 @@ no timing assert; the host's speed drifts by tens of percent, so each
 timing is the best of ``ROUNDS`` rounds.
 
 ``STORE_INGEST_SHRINK=10`` divides every count and the segment size by
-ten (the CI smoke size, with its own pinned digest).
+ten (the CI smoke size, with its own pinned digest); a shrunk run prints
+its rows and leaves ``benchmarks/results/store_ingest.txt`` alone.
 
 ``BEFORE`` holds this bench's figures for the code before the user
 codec, URL split, single-encode segment write and slotted records
@@ -221,4 +222,5 @@ def test_store_ingest_per_record_costs():
                  "segment_records": SEGMENT_RECORDS,
                  "segments_sealed": rounds[0]["segments"],
                  "rounds": ROUNDS, "cpus": os.cpu_count()},
+        write=SHRINK == 1,
     )

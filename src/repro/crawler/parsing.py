@@ -49,7 +49,9 @@ class _PrefixedPattern:
     body's first ``"`` less the quote's offset in the prefix.  A
     one-character find (a ``memchr``) locates that quote, which skips
     the page's quote-free 10 kB style block much faster than a
-    substring search or the regex engine would walk it.
+    substring search or the regex engine would walk it.  A parser that
+    seeks several prefixes in one page finds that quote once and passes
+    it as ``quote``.
     """
 
     __slots__ = ("prefix", "regex", "_quote_at")
@@ -59,17 +61,21 @@ class _PrefixedPattern:
         self.regex = re.compile(re.escape(prefix) + rest)
         self._quote_at = prefix.index('"')
 
-    def _first(self, body: str) -> int:
-        """Index of the prefix's first occurrence in ``body``, or -1."""
-        quote = body.find('"')
+    def _first(self, body: str, quote: int | None) -> int:
+        """Index of the prefix's first occurrence in ``body``, or -1.
+
+        ``quote`` is ``body.find('"')``; ``None`` finds it here.
+        """
+        if quote is None:
+            quote = body.find('"')
         if quote < 0:
             return -1
         return body.find(self.prefix, max(quote - self._quote_at, 0))
 
-    def search(self, body: str) -> re.Match[str] | None:
+    def search(self, body: str, quote: int | None = None) -> re.Match[str] | None:
         """``regex.search(body)``."""
         find, match, prefix = body.find, self.regex.match, self.prefix
-        start = self._first(body)
+        start = self._first(body, quote)
         while start >= 0:
             found = match(body, start)
             if found is not None:
@@ -77,9 +83,11 @@ class _PrefixedPattern:
             start = find(prefix, start + 1)
         return None
 
-    def finditer(self, body: str) -> Iterator[re.Match[str]]:
+    def finditer(
+        self, body: str, quote: int | None = None
+    ) -> Iterator[re.Match[str]]:
         """``regex.finditer(body)``: no match starts before the first prefix."""
-        start = self._first(body)
+        start = self._first(body, quote)
         if start < 0:
             return iter(())
         return self.regex.finditer(body, start)
@@ -141,27 +149,33 @@ def _unescape(markup: str) -> str:
 
 def parse_user_page(body: str) -> CrawledUser | None:
     """Parse a Dissenter home page into a :class:`CrawledUser`."""
-    author_id = _AUTHOR_ID_RE.search(body)
-    username = _USERNAME_RE.search(body)
+    quote = body.find('"')
+    author_id = _AUTHOR_ID_RE.search(body, quote)
+    username = _USERNAME_RE.search(body, quote)
     if author_id is None or username is None:
         return None
-    display = _DISPLAY_NAME_RE.search(body)
-    bio = _BIO_RE.search(body)
+    display = _DISPLAY_NAME_RE.search(body, quote)
+    bio = _BIO_RE.search(body, quote)
     return CrawledUser(
         username=_unescape(username.group(1)),
         author_id=author_id.group(1),
         display_name=_unescape(display.group(1)) if display else "",
         bio=_unescape(bio.group(1)) if bio else "",
-        commented_url_ids=[m.group(1) for m in _URL_ITEM_RE.finditer(body)],
+        commented_url_ids=[
+            m.group(1) for m in _URL_ITEM_RE.finditer(body, quote)
+        ],
     )
 
 
-def parse_comments(body: str, commenturl_id: str) -> list[CrawledComment]:
+def parse_comments(
+    body: str, commenturl_id: str, quote: int | None = None
+) -> list[CrawledComment]:
     """Extract every comment block from a page, on URL ``commenturl_id``.
 
     Positional ``CrawledComment`` fields: comment, author and URL ids,
     text, parent id, creation epoch.  Most texts hold no ``&``, and
-    ``html.unescape`` would return them unchanged.
+    ``html.unescape`` would return them unchanged.  ``quote`` is
+    ``body.find('"')`` when the caller already has it.
     """
     unescape = _html.unescape
     return [
@@ -171,7 +185,7 @@ def parse_comments(body: str, commenturl_id: str) -> list[CrawledComment]:
             parent_id or None, int(created),
         )
         for comment_id, author_id, parent_id, created, text
-        in map(re.Match.groups, _COMMENT_RE.finditer(body))
+        in map(re.Match.groups, _COMMENT_RE.finditer(body, quote))
     ]
 
 
@@ -179,13 +193,15 @@ def parse_comment_page(
     body: str,
 ) -> tuple[CrawledUrl | None, list[CrawledComment]]:
     """Parse a discussion page into URL-level data plus its comments."""
-    commenturl_id = _COMMENTURL_ID_RE.search(body)
+    # Every seek below starts at the page's first quote: find it once.
+    quote = body.find('"')
+    commenturl_id = _COMMENTURL_ID_RE.search(body, quote)
     if commenturl_id is None:
         return None, []
-    title = _TITLE_RE.search(body)
-    description = _DESCRIPTION_RE.search(body)
-    target = _TARGET_URL_RE.search(body)
-    votes = _VOTES_RE.search(body)
+    title = _TITLE_RE.search(body, quote)
+    description = _DESCRIPTION_RE.search(body, quote)
+    target = _TARGET_URL_RE.search(body, quote)
+    votes = _VOTES_RE.search(body, quote)
     url = CrawledUrl(
         commenturl_id=commenturl_id.group(1),
         url=_unescape(target.group(1)) if target else "",
@@ -194,7 +210,7 @@ def parse_comment_page(
         upvotes=int(votes.group(1)) if votes else 0,
         downvotes=int(votes.group(2)) if votes else 0,
     )
-    return url, parse_comments(body, url.commenturl_id)
+    return url, parse_comments(body, url.commenturl_id, quote)
 
 
 class ParsedPage(NamedTuple):

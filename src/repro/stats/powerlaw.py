@@ -7,6 +7,10 @@ procedure for discrete data: maximum-likelihood estimation of the exponent
 ``alpha`` for a given ``xmin``, selection of ``xmin`` by minimising the
 Kolmogorov-Smirnov distance between data and fit, and a goodness-of-fit KS
 statistic.
+
+scipy is imported on the first fit, not with this module: a crawl or a
+serve process imports ``repro.stats`` for its sampling helpers and never
+fits anything (``tests/stats/test_scipy_footprint.py``).
 """
 
 from __future__ import annotations
@@ -15,12 +19,18 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import minimize_scalar
-from scipy.special import zeta
 
 __all__ = ["PowerLawFit", "fit_discrete_powerlaw"]
 
 _MAX_XMIN_CANDIDATES = 50
+
+
+def _scipy():
+    """``(minimize_scalar, zeta)``, imported when a fit first needs them."""
+    from scipy.optimize import minimize_scalar
+    from scipy.special import zeta
+
+    return minimize_scalar, zeta
 
 
 @dataclass(frozen=True)
@@ -43,6 +53,7 @@ class PowerLawFit:
     def pmf(self, x: np.ndarray) -> np.ndarray:
         """Fitted probability mass function on x >= xmin."""
         x = np.asarray(x, dtype=float)
+        _, zeta = _scipy()
         norm = zeta(self.alpha, self.xmin)
         return x ** (-self.alpha) / norm
 
@@ -50,6 +61,7 @@ class PowerLawFit:
         """Fitted CDF P(X <= x | X >= xmin)."""
         if x < self.xmin:
             return 0.0
+        _, zeta = _scipy()
         norm = zeta(self.alpha, self.xmin)
         support = np.arange(self.xmin, x + 1, dtype=float)
         return float((support ** (-self.alpha)).sum() / norm)
@@ -64,6 +76,7 @@ def _mle_alpha(tail: np.ndarray, xmin: int) -> float:
     biased for small ``xmin`` (the common case for degree data), so the
     exact objective is used instead.
     """
+    minimize_scalar, zeta = _scipy()
     log_sum = float(np.log(tail).sum())
     n = tail.size
 
@@ -80,6 +93,7 @@ def _ks_distance(tail: np.ndarray, alpha: float, xmin: int) -> float:
     """KS distance between the empirical tail CDF and the fitted CDF."""
     values, counts = np.unique(tail, return_counts=True)
     empirical = np.cumsum(counts) / tail.size
+    _, zeta = _scipy()
     norm = zeta(alpha, xmin)
     # Fitted CDF evaluated at each distinct observed value.
     hi = int(values[-1])
