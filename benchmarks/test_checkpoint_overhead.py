@@ -18,7 +18,7 @@ wall time does not enter it.
 import statistics
 import time
 
-from benchmarks._report import record, row
+from benchmarks._report import RECORD, record, row
 from repro.core.pipeline import ReproductionPipeline
 from repro.crawler.checkpoint import result_to_payload
 from repro.crawler.runtime import Checkpointer, load_state
@@ -116,7 +116,8 @@ def test_checkpoint_overhead_and_resume_savings(tmp_path):
             plain_requests - resumed_requests),
     ]
     record("checkpoint_overhead",
-           "R1 — checkpointing overhead and resume savings", lines)
+           "R1 — checkpointing overhead and resume savings", lines,
+           write=RECORD)
 
     # Checkpointing must not change what gets fetched…
     assert checkpointed_requests == plain_requests

@@ -19,7 +19,7 @@ import time
 import numpy as np
 import pytest
 
-from benchmarks._report import record, row
+from benchmarks._report import RECORD, record, row
 from repro.graph.csr import CSRGraph
 
 pytest.importorskip("networkx")
@@ -137,6 +137,7 @@ def test_graph_engine(benchmark):
         lines,
         context={"nodes": N_NODES, "edges_per_node": EDGES_PER_NODE,
                  "seed": 7},
+        write=RECORD and N_NODES >= FULL_NODES,
     )
 
     if N_NODES >= FULL_NODES:

@@ -13,7 +13,7 @@ throughput of each.
 import os
 import time
 
-from benchmarks._report import record, row
+from benchmarks._report import RECORD, record, row
 from repro.nlp.langid import LanguageIdentifier, default_corpora
 from repro.platform import WorldConfig, build_world
 from tests.oracles.langid import DictLanguageIdentifier
@@ -71,5 +71,6 @@ def test_batch_langid_matches_oracle_and_is_faster():
             "characters": sum(map(len, texts)),
             "cpus": os.cpu_count(),
         },
+        write=RECORD,
     )
     assert batch_s < oracle_s

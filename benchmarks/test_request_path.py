@@ -30,7 +30,7 @@ dict encoder, the original regexes) are the steadier ratios.
 import os
 import time
 
-from benchmarks._report import record
+from benchmarks._report import RECORD, record
 from repro.core.pipeline import ReproductionPipeline
 from repro.crawler import parsing
 from repro.crawler.gab_enum import GabEnumerator
@@ -151,4 +151,5 @@ def test_request_path_per_message_costs():
         ],
         context={"scale": SCALE, "seed": SEED, "rounds": ROUNDS,
                  "cpus": os.cpu_count()},
+        write=RECORD,
     )

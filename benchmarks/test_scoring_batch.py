@@ -23,7 +23,7 @@ import time
 
 import numpy as np
 
-from benchmarks._report import record, row
+from benchmarks._report import RECORD, record, row
 from repro.core.scoring import ScoreStore
 from repro.nlp.tokenize import TOKEN_BREAK, text_chunks
 from repro.perspective.lexicon import (
@@ -160,5 +160,6 @@ def test_batch_scoring_matches_oracle_and_is_faster():
             "distinct_tokens": len(models._token_classes),
             "cpus": os.cpu_count(),
         },
+        write=RECORD,
     )
     assert batch_s < oracle_s

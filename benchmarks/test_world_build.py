@@ -21,7 +21,7 @@ recorded ratio inherits that spread.
 import os
 import time
 
-from benchmarks._report import record, row
+from benchmarks._report import RECORD, record, row
 from repro.platform import WorldConfig, build_world
 from tests.platform.test_world_digest import world_digest
 
@@ -72,4 +72,5 @@ def test_world_build_time_and_digest():
         "R4 — seeded world build time (draw kernel vs one numpy call per draw)",
         lines,
         context={"seed": SEED, "repeats": REPEATS, "cpus": os.cpu_count()},
+        write=RECORD,
     )

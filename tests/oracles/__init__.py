@@ -25,7 +25,13 @@ here, unchanged in behaviour, as the references for the parity tests:
   parser on them, the reference for the literal-prefix seek;
 * :mod:`tests.oracles.urls` — ``tld_of``/``second_level_domain`` and the
   projector's URL metadata with one ``urlsplit`` per question, the
-  reference for the shared ``split_domains``.
+  reference for the shared ``split_domains``;
+* :mod:`tests.oracles.powerlaw` — the §4.5 power-law MLE, KS distance,
+  ``pmf`` and ``cdf`` on ``scipy.special.zeta`` and
+  ``scipy.optimize.minimize_scalar``, the reference for the ported
+  Hurwitz zeta and bounded Brent.
+
+``pmf`` and ``cdf`` there take the fit as their first argument.
 
 Every function takes the same arguments as the production function it
 mirrors, so a test can swap one for the other by name.
